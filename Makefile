@@ -114,9 +114,11 @@ cover:
 # instruction streams, the telemetry event codec in both directions, the
 # campaign-journal (WAL) codec and recovery scan, the quantile
 # estimator and nine-decile gate against adversarial samples (NaN/Inf,
-# ties, denormals, tiny n), and the hazard sampler against arbitrary
-# profile parameters. Seed corpora live under the packages'
-# testdata/fuzz/ directories.
+# ties, denormals, tiny n), the hazard sampler against arbitrary
+# profile parameters, and the cache and TLB fast paths (same-line and
+# same-page probes, line-slot memo, micro-cache) differentially against
+# the plain scan under arbitrary access/flush/reseed/upset streams. Seed
+# corpora live under the packages' testdata/fuzz/ directories.
 fuzz:
 	$(GO) test ./internal/isa/ -run '^$$' -fuzz '^FuzzInterpreter$$' -fuzztime 30s
 	$(GO) test ./internal/telemetry/ -run '^$$' -fuzz '^FuzzEventRoundTrip$$' -fuzztime 30s
@@ -127,6 +129,8 @@ fuzz:
 	$(GO) test ./internal/stats/ -run '^$$' -fuzz '^FuzzEstimateQuantile$$' -fuzztime 30s
 	$(GO) test ./internal/stats/ -run '^$$' -fuzz '^FuzzCompareQuantiles$$' -fuzztime 30s
 	$(GO) test ./internal/faults/ -run '^$$' -fuzz '^FuzzHazard$$' -fuzztime 30s
+	$(GO) test ./internal/cache/ -run '^$$' -fuzz '^FuzzCacheAccessStream$$' -fuzztime 30s
+	$(GO) test ./internal/tlb/ -run '^$$' -fuzz '^FuzzTLBLookupStream$$' -fuzztime 30s
 
 clean:
 	$(GO) clean -testcache

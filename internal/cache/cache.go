@@ -167,10 +167,28 @@ type Cache struct {
 	// and the way scan with identical side effects. Tag-array fault
 	// injection can invalidate the "tag matches line address" premise,
 	// so mruOff bypasses the record from the first upset until Flush.
-	lastLA   uint64
-	lastLine int32 // flat index into lines; -1 = no record
-	mruOff   bool
+	// last points into the slab; nil = no record.
+	lastLA uint64
+	last   *line
+	mruOff bool
+
+	// Same-line hits served by FastAccess/FastWrite. They are kept out
+	// of stats so the probes stay within the inliner's budget, and are
+	// folded into Hits, WriteHits and MRUHits by Stats.
+	fastReads  uint64
+	fastWrites uint64
+
+	// Line-slot memo: line address (direct-mapped on its low bits) ->
+	// slab index + 1 where it was last hit or filled; 0 = empty. A slot
+	// is trusted only when the slab line it names is valid and tagged
+	// with the probed line address, which is then the scan's unique
+	// match (see memoHit), so a memo hit skips placement hashing and the
+	// way scan with identical side effects.
+	memo [memoSlots]uint32
 }
+
+// memoSlots sizes the line-slot memo (a power of two).
+const memoSlots = 256
 
 // New builds a cache from cfg, drawing placement/replacement randomness
 // from src (may be nil for fully deterministic configurations; required
@@ -189,7 +207,6 @@ func New(cfg Config, src rng.Source) (*Cache, error) {
 		lines:    make([]line, cfg.Sets()*cfg.Ways),
 		rrCursor: make([]int, cfg.Sets()),
 		ways:     cfg.Ways,
-		lastLine: -1,
 	}
 	c.lineShift = uint(bits.TrailingZeros64(uint64(cfg.LineBytes)))
 	c.setMask = uint64(cfg.Sets() - 1)
@@ -216,19 +233,30 @@ func New(cfg Config, src rng.Source) (*Cache, error) {
 // Config returns the cache configuration.
 func (c *Cache) Config() Config { return c.cfg }
 
-// Stats returns a copy of the counters.
-func (c *Cache) Stats() Stats { return c.stats }
+// Stats returns a copy of the counters, with the probes' same-line
+// hits folded in.
+func (c *Cache) Stats() Stats {
+	s := c.stats
+	s.Hits += c.fastReads
+	s.WriteHits += c.fastWrites
+	s.MRUHits += c.fastReads + c.fastWrites
+	return s
+}
 
 // ResetStats zeroes the counters without touching contents.
-func (c *Cache) ResetStats() { c.stats = Stats{} }
+func (c *Cache) ResetStats() {
+	c.stats = Stats{}
+	c.fastReads, c.fastWrites = 0, 0
+}
 
 // Flush invalidates every line — the paper's protocol flushes caches
-// between measurement runs. With the flat slab this is two bulk clears
-// (compiled to memclr) instead of a per-set loop nest.
+// between measurement runs. With the flat slab this is a few bulk
+// clears (compiled to memclr) instead of a per-set loop nest.
 func (c *Cache) Flush() {
 	clear(c.lines)
 	clear(c.rrCursor)
-	c.lastLine = -1
+	clear(c.memo[:])
+	c.last = nil
 	c.mruOff = false
 }
 
@@ -237,9 +265,11 @@ func (c *Cache) Flush() {
 // has no effect (kept so callers can treat both platforms uniformly).
 func (c *Cache) Reseed(seed uint64) {
 	c.seed = seed
-	// The record's residency argument assumed a fixed placement mapping;
-	// after a reseed the same line address maps elsewhere.
-	c.lastLine = -1
+	// The record's and the memo's exactness arguments assume a fixed
+	// placement mapping; after a reseed the same line address maps
+	// elsewhere.
+	c.last = nil
+	clear(c.memo[:])
 }
 
 // lineAddr strips the offset bits.
@@ -252,9 +282,8 @@ func (c *Cache) lineAddr(addr uint64) uint64 { return addr >> c.lineShift }
 // line address in all configurations.
 func (c *Cache) tagOf(addr uint64) uint64 { return c.lineAddr(addr) }
 
-// setOf implements the placement function.
-func (c *Cache) setOf(addr uint64) int {
-	la := c.lineAddr(addr)
+// setOf implements the placement function on a line address.
+func (c *Cache) setOf(la uint64) int {
 	index := la & c.setMask
 	switch c.place {
 	case placeModulo:
@@ -293,38 +322,50 @@ func (c *Cache) setWays(set int) []line {
 	return c.lines[base : base+c.ways]
 }
 
+// FastAccess is the inlinable same-line probe of Access: when addr lies
+// in the line the previous access hit or filled, it performs that read
+// hit and returns true; otherwise it changes nothing and returns false,
+// and the caller falls back to Access. Callers on the per-instruction
+// path test it first so the common case costs no call.
+func (c *Cache) FastAccess(addr uint64) bool {
+	l := c.last
+	if l == nil || addr>>c.lineShift != c.lastLA {
+		return false
+	}
+	c.clock++
+	l.lru = c.clock
+	c.fastReads++
+	return true
+}
+
+// FastWrite is FastAccess for stores: a same-line write hit.
+func (c *Cache) FastWrite(addr uint64) bool {
+	l := c.last
+	if l == nil || addr>>c.lineShift != c.lastLA {
+		return false
+	}
+	c.clock++
+	l.lru = c.clock
+	c.fastWrites++
+	return true
+}
+
 // Access performs a read access (instruction fetch or load). It returns
 // true on hit; on miss the line is allocated, evicting per policy.
 func (c *Cache) Access(addr uint64) bool {
-	la := c.lineAddr(addr)
-	c.clock++
-	if la == c.lastLA && c.lastLine >= 0 && !c.mruOff {
-		// Same line as the previous access: still resident, and (absent
-		// faults) the scan's first match. Skip placement and the way scan.
-		c.lines[c.lastLine].lru = c.clock
-		c.stats.Hits++
-		c.stats.MRUHits++
+	if c.FastAccess(addr) {
 		return true
 	}
-	set := c.setOf(addr)
-	ways := c.setWays(set)
-	for w := range ways {
-		if ways[w].valid && ways[w].tag == la {
-			ways[w].lru = c.clock
-			c.stats.Hits++
-			c.note(la, set, w)
-			return true
-		}
+	la := c.lineAddr(addr)
+	c.clock++
+	if c.memoHit(la) || c.scan(la) {
+		c.stats.Hits++
+		return true
 	}
 	c.stats.Misses++
-	c.note(la, set, c.fill(set, la))
+	set := c.setOf(la)
+	c.note(la, set*c.ways+c.fill(set, la))
 	return false
-}
-
-// note records the line touched by a hit or fill for the fast path.
-func (c *Cache) note(la uint64, set, way int) {
-	c.lastLA = la
-	c.lastLine = int32(set*c.ways + way)
 }
 
 // Write performs a store access. With write-through no-write-allocate
@@ -332,35 +373,79 @@ func (c *Cache) note(la uint64, set, way int) {
 // write miss does not allocate. With WriteAllocate it behaves like a
 // read access for allocation purposes. Returns true on hit.
 func (c *Cache) Write(addr uint64) bool {
-	la := c.lineAddr(addr)
-	c.clock++
-	if la == c.lastLA && c.lastLine >= 0 && !c.mruOff {
-		c.lines[c.lastLine].lru = c.clock
-		c.stats.WriteHits++
-		c.stats.MRUHits++
+	if c.FastWrite(addr) {
 		return true
 	}
-	set := c.setOf(addr)
+	la := c.lineAddr(addr)
+	c.clock++
+	if c.memoHit(la) || c.scan(la) {
+		c.stats.WriteHits++
+		return true
+	}
+	c.stats.WriteMisses++
+	if c.cfg.WriteAllocate {
+		set := c.setOf(la)
+		c.note(la, set*c.ways+c.fill(set, la))
+	}
+	return false
+}
+
+// memoHit serves a hit on line address la from the memo, refreshing
+// its recency stamp, or reports false and changes nothing.
+//
+// The memo is exact: fills place la only in setOf(la) and only when the
+// set does not already hold it, so absent faults a line address sits in
+// at most one way, and only in its current set. A slot is written from
+// a hit or fill in setOf(la) and cleared whenever the mapping changes
+// (Reseed) or the slab is emptied (Flush), so a verified slot names the
+// way the scan would have returned. Faults can forge a second copy of
+// la, where scan order matters; disableFast empties the memo and note
+// stops filling it until Flush, so the memo is bypassed under mruOff
+// without a test here.
+func (c *Cache) memoHit(la uint64) bool {
+	i := c.memo[la&(memoSlots-1)]
+	if i == 0 {
+		return false
+	}
+	l := &c.lines[i-1]
+	if !l.valid || l.tag != la {
+		return false
+	}
+	l.lru = c.clock
+	c.lastLA, c.last = la, l
+	return true
+}
+
+// scan finds line address la by placement and the way scan, refreshing
+// its recency stamp on a hit.
+func (c *Cache) scan(la uint64) bool {
+	set := c.setOf(la)
 	ways := c.setWays(set)
 	for w := range ways {
 		if ways[w].valid && ways[w].tag == la {
 			ways[w].lru = c.clock
-			c.stats.WriteHits++
-			c.note(la, set, w)
+			c.note(la, set*c.ways+w)
 			return true
 		}
 	}
-	c.stats.WriteMisses++
-	if c.cfg.WriteAllocate {
-		c.note(la, set, c.fill(set, la))
-	}
 	return false
+}
+
+// note records the slab line touched by a hit or fill in the same-line
+// record and the memo. Under mruOff neither is read, so neither is kept.
+func (c *Cache) note(la uint64, idx int) {
+	if c.mruOff {
+		return
+	}
+	c.lastLA = la
+	c.last = &c.lines[idx]
+	c.memo[la&(memoSlots-1)] = uint32(idx) + 1
 }
 
 // Probe reports whether addr is present without updating state or
 // counters (test/debug aid).
 func (c *Cache) Probe(addr uint64) bool {
-	set := c.setOf(addr)
+	set := c.setOf(c.lineAddr(addr))
 	tag := c.tagOf(addr)
 	for _, l := range c.setWays(set) {
 		if l.valid && l.tag == tag {
@@ -402,7 +487,7 @@ func (c *Cache) fill(set int, tag uint64) int {
 }
 
 // SetOfForTest exposes the placement function for property tests.
-func (c *Cache) SetOfForTest(addr uint64) int { return c.setOf(addr) }
+func (c *Cache) SetOfForTest(addr uint64) int { return c.setOf(c.lineAddr(addr)) }
 
 // InjectTagFault flips bit number bit of the tag stored at (set, way) —
 // a single-event upset in the tag array. A flipped tag of a valid line
@@ -417,7 +502,7 @@ func (c *Cache) InjectTagFault(set, way, bit int) {
 	// A flipped tag can break the record's "tag == line address" premise
 	// and forge duplicate tags where scan order matters; bypass the
 	// fast path until the next Flush.
-	c.mruOff = true
+	c.disableFast()
 }
 
 // InjectStateFault flips the valid bit at (set, way) — an upset in the
@@ -426,7 +511,7 @@ func (c *Cache) InjectTagFault(set, way, bit int) {
 func (c *Cache) InjectStateFault(set, way int) {
 	l := c.faultLine(set, way)
 	l.valid = !l.valid
-	c.mruOff = true
+	c.disableFast()
 }
 
 // Scrub invalidates the line at (set, way) — the scrubbing engine's
@@ -437,7 +522,15 @@ func (c *Cache) InjectStateFault(set, way int) {
 // reduced modulo the geometry like the fault injectors'.
 func (c *Cache) Scrub(set, way int) {
 	c.faultLine(set, way).valid = false
+	c.disableFast()
+}
+
+// disableFast bypasses the same-line record and the memo until the next
+// Flush.
+func (c *Cache) disableFast() {
 	c.mruOff = true
+	c.last = nil
+	clear(c.memo[:])
 }
 
 func (c *Cache) faultLine(set, way int) *line {

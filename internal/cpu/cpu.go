@@ -211,8 +211,10 @@ func (c *Core) memFill(addr uint64, kind bus.Kind) uint64 {
 // Consume charges one retired instruction to the pipeline.
 func (c *Core) Consume(ev isa.Event) {
 	c.stats.Instructions++
-	// --- Fetch: ITLB, then IL1. ---
-	if !c.ITLB.Lookup(ev.PC) {
+	// --- Fetch: ITLB, then IL1. --- Each probe below tests the inlined
+	// same-page/same-line fast path first, so the common hit costs no
+	// call; the full lookup runs only when it declines.
+	if !c.ITLB.FastHit(ev.PC) && !c.ITLB.Lookup(ev.PC) {
 		walk := uint64(0)
 		for i := 0; i < c.itlbWalks; i++ {
 			walk += c.memFill(ev.PC, bus.KindTLBWalk)
@@ -220,7 +222,7 @@ func (c *Core) Consume(ev isa.Event) {
 		c.cycle += walk
 		c.stats.IFetchStall += walk
 	}
-	if !c.IL1.Access(ev.PC) {
+	if !c.IL1.FastAccess(ev.PC) && !c.IL1.Access(ev.PC) {
 		fill := c.memFill(ev.PC, bus.KindLineFill)
 		c.cycle += fill
 		c.stats.IFetchStall += fill
@@ -249,8 +251,10 @@ func (c *Core) Consume(ev isa.Event) {
 	case isa.ClassFPSqrt:
 		c.stall(uint64(c.FPU.SqrtLatency(ev.FOp1)-1), &c.stats.ExecStall)
 	case isa.ClassLoad:
-		c.dtlbCheck(ev.Addr)
-		if c.DL1.Access(ev.Addr) {
+		if !c.DTLB.FastHit(ev.Addr) && !c.DTLB.Lookup(ev.Addr) {
+			c.dtlbWalk(ev.Addr)
+		}
+		if c.DL1.FastAccess(ev.Addr) || c.DL1.Access(ev.Addr) {
 			c.stall(c.loadUse, &c.stats.DMemStall)
 		} else {
 			fill := c.memFill(ev.Addr, bus.KindLineFill)
@@ -258,8 +262,12 @@ func (c *Core) Consume(ev isa.Event) {
 			c.stats.DMemStall += fill
 		}
 	case isa.ClassStore:
-		c.dtlbCheck(ev.Addr)
-		c.DL1.Write(ev.Addr) // write-through, no allocate
+		if !c.DTLB.FastHit(ev.Addr) && !c.DTLB.Lookup(ev.Addr) {
+			c.dtlbWalk(ev.Addr)
+		}
+		if !c.DL1.FastWrite(ev.Addr) {
+			c.DL1.Write(ev.Addr) // write-through, no allocate
+		}
 		c.storeDrain(ev.Addr)
 	}
 	c.stats.Cycles = c.cycle
@@ -270,10 +278,8 @@ func (c *Core) stall(cycles uint64, counter *uint64) {
 	*counter += cycles
 }
 
-func (c *Core) dtlbCheck(addr uint64) {
-	if c.DTLB.Lookup(addr) {
-		return
-	}
+// dtlbWalk charges the page-table walk of a DTLB miss.
+func (c *Core) dtlbWalk(addr uint64) {
 	walk := uint64(0)
 	for i := 0; i < c.dtlbWalks; i++ {
 		walk += c.memFill(addr, bus.KindTLBWalk)
@@ -366,8 +372,8 @@ func (cur *EventCursor) park(phase uint8, t uint64, kind bus.Kind, addr uint64) 
 func (c *Core) StartEvent(cur *EventCursor, ev isa.Event) bool {
 	c.stats.Instructions++
 	cur.ev = ev
-	// --- Fetch: ITLB, then IL1. ---
-	if !c.ITLB.Lookup(ev.PC) {
+	// --- Fetch: ITLB, then IL1, probed as in Consume. ---
+	if !c.ITLB.FastHit(ev.PC) && !c.ITLB.Lookup(ev.PC) {
 		cur.walkIdx, cur.walkAcc = 0, 0
 		// Walk requests issue at the pre-walk cycle, accumulating into
 		// walkAcc first — the same order Consume charges them.
@@ -425,7 +431,7 @@ func (c *Core) ResumeEvent(cur *EventCursor, start, memLat uint64) bool {
 }
 
 func (c *Core) curFetchLine(cur *EventCursor) bool {
-	if !c.IL1.Access(cur.ev.PC) {
+	if !c.IL1.FastAccess(cur.ev.PC) && !c.IL1.Access(cur.ev.PC) {
 		cur.park(curILFill, c.cycle, bus.KindLineFill, cur.ev.PC)
 		return true
 	}
@@ -454,14 +460,14 @@ func (c *Core) curExecute(cur *EventCursor) bool {
 	case isa.ClassFPSqrt:
 		c.stall(uint64(c.FPU.SqrtLatency(ev.FOp1)-1), &c.stats.ExecStall)
 	case isa.ClassLoad:
-		if !c.DTLB.Lookup(ev.Addr) {
+		if !c.DTLB.FastHit(ev.Addr) && !c.DTLB.Lookup(ev.Addr) {
 			cur.walkIdx, cur.walkAcc = 0, 0
 			cur.park(curDTLBLoad, c.cycle, bus.KindTLBWalk, ev.Addr)
 			return true
 		}
 		return c.curLoadAccess(cur)
 	case isa.ClassStore:
-		if !c.DTLB.Lookup(ev.Addr) {
+		if !c.DTLB.FastHit(ev.Addr) && !c.DTLB.Lookup(ev.Addr) {
 			cur.walkIdx, cur.walkAcc = 0, 0
 			cur.park(curDTLBStore, c.cycle, bus.KindTLBWalk, ev.Addr)
 			return true
@@ -473,7 +479,7 @@ func (c *Core) curExecute(cur *EventCursor) bool {
 }
 
 func (c *Core) curLoadAccess(cur *EventCursor) bool {
-	if c.DL1.Access(cur.ev.Addr) {
+	if c.DL1.FastAccess(cur.ev.Addr) || c.DL1.Access(cur.ev.Addr) {
 		c.stall(c.loadUse, &c.stats.DMemStall)
 		c.stats.Cycles = c.cycle
 		return false
@@ -483,7 +489,9 @@ func (c *Core) curLoadAccess(cur *EventCursor) bool {
 }
 
 func (c *Core) curStoreAccess(cur *EventCursor) bool {
-	c.DL1.Write(cur.ev.Addr) // write-through, no allocate
+	if !c.DL1.FastWrite(cur.ev.Addr) {
+		c.DL1.Write(cur.ev.Addr) // write-through, no allocate
+	}
 	slot := 0
 	for i := 1; i < len(c.storeSlots); i++ {
 		if c.storeSlots[i] < c.storeSlots[slot] {

@@ -339,16 +339,29 @@ func (p *Pool) executorLoop() {
 
 func (p *Pool) runLocalLease(l *lease) {
 	s := l.r.s
-	board, err := s.newBoard()
-	if err != nil {
-		s.failLease(l, err)
-		return
-	}
-	pol := platform.ExecPolicy{Cached: s.opts.Cached, RunTimeout: s.opts.RunTimeout, Retry: s.opts.Retry}
+	// The run cache is consulted here rather than through the policy, so
+	// the board is built on the lease's first miss: a lease the cache
+	// serves entirely builds none, and each run is looked up once.
+	var board platform.Board
+	pol := platform.ExecPolicy{RunTimeout: s.opts.RunTimeout, Retry: s.opts.Retry}
 	for run := l.r.start; run < l.r.end; run++ {
 		if s.aborted() {
 			s.releaseLease(l)
 			return
+		}
+		if s.opts.Cached != nil {
+			if r, ok := s.opts.Cached(run); ok {
+				s.completeRun(run, r)
+				continue
+			}
+		}
+		if board == nil {
+			b, err := s.newBoard()
+			if err != nil {
+				s.failLease(l, err)
+				return
+			}
+			board = b
 		}
 		r, err := platform.SafeExecuteRun(s.ctx, board, s.w, s.opts.BaseSeed, run, pol)
 		if err != nil {

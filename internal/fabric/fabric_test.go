@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -247,4 +248,62 @@ func (j *recordingJournal) Barrier(b platform.Batch) error {
 func (j *recordingJournal) Flush() error {
 	j.log = append(j.log, "flush")
 	return nil
+}
+
+// TestFabricWarmLeasesBuildNoBoard: a lease consults the run cache
+// before it builds a board, so a fully cached pass builds none, looks
+// each run up exactly once, and delivers the cold pass's results; a
+// partially cached pass builds boards only for leases that miss.
+func TestFabricWarmLeasesBuildNoBoard(t *testing.T) {
+	w := testWorkload(t)
+	pool := NewPool(Config{Executors: 2})
+	defer pool.Close()
+
+	var boards atomic.Int64
+	newBoard := func() (platform.Board, error) {
+		boards.Add(1)
+		return platform.New(platform.RAND())
+	}
+	const runs, batch = 40, 10
+	cold, err := pool.StreamCampaign(context.Background(), platform.RAND(), w,
+		platform.StreamOptions{MaxRuns: runs, BatchSize: batch, BaseSeed: 11, NewBoard: newBoard}, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if boards.Load() == 0 {
+		t.Fatal("cold pass built no board")
+	}
+
+	for _, prefix := range []int{runs, 25} {
+		boards.Store(0)
+		var mu sync.Mutex
+		lookups := make([]int, runs)
+		cached := func(run int) (platform.RunResult, bool) {
+			mu.Lock()
+			lookups[run]++
+			mu.Unlock()
+			if run < prefix {
+				return cold.Results[run], true
+			}
+			return platform.RunResult{}, false
+		}
+		warm, err := pool.StreamCampaign(context.Background(), platform.RAND(), w,
+			platform.StreamOptions{MaxRuns: runs, BatchSize: batch, BaseSeed: 11,
+				NewBoard: newBoard, Cached: cached}, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		assertSameResults(t, cold, warm)
+		// Leases cover whole batches: only those holding a run past the
+		// cached prefix may build a board.
+		missLeases := runs/batch - prefix/batch
+		if n := boards.Load(); n > int64(missLeases) {
+			t.Errorf("prefix %d: %d boards built, want at most %d", prefix, n, missLeases)
+		}
+		for run, n := range lookups {
+			if n != 1 {
+				t.Errorf("prefix %d: run %d looked up %d times, want 1", prefix, run, n)
+			}
+		}
+	}
 }

@@ -6,7 +6,6 @@ import (
 	"os"
 	"path/filepath"
 	"sync"
-	"sync/atomic"
 
 	"repro/internal/fabric"
 	"repro/internal/platform"
@@ -164,7 +163,6 @@ type Entry struct {
 	// Prefix is the cached run prefix, in run order with no gaps.
 	Prefix []platform.RunResult
 
-	hits    atomic.Int64
 	journal *cacheJournal
 	release func()
 }
@@ -174,14 +172,10 @@ type Entry struct {
 // the cache; runs beyond it miss and simulate normally.
 func (e *Entry) Lookup(run int) (platform.RunResult, bool) {
 	if run < len(e.Prefix) {
-		e.hits.Add(1)
 		return e.Prefix[run], true
 	}
 	return platform.RunResult{}, false
 }
-
-// Hits returns how many runs were served from the cache so far.
-func (e *Entry) Hits() int { return int(e.hits.Load()) }
 
 // Journal returns the platform.Journal that persists freshly simulated
 // runs into the cache (skipping the already-cached prefix).
@@ -205,11 +199,14 @@ func (e *Entry) Close() error {
 // alike, in run order), and the journal appends only the runs beyond
 // the cached prefix. Barriers past the skip frontier write an empty
 // checkpoint and fsync — checkpoints bound how much a torn tail can
-// truncate on recovery, exactly as in campaign journals.
+// truncate on recovery, exactly as in campaign journals. Barriers
+// inside the cached prefix append nothing and so sync nothing; Close
+// still syncs.
 type cacheJournal struct {
 	w        *wal.Writer
 	skip     int // length of the already-journaled prefix
 	appended int
+	unsynced bool // runs appended since the last sync
 }
 
 func (j *cacheJournal) LogRun(run int, seed uint64, r platform.RunResult) error {
@@ -228,21 +225,33 @@ func (j *cacheJournal) LogRun(run int, seed uint64, r platform.RunResult) error 
 		return err
 	}
 	j.appended++
+	j.unsynced = true
 	return nil
 }
 
 func (j *cacheJournal) Barrier(b platform.Batch) error {
 	delivered := b.Start + len(b.Results)
-	if delivered > j.skip {
-		// Cache checkpoints carry no analyzer state: the cache stores
-		// raw runs only — every cell re-derives its own analysis.
-		if err := j.w.AppendCheckpoint(wal.Checkpoint{Batch: b.Index, Runs: delivered}); err != nil {
-			return err
-		}
+	if delivered <= j.skip {
+		return nil
 	}
-	return j.w.Sync()
+	// Cache checkpoints carry no analyzer state: the cache stores raw
+	// runs only — every cell re-derives its own analysis.
+	if err := j.w.AppendCheckpoint(wal.Checkpoint{Batch: b.Index, Runs: delivered}); err != nil {
+		return err
+	}
+	return j.sync()
 }
 
-func (j *cacheJournal) Flush() error { return j.w.Sync() }
+func (j *cacheJournal) Flush() error {
+	if !j.unsynced {
+		return nil
+	}
+	return j.sync()
+}
+
+func (j *cacheJournal) sync() error {
+	j.unsynced = false
+	return j.w.Sync()
+}
 
 func (j *cacheJournal) close() error { return j.w.Close() }

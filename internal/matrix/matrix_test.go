@@ -10,6 +10,7 @@ import (
 	"testing"
 
 	"repro/internal/fabric"
+	"repro/internal/telemetry"
 	"repro/pkg/mbpta"
 )
 
@@ -455,5 +456,117 @@ func TestLeakGrid(t *testing.T) {
 	cold.Table(&buf)
 	if !bytes.Contains(buf.Bytes(), []byte("P(leak)")) || !bytes.Contains(buf.Bytes(), []byte("LEAK")) {
 		t.Errorf("leak table missing leak column:\n%s", buf.String())
+	}
+}
+
+// TestWarmPassSyncsOnlyOnClose: barriers inside the cached prefix
+// append nothing, so a fully warm pass fsyncs each entry's journal once,
+// when the entry closes.
+func TestWarmPassSyncsOnlyOnClose(t *testing.T) {
+	cache, err := NewCache(filepath.Join(t.TempDir(), "cache"))
+	if err != nil {
+		t.Fatalf("NewCache: %v", err)
+	}
+	r := &Runner{Cache: cache, CellParallel: 1}
+	if _, err := r.Run(context.Background(), smallSpec(100)); err != nil {
+		t.Fatalf("cold run: %v", err)
+	}
+	reg := telemetry.New()
+	cache.SetTelemetry(reg)
+	warm, err := r.Run(context.Background(), smallSpec(100))
+	if err != nil {
+		t.Fatalf("warm run: %v", err)
+	}
+	if warm.SimulatedRuns != 0 {
+		t.Fatalf("warm run re-simulated %d runs", warm.SimulatedRuns)
+	}
+	if got, want := reg.Counter("wal_fsyncs_total").Value(), uint64(len(warm.Cells)); got != want {
+		t.Errorf("warm pass fsynced %d times, want %d (one close-time sync per entry)", got, want)
+	}
+}
+
+// TestCachedRunsCountsDeliveredOnly pins the DET/vecnorm crps cell of
+// the repository benchmark's matrix: it stops at 350 runs, and a warm
+// pass must report 350 cached runs, not the runs the fabric leased
+// past the stop.
+func TestCachedRunsCountsDeliveredOnly(t *testing.T) {
+	pool := fabric.NewPool(fabric.Config{Executors: 1})
+	defer pool.Close()
+	cache, err := NewCache(filepath.Join(t.TempDir(), "cache"))
+	if err != nil {
+		t.Fatalf("NewCache: %v", err)
+	}
+	spec := Spec{
+		Name:      "vecnorm",
+		Platforms: []string{"DET"},
+		Workloads: []fabric.WorkloadSpec{{Kind: "vecnorm", Params: json.RawMessage(`{"N":64,"Seed":1}`)}},
+		StopRules: []StopRuleSpec{{Kind: "fixed"}, {Kind: "crps"}},
+		Runs:      1000,
+		Batch:     50,
+		BaseSeed:  20170327,
+		Analysis:  AnalysisSpec{BlockSize: 50},
+	}
+	r := &Runner{Pool: pool, Cache: cache, CellParallel: 1}
+	if _, err := r.Run(context.Background(), spec); err != nil {
+		t.Fatalf("cold run: %v", err)
+	}
+	warm, err := r.Run(context.Background(), spec)
+	if err != nil {
+		t.Fatalf("warm run: %v", err)
+	}
+	for _, c := range warm.Cells {
+		want := 1000
+		if c.Cell.StopRule.Kind == "crps" {
+			want = 350
+		}
+		if c.StopRuns != want || c.CachedRuns != want || c.SimulatedRuns != 0 {
+			t.Errorf("cell %s: stop %d, cached %d, simulated %d; want %d, %d, 0",
+				c.Label, c.StopRuns, c.CachedRuns, c.SimulatedRuns, want, want)
+		}
+	}
+	if warm.CachedRuns != 1350 {
+		t.Errorf("report cached %d runs, want 1350", warm.CachedRuns)
+	}
+}
+
+// TestCellsStartInExpansionOrder: at CellParallel 1 cells start in
+// Expand order, so of two cells sharing a simulation key the first one
+// always simulates and the second replays, and per-cell SimulatedRuns
+// repeat exactly from one cold pass to the next.
+func TestCellsStartInExpansionOrder(t *testing.T) {
+	spec := smallSpec(100)
+	spec.StopRules = []StopRuleSpec{{Kind: "fixed"}, {Kind: "crps"}}
+	var first []int
+	for pass := 0; pass < 3; pass++ {
+		cache, err := NewCache(filepath.Join(t.TempDir(), "cache"))
+		if err != nil {
+			t.Fatalf("NewCache: %v", err)
+		}
+		var started []int
+		r := &Runner{Cache: cache, CellParallel: 1, Progress: func(p CellProgress) {
+			if p.State == CellStart {
+				started = append(started, p.Index)
+			}
+		}}
+		rep, err := r.Run(context.Background(), spec)
+		if err != nil {
+			t.Fatalf("pass %d: %v", pass, err)
+		}
+		for i, idx := range started {
+			if idx != i {
+				t.Fatalf("pass %d: start order %v, want expansion order", pass, started)
+			}
+		}
+		sim := make([]int, len(rep.Cells))
+		for i, c := range rep.Cells {
+			sim[i] = c.SimulatedRuns
+		}
+		if pass == 0 {
+			first = sim
+			continue
+		}
+		if !reflect.DeepEqual(sim, first) {
+			t.Fatalf("pass %d: per-cell simulated runs %v, pass 0 had %v", pass, sim, first)
+		}
 	}
 }

@@ -93,10 +93,13 @@ func (r *Runner) Run(ctx context.Context, spec Spec) (*Report, error) {
 	sem := make(chan struct{}, par)
 	var wg sync.WaitGroup
 	for i := range cells {
+		// Take the slot before spawning, so cells start in expansion
+		// order: which of two same-key cells simulates and which replays
+		// is then fixed by the spec, not by the scheduler.
+		sem <- struct{}{}
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			sem <- struct{}{}
 			defer func() { <-sem }()
 			r.notify(CellProgress{Index: i, Total: len(cells), Cell: cells[i], State: CellStart})
 			res := r.runCell(ctx, reg, cells[i])
@@ -225,10 +228,12 @@ func (r *Runner) runCell(ctx context.Context, reg *fabric.Registry, cell Cell) C
 		res.Advisory = err.Error()
 	}
 	res.Elapsed = time.Since(started)
-	if entry != nil {
-		res.CachedRuns = entry.Hits()
-	}
 	res.summarize(rep)
+	if entry != nil {
+		// Only delivered runs count: the engine may look up runs it
+		// leased past an early stop.
+		res.CachedRuns = min(len(entry.Prefix), res.StopRuns)
+	}
 	res.SimulatedRuns = res.StopRuns - res.CachedRuns
 	if res.SimulatedRuns < 0 {
 		res.SimulatedRuns = 0
@@ -303,7 +308,7 @@ func (r *Runner) leakGate(ctx context.Context, reg *fabric.Registry, cfg mbpta.P
 	prob, leaks := gate.LeakProbability, !gate.Pass
 	res.LeakProb, res.Leaks = &prob, &leaks
 	if entry != nil {
-		hits := entry.Hits()
+		hits := min(len(entry.Prefix), len(rep.Campaign.Results))
 		res.CachedRuns += hits
 		if sim := len(rep.Campaign.Results) - hits; sim > 0 {
 			res.SimulatedRuns += sim

@@ -122,9 +122,13 @@ type TLB struct {
 	// is a hit at the recorded index with no verification load needed
 	// (vpns are unique absent faults; mruOff covers faults). Instruction
 	// fetch streams stay on one 4 KiB page for ~1k instructions, making
-	// this the dominant path.
+	// this the dominant path. last points into entries; nil = no record.
 	lastVPN uint64
-	lastIdx int32 // -1 = no record
+	last    *entry
+
+	// Same-page hits served by FastHit, folded into Hits and MRUHits by
+	// Stats so the probe stays within the inliner's budget.
+	fastHits uint64
 }
 
 // New builds a TLB. src is required for random replacement.
@@ -139,7 +143,7 @@ func New(cfg Config, src rng.Source) (*TLB, error) {
 	for p := cfg.PageBytes; p > 1; p >>= 1 {
 		shift++
 	}
-	t := &TLB{cfg: cfg, entries: make([]entry, cfg.Entries), rnd: src, pageShift: shift, lastIdx: -1}
+	t := &TLB{cfg: cfg, entries: make([]entry, cfg.Entries), rnd: src, pageShift: shift}
 	switch cfg.Replacement {
 	case ReplaceRandom:
 		t.repl = replRandom
@@ -156,17 +160,26 @@ func (t *TLB) clearMRU() {
 	for i := range t.mruIdx {
 		t.mruIdx[i] = -1
 	}
-	t.lastIdx = -1
+	t.last = nil
 }
 
 // Config returns the TLB configuration.
 func (t *TLB) Config() Config { return t.cfg }
 
-// Stats returns a copy of the counters.
-func (t *TLB) Stats() Stats { return t.stats }
+// Stats returns a copy of the counters, with the probe's same-page hits
+// folded in.
+func (t *TLB) Stats() Stats {
+	s := t.stats
+	s.Hits += t.fastHits
+	s.MRUHits += t.fastHits
+	return s
+}
 
 // ResetStats zeroes the counters.
-func (t *TLB) ResetStats() { t.stats = Stats{} }
+func (t *TLB) ResetStats() {
+	t.stats = Stats{}
+	t.fastHits = 0
+}
 
 // Flush invalidates all entries (per-run protocol).
 func (t *TLB) Flush() {
@@ -175,38 +188,48 @@ func (t *TLB) Flush() {
 	t.mruOff = false
 }
 
+// FastHit is the inlinable same-page probe of Lookup: when addr lies on
+// the page the previous lookup hit or filled — a guaranteed hit at the
+// recorded entry (see the lastVPN invariant) — it performs that hit and
+// returns true; otherwise it changes nothing and returns false, and the
+// caller falls back to Lookup.
+func (t *TLB) FastHit(addr uint64) bool {
+	e := t.last
+	if e == nil || addr>>t.pageShift != t.lastVPN {
+		return false
+	}
+	t.clock++
+	if t.repl == replLRU {
+		e.stamp = t.clock
+	}
+	t.fastHits++
+	return true
+}
+
 // Lookup translates addr, returning true on hit. On a miss the entry is
 // filled (the walk cost is charged by the timing model, which sees the
 // miss and issues Config().WalkAccesses memory accesses).
 func (t *TLB) Lookup(addr uint64) bool {
-	vpn := addr >> t.pageShift
-	t.clock++
-	// Fastest path: same page as the immediately preceding lookup — a
-	// guaranteed hit at the recorded index (see the lastVPN invariant).
-	if vpn == t.lastVPN && t.lastIdx >= 0 && !t.mruOff {
-		if t.repl == replLRU {
-			t.entries[t.lastIdx].stamp = t.clock
-		}
-		t.stats.Hits++
-		t.stats.MRUHits++
+	if t.FastHit(addr) {
 		return true
 	}
+	vpn := addr >> t.pageShift
+	t.clock++
 	// Fast path: the micro-cache remembers where this vpn was last
 	// found. The slot is verified against the live entry, so a hit here
-	// is exactly the hit the scan below would return.
-	if !t.mruOff {
-		h := int(vpn) & (mruSlots - 1)
-		if idx := t.mruIdx[h]; idx >= 0 && t.mruVPN[h] == vpn {
-			e := &t.entries[idx]
-			if e.valid && e.vpn == vpn {
-				if t.repl == replLRU {
-					e.stamp = t.clock
-				}
-				t.stats.Hits++
-				t.stats.MRUHits++
-				t.noteMRU(vpn, idx)
-				return true
+	// is exactly the hit the scan below would return. Under mruOff the
+	// micro-cache is empty (disableFast, noteMRU), so it needs no test.
+	h := int(vpn) & (mruSlots - 1)
+	if idx := t.mruIdx[h]; idx >= 0 && t.mruVPN[h] == vpn {
+		e := &t.entries[idx]
+		if e.valid && e.vpn == vpn {
+			if t.repl == replLRU {
+				e.stamp = t.clock
 			}
+			t.stats.Hits++
+			t.stats.MRUHits++
+			t.noteMRU(vpn, idx)
+			return true
 		}
 	}
 	free := -1
@@ -253,12 +276,15 @@ func (t *TLB) Lookup(addr uint64) bool {
 // refresh for its invariant to hold). The scan finds first matches, and
 // a fill only ever happens when no valid entry holds vpn, so the
 // recorded index is always the first (and only) match while faults are
-// absent.
+// absent. Under mruOff neither is read, so neither is kept.
 func (t *TLB) noteMRU(vpn uint64, idx int32) {
+	if t.mruOff {
+		return
+	}
 	h := int(vpn) & (mruSlots - 1)
 	t.mruVPN[h] = vpn
 	t.mruIdx[h] = idx
-	t.lastVPN, t.lastIdx = vpn, idx
+	t.lastVPN, t.last = vpn, &t.entries[idx]
 }
 
 // InjectEntryFault flips bit number bit of the virtual page number
@@ -272,7 +298,7 @@ func (t *TLB) InjectEntryFault(idx, bit int) {
 	e.vpn ^= 1 << (uint(bit) % 64)
 	// A flipped tag can alias an existing vpn; duplicate matches must
 	// resolve in scan order, so bypass the micro-cache until re-flushed.
-	t.mruOff = true
+	t.disableFast()
 }
 
 // InjectStateFault flips the valid bit of entry idx — an upset in the
@@ -280,7 +306,7 @@ func (t *TLB) InjectEntryFault(idx, bit int) {
 func (t *TLB) InjectStateFault(idx int) {
 	e := t.faultEntry(idx)
 	e.valid = !e.valid
-	t.mruOff = true
+	t.disableFast()
 }
 
 // Scrub invalidates entry idx — the scrubbing engine's repair action
@@ -291,7 +317,14 @@ func (t *TLB) InjectStateFault(idx int) {
 // fault injectors'.
 func (t *TLB) Scrub(idx int) {
 	t.faultEntry(idx).valid = false
+	t.disableFast()
+}
+
+// disableFast bypasses the last-page record and the micro-cache until
+// the next Flush.
+func (t *TLB) disableFast() {
 	t.mruOff = true
+	t.clearMRU()
 }
 
 func (t *TLB) faultEntry(idx int) *entry {
