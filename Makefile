@@ -117,8 +117,10 @@ cover:
 # ties, denormals, tiny n), the hazard sampler against arbitrary
 # profile parameters, and the cache and TLB fast paths (same-line and
 # same-page probes, line-slot memo, micro-cache) differentially against
-# the plain scan under arbitrary access/flush/reseed/upset streams. Seed
-# corpora live under the packages' testdata/fuzz/ directories.
+# the plain scan under arbitrary access/flush/reseed/upset streams, and
+# the multicore board's planned co-runner replay against interpretation
+# over arbitrary co-runner loops. Seed corpora live under the packages'
+# testdata/fuzz/ directories.
 fuzz:
 	$(GO) test ./internal/isa/ -run '^$$' -fuzz '^FuzzInterpreter$$' -fuzztime 30s
 	$(GO) test ./internal/telemetry/ -run '^$$' -fuzz '^FuzzEventRoundTrip$$' -fuzztime 30s
@@ -131,6 +133,7 @@ fuzz:
 	$(GO) test ./internal/faults/ -run '^$$' -fuzz '^FuzzHazard$$' -fuzztime 30s
 	$(GO) test ./internal/cache/ -run '^$$' -fuzz '^FuzzCacheAccessStream$$' -fuzztime 30s
 	$(GO) test ./internal/tlb/ -run '^$$' -fuzz '^FuzzTLBLookupStream$$' -fuzztime 30s
+	$(GO) test ./internal/platform/ -run '^$$' -fuzz '^FuzzMulticoreInlineReplay$$' -fuzztime 30s
 
 clean:
 	$(GO) clean -testcache

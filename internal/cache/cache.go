@@ -358,12 +358,17 @@ func (c *Cache) Access(addr uint64) bool {
 	}
 	la := c.lineAddr(addr)
 	c.clock++
-	if c.memoHit(la) || c.scan(la) {
+	if c.memoHit(la) {
+		c.stats.Hits++
+		return true
+	}
+	// One placement per miss: the fill goes to the set the scan missed.
+	set := c.setOf(la)
+	if c.scanSet(set, la) {
 		c.stats.Hits++
 		return true
 	}
 	c.stats.Misses++
-	set := c.setOf(la)
 	c.note(la, set*c.ways+c.fill(set, la))
 	return false
 }
@@ -418,8 +423,10 @@ func (c *Cache) memoHit(la uint64) bool {
 
 // scan finds line address la by placement and the way scan, refreshing
 // its recency stamp on a hit.
-func (c *Cache) scan(la uint64) bool {
-	set := c.setOf(la)
+func (c *Cache) scan(la uint64) bool { return c.scanSet(c.setOf(la), la) }
+
+// scanSet is scan with the placement of la already computed.
+func (c *Cache) scanSet(set int, la uint64) bool {
 	ways := c.setWays(set)
 	for w := range ways {
 		if ways[w].valid && ways[w].tag == la {

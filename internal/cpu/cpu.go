@@ -100,7 +100,9 @@ type Interconnect interface {
 	// construction — an Interconnect value serves exactly one core, so
 	// the request carries no core argument a caller could mismatch.
 	Request(t uint64, kind bus.Kind, addr uint64) (start, memLat uint64)
-	// TransferCycles is the bus occupancy of one transaction.
+	// TransferCycles is the bus occupancy of one transaction. It is
+	// constant for the lifetime of the Interconnect value: NewCore reads
+	// it once.
 	TransferCycles() uint64
 }
 
@@ -148,6 +150,7 @@ type Core struct {
 	intDivExtra uint64
 	branchTaken uint64
 	loadUse     uint64
+	transfer    uint64 // Bus.TransferCycles()
 }
 
 // NewCore wires a core together. All components must be non-nil.
@@ -172,6 +175,7 @@ func NewCore(id int, params Params, il1, dl1 *cache.Cache, itlb, dtlb *tlb.TLB,
 		intDivExtra: uint64(params.IntDivExtra),
 		branchTaken: uint64(params.BranchTaken),
 		loadUse:     uint64(params.LoadUseExtra),
+		transfer:    b.TransferCycles(),
 	}, nil
 }
 
@@ -179,7 +183,11 @@ func NewCore(id int, params Params, il1, dl1 *cache.Cache, itlb, dtlb *tlb.TLB,
 func (c *Core) Cycle() uint64 { return c.cycle }
 
 // Stats returns a copy of the counters.
-func (c *Core) Stats() Stats { return c.stats }
+func (c *Core) Stats() Stats {
+	s := c.stats
+	s.Cycles = c.cycle
+	return s
+}
 
 // Reset rewinds the core clock and counters and empties the store
 // buffer. Cache/TLB contents are managed separately (FlushAll), as the
@@ -205,7 +213,7 @@ func (c *Core) FlushAll() {
 func (c *Core) memFill(addr uint64, kind bus.Kind) uint64 {
 	start, memLat := c.Bus.Request(c.cycle, kind, addr)
 	wait := start - c.cycle
-	return wait + c.Bus.TransferCycles() + memLat
+	return wait + c.transfer + memLat
 }
 
 // Consume charges one retired instruction to the pipeline.
@@ -234,28 +242,18 @@ func (c *Core) Consume(ev isa.Event) {
 	switch ev.Class {
 	case isa.ClassNop, isa.ClassIntALU, isa.ClassHalt:
 		// single cycle, fully pipelined
-	case isa.ClassIntMul:
-		c.stall(c.intMulExtra, &c.stats.ExecStall)
-	case isa.ClassIntDiv:
-		c.stall(c.intDivExtra, &c.stats.ExecStall)
 	case isa.ClassBranch:
 		if ev.Taken {
-			c.stall(c.branchTaken, &c.stats.BranchStall)
+			c.cycle += c.branchTaken
+			c.stats.BranchStall += c.branchTaken
 		}
-	case isa.ClassFPAdd:
-		c.stall(c.fpAddExtra, &c.stats.ExecStall)
-	case isa.ClassFPMul:
-		c.stall(c.fpMulExtra, &c.stats.ExecStall)
-	case isa.ClassFPDiv:
-		c.stall(uint64(c.FPU.DivLatency(ev.FOp1, ev.FOp2)-1), &c.stats.ExecStall)
-	case isa.ClassFPSqrt:
-		c.stall(uint64(c.FPU.SqrtLatency(ev.FOp1)-1), &c.stats.ExecStall)
 	case isa.ClassLoad:
 		if !c.DTLB.FastHit(ev.Addr) && !c.DTLB.Lookup(ev.Addr) {
 			c.dtlbWalk(ev.Addr)
 		}
 		if c.DL1.FastAccess(ev.Addr) || c.DL1.Access(ev.Addr) {
-			c.stall(c.loadUse, &c.stats.DMemStall)
+			c.cycle += c.loadUse
+			c.stats.DMemStall += c.loadUse
 		} else {
 			fill := c.memFill(ev.Addr, bus.KindLineFill)
 			c.cycle += fill
@@ -269,13 +267,31 @@ func (c *Core) Consume(ev isa.Event) {
 			c.DL1.Write(ev.Addr) // write-through, no allocate
 		}
 		c.storeDrain(ev.Addr)
+	default:
+		c.cycle += c.execStall(&ev)
 	}
-	c.stats.Cycles = c.cycle
 }
 
-func (c *Core) stall(cycles uint64, counter *uint64) {
-	c.cycle += cycles
-	*counter += cycles
+// execStall counts and returns the cycles a long-latency execute-stage
+// event (integer multiply/divide, FPU) spends beyond its base cycle.
+func (c *Core) execStall(ev *isa.Event) uint64 {
+	var n uint64
+	switch ev.Class {
+	case isa.ClassIntMul:
+		n = c.intMulExtra
+	case isa.ClassIntDiv:
+		n = c.intDivExtra
+	case isa.ClassFPAdd:
+		n = c.fpAddExtra
+	case isa.ClassFPMul:
+		n = c.fpMulExtra
+	case isa.ClassFPDiv:
+		n = uint64(c.FPU.DivLatency(ev.FOp1, ev.FOp2) - 1)
+	case isa.ClassFPSqrt:
+		n = uint64(c.FPU.SqrtLatency(ev.FOp1) - 1)
+	}
+	c.stats.ExecStall += n
+	return n
 }
 
 // dtlbWalk charges the page-table walk of a DTLB miss.
@@ -292,13 +308,7 @@ func (c *Core) dtlbWalk(addr uint64) {
 // write occupies a buffer slot until the bus+DRAM write completes; when
 // all slots are busy the core stalls until the earliest one frees.
 func (c *Core) storeDrain(addr uint64) {
-	// Find the earliest-free slot.
-	slot := 0
-	for i := 1; i < len(c.storeSlots); i++ {
-		if c.storeSlots[i] < c.storeSlots[slot] {
-			slot = i
-		}
-	}
+	slot := c.drainSlot()
 	if c.storeSlots[slot] > c.cycle {
 		// Buffer full: stall until the earliest drain completes.
 		wait := c.storeSlots[slot] - c.cycle
@@ -307,7 +317,7 @@ func (c *Core) storeDrain(addr uint64) {
 	}
 	// Issue the drain from the current (post-stall) time.
 	start, memLat := c.Bus.Request(c.cycle, bus.KindWrite, addr)
-	c.storeSlots[slot] = start + c.Bus.TransferCycles() + memLat
+	c.storeSlots[slot] = start + c.transfer + memLat
 }
 
 // RunProgram executes prog architecturally on machine memory mem32 and
@@ -322,188 +332,204 @@ func (c *Core) RunProgram(m *isa.Machine) (uint64, error) {
 	return c.cycle - startCycle, nil
 }
 
-// EventCursor is the suspension record of one in-flight retired
-// instruction whose timing charge is applied incrementally — the
-// resumable form of Consume used by arbiter-driven trace replay
-// (internal/platform's multicore co-simulation). Instead of calling
-// Interconnect.Request synchronously, StartEvent/ResumeEvent park the
-// cursor whenever the charge needs the bus, exposing the request in
-// the Req* fields; the arbiter grants it at its leisure and resumes.
-// While parked, the core's clock and counters are exactly as Consume
-// would have left them at the moment it called Request, so a
-// cursor-driven core is bit-identical to a Consume-driven one.
+// Plan is the request queue of a core replaying a recorded event
+// stream against a bus it does not own (internal/platform's inline
+// multicore co-simulation). Replay splits Consume in two:
 //
-// A cursor is bound to the single event it was last started with; a
-// core must not interleave StartEvent calls with an event still
-// parked.
-type EventCursor struct {
-	ev      isa.Event
-	phase   uint8
-	walkIdx int
-	walkAcc uint64
-	slot    int
-
-	// Parked bus request, valid from a StartEvent/ResumeEvent that
-	// returned true until the next ResumeEvent.
-	ReqTime uint64
-	ReqKind bus.Kind
-	ReqAddr uint64
+//   - PlanUntil runs the timing-independent half in program order: every
+//     ITLB/IL1/DTLB/DL1 probe and fixed latency, queuing each bus request
+//     the events need as a step instead of issuing it;
+//   - Grant applies one granted step, doing Consume's cycle arithmetic
+//     for it (memFill, dtlbWalk or storeDrain).
+//
+// The split is exact because a core's caches, TLBs, FPU and randomness
+// source are private and touched in program order: the hit, miss and
+// victim sequence does not depend on when requests are granted. Only
+// the cycle arithmetic and the store-buffer slot choice do, and both
+// wait for Grant. A planned and granted core is therefore bit-identical
+// to a Consume-driven one whose Interconnect granted the same requests
+// at the same times.
+type Plan struct {
+	steps []planStep // queued requests; steps[head:] are not yet granted
+	head  int
+	delta uint64 // fixed cycles planned after the last queued step
+	walk  uint64 // fills granted so far in the current page walk
 }
 
-// Cursor suspension points, one per bus-request site in Consume.
+// planStep is one queued bus request.
+type planStep struct {
+	delta uint64 // fixed cycles charged before the request issues
+	addr  uint64
+	op    stepOp
+	fetch bool // stall charged to IFetchStall, else DMemStall
+	last  bool // last access of a page walk
+}
+
+type stepOp uint8
+
 const (
-	curITLBWalk  uint8 = iota // in the ITLB page-walk loop
-	curILFill                 // waiting on the IL1 line fill
-	curDTLBLoad               // in the DTLB walk loop of a load
-	curDTLBStore              // in the DTLB walk loop of a store
-	curDLFill                 // waiting on the DL1 line fill
-	curDrain                  // waiting on the store-buffer drain
+	opFill  stepOp = iota // cache line fill
+	opWalk                // one page-walk access
+	opDrain               // write-through store drain
 )
 
-func (cur *EventCursor) park(phase uint8, t uint64, kind bus.Kind, addr uint64) {
-	cur.phase = phase
-	cur.ReqTime, cur.ReqKind, cur.ReqAddr = t, kind, addr
+// Reset empties the plan for a new run, keeping the queue's storage.
+func (p *Plan) Reset() { *p = Plan{steps: p.steps[:0]} }
+
+// Kind returns the bus transaction kind of the head step.
+func (p *Plan) Kind() bus.Kind {
+	switch p.steps[p.head].op {
+	case opWalk:
+		return bus.KindTLBWalk
+	case opDrain:
+		return bus.KindWrite
+	}
+	return bus.KindLineFill
 }
 
-// StartEvent begins charging ev to the core. It returns true when the
-// charge suspended on a bus request (described by cur.Req*), false
-// when the event completed without one. The stage structure and every
-// counter update mirror Consume exactly.
-func (c *Core) StartEvent(cur *EventCursor, ev isa.Event) bool {
-	c.stats.Instructions++
-	cur.ev = ev
-	// --- Fetch: ITLB, then IL1, probed as in Consume. ---
-	if !c.ITLB.FastHit(ev.PC) && !c.ITLB.Lookup(ev.PC) {
-		cur.walkIdx, cur.walkAcc = 0, 0
-		// Walk requests issue at the pre-walk cycle, accumulating into
-		// walkAcc first — the same order Consume charges them.
-		cur.park(curITLBWalk, c.cycle, bus.KindTLBWalk, ev.PC)
+// Addr returns the address of the head step's transaction.
+func (p *Plan) Addr() uint64 { return p.steps[p.head].addr }
+
+// queue appends a step issuing delta cycles after the previous one.
+func (p *Plan) queue(delta uint64, op stepOp, addr uint64, fetch, last bool) {
+	p.steps = append(p.steps, planStep{delta: delta, addr: addr, op: op, fetch: fetch, last: last})
+}
+
+// queueWalk queues the n accesses of a page walk.
+func (p *Plan) queueWalk(delta uint64, n int, addr uint64, fetch bool) {
+	for i := 0; i < n; i++ {
+		p.queue(delta, opWalk, addr, fetch, i == n-1)
+		delta = 0
+	}
+}
+
+// PlanUntil plans trace events from index *i on, advancing *i past
+// each, and reports whether p holds a step to grant. It returns at once
+// if one is still queued; otherwise it stops after the first event that
+// queues a step, at the end of the trace, or before the first event at
+// which the core's clock plus the planned fixed cycles reaches bound.
+// Every event costs at least one cycle, so the bound ends a plan whose
+// events no longer touch the bus.
+func (c *Core) PlanUntil(p *Plan, trace []isa.Event, i *int, bound uint64) bool {
+	if p.head < len(p.steps) {
 		return true
 	}
-	return c.curFetchLine(cur)
-}
-
-// ResumeEvent applies the grant (start, memLat) of the cursor's parked
-// request and continues the charge. It returns true when the event
-// suspended on a further request.
-func (c *Core) ResumeEvent(cur *EventCursor, start, memLat uint64) bool {
-	fill := (start - cur.ReqTime) + c.Bus.TransferCycles() + memLat
-	switch cur.phase {
-	case curITLBWalk:
-		cur.walkAcc += fill
-		cur.walkIdx++
-		if cur.walkIdx < c.itlbWalks {
-			cur.park(curITLBWalk, c.cycle, bus.KindTLBWalk, cur.ev.PC)
+	p.steps, p.head = p.steps[:0], 0
+	// The trace index and the unattached delta live in locals; d is the
+	// delta of the next step queued and restarts at 0 after each.
+	k, d := *i, p.delta
+	for k < len(trace) && c.cycle+d < bound {
+		ev := &trace[k]
+		k++
+		c.stats.Instructions++
+		if !c.ITLB.FastHit(ev.PC) && !c.ITLB.Lookup(ev.PC) {
+			p.queueWalk(d, c.itlbWalks, ev.PC, true)
+			d = 0
+		}
+		if !c.IL1.FastAccess(ev.PC) && !c.IL1.Access(ev.PC) {
+			p.queue(d, opFill, ev.PC, true, false)
+			d = 0
+		}
+		d++
+		switch ev.Class {
+		case isa.ClassNop, isa.ClassIntALU, isa.ClassHalt:
+		case isa.ClassBranch:
+			if ev.Taken {
+				d += c.branchTaken
+				c.stats.BranchStall += c.branchTaken
+			}
+		case isa.ClassLoad:
+			if !c.DTLB.FastHit(ev.Addr) && !c.DTLB.Lookup(ev.Addr) {
+				p.queueWalk(d, c.dtlbWalks, ev.Addr, false)
+				d = 0
+			}
+			if c.DL1.FastAccess(ev.Addr) || c.DL1.Access(ev.Addr) {
+				d += c.loadUse
+				c.stats.DMemStall += c.loadUse
+			} else {
+				p.queue(d, opFill, ev.Addr, false, false)
+				d = 0
+			}
+		case isa.ClassStore:
+			if !c.DTLB.FastHit(ev.Addr) && !c.DTLB.Lookup(ev.Addr) {
+				p.queueWalk(d, c.dtlbWalks, ev.Addr, false)
+				d = 0
+			}
+			if !c.DL1.FastWrite(ev.Addr) {
+				c.DL1.Write(ev.Addr) // write-through, no allocate
+			}
+			p.queue(d, opDrain, ev.Addr, false, false)
+			d = 0
+		default:
+			d += c.execStall(ev)
+		}
+		if len(p.steps) > 0 {
+			*i, p.delta = k, d
 			return true
 		}
-		c.cycle += cur.walkAcc
-		c.stats.IFetchStall += cur.walkAcc
-		return c.curFetchLine(cur)
-	case curILFill:
-		c.cycle += fill
-		c.stats.IFetchStall += fill
-		return c.curExecute(cur)
-	case curDTLBLoad, curDTLBStore:
-		cur.walkAcc += fill
-		cur.walkIdx++
-		if cur.walkIdx < c.dtlbWalks {
-			cur.park(cur.phase, c.cycle, bus.KindTLBWalk, cur.ev.Addr)
-			return true
-		}
-		c.cycle += cur.walkAcc
-		c.stats.DMemStall += cur.walkAcc
-		if cur.phase == curDTLBLoad {
-			return c.curLoadAccess(cur)
-		}
-		return c.curStoreAccess(cur)
-	case curDLFill:
-		c.cycle += fill
-		c.stats.DMemStall += fill
-		c.stats.Cycles = c.cycle
-		return false
-	case curDrain:
-		c.storeSlots[cur.slot] = start + c.Bus.TransferCycles() + memLat
-		c.stats.Cycles = c.cycle
-		return false
-	default:
-		panic(fmt.Sprintf("cpu: resume with invalid cursor phase %d", cur.phase))
 	}
-}
-
-func (c *Core) curFetchLine(cur *EventCursor) bool {
-	if !c.IL1.FastAccess(cur.ev.PC) && !c.IL1.Access(cur.ev.PC) {
-		cur.park(curILFill, c.cycle, bus.KindLineFill, cur.ev.PC)
-		return true
-	}
-	return c.curExecute(cur)
-}
-
-func (c *Core) curExecute(cur *EventCursor) bool {
-	c.cycle++
-	ev := cur.ev
-	switch ev.Class {
-	case isa.ClassNop, isa.ClassIntALU, isa.ClassHalt:
-	case isa.ClassIntMul:
-		c.stall(c.intMulExtra, &c.stats.ExecStall)
-	case isa.ClassIntDiv:
-		c.stall(c.intDivExtra, &c.stats.ExecStall)
-	case isa.ClassBranch:
-		if ev.Taken {
-			c.stall(c.branchTaken, &c.stats.BranchStall)
-		}
-	case isa.ClassFPAdd:
-		c.stall(c.fpAddExtra, &c.stats.ExecStall)
-	case isa.ClassFPMul:
-		c.stall(c.fpMulExtra, &c.stats.ExecStall)
-	case isa.ClassFPDiv:
-		c.stall(uint64(c.FPU.DivLatency(ev.FOp1, ev.FOp2)-1), &c.stats.ExecStall)
-	case isa.ClassFPSqrt:
-		c.stall(uint64(c.FPU.SqrtLatency(ev.FOp1)-1), &c.stats.ExecStall)
-	case isa.ClassLoad:
-		if !c.DTLB.FastHit(ev.Addr) && !c.DTLB.Lookup(ev.Addr) {
-			cur.walkIdx, cur.walkAcc = 0, 0
-			cur.park(curDTLBLoad, c.cycle, bus.KindTLBWalk, ev.Addr)
-			return true
-		}
-		return c.curLoadAccess(cur)
-	case isa.ClassStore:
-		if !c.DTLB.FastHit(ev.Addr) && !c.DTLB.Lookup(ev.Addr) {
-			cur.walkIdx, cur.walkAcc = 0, 0
-			cur.park(curDTLBStore, c.cycle, bus.KindTLBWalk, ev.Addr)
-			return true
-		}
-		return c.curStoreAccess(cur)
-	}
-	c.stats.Cycles = c.cycle
+	*i, p.delta = k, d
 	return false
 }
 
-func (c *Core) curLoadAccess(cur *EventCursor) bool {
-	if c.DL1.FastAccess(cur.ev.Addr) || c.DL1.Access(cur.ev.Addr) {
-		c.stall(c.loadUse, &c.stats.DMemStall)
-		c.stats.Cycles = c.cycle
-		return false
+// NextRequest returns the cycle at which the head step of p issues its
+// bus request — after its fixed cycles and, for a store drain, after
+// waiting for a free store-buffer slot — and true. Only grants of this
+// core's earlier steps move it. With no step queued it returns the
+// cycle the plan has reached, before which no later request can issue,
+// and false.
+func (c *Core) NextRequest(p *Plan) (uint64, bool) {
+	if p.head == len(p.steps) {
+		return c.cycle + p.delta, false
 	}
-	cur.park(curDLFill, c.cycle, bus.KindLineFill, cur.ev.Addr)
-	return true
+	s := &p.steps[p.head]
+	t := c.cycle + s.delta
+	if s.op == opDrain {
+		t = max(t, c.storeSlots[c.drainSlot()])
+	}
+	return t, true
 }
 
-func (c *Core) curStoreAccess(cur *EventCursor) bool {
-	if !c.DL1.FastWrite(cur.ev.Addr) {
-		c.DL1.Write(cur.ev.Addr) // write-through, no allocate
+// Grant applies the grant (start, memLat) of p's head step and pops it.
+func (c *Core) Grant(p *Plan, start, memLat uint64) {
+	s := &p.steps[p.head]
+	p.head++
+	c.cycle += s.delta
+	stall := &c.stats.DMemStall
+	if s.fetch {
+		stall = &c.stats.IFetchStall
 	}
+	switch s.op {
+	case opFill:
+		fill := start - c.cycle + c.transfer + memLat
+		c.cycle += fill
+		*stall += fill
+	case opWalk:
+		// Every access of a walk issues at the pre-walk cycle; the
+		// walk's fills are charged together after the last one.
+		p.walk += start - c.cycle + c.transfer + memLat
+		if s.last {
+			c.cycle += p.walk
+			*stall += p.walk
+			p.walk = 0
+		}
+	case opDrain:
+		slot := c.drainSlot()
+		if free := c.storeSlots[slot]; free > c.cycle {
+			c.stats.StoreStall += free - c.cycle
+			c.cycle = free
+		}
+		c.storeSlots[slot] = start + c.transfer + memLat
+	}
+}
+
+// drainSlot returns the store-buffer slot that frees first.
+func (c *Core) drainSlot() int {
 	slot := 0
 	for i := 1; i < len(c.storeSlots); i++ {
 		if c.storeSlots[i] < c.storeSlots[slot] {
 			slot = i
 		}
 	}
-	if c.storeSlots[slot] > c.cycle {
-		wait := c.storeSlots[slot] - c.cycle
-		c.cycle += wait
-		c.stats.StoreStall += wait
-	}
-	cur.slot = slot
-	cur.park(curDrain, c.cycle, bus.KindWrite, cur.ev.Addr)
-	return true
+	return slot
 }

@@ -419,3 +419,86 @@ func TestStallCountersPartitionCycles(t *testing.T) {
 		}
 	}
 }
+
+// traceRecorder feeds a core and keeps the event stream.
+type traceRecorder struct {
+	core  *Core
+	trace []isa.Event
+}
+
+func (r *traceRecorder) Consume(ev isa.Event) {
+	r.core.Consume(ev)
+	r.trace = append(r.trace, ev)
+}
+
+// TestPlanGrantMatchesConsume replays a recorded stream through
+// PlanUntil/NextRequest/Grant on a second core, granting every step on
+// that core's own bus and DRAM, and requires the clock and every stall
+// counter Consume produced. The bound creeps forward a few cycles per
+// call, so planning is resumed mid-trace between steps, not only after
+// them. The program misses the small caches, walks the DTLB at a page
+// stride, fills the store buffer and runs operand-dependent FDIVs.
+func TestPlanGrantMatchesConsume(t *testing.T) {
+	b := isa.NewBuilder("prog", 0)
+	b.Li(1, 0x2000)
+	b.Li(2, 0)
+	b.Li(3, 60)
+	b.Li(5, 4096+32)
+	b.Li(6, 7)
+	b.Label("loop")
+	b.Ld(4, 1, 0)
+	for off := int32(0); off < 20; off += 4 {
+		b.St(1, off, 4)
+	}
+	b.Mul(7, 2, 6)
+	b.Div(8, 7, 6)
+	b.Fcvt(1, 2)
+	b.Fcvt(2, 6)
+	b.Fdiv(3, 1, 2)
+	b.Add(1, 1, 5)
+	b.Addi(2, 2, 1)
+	b.Blt(2, 3, "loop")
+	b.Halt()
+	prog, err := b.Build()
+	if err != nil {
+		t.Fatal(err)
+	}
+	consumed := testCore(t, fpu.ModeOperation)
+	rec := &traceRecorder{core: consumed}
+	if _, err := isa.NewMachine(prog, isa.NewMemory()).RunSink(rec); err != nil {
+		t.Fatal(err)
+	}
+
+	planned := testCore(t, fpu.ModeOperation)
+	port := planned.Bus.(BusMem)
+	var p Plan
+	i, bound := 0, uint64(0)
+	for {
+		bound += 5
+		if !planned.PlanUntil(&p, rec.trace, &i, bound) {
+			if i == len(rec.trace) {
+				break
+			}
+			continue
+		}
+		at, queued := planned.NextRequest(&p)
+		if !queued {
+			t.Fatal("PlanUntil reported a step NextRequest does not see")
+		}
+		start, memLat := port.Request(at, p.Kind(), p.Addr())
+		planned.Grant(&p, start, memLat)
+	}
+	end, queued := planned.NextRequest(&p)
+	if queued || end != consumed.Cycle() {
+		t.Fatalf("planned core ends at %d (queued %v), Consume at %d", end, queued, consumed.Cycle())
+	}
+	want := consumed.Stats()
+	got := planned.Stats()
+	got.Cycles = end // the planned tail's fixed cycles stay unattached
+	if got != want {
+		t.Errorf("planned stats %+v, consumed %+v", got, want)
+	}
+	if want.StoreStall == 0 || want.DMemStall == 0 || want.ExecStall == 0 {
+		t.Errorf("program exercised too little: %+v", want)
+	}
+}

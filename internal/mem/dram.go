@@ -79,6 +79,7 @@ type Stats struct {
 // Controller is the DRAM controller model.
 type Controller struct {
 	cfg     Config
+	closed  bool    // closed-page policy, resolved once from cfg.Policy
 	openRow []int64 // per-bank open row (-1 = closed)
 	stats   Stats
 }
@@ -88,7 +89,7 @@ func New(cfg Config) (*Controller, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
-	c := &Controller{cfg: cfg}
+	c := &Controller{cfg: cfg, closed: cfg.Policy == PolicyClosedPage}
 	banks := cfg.Banks
 	if banks < 1 {
 		banks = 1
@@ -129,7 +130,7 @@ func (c *Controller) Absorb(n uint64) {
 // row-buffer state under the open-page policy.
 func (c *Controller) Latency(addr uint64) uint64 {
 	c.stats.Accesses++
-	if c.cfg.Policy == PolicyClosedPage {
+	if c.closed {
 		return c.cfg.AccessCycles
 	}
 	bank := int(addr/uint64(c.cfg.RowBytes)) % c.cfg.Banks

@@ -155,10 +155,13 @@ type coState struct {
 	trace  []isa.Event  // recorded stream, replayed on later iterations
 	sink   mcSink       // persistent consume sink (no per-iteration closure)
 
-	// Inline-replay cursor state: the next trace index and the
-	// suspension record of the in-flight event (see cpu.EventCursor).
-	i   int
-	cur cpu.EventCursor
+	// Inline-replay state: the next trace index to plan, the planned
+	// bus requests (see cpu.Plan), and the issue time of the first one
+	// if queued, else the cycle the plan has reached (cpu.NextRequest).
+	i      int
+	plan   cpu.Plan
+	next   uint64
+	queued bool
 }
 
 // heartbeatEvery is the lookahead granularity: compute-bound cores
@@ -215,7 +218,7 @@ func (p *mcPort) Request(t uint64, kind bus.Kind, addr uint64) (uint64, uint64) 
 	if p.mc.inline {
 		// Inline-replay run: the whole board executes in this goroutine
 		// (p is always the measured core's port here — replayed
-		// co-runners request through their cursors, not a port), so the
+		// co-runners request through their plans, not a port), so the
 		// arbiter is a plain function call.
 		return p.mc.inlineRequest(t, kind, addr)
 	}
@@ -496,7 +499,9 @@ func (mc *Multicore) prepareRun(runSeed uint64) {
 		p.hbCount, p.winEnd, p.wFreeAt, p.rTx, p.rWait = 0, 0, 0, 0, 0
 		mc.errs[c] = nil
 		mc.iterations[c] = 0
-		mc.co[c].i = 0 // a run may end with a replay cursor mid-iteration
+		// A run may end with a co-runner's plan mid-iteration.
+		mc.co[c].i, mc.co[c].next, mc.co[c].queued = 0, 0, false
+		mc.co[c].plan.Reset()
 	}
 	mc.stop.Store(false)
 	mc.interpreted.Store(false)
@@ -649,9 +654,9 @@ func (mc *Multicore) Run(w Workload, run int, runSeed uint64) (MulticoreResult, 
 
 // inlineReady reports whether every co-runner has a recorded trace, so
 // the whole run can execute in the caller's goroutine: replayed
-// co-runners advance through resumable cursors (cpu.EventCursor)
-// driven on demand by the measured core's bus requests, with no
-// goroutines, locks or channel handoffs at all. This is where the
+// co-runners are planned (cpu.Plan) and granted on demand by the
+// measured core's bus requests (inlineRequest), with no goroutines,
+// locks or channel handoffs at all. This is where the
 // board earns its steady-state throughput — after the first run of a
 // campaign with trace-stable co-runners, every run takes this path.
 func (mc *Multicore) inlineReady() bool {
@@ -663,113 +668,46 @@ func (mc *Multicore) inlineReady() bool {
 	return true
 }
 
-// inlineRequest is the measured core's bus request in an inline-replay
-// run: the conservative arbiter executed as a plain loop. It advances
-// whichever cursor blocks the oldest pending request until the
-// measured request itself is provably next, granting strictly in
-// (timestamp, core-index) order — the same grant sequence the
+// inlineRequest is the measured core's bus request at time t in an
+// inline-replay run: a k-way merge of the co-runners' planned requests
+// in front of it. Each pass plans every co-runner whose next request
+// may issue before t up to t, then grants the earliest co-runner
+// request issued strictly before t (ties to the lower core index).
+// Once none is left the measured request is granted, winning ties at t
+// as core 0. This is the (time, core index) grant order the
 // goroutine-mode arbiter proves out, so results are bit-identical.
 func (mc *Multicore) inlineRequest(t uint64, kind bus.Kind, addr uint64) (uint64, uint64) {
-	s0 := &mc.states[0]
-	s0.pend = pendReq{time: t, kind: kind, addr: addr}
-	s0.hasPend = true
-	if t > s0.horizon {
-		s0.horizon = t
-	}
 	for {
-		best := -1
-		for c := range mc.states {
-			s := &mc.states[c]
-			if s.hasPend && (best < 0 || s.pend.time < mc.states[best].pend.time) {
-				best = c
+		best, bt := 0, t
+		for c := 1; c < len(mc.co); c++ {
+			cs := &mc.co[c]
+			if !cs.queued && cs.next < t {
+				mc.plan(c, t)
+			}
+			if cs.queued && cs.next < bt {
+				best, bt = c, cs.next
 			}
 		}
-		tb := mc.states[best].pend.time
-		blk := -1
-		for c := range mc.states {
-			s := &mc.states[c]
-			if !s.hasPend && s.horizon <= tb {
-				blk = c
-				break
-			}
-		}
-		if blk >= 0 {
-			// blk is always a cursor: the measured core holds a pending
-			// request for the whole loop.
-			mc.advanceCursor(blk)
-			continue
-		}
-		bs := &mc.states[best]
-		req := bs.pend
-		bs.hasPend = false
-		bs.horizon = req.time
-		start := mc.bus.Request(best, req.time, req.kind)
-		memLat := mc.dram.Latency(req.addr)
 		if best == 0 {
-			return start, memLat
+			return mc.bus.Request(0, t, kind), mc.dram.Latency(addr)
 		}
-		mc.resumeCursor(best, start, memLat)
+		cs, core := &mc.co[best], mc.cores[best]
+		start := mc.bus.Request(best, bt, cs.plan.Kind())
+		core.Grant(&cs.plan, start, mc.dram.Latency(cs.plan.Addr()))
+		cs.next, cs.queued = core.NextRequest(&cs.plan)
 	}
 }
 
-// advanceCursor runs co-runner core c's replay forward until it parks
-// a bus request or publishes a heartbeat — the same two lookahead
-// events a goroutine-mode co-runner produces.
-func (mc *Multicore) advanceCursor(c int) {
+// plan plans co-runner core c's replay up to bound, wrapping its trace
+// at each iteration end, and records when its next request issues.
+func (mc *Multicore) plan(c int, bound uint64) {
 	cs := &mc.co[c]
 	core := mc.cores[c]
-	port := mc.ports[c]
-	s := &mc.states[c]
-	for {
-		if cs.i == len(cs.trace) {
-			mc.iterations[c]++
-			cs.i = 0
-		}
-		if core.StartEvent(&cs.cur, cs.trace[cs.i]) {
-			mc.parkCursor(s, cs)
-			return
-		}
-		cs.i++
-		port.hbCount++
-		if port.hbCount%heartbeatEvery == 0 {
-			if cy := core.Cycle(); cy > s.horizon {
-				s.horizon = cy
-			}
-			return
-		}
+	for !core.PlanUntil(&cs.plan, cs.trace, &cs.i, bound) && cs.i == len(cs.trace) {
+		cs.i = 0
+		mc.iterations[c]++
 	}
-}
-
-// resumeCursor delivers a grant to cursor c's parked request and keeps
-// it advancing until the next park or heartbeat.
-func (mc *Multicore) resumeCursor(c int, start, memLat uint64) {
-	cs := &mc.co[c]
-	core := mc.cores[c]
-	s := &mc.states[c]
-	if core.ResumeEvent(&cs.cur, start, memLat) {
-		mc.parkCursor(s, cs)
-		return
-	}
-	cs.i++
-	port := mc.ports[c]
-	port.hbCount++
-	if port.hbCount%heartbeatEvery == 0 {
-		if cy := core.Cycle(); cy > s.horizon {
-			s.horizon = cy
-		}
-		return
-	}
-	mc.advanceCursor(c)
-}
-
-// parkCursor publishes a cursor's suspended bus request to the arbiter
-// state, mirroring the goroutine-mode Request posting.
-func (mc *Multicore) parkCursor(s *coreState, cs *coState) {
-	s.pend = pendReq{time: cs.cur.ReqTime, kind: cs.cur.ReqKind, addr: cs.cur.ReqAddr}
-	s.hasPend = true
-	if s.pend.time > s.horizon {
-		s.horizon = s.pend.time
-	}
+	cs.next, cs.queued = core.NextRequest(&cs.plan)
 }
 
 // isStable reports whether w declares a run-invariant event stream.

@@ -130,7 +130,7 @@ func TestMulticoreDeterministicAcrossGOMAXPROCS(t *testing.T) {
 // TestMulticoreReplayMatchesInterpretation is the replay-equivalence
 // gate for the decode-once optimization: the same co-runner run once
 // with its TraceStable contract visible (recorded, then replayed — the
-// inline cursor path) and once hidden behind a wrapper (interpreted
+// inline plan-and-merge path) and once hidden behind a wrapper (interpreted
 // every iteration in goroutine mode) must give bit-identical
 // measurements on every run.
 func TestMulticoreReplayMatchesInterpretation(t *testing.T) {

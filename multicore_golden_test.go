@@ -6,8 +6,9 @@ package repro
 // implementation (one-shot boards, channel-based arbiter, interpreted
 // co-runners) and pin the reusable board's results bit-for-bit: board
 // reuse, decode-once trace replay, self-grant windows and the inline
-// cursor arbiter are all pure execution strategies and must not move a
-// single cycle. Any diff here is a correctness bug, not a perf trade.
+// plan-and-merge arbiter (planned co-runner requests granted by a k-way
+// merge) are all pure execution strategies and must not move a single
+// cycle. Any diff here is a correctness bug, not a perf trade.
 
 import (
 	"fmt"
