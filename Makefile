@@ -21,12 +21,18 @@ check: staticcheck
 
 # Service-layer gate: the campaign fabric's bit-identity proofs
 # (single-process == N-executor fabric, including a killed-and-
-# re-leased executor, == journal-resumed), the pWCET service HTTP API,
-# the daemon's serve/join/shutdown cycle, and the 120-concurrent-
-# campaign stress test (fair scheduling + admission backpressure).
+# re-leased executor, == journal-resumed), the same parity for a
+# mitigated fault campaign (local == in-process fabric == fabric with a
+# remote executor that must serve none of it) and for fault-injected
+# matrix cells on the pool, clamp tallies independent of where runs
+# executed, the pWCET service HTTP API, the daemon's serve/join/shutdown
+# cycle, and the 120-concurrent-campaign stress test (fair scheduling +
+# admission backpressure).
 service-check:
 	$(GO) test ./internal/fabric/ ./internal/pwcetd/ ./cmd/pwcetd/
-	$(GO) test -run 'TestFingerprintParityAcrossExecutionModes' ./pkg/mbpta/
+	$(GO) test -run 'TestFingerprintParityAcrossExecutionModes|TestFaultFingerprintParityAcrossExecutionModes' ./pkg/mbpta/
+	$(GO) test -run 'TestClampedRunsCountDeliveredRuns' ./internal/faults/
+	$(GO) test -run 'TestRunnerWithFabricPool' ./internal/matrix/
 
 # End-to-end durability gate: journal a campaign, kill it mid-flight,
 # tear the journal tail, resume, and require a bit-identical report
@@ -71,6 +77,9 @@ endif
 # internal/faults covers the fault and mitigation campaign paths, and
 # the pkg/mbpta line adds the parallel mitigated campaigns on top of
 # the telemetry and fingerprint suites.
+# Fault campaigns run on the fabric pool too, so the fault parity test
+# (matched by 'Fingerprint') and the matrix's pooled fault cells are
+# race-checked alongside the fabric suite.
 # The repo-root Multicore goldens run under race as well: board reuse
 # keeps arbiter state alive across runs, so cross-run sharing bugs only
 # show up when the reused board's goroutine mode is race-checked.
@@ -78,6 +87,7 @@ race:
 	$(GO) test -race ./internal/platform/ ./internal/rng/ ./internal/faults/ ./internal/telemetry/
 	$(GO) test -race ./internal/fabric/ ./internal/pwcetd/
 	$(GO) test -race -run 'Telemetry|Fingerprint|Mitigat' ./pkg/mbpta/
+	$(GO) test -race -run 'TestRunnerWithFabricPool' ./internal/matrix/
 	$(GO) test -race -run 'TestMulticoreGolden' .
 
 # Perf-regression snapshot: runs the simulator throughput benchmarks

@@ -53,7 +53,7 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 		addr        = fs.String("addr", ":8227", "HTTP API listen address")
 		execListen  = fs.String("executor-listen", "", "also accept remote fabric executors on this TCP address (optional)")
 		join        = fs.String("join", "", "run as a remote executor of the coordinator at this address instead of serving")
-		executors   = fs.Int("executors", 0, "in-process executor workers (0 = GOMAXPROCS; negative = none, rely on remote executors)")
+		executors   = fs.Int("executors", 0, "in-process executor workers (0 = GOMAXPROCS; negative = remote-only: campaigns remote executors cannot serve, such as fault-injected or run-cached ones, still run in-process)")
 		maxSess     = fs.Int("max-sessions", 0, "concurrent campaigns admitted before submissions queue (0 = default 256)")
 		sessLeases  = fs.Int("session-leases", 0, "outstanding leases per campaign (0 = default 4)")
 		leaseTO     = fs.Duration("lease-timeout", 30*time.Second, "re-queue a lease stuck on one executor after this long (0 disables)")

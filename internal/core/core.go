@@ -462,38 +462,51 @@ type ConvergencePoint struct {
 }
 
 // ConvergenceTrace replays the MBPTA collection protocol over a recorded
-// series: after every batch of batch runs the tail is refitted and the
-// CRPS criterion evaluated. It returns the trace and the run count at
-// which the campaign would have been allowed to stop (0 if never).
+// series: the series is fed batch by batch through an OnlineAnalyzer
+// without a stop rule, and its pooled refits and the CRPS distances
+// between consecutive refits form the trace. The criterion (distance
+// below 1e-3 for two consecutive refits) keeps its own streak here,
+// which, unlike CRPSConverged, ignores the i.i.d. gate: the trace shows
+// what the paper's criterion alone decides. It returns the trace and the
+// run count at which the campaign would have been allowed to stop (0 if
+// never).
 func (a *Analyzer) ConvergenceTrace(times []float64, batch int) ([]ConvergencePoint, int, error) {
 	if batch < a.opts.BlockSize {
 		return nil, 0, fmt.Errorf("core: batch %d < block size %d", batch, a.opts.BlockSize)
 	}
-	crit := evt.NewConvergenceCriterion()
+	const threshold, streak = 1e-3, 2
+	opts := a.opts
+	opts.QuantileGate = false // the trace reads only the fits
+	online := NewOnlineAnalyzer(opts, nil)
+	obs := make([]Observation, batch)
 	var trace []ConvergencePoint
-	stopAt := 0
+	stopAt, passes := 0, 0
 	for n := batch; n <= len(times); n += batch {
-		maxima, _, err := evt.BlockMaxima(times[:n], a.opts.BlockSize)
+		for i, x := range times[n-batch : n] {
+			obs[i] = Observation{Cycles: x}
+		}
+		snap, err := online.ObserveBatch(obs)
 		if err != nil {
 			return nil, 0, err
 		}
-		if len(maxima) < 5 {
+		if !snap.Fitted {
+			if n >= 5*opts.BlockSize {
+				return nil, 0, fmt.Errorf("core: tail fit failed at %d runs", n)
+			}
 			continue
 		}
-		fit, err := evt.FitGumbel(maxima, a.opts.FitMethod)
-		if err != nil {
-			return nil, 0, err
+		pt := ConvergencePoint{Runs: n, Fit: snap.Fit}
+		if !math.IsNaN(snap.Delta) {
+			pt.Distance = snap.Delta
+			if snap.Delta < threshold {
+				passes++
+			} else {
+				passes = 0
+			}
 		}
-		done, err := crit.Observe(fit)
-		if err != nil {
-			return nil, 0, err
-		}
-		pt := ConvergencePoint{Runs: n, Fit: fit, Done: done}
-		if h := crit.History(); len(h) > 0 {
-			pt.Distance = h[len(h)-1]
-		}
+		pt.Done = passes >= streak
 		trace = append(trace, pt)
-		if done && stopAt == 0 {
+		if pt.Done && stopAt == 0 {
 			stopAt = n
 		}
 	}

@@ -342,6 +342,59 @@ func TestConvergenceTrace(t *testing.T) {
 	}
 }
 
+// shiftedSeries is a stationary Gumbel prefix of shiftAt runs followed
+// by 1000 runs whose location jumps by 600 cycles.
+func shiftedSeries(shiftAt int) []float64 {
+	times := gumbelSeries(31, shiftAt, evt.Gumbel{Mu: 3000, Beta: 40})
+	return append(times, gumbelSeries(32, 1000, evt.Gumbel{Mu: 3600, Beta: 40})...)
+}
+
+// TestConvergenceTraceStableFits: the trace's own criterion needs two
+// consecutive CRPS-close refits. A stationary prefix converges, and no
+// point is marked done before such a pair.
+func TestConvergenceTraceStableFits(t *testing.T) {
+	const shiftAt = 2500
+	trace, stopAt, err := NewAnalyzer(Options{}).ConvergenceTrace(shiftedSeries(shiftAt), 250)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if stopAt == 0 || stopAt >= shiftAt {
+		t.Fatalf("stopAt = %d, want convergence on the stationary prefix (< %d)", stopAt, shiftAt)
+	}
+	for i, pt := range trace {
+		if !pt.Done {
+			continue
+		}
+		if i < 2 || !(pt.Distance < 1e-3 && trace[i-1].Distance < 1e-3) {
+			t.Errorf("runs %d: done without two consecutive close refits", pt.Runs)
+		}
+	}
+}
+
+// TestConvergenceTraceResetsStreakOnJump: a jump in the series resets
+// the streak; the first refit after a level shift is far from its
+// predecessor and not done.
+func TestConvergenceTraceResetsStreakOnJump(t *testing.T) {
+	const shiftAt = 2500
+	trace, _, err := NewAnalyzer(Options{}).ConvergenceTrace(shiftedSeries(shiftAt), 250)
+	if err != nil {
+		t.Fatal(err)
+	}
+	seen := false
+	for _, pt := range trace {
+		if pt.Runs != shiftAt+250 {
+			continue
+		}
+		seen = true
+		if pt.Done || pt.Distance < 1e-3 {
+			t.Errorf("first refit after the shift: distance %v, done %v; want a reset streak", pt.Distance, pt.Done)
+		}
+	}
+	if !seen {
+		t.Fatalf("no trace point at runs %d", shiftAt+250)
+	}
+}
+
 func TestResultEmptyPWCET(t *testing.T) {
 	r := &Result{}
 	if _, err := r.PWCET(1e-6); !errors.Is(err, ErrInsufficient) {

@@ -201,7 +201,7 @@ func (r *pwcetDeltaRule) Done(s *Snapshot) bool {
 // CRPSConverged stops once the CRPS distance between consecutive tail
 // fits stays below threshold for streak consecutive batches — the
 // criterion the MBPTA collection process prescribes (see
-// evt.ConvergenceCriterion). Like PWCETDelta, a snapshot whose i.i.d.
+// evt.CRPSDistance). Like PWCETDelta, a snapshot whose i.i.d.
 // gate fails resets the streak. Zero arguments select the defaults
 // threshold=1e-3, streak=2.
 func CRPSConverged(threshold float64, streak int) StopRule {

@@ -259,6 +259,25 @@ func TestOnlineAnalyzerConvergesEarly(t *testing.T) {
 	}
 }
 
+// TestOnlineAnalyzerKeepsCollectingOnDegenerateSeries: a constant
+// series cannot be fitted; the analyzer reports unfitted snapshots and
+// never stops, instead of failing the campaign.
+func TestOnlineAnalyzerKeepsCollectingOnDegenerateSeries(t *testing.T) {
+	online := NewOnlineAnalyzer(Options{}, CRPSConverged(0, 0))
+	times := make([]float64, 1000)
+	for i := range times {
+		times[i] = 1234
+	}
+	for _, s := range feed(t, online, times, 250) {
+		if s.Fitted || s.Done {
+			t.Fatalf("constant series: snapshot at %d runs fitted %v, done %v", s.Runs, s.Fitted, s.Done)
+		}
+	}
+	if online.Runs() != 1000 {
+		t.Errorf("%d runs collected, want 1000", online.Runs())
+	}
+}
+
 func TestSnapshotCurveAndPWCETAt(t *testing.T) {
 	s := &Snapshot{Runs: 500, BlockSize: 50, Fitted: true, Fit: evt.Gumbel{Mu: 10000, Beta: 100}}
 	b, err := s.PWCETAt(1e-12)

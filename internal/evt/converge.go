@@ -28,7 +28,8 @@ func (g Gumbel) Sample(src rng.Source, n int) []float64 {
 // scale so the result is a dimensionless relative discrepancy. The
 // ECRTS-2012 MBPTA process declares convergence when this distance
 // between the fits of consecutive iterations falls below a small
-// threshold (0.001).
+// threshold (0.001); core.CRPSConverged and
+// core.Analyzer.ConvergenceTrace implement that criterion.
 func CRPSDistance(a, b TailModel, lo, hi float64) (float64, error) {
 	if !(hi > lo) || math.IsNaN(lo) || math.IsNaN(hi) {
 		return 0, fmt.Errorf("%w: integration range [%g,%g]", ErrBadParam, lo, hi)
@@ -63,67 +64,4 @@ func GumbelCRPS(a, b Gumbel) (float64, error) {
 	bHi, _ := b.QuantileSF(1e-9)
 	lo, hi := math.Min(aLo, bLo), math.Max(aHi, bHi)
 	return CRPSDistance(a, b, lo, hi)
-}
-
-// ConvergenceCriterion implements the iterative stop rule of the MBPTA
-// process: after each batch of runs the tail is refitted, and the
-// campaign stops once the distance between consecutive fits stays below
-// Threshold for Streak consecutive batches.
-type ConvergenceCriterion struct {
-	Threshold float64 // maximum allowed relative CRPS distance (default 1e-3)
-	Streak    int     // required consecutive passes (default 2)
-
-	prev    *Gumbel
-	current int
-	history []float64
-}
-
-// NewConvergenceCriterion returns a criterion with the MBPTA defaults.
-func NewConvergenceCriterion() *ConvergenceCriterion {
-	return &ConvergenceCriterion{Threshold: 1e-3, Streak: 2}
-}
-
-// Observe feeds the Gumbel fit of the latest iteration and reports
-// whether the campaign has converged.
-func (c *ConvergenceCriterion) Observe(fit Gumbel) (bool, error) {
-	if !fit.Valid() {
-		return false, fmt.Errorf("%w: invalid fit", ErrBadParam)
-	}
-	threshold := c.Threshold
-	if threshold <= 0 {
-		threshold = 1e-3
-	}
-	streak := c.Streak
-	if streak <= 0 {
-		streak = 2
-	}
-	if c.prev == nil {
-		c.prev = &fit
-		return false, nil
-	}
-	d, err := GumbelCRPS(*c.prev, fit)
-	if err != nil {
-		return false, err
-	}
-	c.history = append(c.history, d)
-	c.prev = &fit
-	if d < threshold {
-		c.current++
-	} else {
-		c.current = 0
-	}
-	return c.current >= streak, nil
-}
-
-// History returns the sequence of observed inter-iteration distances —
-// the data behind the convergence trace of experiment E5.
-func (c *ConvergenceCriterion) History() []float64 {
-	return append([]float64(nil), c.history...)
-}
-
-// Reset clears the criterion state for a new campaign.
-func (c *ConvergenceCriterion) Reset() {
-	c.prev = nil
-	c.current = 0
-	c.history = nil
 }

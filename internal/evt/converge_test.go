@@ -88,97 +88,43 @@ func TestGumbelCRPSInvalid(t *testing.T) {
 	}
 }
 
-func TestConvergenceCriterionStableFits(t *testing.T) {
-	c := NewConvergenceCriterion()
-	g := Gumbel{Mu: 100, Beta: 5}
-	done, err := c.Observe(g)
-	if err != nil || done {
-		t.Fatalf("first observation: done=%v err=%v", done, err)
-	}
-	// Identical fits converge after Streak=2 further observations.
-	done, _ = c.Observe(g)
-	if done {
-		t.Fatal("converged after a single comparison; want streak of 2")
-	}
-	done, _ = c.Observe(g)
-	if !done {
-		t.Fatal("did not converge on identical fits")
-	}
-	if len(c.History()) != 2 {
-		t.Errorf("history length %d, want 2", len(c.History()))
-	}
-}
-
-func TestConvergenceCriterionResetsStreakOnJump(t *testing.T) {
-	c := NewConvergenceCriterion()
-	a := Gumbel{Mu: 100, Beta: 5}
-	b := Gumbel{Mu: 200, Beta: 5}
-	c.Observe(a)
-	c.Observe(a)            // streak 1
-	done, _ := c.Observe(b) // jump: streak resets
-	if done {
-		t.Fatal("converged across a parameter jump")
-	}
-	done, _ = c.Observe(b) // streak 1
-	if done {
-		t.Fatal("converged with streak 1")
-	}
-	done, _ = c.Observe(b) // streak 2
-	if !done {
-		t.Fatal("did not converge after stabilizing")
-	}
-}
-
-func TestConvergenceCriterionInvalidFit(t *testing.T) {
-	c := NewConvergenceCriterion()
-	if _, err := c.Observe(Gumbel{Mu: 0, Beta: -1}); err == nil {
-		t.Error("invalid fit accepted")
-	}
-}
-
-func TestConvergenceCriterionReset(t *testing.T) {
-	c := NewConvergenceCriterion()
-	g := Gumbel{Mu: 1, Beta: 1}
-	c.Observe(g)
-	c.Observe(g)
-	c.Observe(g)
-	c.Reset()
-	if len(c.History()) != 0 {
-		t.Error("history survives Reset")
-	}
-	done, _ := c.Observe(g)
-	if done {
-		t.Error("converged immediately after Reset")
-	}
-}
-
 func TestConvergenceOnRealCampaign(t *testing.T) {
-	// Simulated campaign: batches of 100 Gumbel samples; the criterion
-	// should converge well before 5,000 total runs and the final fit
-	// should be close to truth.
+	// Simulated campaign: batches of 100 Gumbel samples; consecutive
+	// refits should stay CRPS-close (< 1e-3 twice in a row, the MBPTA
+	// criterion) well before 5,000 total runs and the final fit should
+	// be close to truth.
 	truth := Gumbel{Mu: 3000, Beta: 30}
 	src := rng.NewXoroshiro128(2)
-	c := NewConvergenceCriterion()
-	var all []float64
+	var all, history []float64
+	var prev *Gumbel
 	converged := false
-	batches := 0
+	batches, streak := 0, 0
 	for batches = 0; batches < 50; batches++ {
 		all = append(all, truth.Sample(src, 100)...)
 		fit, err := FitGumbel(all, MethodPWM)
 		if err != nil {
 			t.Fatal(err)
 		}
-		done, err := c.Observe(fit)
-		if err != nil {
-			t.Fatal(err)
+		if prev != nil {
+			d, err := GumbelCRPS(*prev, fit)
+			if err != nil {
+				t.Fatal(err)
+			}
+			history = append(history, d)
+			if d < 1e-3 {
+				streak++
+			} else {
+				streak = 0
+			}
 		}
-		if done {
+		prev = &fit
+		if streak >= 2 {
 			converged = true
 			break
 		}
 	}
 	if !converged {
-		t.Fatalf("no convergence in %d batches (history %v)", batches, c.History())
+		t.Fatalf("no convergence in %d batches (history %v)", batches, history)
 	}
 	fit, _ := FitGumbel(all, MethodPWM)
 	if math.Abs(fit.Mu-truth.Mu) > 10 || math.Abs(fit.Beta-truth.Beta) > 5 {

@@ -255,7 +255,7 @@ func (e *Env) randStreamOptions() (platform.StreamOptions, error) {
 			return so, err
 		}
 		e.randInj = inj
-		so.Runner = inj.Runner()
+		so.NewBoard = inj.NewBoard(platform.RAND())
 	}
 	return so, nil
 }
@@ -266,7 +266,7 @@ func (e *Env) setRAND(c *platform.CampaignResult) {
 	if e.P.FaultRate > 0 {
 		s := faults.Summarize(c.Results)
 		if e.randInj != nil {
-			s.ClampedRuns = e.randInj.ClampedRuns()
+			s.ClampedRuns = e.randInj.ClampedRuns(e.P.Seed, len(c.Results))
 		}
 		e.randFault = &s
 	}

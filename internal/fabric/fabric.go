@@ -41,8 +41,12 @@ var ErrPoolClosed = errors.New("fabric: pool closed")
 type Config struct {
 	// Executors is the number of in-process executor workers
 	// (default GOMAXPROCS). Zero means the default; a negative value
-	// means no in-process executors at all — campaigns then progress
-	// only while remote executors are connected.
+	// makes the pool remote-only: sessions a remote executor can serve
+	// progress only while remote executors are connected. Sessions
+	// remote executors cannot serve (a run cache, a custom board such
+	// as fault injection, a workload without a spec) still run on
+	// GOMAXPROCS in-process executors reserved for them, so a
+	// remote-only pool never strands a campaign.
 	Executors int
 	// MaxSessions bounds the campaigns admitted concurrently; further
 	// StreamCampaign calls block (backpressure) until a slot frees
@@ -68,8 +72,6 @@ type Config struct {
 func (c Config) withDefaults() Config {
 	if c.Executors == 0 {
 		c.Executors = runtime.GOMAXPROCS(0)
-	} else if c.Executors < 0 {
-		c.Executors = 0
 	}
 	if c.MaxSessions <= 0 {
 		c.MaxSessions = 256
@@ -87,7 +89,8 @@ func (c Config) withDefaults() Config {
 // executors, accepts remote-executor connections (see ServeExecutors),
 // and schedules leases across every active campaign fairly.
 type Pool struct {
-	cfg Config
+	cfg       Config
+	executors int // in-process executor workers started
 
 	mu       sync.Mutex
 	cond     *sync.Cond // wakes executors waiting for a lease
@@ -111,11 +114,16 @@ func NewPool(cfg Config) *Pool {
 	for i := 0; i < p.cfg.MaxSessions; i++ {
 		p.slotCh <- struct{}{}
 	}
-	for i := 0; i < p.cfg.Executors; i++ {
+	serves := anySession
+	p.executors = p.cfg.Executors
+	if p.executors < 0 {
+		p.executors, serves = runtime.GOMAXPROCS(0), localSessions
+	}
+	for i := 0; i < p.executors; i++ {
 		p.wg.Add(1)
 		go func() {
 			defer p.wg.Done()
-			p.executorLoop()
+			p.executorLoop(serves)
 		}()
 	}
 	if p.cfg.LeaseTimeout > 0 {
@@ -150,7 +158,7 @@ func (p *Pool) Close() {
 
 // Stats is a point-in-time snapshot of the pool, for observability.
 type Stats struct {
-	Executors     int // in-process executor workers
+	Executors     int // in-process executor workers (remote-only: those reserved for local-only sessions)
 	Sessions      int // campaigns currently executing
 	QueuedLeases  int // leases awaiting an executor
 	RunningLeases int // leases currently held by executors
@@ -162,7 +170,7 @@ func (p *Pool) Stats() Stats {
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	st := Stats{
-		Executors: p.cfg.Executors,
+		Executors: p.executors,
 		Sessions:  len(p.sessions),
 		Admitted:  p.admitted,
 	}
@@ -179,15 +187,15 @@ func (p *Pool) Stats() Stats {
 // sink, per-run journaling with a barrier per batch, early stop when
 // the sink says so, and a measured series bit-identical to local
 // execution. It blocks while the pool is at its MaxSessions admission
-// bound. StreamOptions fields that configure a local worker pool
-// (Parallel, Runner, Supervise, Resume, Replay) are not meaningful on
-// the fabric: Runner and Resume are rejected, the others ignored.
+// bound. NewBoard (fault injection, multicore boards) is honored by the
+// in-process executors; such a session, like one with a run cache, is
+// never handed to a remote executor, which would rebuild a plain board.
+// StreamOptions fields that configure a local worker pool (Parallel,
+// Supervise, Resume, Replay) are not meaningful on the fabric: Resume
+// is rejected, the others ignored.
 func (p *Pool) StreamCampaign(ctx context.Context, cfg platform.Config, w platform.Workload, opts platform.StreamOptions, sink platform.BatchSink) (*platform.CampaignResult, error) {
 	if opts.MaxRuns < 1 {
 		return nil, fmt.Errorf("fabric: campaign needs >= 1 run, got %d", opts.MaxRuns)
-	}
-	if opts.Runner != nil {
-		return nil, errors.New("fabric: custom runners (fault injection) are not supported on the fabric")
 	}
 	if opts.Resume != nil {
 		return nil, errors.New("fabric: journal resume is not supported on the fabric; resume locally")
@@ -238,10 +246,12 @@ func (p *Pool) register(ctx context.Context, cfg platform.Config, w platform.Wor
 		ranges:   make(map[int]*leaseRange),
 	}
 	s.cond = sync.NewCond(&s.mu)
-	// A session with a run cache must stay on the in-process executors:
-	// remote executors cannot consult the cache and would re-simulate
-	// cached runs (bit-identically, but defeating the dedup guarantee).
-	if sw, ok := w.(SpecWorkload); ok && opts.Cached == nil {
+	// A session with a run cache or a custom board must stay on the
+	// in-process executors: remote executors cannot consult the cache
+	// (they would re-simulate cached runs, bit-identically but defeating
+	// the dedup guarantee) and build plain boards from the spec (they
+	// would silently drop fault injection).
+	if sw, ok := w.(SpecWorkload); ok && opts.Cached == nil && opts.NewBoard == nil {
 		s.spec = &SessionSpec{
 			Platform:   cfg,
 			Workload:   sw.WorkloadSpec(),
@@ -289,11 +299,20 @@ func (p *Pool) unregister(s *session) {
 	p.mu.Unlock()
 }
 
+// sessionFilter restricts which sessions an executor takes leases from.
+type sessionFilter int
+
+const (
+	anySession     sessionFilter = iota
+	remoteSessions               // sessions a remote executor can serve (spec set)
+	localSessions                // sessions only in-process executors can serve
+)
+
 // acquireLease blocks until a lease is available (round-robin over the
 // active sessions, so concurrent campaigns share the executors fairly)
-// or the pool closes. remoteOnly restricts the search to sessions a
-// remote executor can serve (spec-backed workloads).
-func (p *Pool) acquireLease(remoteOnly bool, stop <-chan struct{}) *lease {
+// or the pool closes. serves restricts the search by where a session
+// may execute.
+func (p *Pool) acquireLease(serves sessionFilter, stop <-chan struct{}) *lease {
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	for {
@@ -309,7 +328,7 @@ func (p *Pool) acquireLease(remoteOnly bool, stop <-chan struct{}) *lease {
 		for i := 0; i < n; i++ {
 			idx := (p.rr + i) % n
 			s := p.sessions[idx]
-			if remoteOnly && s.spec == nil {
+			if (serves == remoteSessions && s.spec == nil) || (serves == localSessions && s.spec != nil) {
 				continue
 			}
 			if l := s.takeLease(); l != nil {
@@ -325,11 +344,12 @@ func (p *Pool) acquireLease(remoteOnly bool, stop <-chan struct{}) *lease {
 // lease slot, re-queued lease).
 func (p *Pool) wake() { p.cond.Broadcast() }
 
-// executorLoop is one in-process executor: acquire a lease, run it on
-// a fresh board, merge the results, repeat.
-func (p *Pool) executorLoop() {
+// executorLoop is one in-process executor: acquire a lease from the
+// sessions it serves, run it on a fresh board, merge the results,
+// repeat.
+func (p *Pool) executorLoop(serves sessionFilter) {
 	for {
-		l := p.acquireLease(false, nil)
+		l := p.acquireLease(serves, nil)
 		if l == nil {
 			return
 		}

@@ -130,13 +130,6 @@ func TestFabricRejectsUnsupportedOptions(t *testing.T) {
 	w := testWorkload(t)
 	pool := NewPool(Config{Executors: 1})
 	defer pool.Close()
-	runner := func(ctx context.Context, p *platform.Platform, wl platform.Workload, run int, seed uint64) (platform.RunResult, error) {
-		return platform.RunResult{}, nil
-	}
-	if _, err := pool.StreamCampaign(context.Background(), platform.RAND(), w,
-		platform.StreamOptions{MaxRuns: 5, Runner: runner}, nil); err == nil {
-		t.Error("custom runner accepted")
-	}
 	if _, err := pool.StreamCampaign(context.Background(), platform.RAND(), w,
 		platform.StreamOptions{MaxRuns: 5, Resume: &platform.ResumeState{}}, nil); err == nil {
 		t.Error("resume accepted")
@@ -144,6 +137,97 @@ func TestFabricRejectsUnsupportedOptions(t *testing.T) {
 	if _, err := pool.StreamCampaign(context.Background(), platform.RAND(), w,
 		platform.StreamOptions{MaxRuns: 0}, nil); err == nil {
 		t.Error("zero runs accepted")
+	}
+}
+
+// tagBoard decorates a platform and marks the path of every result it
+// produces, so a test can tell which runs went through a custom board.
+type tagBoard struct{ *platform.Platform }
+
+func (b tagBoard) ExecuteRun(ctx context.Context, w platform.Workload, run int, seed uint64) (platform.RunResult, error) {
+	r, err := b.Platform.ExecuteRun(ctx, w, run, seed)
+	r.Path += "+tag"
+	return r, err
+}
+
+func newTagBoard() (platform.Board, error) {
+	p, err := platform.New(platform.RAND())
+	if err != nil {
+		return nil, err
+	}
+	return tagBoard{p}, nil
+}
+
+// TestFabricCustomBoardStaysInProcess: a session with a custom board
+// (the fault-injection path) executes every run on that board, even
+// with a remote executor connected, which could only rebuild a plain
+// board from the spec. Apart from the tag, the series is the local
+// engine's.
+func TestFabricCustomBoardStaysInProcess(t *testing.T) {
+	w := testWorkload(t)
+	ref := reference(t, w, 40, 5, 3)
+	pool := NewPool(Config{Executors: 1})
+	defer pool.Close()
+	startExecutor(t, startCoordinator(t, pool))
+
+	got, err := pool.StreamCampaign(context.Background(), platform.RAND(), w,
+		platform.StreamOptions{MaxRuns: 40, BatchSize: 5, BaseSeed: 3, NewBoard: newTagBoard}, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, r := range got.Results {
+		want := ref.Results[i]
+		want.Path += "+tag"
+		if r != want {
+			t.Fatalf("run %d = %+v, want %+v (not executed on the custom board)", i, r, want)
+		}
+	}
+}
+
+// TestFabricRemoteOnlyPoolRunsLocalOnlySessions: a remote-only pool
+// (Executors < 0) with no remote executor connected still completes the
+// sessions a remote executor could never serve: one with a run cache and
+// one with a custom board.
+func TestFabricRemoteOnlyPoolRunsLocalOnlySessions(t *testing.T) {
+	w := testWorkload(t)
+	ref := reference(t, w, 40, 10, 9)
+	pool := NewPool(Config{Executors: -1})
+	defer pool.Close()
+
+	cached := func(run int) (platform.RunResult, bool) {
+		if run < 15 {
+			return ref.Results[run], true
+		}
+		return platform.RunResult{}, false
+	}
+	opts := []platform.StreamOptions{
+		{MaxRuns: 40, BatchSize: 10, BaseSeed: 9, Cached: cached},
+		{MaxRuns: 40, BatchSize: 10, BaseSeed: 9, NewBoard: newTagBoard},
+	}
+	results := make([]*platform.CampaignResult, len(opts))
+	errs := make(chan error, len(opts))
+	for i, o := range opts {
+		go func() {
+			var err error
+			results[i], err = pool.StreamCampaign(context.Background(), platform.RAND(), w, o, nil)
+			errs <- err
+		}()
+	}
+	for range opts {
+		select {
+		case err := <-errs:
+			if err != nil {
+				t.Fatal(err)
+			}
+		case <-time.After(30 * time.Second):
+			t.Fatal("a local-only session stalled on a remote-only pool")
+		}
+	}
+	assertSameResults(t, ref, results[0])
+	for i, r := range results[1].Results {
+		if r.Path != ref.Results[i].Path+"+tag" {
+			t.Fatalf("run %d path %q: not executed on the custom board", i, r.Path)
+		}
 	}
 }
 

@@ -69,7 +69,8 @@ func writeJSONFrame(w io.Writer, kind byte, v any) error {
 // ServeExecutors accepts remote-executor connections on ln and serves
 // leases to them until ln is closed (or the pool is). Each connection
 // behaves like one additional (sequential) executor; its leases come
-// only from sessions whose workload is spec-backed (see SpecWorkload).
+// only from sessions whose workload is spec-backed (see SpecWorkload)
+// and that carry neither a run cache nor a custom board.
 func (p *Pool) ServeExecutors(ln net.Listener) error {
 	var wg sync.WaitGroup
 	stop := make(chan struct{})
@@ -112,7 +113,7 @@ func (p *Pool) handleExecutor(conn net.Conn, stop <-chan struct{}) {
 	introduced := make(map[uint64]bool)
 
 	for {
-		l := p.acquireLease(true, stop)
+		l := p.acquireLease(remoteSessions, stop)
 		if l == nil {
 			return // pool closed
 		}

@@ -47,8 +47,8 @@ func startExecutor(t *testing.T, addr string) {
 }
 
 func TestRemoteExecutorRoundTrip(t *testing.T) {
-	// Executors: -1 disables in-process execution, so every run below
-	// provably crossed the wire.
+	// Executors: -1 leaves spec-backed sessions to remote executors
+	// only, so every run below provably crossed the wire.
 	w := testWorkload(t)
 	ref := reference(t, w, 40, 10, 7)
 

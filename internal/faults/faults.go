@@ -36,7 +36,6 @@ import (
 	"math"
 	"sort"
 	"strings"
-	"sync/atomic"
 
 	"repro/internal/cpu"
 	"repro/internal/isa"
@@ -118,7 +117,8 @@ type Config struct {
 	// Telemetry, when non-nil, counts injected upsets per target array
 	// (faults_upsets_<target>_total). Injection schedules are seed-
 	// derived, so the totals are deterministic for a fixed base seed
-	// even though workers update them concurrently.
+	// even though workers update them concurrently, as long as every
+	// run executes once; they count executions (see Injector).
 	Telemetry *telemetry.Registry
 }
 
@@ -135,18 +135,23 @@ const maxFaultsPerRun = 4096
 const watchdogSlack = 4096
 
 // Injector is a deterministic SEU injector; plug it into a campaign via
-// Runner. Safe for concurrent use by multiple campaign workers: all
+// NewBoard. Safe for concurrent use by multiple campaign workers: all
 // mutable state is per-run.
+//
+// The telemetry counters count executions, not delivered runs: on the
+// fabric a lease run past an early stop, or re-leased, counts again.
+// Report figures come from the delivered runs (Summarize, ClampedRuns).
 type Injector struct {
 	cfg     Config
 	targets []Target
+	// limit caps a single run's Poisson draw (maxFaultsPerRun).
+	limit int
 	// upsets holds the pre-resolved per-target telemetry counters (nil
 	// Counter values are no-ops when telemetry is disabled).
 	upsets map[Target]*telemetry.Counter
-	// clamped counts runs whose Poisson draw hit maxFaultsPerRun and had
-	// its fault schedule truncated (faults_clamped_runs_total).
-	clamped     *telemetry.Counter
-	clampedRuns atomic.Int64
+	// clamped counts executions whose Poisson draw hit the cap and had
+	// the fault schedule truncated (faults_clamped_runs_total).
+	clamped *telemetry.Counter
 }
 
 // New validates cfg and returns an injector.
@@ -195,6 +200,7 @@ func New(cfg Config) (*Injector, error) {
 	return &Injector{
 		cfg:     cfg,
 		targets: targets,
+		limit:   maxFaultsPerRun,
 		upsets:  upsets,
 		clamped: cfg.Telemetry.Counter("faults_clamped_runs_total"),
 	}, nil
@@ -203,15 +209,56 @@ func New(cfg Config) (*Injector, error) {
 // Rate returns the configured expected upsets per run.
 func (in *Injector) Rate() float64 { return in.cfg.Rate }
 
-// ClampedRuns returns how many runs so far had their Poisson draw hit
-// the maxFaultsPerRun cap (fault schedule truncated). Zero under any
-// sane rate; a nonzero count means the configured rate is beyond what
-// the injector faithfully models and is surfaced in the campaign
-// report rather than silently swallowed.
-func (in *Injector) ClampedRuns() int { return int(in.clampedRuns.Load()) }
+// ClampedRuns returns how many of runs 0..runs-1 under baseSeed have
+// their Poisson draw hit the maxFaultsPerRun cap (fault schedule
+// truncated). It replays the pure per-run draw, so the count cannot
+// depend on where or how often runs executed (resume, lease lookahead,
+// retries). Zero under any sane rate; nonzero means the rate is beyond
+// what the injector faithfully models, surfaced in the report.
+func (in *Injector) ClampedRuns(baseSeed uint64, runs int) int {
+	n := 0
+	for run := 0; run < runs; run++ {
+		if _, _, clamped := in.draw(run, platform.DeriveRunSeed(baseSeed, run)); clamped {
+			n++
+		}
+	}
+	return n
+}
 
-// Runner adapts the injector to StreamCampaign's per-run hook.
-func (in *Injector) Runner() platform.RunFunc { return in.Execute }
+// draw returns the fault-schedule source of run and its Poisson upset
+// count.
+func (in *Injector) draw(run int, seed uint64) (src rng.Source, n int, clamped bool) {
+	src = rng.NewSplitMix64(seed ^ in.cfg.Salt)
+	n, clamped = poisson(src, in.cfg.Hazard.RateAt(in.cfg.Rate, run), in.limit)
+	return src, n, clamped
+}
+
+// NewBoard returns a board factory for campaigns with this injector:
+// each board is a single-core Platform built from cfg whose ExecuteRun
+// goes through Execute. Plug it into platform.StreamOptions.NewBoard;
+// the campaign fabric's in-process executors take it the same way.
+func (in *Injector) NewBoard(cfg platform.Config) func() (platform.Board, error) {
+	return func() (platform.Board, error) {
+		p, err := platform.New(cfg)
+		if err != nil {
+			return nil, err
+		}
+		return &board{Platform: p, in: in}, nil
+	}
+}
+
+// board decorates a single-core Platform with fault injection. The
+// embedded Platform keeps BoardStats, so telemetry harvest is
+// unchanged.
+type board struct {
+	*platform.Platform
+	in *Injector
+}
+
+// ExecuteRun implements platform.Board through the injector.
+func (b *board) ExecuteRun(ctx context.Context, w platform.Workload, run int, seed uint64) (platform.RunResult, error) {
+	return b.in.Execute(ctx, b.Platform, w, run, seed)
+}
 
 // Execute performs one (possibly injected) measurement run. A zero
 // Poisson draw takes exactly the clean path, so the measured series at
@@ -220,10 +267,8 @@ func (in *Injector) Runner() platform.RunFunc { return in.Execute }
 // with the upsets applied and classifies the result; classified runs
 // return a nil error so the campaign proceeds without retrying them.
 func (in *Injector) Execute(ctx context.Context, p *platform.Platform, w platform.Workload, run int, seed uint64) (platform.RunResult, error) {
-	src := rng.NewSplitMix64(seed ^ in.cfg.Salt)
-	n, clamped := poisson(src, in.cfg.Hazard.RateAt(in.cfg.Rate, run))
+	src, n, clamped := in.draw(run, seed)
 	if clamped {
-		in.clampedRuns.Add(1)
 		in.clamped.Inc()
 	}
 	if n == 0 {
@@ -405,9 +450,9 @@ func (in *Injector) apply(f Fault, m *isa.Machine, c *cpu.Core) {
 
 // poisson draws Poisson(lambda) by Knuth's product method —
 // deterministic in src, exact for the small rates injection uses.
-// clamped reports that the draw hit maxFaultsPerRun and the schedule
-// was truncated; callers surface it instead of silently dropping it.
-func poisson(src rng.Source, lambda float64) (k int, clamped bool) {
+// clamped reports that the draw hit limit and the schedule was
+// truncated; callers surface it instead of silently dropping it.
+func poisson(src rng.Source, lambda float64, limit int) (k int, clamped bool) {
 	if lambda <= 0 || math.IsNaN(lambda) {
 		return 0, false
 	}
@@ -415,7 +460,7 @@ func poisson(src rng.Source, lambda float64) (k int, clamped bool) {
 	p := rng.Float64(src)
 	for p > l {
 		k++
-		if k >= maxFaultsPerRun {
+		if k >= limit {
 			return k, true
 		}
 		p *= rng.Float64(src)
@@ -442,7 +487,7 @@ type Summary struct {
 	// ClampedRuns counts runs whose Poisson draw hit the per-run fault
 	// cap and had their schedule truncated (see Injector.ClampedRuns;
 	// Summarize cannot recover it from results, so callers holding the
-	// injector fill it in).
+	// injector and the base seed fill it in).
 	ClampedRuns int
 }
 

@@ -2,11 +2,14 @@ package faults
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"math"
+	"reflect"
 	"strings"
 	"testing"
 
+	"repro/internal/fabric"
 	"repro/internal/isa"
 	"repro/internal/platform"
 	"repro/internal/rng"
@@ -56,15 +59,15 @@ func TestNewValidation(t *testing.T) {
 
 func TestPoisson(t *testing.T) {
 	for _, lambda := range []float64{0, -3, math.NaN()} {
-		if k, clamped := poisson(rng.NewSplitMix64(1), lambda); k != 0 || clamped {
+		if k, clamped := poisson(rng.NewSplitMix64(1), lambda, maxFaultsPerRun); k != 0 || clamped {
 			t.Errorf("poisson(%g) = %d (clamped %v), want 0", lambda, k, clamped)
 		}
 	}
 	// Deterministic in the source.
 	a, b := rng.NewSplitMix64(42), rng.NewSplitMix64(42)
 	for i := 0; i < 100; i++ {
-		ka, _ := poisson(a, 1.5)
-		kb, _ := poisson(b, 1.5)
+		ka, _ := poisson(a, 1.5, maxFaultsPerRun)
+		kb, _ := poisson(b, 1.5, maxFaultsPerRun)
 		if ka != kb {
 			t.Fatalf("draw %d: %d vs %d", i, ka, kb)
 		}
@@ -74,7 +77,7 @@ func TestPoisson(t *testing.T) {
 	const n, lambda = 5000, 1.5
 	sum := 0
 	for i := 0; i < n; i++ {
-		k, clamped := poisson(src, lambda)
+		k, clamped := poisson(src, lambda, maxFaultsPerRun)
 		if clamped {
 			t.Fatalf("draw %d clamped at rate %g", i, lambda)
 		}
@@ -86,12 +89,13 @@ func TestPoisson(t *testing.T) {
 	}
 }
 
-// streamWith runs a short RAND campaign with the given runner hook.
-func streamWith(t *testing.T, runner platform.RunFunc, runs int) *platform.CampaignResult {
+// streamWith runs a short RAND campaign on boards from newBoard (nil =
+// plain platforms).
+func streamWith(t *testing.T, newBoard func() (platform.Board, error), runs int) *platform.CampaignResult {
 	t.Helper()
 	app := smallApp(t)
 	c, err := platform.StreamCampaign(context.Background(), platform.RAND(), app,
-		platform.StreamOptions{MaxRuns: runs, BatchSize: runs, Parallel: 4, BaseSeed: 11, Runner: runner},
+		platform.StreamOptions{MaxRuns: runs, BatchSize: runs, Parallel: 4, BaseSeed: 11, NewBoard: newBoard},
 		nil)
 	if err != nil {
 		t.Fatal(err)
@@ -108,7 +112,7 @@ func TestRateZeroBitIdentical(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got := streamWith(t, in.Runner(), runs)
+	got := streamWith(t, in.NewBoard(platform.RAND()), runs)
 	if len(got.Results) != len(ref.Results) {
 		t.Fatalf("%d vs %d runs", len(got.Results), len(ref.Results))
 	}
@@ -126,7 +130,7 @@ func TestInjectedCampaignDeterministicAndClassified(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		return streamWith(t, in.Runner(), runs)
+		return streamWith(t, in.NewBoard(platform.RAND()), runs)
 	}
 	c := mk()
 	if len(c.Results) != runs {
@@ -310,4 +314,89 @@ func TestSummarizeAndString(t *testing.T) {
 	if z := Summarize(nil).String(); !strings.Contains(z, "0 runs") {
 		t.Errorf("empty summary: %q", z)
 	}
+}
+
+// TestClampedRunsCountDeliveredRuns: the clamp tally is a function of
+// the delivered runs alone. A local campaign, a pooled one whose leases
+// ran past an early stop, and a canceled campaign resumed on a fresh
+// injector (which executes only the missing runs) report the same
+// series and the same summary, clamp count included.
+func TestClampedRunsCountDeliveredRuns(t *testing.T) {
+	app := smallApp(t)
+	cfg := platform.RAND()
+	const runs, batch, stopAt, seed = 60, 10, 30, 5
+	newInjector := func() *Injector {
+		in, err := New(Config{Rate: 6})
+		if err != nil {
+			t.Fatal(err)
+		}
+		in.limit = 8 // a low cap, so a fair share of the draws clamp
+		return in
+	}
+	opts := func(in *Injector) platform.StreamOptions {
+		return platform.StreamOptions{MaxRuns: runs, BatchSize: batch, Parallel: 1, BaseSeed: seed, NewBoard: in.NewBoard(cfg)}
+	}
+	stop := func(b platform.Batch) (bool, error) { return b.Start+len(b.Results) >= stopAt, nil }
+	summary := func(in *Injector, c *platform.CampaignResult) Summary {
+		s := Summarize(c.Results)
+		s.ClampedRuns = in.ClampedRuns(seed, len(c.Results))
+		return s
+	}
+	check := func(mode string, got *platform.CampaignResult, s, want Summary, ref *platform.CampaignResult) {
+		t.Helper()
+		if len(got.Results) != len(ref.Results) {
+			t.Fatalf("%s: %d runs, want %d", mode, len(got.Results), len(ref.Results))
+		}
+		for i := range ref.Results {
+			if got.Results[i] != ref.Results[i] {
+				t.Fatalf("%s: run %d = %+v, want %+v", mode, i, got.Results[i], ref.Results[i])
+			}
+		}
+		if !reflect.DeepEqual(s, want) {
+			t.Errorf("%s: summary %+v, want %+v", mode, s, want)
+		}
+	}
+
+	in := newInjector()
+	ref, err := platform.StreamCampaign(context.Background(), cfg, app, opts(in), stop)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := summary(in, ref)
+	if len(ref.Results) != stopAt || want.ClampedRuns == 0 || want.ClampedRuns == stopAt {
+		t.Fatalf("reference: %d runs, %d clamped; want %d runs, some but not all clamped", len(ref.Results), want.ClampedRuns, stopAt)
+	}
+
+	t.Run("pool-early-stop", func(t *testing.T) {
+		pool := fabric.NewPool(fabric.Config{Executors: 2, SessionLeases: 4})
+		defer pool.Close()
+		in := newInjector()
+		got, err := pool.StreamCampaign(context.Background(), cfg, app, opts(in), stop)
+		if err != nil {
+			t.Fatal(err)
+		}
+		check("pool", got, summary(in, got), want, ref)
+	})
+
+	t.Run("cancel-resume", func(t *testing.T) {
+		ctx, cancel := context.WithCancel(context.Background())
+		defer cancel()
+		first, err := platform.StreamCampaign(ctx, cfg, app, opts(newInjector()), func(b platform.Batch) (bool, error) {
+			if b.Index == 1 {
+				cancel() // the next batch never runs
+			}
+			return false, nil
+		})
+		if !errors.Is(err, platform.ErrCanceled) || first == nil || len(first.Results) != 2*batch {
+			t.Fatalf("canceled campaign: err %v, want ErrCanceled after %d runs", err, 2*batch)
+		}
+		in := newInjector()
+		o := opts(in)
+		o.Resume = &platform.ResumeState{StartBatch: 2, Delivered: 2 * batch, Prefix: first.Results}
+		got, err := platform.StreamCampaign(context.Background(), cfg, app, o, stop)
+		if err != nil {
+			t.Fatal(err)
+		}
+		check("resume", got, summary(in, got), want, ref)
+	})
 }

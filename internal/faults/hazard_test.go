@@ -3,6 +3,8 @@ package faults
 import (
 	"math"
 	"testing"
+
+	"repro/internal/platform"
 )
 
 func TestHazardConstantIsExact(t *testing.T) {
@@ -95,7 +97,7 @@ func TestHazardCampaignDeterministic(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		s := Summarize(streamWith(t, in.Runner(), 30).Results)
+		s := Summarize(streamWith(t, in.NewBoard(platform.RAND()), 30).Results)
 		return &s
 	}
 	a, b := mk(), mk()

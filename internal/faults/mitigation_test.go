@@ -87,7 +87,7 @@ func TestMitigatedCampaignGoldens(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			s := Summarize(streamWith(t, in.Runner(), runs).Results)
+			s := Summarize(streamWith(t, in.NewBoard(platform.RAND()), runs).Results)
 			if s.Total != runs || s.Injected != 110 {
 				t.Errorf("total %d, injected %d; want %d and 110", s.Total, s.Injected, runs)
 			}
@@ -111,7 +111,7 @@ func TestLockstepNeverQuarantines(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	c := streamWith(t, in.Runner(), 30)
+	c := streamWith(t, in.NewBoard(platform.RAND()), 30)
 	for i, r := range c.Results {
 		if r.Quarantined() {
 			t.Errorf("run %d quarantined with outcome %q under lockstep", i, r.Outcome)
@@ -248,12 +248,12 @@ func (maxSource) Seed(uint64)    {}
 // TestClampSurfaced: a draw that hits the per-run fault cap is
 // reported, counted, and rendered — not silently truncated.
 func TestClampSurfaced(t *testing.T) {
-	k, clamped := poisson(maxSource{}, 10)
+	k, clamped := poisson(maxSource{}, 10, maxFaultsPerRun)
 	if !clamped || k != maxFaultsPerRun {
 		t.Fatalf("pathological draw: k=%d clamped=%v, want %d and true", k, clamped, maxFaultsPerRun)
 	}
 	// Ordinary rates never clamp.
-	if _, clamped := poisson(rng.NewSplitMix64(5), 3); clamped {
+	if _, clamped := poisson(rng.NewSplitMix64(5), 3, maxFaultsPerRun); clamped {
 		t.Error("rate-3 draw clamped")
 	}
 	s := Summary{Total: 4, Clean: 4, ClampedRuns: 2}
@@ -264,8 +264,8 @@ func TestClampSurfaced(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if in.ClampedRuns() != 0 {
-		t.Errorf("fresh injector reports %d clamped runs", in.ClampedRuns())
+	if n := in.ClampedRuns(1, 200); n != 0 {
+		t.Errorf("rate-1 campaign reports %d clamped runs", n)
 	}
 }
 

@@ -343,23 +343,41 @@ func copyFile(src, dst string) error {
 	return os.WriteFile(dst, b, 0o644)
 }
 
-// TestRunnerWithFabricPool: plain cells schedule through the fabric
-// executor pool and still fingerprint identically to local execution.
+// TestRunnerWithFabricPool: single-core cells, plain and fault-injected
+// with and without ECC, schedule through the fabric executor pool and
+// still fingerprint identically to local execution.
 func TestRunnerWithFabricPool(t *testing.T) {
 	pool := fabric.NewPool(fabric.Config{Executors: 2})
 	defer pool.Close()
 	cacheA, _ := NewCache(filepath.Join(t.TempDir(), "a"))
 	cacheB, _ := NewCache(filepath.Join(t.TempDir(), "b"))
 
+	spec := smallSpec(100)
+	spec.FaultRates = []float64{0, 0.5}
+	spec.Mitigations = []mbpta.Mitigation{{}, {Kind: mbpta.MitigationECC}}
 	pooled := &Runner{Pool: pool, Cache: cacheA, CellParallel: 2}
 	local := &Runner{Cache: cacheB, CellParallel: 2}
-	repP, err := pooled.Run(context.Background(), smallSpec(100))
+	repP, err := pooled.Run(context.Background(), spec)
 	if err != nil {
 		t.Fatalf("pooled run: %v", err)
 	}
-	repL, err := local.Run(context.Background(), smallSpec(100))
+	repL, err := local.Run(context.Background(), spec)
 	if err != nil {
 		t.Fatalf("local run: %v", err)
+	}
+	// Per platform: the plain cell, then unmitigated and ECC fault cells.
+	faulted, quarantined := 0, 0
+	for _, c := range repP.Cells {
+		if c.Cell.FaultRate > 0 {
+			faulted++
+			quarantined += c.Quarantined
+		}
+	}
+	if len(repP.Cells) != 6 || faulted != 4 {
+		t.Fatalf("%d cells, %d fault-injected; want 6 and 4", len(repP.Cells), faulted)
+	}
+	if quarantined == 0 {
+		t.Fatal("no fault cell quarantined a run: injection did not happen")
 	}
 	for i := range repP.Cells {
 		if repP.Cells[i].Fingerprint != repL.Cells[i].Fingerprint {

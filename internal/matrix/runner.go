@@ -38,14 +38,15 @@ type CellProgress struct {
 }
 
 // Runner executes a scenario matrix: cells expand deterministically,
-// execute concurrently (each cell is one campaign; plain single-core
-// cells additionally fan their runs out through the fabric pool), and
+// execute concurrently (each cell is one campaign; single-core cells
+// additionally fan their runs out through the fabric pool), and
 // deduplicate simulation through the content-addressed run cache.
 type Runner struct {
-	// Pool, when non-nil, executes plain cells' runs on the fabric's
-	// executor pool. Cells with fault injection or co-runners always
-	// execute locally (the fault layer and co-simulated boards are not
-	// pool-schedulable).
+	// Pool, when non-nil, executes single-core cells' runs on the
+	// fabric's executor pool, fault-injected cells included (on its
+	// in-process executors). Co-runner cells execute locally: the pool
+	// builds a fresh board per lease, and a co-simulated board
+	// re-records its co-runner traces on its first run.
 	Pool *fabric.Pool
 	// Cache, when non-nil, deduplicates simulation across cells and
 	// across matrix invocations.
@@ -56,9 +57,6 @@ type Runner struct {
 	// Cells sharing a simulation key serialize on the cache's key lock
 	// regardless, so the second one replays what the first simulated.
 	CellParallel int
-	// Parallel is the per-cell worker parallelism for locally executed
-	// cells (default: the engine's default).
-	Parallel int
 	// Progress, when non-nil, receives streamed per-cell notifications.
 	// It is called from multiple goroutines; the callback must be
 	// thread-safe.
@@ -174,16 +172,6 @@ func (r *Runner) runCell(ctx context.Context, reg *fabric.Registry, cell Cell) C
 		return fail(err)
 	}
 
-	opts := []mbpta.CampaignOption{
-		mbpta.WithRuns(cell.Runs),
-		mbpta.WithBatchSize(cell.Batch),
-		mbpta.WithBaseSeed(cell.BaseSeed),
-		mbpta.WithStopRule(rule),
-		mbpta.WithAnalyzerOptions(mbpta.Options{Alpha: cell.Analysis.Alpha, BlockSize: cell.Analysis.BlockSize}),
-	}
-	if cell.RunTimeoutMS > 0 {
-		opts = append(opts, mbpta.WithRunTimeout(time.Duration(cell.RunTimeoutMS)*time.Millisecond))
-	}
 	var entry *Entry
 	if r.Cache != nil {
 		entry, err = r.Cache.Acquire(simCell)
@@ -191,28 +179,10 @@ func (r *Runner) runCell(ctx context.Context, reg *fabric.Registry, cell Cell) C
 			return fail(err)
 		}
 		defer entry.Close()
-		opts = append(opts, mbpta.WithRunCache(entry.Lookup), mbpta.WithJournalSink(entry.Journal()))
 	}
-	plain := cell.FaultRate == 0 && cell.Cores == 1
-	switch {
-	case cell.FaultRate > 0:
-		opts = append(opts, mbpta.WithFaultInjection(mbpta.FaultConfig{
-			Rate:       cell.FaultRate,
-			Mitigation: cell.Mitigation,
-			Hazard:     cell.Hazard,
-		}))
-	case cell.Cores > 1:
-		co := make([]mbpta.Workload, cell.Cores-1)
-		for i := range co {
-			co[i] = experiments.StreamerWorkload{Lines: 1024}
-		}
-		opts = append(opts, mbpta.WithCoRunners(co...))
-	}
-	if plain && r.Pool != nil {
-		opts = append(opts, mbpta.WithExecutorPool(r.Pool))
-	} else if r.Parallel > 0 {
-		opts = append(opts, mbpta.WithParallelism(r.Parallel))
-	}
+	opts := append(r.execOptions(cell, entry),
+		mbpta.WithStopRule(rule),
+		mbpta.WithAnalyzerOptions(mbpta.Options{Alpha: cell.Analysis.Alpha, BlockSize: cell.Analysis.BlockSize}))
 
 	rep, err := mbpta.Campaign(ctx, cfg, w, opts...)
 	if err != nil {
@@ -246,38 +216,22 @@ func (r *Runner) runCell(ctx context.Context, reg *fabric.Registry, cell Cell) C
 	return res
 }
 
-// leakGate runs a leak cell's second campaign — the secret-1 variant,
-// measure-only, same seed schedule — and gates the two timing
-// distributions against each other with the nine-decile quantile gate.
-func (r *Runner) leakGate(ctx context.Context, reg *fabric.Registry, cfg mbpta.PlatformConfig, cell Cell, primary *mbpta.CampaignReport, res *CellResult) error {
-	variant, err := cell.withSecret(1)
-	if err != nil {
-		return err
-	}
-	w, err := reg.Build(variant.Workload)
-	if err != nil {
-		return err
-	}
+// execOptions are the campaign options that fix how a cell's runs are
+// measured and where they execute: budget, batching and seeds, the run
+// timeout, the run cache entry (nil = none), fault injection or
+// co-runners, and the pool for single-core cells.
+func (r *Runner) execOptions(cell Cell, entry *Entry) []mbpta.CampaignOption {
 	opts := []mbpta.CampaignOption{
 		mbpta.WithRuns(cell.Runs),
 		mbpta.WithBatchSize(cell.Batch),
 		mbpta.WithBaseSeed(cell.BaseSeed),
-		mbpta.MeasureOnly(),
 	}
 	if cell.RunTimeoutMS > 0 {
 		opts = append(opts, mbpta.WithRunTimeout(time.Duration(cell.RunTimeoutMS)*time.Millisecond))
 	}
-	var entry *Entry
-	if r.Cache != nil {
-		if entry, err = r.Cache.Acquire(variant); err != nil {
-			return err
-		}
-		defer entry.Close()
+	if entry != nil {
 		opts = append(opts, mbpta.WithRunCache(entry.Lookup), mbpta.WithJournalSink(entry.Journal()))
 	}
-	// Mirror the primary campaign's execution shape so the two variants
-	// differ in nothing but the secret.
-	plain := cell.FaultRate == 0 && cell.Cores == 1
 	switch {
 	case cell.FaultRate > 0:
 		opts = append(opts, mbpta.WithFaultInjection(mbpta.FaultConfig{
@@ -292,11 +246,34 @@ func (r *Runner) leakGate(ctx context.Context, reg *fabric.Registry, cfg mbpta.P
 		}
 		opts = append(opts, mbpta.WithCoRunners(co...))
 	}
-	if plain && r.Pool != nil {
+	if r.Pool != nil && cell.Cores == 1 {
 		opts = append(opts, mbpta.WithExecutorPool(r.Pool))
-	} else if r.Parallel > 0 {
-		opts = append(opts, mbpta.WithParallelism(r.Parallel))
 	}
+	return opts
+}
+
+// leakGate runs a leak cell's second campaign — the secret-1 variant,
+// measure-only, same seed schedule — and gates the two timing
+// distributions against each other with the nine-decile quantile gate.
+func (r *Runner) leakGate(ctx context.Context, reg *fabric.Registry, cfg mbpta.PlatformConfig, cell Cell, primary *mbpta.CampaignReport, res *CellResult) error {
+	variant, err := cell.withSecret(1)
+	if err != nil {
+		return err
+	}
+	w, err := reg.Build(variant.Workload)
+	if err != nil {
+		return err
+	}
+	var entry *Entry
+	if r.Cache != nil {
+		if entry, err = r.Cache.Acquire(variant); err != nil {
+			return err
+		}
+		defer entry.Close()
+	}
+	// The primary campaign's execution shape, so the two variants differ
+	// in nothing but the secret.
+	opts := append(r.execOptions(cell, entry), mbpta.MeasureOnly())
 	rep, err := mbpta.Campaign(ctx, cfg, w, opts...)
 	if err != nil {
 		return err

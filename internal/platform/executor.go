@@ -40,15 +40,12 @@ func (mc *Multicore) ExecuteRun(ctx context.Context, w Workload, run int, seed u
 
 // ExecPolicy bundles the per-run resilience knobs shared by the
 // streaming engine and the distributed campaign fabric: an optional
-// substitute executor (the fault-injection layer), a per-attempt
-// wall-clock bound, and a bounded seed-preserving retry policy.
+// run cache, a per-attempt wall-clock bound, and a bounded
+// seed-preserving retry policy.
 type ExecPolicy struct {
-	// Runner substitutes the per-run executor (nil = Board.ExecuteRun).
-	// A non-nil Runner requires single-core *Platform boards.
-	Runner RunFunc
 	// Cached, when non-nil, is consulted before any execution: a hit
-	// returns the memoized result of run and skips the board, the
-	// runner, timeouts and retries entirely. The platform protocol makes
+	// returns the memoized result of run and skips the board, timeouts
+	// and retries entirely. The platform protocol makes
 	// results a pure function of (workload, run, seed), so replaying a
 	// recorded result is indistinguishable from re-simulating it — this
 	// is the content-addressed run cache's entry point into both the
@@ -83,16 +80,6 @@ func ExecuteRun(ctx context.Context, board Board, w Workload, baseSeed uint64, r
 		}
 	}
 	seed := DeriveRunSeed(baseSeed, run)
-	exec := func(ctx context.Context) (RunResult, error) {
-		if pol.Runner != nil {
-			p, ok := board.(*Platform)
-			if !ok {
-				return RunResult{}, fmt.Errorf("platform: custom runners (fault injection) require single-core boards, got %T", board)
-			}
-			return pol.Runner(ctx, p, w, run, seed)
-		}
-		return board.ExecuteRun(ctx, w, run, seed)
-	}
 
 	attempts := pol.Retry.MaxAttempts
 	if attempts < 1 {
@@ -118,7 +105,7 @@ func ExecuteRun(ctx context.Context, board Board, w Workload, baseSeed uint64, r
 		if pol.RunTimeout > 0 {
 			attemptCtx, cancelAttempt = context.WithTimeout(ctx, pol.RunTimeout)
 		}
-		r, err := exec(attemptCtx)
+		r, err := board.ExecuteRun(attemptCtx, w, run, seed)
 		timedOut := cancelAttempt != nil && attemptCtx.Err() == context.DeadlineExceeded
 		if cancelAttempt != nil {
 			cancelAttempt()

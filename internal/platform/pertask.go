@@ -102,37 +102,6 @@ func (p *Platform) RunPerTask(w TaskAware, run int, runSeed uint64) (RunResult, 
 	}, jobs, nil
 }
 
-// PerTaskCampaign runs a protocol-compliant campaign of runs
-// measurements with per-task attribution: the result maps each task to
-// the concatenated per-job execution times across all runs (in run,
-// then activation order) — directly analyzable with the MBPTA pipeline
-// per task. Run i always uses seed DeriveRunSeed(baseSeed, i).
-func PerTaskCampaign(cfg Config, w TaskAware, runs int, baseSeed uint64) (map[string][]float64, error) {
-	if runs < 1 {
-		return nil, fmt.Errorf("platform: campaign needs >= 1 run, got %d", runs)
-	}
-	p, err := New(cfg)
-	if err != nil {
-		return nil, err
-	}
-	out := make(map[string][]float64)
-	for run := 0; run < runs; run++ {
-		_, jobs, err := p.RunPerTask(w, run, DeriveRunSeed(baseSeed, run))
-		if err != nil {
-			return nil, err
-		}
-		for task, times := range jobs {
-			if task == "(dispatcher)" {
-				continue
-			}
-			for _, t := range times {
-				out[task] = append(out[task], float64(t))
-			}
-		}
-	}
-	return out, nil
-}
-
 // PerTaskWorstCampaign is the per-task campaign a certification-grade
 // analysis actually uses: for each run, each task contributes its
 // WORST job time. Within one run consecutive jobs of a task share

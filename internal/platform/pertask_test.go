@@ -109,27 +109,6 @@ func TestRunPerTaskMatchesPlainRun(t *testing.T) {
 	}
 }
 
-func TestPerTaskCampaign(t *testing.T) {
-	app := tinyTVCA(t)
-	byTask, err := PerTaskCampaign(RAND(), app, 20, 5)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// 20 runs x activations per run.
-	if n := len(byTask["sensor-acq"]); n != 20*4 {
-		t.Errorf("sensor samples = %d, want 80", n)
-	}
-	if n := len(byTask["actuator-y"]); n != 20*1 {
-		t.Errorf("actuator-y samples = %d, want 20", n)
-	}
-	if _, ok := byTask["(dispatcher)"]; ok {
-		t.Error("dispatcher leaked into the campaign result")
-	}
-	if _, err := PerTaskCampaign(RAND(), app, 0, 0); err == nil {
-		t.Error("zero runs accepted")
-	}
-}
-
 // spanlessWorkload has no spans, to exercise validation.
 type spanlessWorkload struct{ *tvca.App }
 

@@ -37,14 +37,6 @@ var ErrWorkerPanic = errors.New("platform: worker panicked")
 // causes via errors.Join.
 var ErrDegraded = errors.New("platform: campaign degraded, worker restart budget exhausted")
 
-// RunFunc executes one measurement run on a worker's platform. It is
-// the per-run extension point of StreamCampaign: the default is
-// (*Platform).RunCtx; a fault-injection layer substitutes its own
-// executor. Implementations must derive all randomness from seed so the
-// campaign stays reproducible, and should return promptly once ctx is
-// canceled.
-type RunFunc func(ctx context.Context, p *Platform, w Workload, run int, seed uint64) (RunResult, error)
-
 // RetryPolicy bounds the re-execution of runs that fail with a genuine
 // error (worker fault, timeout) — not of quarantined runs, which are
 // valid outcomes. The zero value means fail fast (one attempt).
@@ -149,20 +141,16 @@ type StreamOptions struct {
 	// BaseSeed derives the per-run seeds; the same BaseSeed reproduces
 	// the campaign bit-for-bit.
 	BaseSeed uint64
-	// Runner substitutes the per-run executor (nil = Board.ExecuteRun,
-	// which it must behave like for a context that never fires). The
-	// fault-injection layer plugs in here; a non-nil Runner requires
-	// single-core *Platform boards.
-	Runner RunFunc
 	// NewBoard substitutes the worker-board factory (nil = a fresh
 	// single-core Platform built from the campaign's Config). The
 	// multicore campaign path plugs in here, building co-simulated
-	// Multicore boards; every board must honor the Board contract so
-	// results stay placement-independent.
+	// Multicore boards, and so does fault injection, decorating
+	// single-core boards (faults.Injector.NewBoard); every board must
+	// honor the Board contract so results stay placement-independent.
 	NewBoard func() (Board, error)
 	// Cached, when non-nil, short-circuits run execution with memoized
-	// results: a hit skips the board, the runner, timeouts and retries
-	// for that run. The scenario-matrix run cache plugs in here; see
+	// results: a hit skips the board, timeouts and retries for that
+	// run. The scenario-matrix run cache plugs in here; see
 	// ExecPolicy.Cached. Misses execute normally, so a partial cache
 	// extends a campaign instead of restarting it.
 	Cached func(run int) (RunResult, bool)
@@ -561,7 +549,7 @@ func StreamCampaign(ctx context.Context, cfg Config, w Workload, opts StreamOpti
 // execPolicy translates the campaign options into the shared per-run
 // execution policy (see ExecuteRun in executor.go).
 func (o StreamOptions) execPolicy() ExecPolicy {
-	pol := ExecPolicy{Runner: o.Runner, Cached: o.Cached, RunTimeout: o.RunTimeout, Retry: o.Retry}
+	pol := ExecPolicy{Cached: o.Cached, RunTimeout: o.RunTimeout, Retry: o.Retry}
 	if o.Telemetry != nil {
 		pol.counters = teleRetryCounters{reg: o.Telemetry}
 	}

@@ -271,8 +271,30 @@ func TestStreamPartialFinalBatch(t *testing.T) {
 	}
 }
 
+// fakeBoard is a Board whose runs are computed by the function itself,
+// so a test controls each run's result completely.
+type fakeBoard func(ctx context.Context, w Workload, run int, seed uint64) (RunResult, error)
+
+func (f fakeBoard) ExecuteRun(ctx context.Context, w Workload, run int, seed uint64) (RunResult, error) {
+	return f(ctx, w, run, seed)
+}
+
+// hookedBoards is a NewBoard factory: each board is a fresh RAND
+// platform whose runs go through hook, which may delegate to p.
+func hookedBoards(hook func(ctx context.Context, p *Platform, w Workload, run int, seed uint64) (RunResult, error)) func() (Board, error) {
+	return func() (Board, error) {
+		p, err := New(RAND())
+		if err != nil {
+			return nil, err
+		}
+		return fakeBoard(func(ctx context.Context, w Workload, run int, seed uint64) (RunResult, error) {
+			return hook(ctx, p, w, run, seed)
+		}), nil
+	}
+}
+
 func TestStreamCustomRunnerAndQuarantine(t *testing.T) {
-	// A substituted Runner fully controls the per-run result; runs it
+	// A substituted board fully controls the per-run result; runs it
 	// quarantines stay in the series but out of the measurements.
 	runner := func(ctx context.Context, p *Platform, w Workload, run int, seed uint64) (RunResult, error) {
 		r := RunResult{Cycles: uint64(1000 + run), Instructions: 1, Path: "p"}
@@ -282,7 +304,7 @@ func TestStreamCustomRunnerAndQuarantine(t *testing.T) {
 		return r, nil
 	}
 	c, err := StreamCampaign(context.Background(), RAND(), smallTVCA(t),
-		StreamOptions{MaxRuns: 10, BatchSize: 4, Parallel: 2, BaseSeed: 1, Runner: runner}, nil)
+		StreamOptions{MaxRuns: 10, BatchSize: 4, Parallel: 2, BaseSeed: 1, NewBoard: hookedBoards(runner)}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -324,7 +346,7 @@ func TestRunResilientRetriesTransientFailure(t *testing.T) {
 		return RunResult{Cycles: uint64(run)}, nil
 	}
 	c, err := StreamCampaign(context.Background(), RAND(), smallTVCA(t),
-		StreamOptions{MaxRuns: 6, BatchSize: 6, Parallel: 2, BaseSeed: 5, Runner: runner,
+		StreamOptions{MaxRuns: 6, BatchSize: 6, Parallel: 2, BaseSeed: 5, NewBoard: hookedBoards(runner),
 			Retry: RetryPolicy{MaxAttempts: 3}}, nil)
 	if err != nil {
 		t.Fatal(err)
@@ -335,17 +357,17 @@ func TestRunResilientRetriesTransientFailure(t *testing.T) {
 		}
 	}
 	if n := calls.Load(); n != 12 { // 6 runs x (1 failure + 1 success)
-		t.Errorf("%d runner calls, want 12", n)
+		t.Errorf("%d board calls, want 12", n)
 	}
 }
 
 func TestExecuteRunExhaustsRetries(t *testing.T) {
 	sentinel := errors.New("persistent fault")
-	runner := func(ctx context.Context, p *Platform, w Workload, run int, seed uint64) (RunResult, error) {
+	board := fakeBoard(func(ctx context.Context, w Workload, run int, seed uint64) (RunResult, error) {
 		return RunResult{}, sentinel
-	}
-	_, err := ExecuteRun(context.Background(), (*Platform)(nil), nil, 1, 4,
-		ExecPolicy{Runner: runner, Retry: RetryPolicy{MaxAttempts: 3}})
+	})
+	_, err := ExecuteRun(context.Background(), board, nil, 1, 4,
+		ExecPolicy{Retry: RetryPolicy{MaxAttempts: 3}})
 	if err == nil || !errors.Is(err, sentinel) {
 		t.Fatalf("err = %v, want wrapped sentinel", err)
 	}
@@ -355,19 +377,19 @@ func TestExecuteRunExhaustsRetries(t *testing.T) {
 }
 
 func TestExecuteRunTimeout(t *testing.T) {
-	// A runner that honors ctx must be cut off by RunTimeout and the
+	// A board that honors ctx must be cut off by RunTimeout and the
 	// failure classified as ErrRunTimeout after the retries run out.
 	var attempts atomic.Int64
-	runner := func(ctx context.Context, p *Platform, w Workload, run int, seed uint64) (RunResult, error) {
+	board := fakeBoard(func(ctx context.Context, w Workload, run int, seed uint64) (RunResult, error) {
 		attempts.Add(1)
 		<-ctx.Done()
 		return RunResult{}, ctx.Err()
-	}
+	})
 	start := time.Now()
-	_, err := ExecuteRun(context.Background(), (*Platform)(nil), nil, 1, 0,
-		ExecPolicy{Runner: runner, RunTimeout: 20 * time.Millisecond, Retry: RetryPolicy{MaxAttempts: 2}})
+	_, err := ExecuteRun(context.Background(), board, nil, 1, 0,
+		ExecPolicy{RunTimeout: 20 * time.Millisecond, Retry: RetryPolicy{MaxAttempts: 2}})
 	if err == nil {
-		t.Fatal("hung runner returned nil error")
+		t.Fatal("hung board returned nil error")
 	}
 	if !errors.Is(err, ErrRunTimeout) {
 		t.Errorf("errors.Is(err, ErrRunTimeout) = false: %v", err)
@@ -384,13 +406,13 @@ func TestExecuteRunTimeout(t *testing.T) {
 func TestExecuteRunCampaignCancelStopsRetries(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	var attempts atomic.Int64
-	runner := func(ctx context.Context, p *Platform, w Workload, run int, seed uint64) (RunResult, error) {
+	board := fakeBoard(func(ctx context.Context, w Workload, run int, seed uint64) (RunResult, error) {
 		attempts.Add(1)
 		cancel() // the campaign dies while this run is in flight
 		return RunResult{}, errors.New("boom")
-	}
-	_, err := ExecuteRun(ctx, (*Platform)(nil), nil, 1, 0,
-		ExecPolicy{Runner: runner, Retry: RetryPolicy{MaxAttempts: 5, Backoff: time.Hour}})
+	})
+	_, err := ExecuteRun(ctx, board, nil, 1, 0,
+		ExecPolicy{Retry: RetryPolicy{MaxAttempts: 5, Backoff: time.Hour}})
 	if err == nil {
 		t.Fatal("canceled run returned nil error")
 	}

@@ -234,7 +234,7 @@ func TestCancelFlushesCompletedRuns(t *testing.T) {
 	}
 	res, err := StreamCampaign(ctx, RAND(), app,
 		StreamOptions{MaxRuns: 1000, BatchSize: 100, Parallel: 4, BaseSeed: 2,
-			Runner: runner, Journal: j}, nil)
+			NewBoard: hookedBoards(runner), Journal: j}, nil)
 	if !errors.Is(err, ErrCanceled) {
 		t.Fatalf("err = %v, want ErrCanceled", err)
 	}
@@ -274,7 +274,7 @@ func TestResumeSkipsExecutedRuns(t *testing.T) {
 	firstRun.Store(1 << 30)
 	o := base
 	o.Resume = &ResumeState{StartBatch: 1, Delivered: 10, Prefix: append([]RunResult(nil), ref.Results[:13]...)}
-	o.Runner = func(ctx context.Context, p *Platform, w Workload, run int, seed uint64) (RunResult, error) {
+	o.NewBoard = hookedBoards(func(ctx context.Context, p *Platform, w Workload, run int, seed uint64) (RunResult, error) {
 		for {
 			cur := firstRun.Load()
 			if int64(run) >= cur || firstRun.CompareAndSwap(cur, int64(run)) {
@@ -282,7 +282,7 @@ func TestResumeSkipsExecutedRuns(t *testing.T) {
 			}
 		}
 		return p.RunCtx(ctx, w, run, seed)
-	}
+	})
 	var batches []Batch
 	reg := telemetry.New()
 	o.Telemetry = reg

@@ -223,6 +223,7 @@ func (s *Server) Submit(spec mbpta.CampaignSpec) (string, error) {
 // execute runs one campaign on the pool and records its outcome.
 func (s *Server) execute(c *campaign, cfg mbpta.PlatformConfig, w mbpta.Workload) {
 	opts := []mbpta.CampaignOption{
+		mbpta.WithExecutorPool(s.pool),
 		mbpta.WithTelemetry(c.tele),
 		mbpta.WithProgress(func(p mbpta.Progress) {
 			c.mu.Lock()
@@ -231,16 +232,12 @@ func (s *Server) execute(c *campaign, cfg mbpta.PlatformConfig, w mbpta.Workload
 		}),
 	}
 	if c.spec.FaultRate > 0 {
-		// The injection layer wraps the board's run loop and is not
-		// pool-schedulable; fault campaigns execute on local workers.
 		opts = append(opts, mbpta.WithFaultInjection(mbpta.FaultConfig{
 			Rate:       c.spec.FaultRate,
 			Mitigation: c.mitigation,
 			Hazard:     c.hazard,
 			Telemetry:  c.tele,
 		}))
-	} else {
-		opts = append(opts, mbpta.WithExecutorPool(s.pool))
 	}
 	if c.spec.Runs > 0 {
 		opts = append(opts, mbpta.WithRuns(c.spec.Runs))

@@ -312,18 +312,18 @@ func TestServiceAPIErrors(t *testing.T) {
 	}
 }
 
-// TestServiceFaultCampaign submits a mitigated fault campaign: it must
-// execute locally (the injection layer is not pool-schedulable), report
-// the outcome tallies, and match the fingerprint of the same campaign
-// run in-process.
+// TestServiceFaultCampaign: a mitigated fault campaign runs on the
+// daemon's executor pool, reports the outcome tallies, and fingerprints
+// exactly as the same campaign run directly on one local worker. That
+// holds on an ordinary pool and on a remote-only one with no remote
+// executor connected: fault campaigns are never leased to remote
+// executors, so the pool keeps in-process executors for them.
 func TestServiceFaultCampaign(t *testing.T) {
 	if testing.Short() {
 		t.Skip("runs measurement campaigns")
 	}
-	c := startService(t, fabric.Config{Executors: 2})
 	ctx, cancel := context.WithTimeout(context.Background(), 2*time.Minute)
 	defer cancel()
-
 	spec := mbpta.CampaignSpec{
 		Workload:    mbpta.WorkloadSpec{Kind: "crc32", Params: params(t, map[string]any{"Bytes": 512, "Seed": 7})},
 		Runs:        120,
@@ -333,39 +333,12 @@ func TestServiceFaultCampaign(t *testing.T) {
 		Mitigation:  "ecc",
 		Hazard:      "weibull",
 	}
-	id, err := c.Submit(ctx, spec)
-	if err != nil {
-		t.Fatal(err)
-	}
-	st, err := c.Wait(ctx, id, 25*time.Millisecond)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if st.State != "done" {
-		t.Fatalf("state %q (error %q)", st.State, st.Error)
-	}
-	rep, err := c.Report(ctx, id)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rep.FaultClean == 0 {
-		t.Error("fault campaign reports zero clean runs")
-	}
-	if rep.FaultClean+sumOutcomes(rep.FaultQuarantined) != 120 {
-		t.Errorf("outcome tallies do not add up: clean %d + quarantined %v != 120",
-			rep.FaultClean, rep.FaultQuarantined)
-	}
-	if sumOutcomes(rep.FaultMitigated) == 0 {
-		t.Error("ECC at rate 0.5 over 120 runs corrected nothing")
-	}
-
-	// Bit-identity with the same campaign run directly in-process.
 	w, err := fabric.BuiltinRegistry().Build(spec.Workload)
 	if err != nil {
 		t.Fatal(err)
 	}
 	local, err := mbpta.Campaign(ctx, mbpta.RANDPlatform(), w,
-		mbpta.WithRuns(120), mbpta.WithBaseSeed(42), mbpta.MeasureOnly(),
+		mbpta.WithRuns(120), mbpta.WithBaseSeed(42), mbpta.MeasureOnly(), mbpta.WithParallelism(1),
 		mbpta.WithFaultInjection(mbpta.FaultConfig{
 			Rate:       0.5,
 			Mitigation: mbpta.Mitigation{Kind: mbpta.MitigationECC},
@@ -374,8 +347,45 @@ func TestServiceFaultCampaign(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if fp := local.Fingerprint(); fp != st.Fingerprint {
-		t.Errorf("service fingerprint %q != local %q", st.Fingerprint, fp)
+
+	for _, tc := range []struct {
+		name string
+		pool fabric.Config
+	}{
+		{"in-process", fabric.Config{Executors: 2}},
+		{"remote-only", fabric.Config{Executors: -1}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			c := startService(t, tc.pool)
+			id, err := c.Submit(ctx, spec)
+			if err != nil {
+				t.Fatal(err)
+			}
+			st, err := c.Wait(ctx, id, 25*time.Millisecond)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if st.State != "done" {
+				t.Fatalf("state %q (error %q)", st.State, st.Error)
+			}
+			rep, err := c.Report(ctx, id)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if rep.FaultClean == 0 {
+				t.Error("fault campaign reports zero clean runs")
+			}
+			if rep.FaultClean+sumOutcomes(rep.FaultQuarantined) != 120 {
+				t.Errorf("outcome tallies do not add up: clean %d + quarantined %v != 120",
+					rep.FaultClean, rep.FaultQuarantined)
+			}
+			if sumOutcomes(rep.FaultMitigated) == 0 {
+				t.Error("ECC at rate 0.5 over 120 runs corrected nothing")
+			}
+			if fp := local.Fingerprint(); fp != st.Fingerprint {
+				t.Errorf("service fingerprint %q != local %q", st.Fingerprint, fp)
+			}
+		})
 	}
 }
 

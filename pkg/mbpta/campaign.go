@@ -79,7 +79,7 @@ type (
 	// RetryPolicy bounds per-run retries (see WithRetry).
 	RetryPolicy = platform.RetryPolicy
 	// BatchSink consumes ordered batches from the low-level streaming
-	// executor (advanced use; see StreamCampaign).
+	// executor (advanced use; see ExecutorPool).
 	BatchSink = platform.BatchSink
 	// Board is one simulated machine runs execute on (advanced use:
 	// StreamOptions.NewBoard and the campaign fabric).
@@ -258,6 +258,13 @@ func WithQuantileGate(alpha float64) CampaignOption {
 // measured series bit-identical to a campaign without injection. The
 // per-outcome tally appears in Progress snapshots and in
 // CampaignReport.Faults.
+//
+// Injection decorates the campaign's boards, so it composes with
+// WithExecutorPool: the pool's in-process executors run the decorated
+// boards (remote executors never take such a campaign) and the report
+// fingerprints as a local one does. cfg.Telemetry's upset counters
+// count executions, which on a pool can exceed the delivered runs; the
+// report's tally counts delivered runs only.
 func WithFaultInjection(cfg FaultConfig) CampaignOption {
 	return func(c *campaignConfig) { c.faults = &cfg }
 }
@@ -355,9 +362,11 @@ func WithTelemetry(reg *Telemetry) CampaignOption {
 // executors with fair scheduling and bounded backpressure. The merge
 // path preserves bit-identity — the report's fingerprint equals that
 // of a single-process campaign with the same seed and budget.
-// WithParallelism, WithRetry, WithRunTimeout and WithSupervision are
-// pool-side concerns and are ignored under a pool; Resume on a pool is
-// not supported (resume locally, the journal format is identical).
+// WithFaultInjection campaigns run on the pool's in-process executors
+// only; WithCoRunners is rejected. WithParallelism and WithSupervision
+// are pool-side concerns and are ignored under a pool, as is WithRetry
+// on remote executors; Resume on a pool is not supported (resume
+// locally, the journal format is identical).
 func WithExecutorPool(pool ExecutorPool) CampaignOption {
 	return func(c *campaignConfig) { c.pool = pool }
 }
@@ -369,7 +378,7 @@ func WithExecutorPool(pool ExecutorPool) CampaignOption {
 // DeriveRunSeed(base, i) regardless of parallelism — so multicore
 // campaigns compose with journaling, stop rules and progress exactly
 // like single-core ones. Incompatible with WithFaultInjection (the SEU
-// injector targets single-core boards).
+// injector targets single-core boards) and with WithExecutorPool.
 func WithCoRunners(coRunners ...Workload) CampaignOption {
 	return func(c *campaignConfig) { c.coRunners = coRunners }
 }
@@ -579,11 +588,12 @@ func (c *campaignConfig) validate() error {
 	if c.faults != nil && len(c.coRunners) > 0 {
 		return errors.New("mbpta: WithFaultInjection targets single-core boards and is incompatible with WithCoRunners")
 	}
+	// The pool builds a fresh board per lease, and a fresh Multicore
+	// board re-records its co-runner traces into a large preallocated
+	// buffer: co-runner campaigns stay local until that buffer grows on
+	// demand.
 	if c.pool != nil && len(c.coRunners) > 0 {
 		return errors.New("mbpta: WithCoRunners is not supported on an executor pool")
-	}
-	if c.pool != nil && c.faults != nil {
-		return errors.New("mbpta: WithFaultInjection is not supported on an executor pool")
 	}
 	if c.journal != "" && c.journalSink != nil {
 		return errors.New("mbpta: WithJournal and WithJournalSink are mutually exclusive")
@@ -644,7 +654,7 @@ func (c *campaignConfig) execute(ctx context.Context, cfg PlatformConfig, w Work
 		if ierr != nil {
 			return nil, ierr
 		}
-		so.Runner = inj.Runner()
+		so.NewBoard = inj.NewBoard(cfg)
 	}
 	var camp *CampaignResult
 	var err error
@@ -698,18 +708,7 @@ func (c *campaignConfig) report(camp *CampaignResult, online *core.OnlineAnalyze
 	if inj != nil {
 		// Only the injector knows how many Poisson draws hit the fault
 		// cap — the truncation is invisible in the per-run results.
-		rep.Faults.ClampedRuns = inj.ClampedRuns()
+		rep.Faults.ClampedRuns = inj.ClampedRuns(c.seed, len(camp.Results))
 	}
 	return rep
-}
-
-// StreamCampaign exposes the low-level batch executor for callers that
-// want custom per-batch processing instead of the built-in incremental
-// analysis; see Campaign for the common flow.
-func StreamCampaign(ctx context.Context, cfg PlatformConfig, w Workload, opts StreamOptions, sink func(StreamBatch) (bool, error)) (*CampaignResult, error) {
-	var psink platform.BatchSink
-	if sink != nil {
-		psink = func(b platform.Batch) (bool, error) { return sink(b) }
-	}
-	return platform.StreamCampaign(ctx, cfg, w, opts, psink)
 }

@@ -7,6 +7,7 @@ import (
 	"net"
 	"path/filepath"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -160,6 +161,97 @@ func TestFingerprintParityAcrossExecutionModes(t *testing.T) {
 		}
 		if got := rep.Fingerprint(); got != refFP {
 			t.Fatalf("resumed fingerprint diverges:\n got %s\nwant %s", got, refFP)
+		}
+	})
+}
+
+// TestFaultFingerprintParityAcrossExecutionModes: a mitigated (ECC)
+// fault campaign fingerprints identically on (a) one local worker, (b)
+// the in-process fabric, and (c) a remote-only fabric with a remote
+// executor connected. Fault injection decorates the boards, which a
+// remote executor cannot rebuild from the spec, so (c) must run the
+// whole campaign on the pool's in-process executors: the remote
+// executor may not build the workload even once, while a plain
+// campaign on the same pool afterwards does reach it.
+func TestFaultFingerprintParityAcrossExecutionModes(t *testing.T) {
+	app := specApp(t)
+	ctx := context.Background()
+	faultOpts := func(extra ...mbpta.CampaignOption) []mbpta.CampaignOption {
+		return parityOpts(append(extra, mbpta.WithFaultInjection(mbpta.FaultConfig{
+			Rate:       0.5,
+			Mitigation: mbpta.Mitigation{Kind: mbpta.MitigationECC},
+		}))...)
+	}
+
+	// (a) Single-process, one worker: the ground truth.
+	ref, err := mbpta.Campaign(ctx, mbpta.RANDPlatform(), app, faultOpts(mbpta.WithParallelism(1))...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if ref.Faults.Injected == 0 || ref.Faults.MitigatedTotal() == 0 {
+		t.Fatalf("reference campaign injected or corrected nothing: %s", ref.Faults)
+	}
+	refFP := ref.Fingerprint()
+
+	// (b) In-process fabric, several executors.
+	t.Run("fabric-in-process", func(t *testing.T) {
+		pool := fabric.NewPool(fabric.Config{Executors: 4})
+		defer pool.Close()
+		rep, err := mbpta.Campaign(ctx, mbpta.RANDPlatform(), app, faultOpts(mbpta.WithExecutorPool(pool))...)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := rep.Fingerprint(); got != refFP {
+			t.Fatalf("fabric fingerprint diverges:\n got %s\nwant %s", got, refFP)
+		}
+	})
+
+	// (c) Remote-only fabric with a remote executor connected.
+	t.Run("fabric-remote-executor", func(t *testing.T) {
+		pool := fabric.NewPool(fabric.Config{Executors: -1})
+		defer pool.Close()
+		ln, err := net.Listen("tcp", "127.0.0.1:0")
+		if err != nil {
+			t.Fatal(err)
+		}
+		serveDone := make(chan struct{})
+		go func() {
+			defer close(serveDone)
+			pool.ServeExecutors(ln)
+		}()
+		defer func() { ln.Close(); <-serveDone }()
+
+		// The remote executor's registry counts the session specs it is
+		// sent: one workload build per session it serves a lease of.
+		var builds atomic.Int64
+		reg := fabric.NewRegistry()
+		reg.Register("tvca", func(params json.RawMessage) (mbpta.Workload, error) {
+			builds.Add(1)
+			return fabric.BuiltinRegistry().Build(fabric.WorkloadSpec{Kind: "tvca", Params: params})
+		})
+		execCtx, cancelExec := context.WithCancel(ctx)
+		execDone := make(chan struct{})
+		go func() {
+			defer close(execDone)
+			fabric.RunExecutor(execCtx, ln.Addr().String(), reg)
+		}()
+		defer func() { cancelExec(); <-execDone }()
+
+		rep, err := mbpta.Campaign(ctx, mbpta.RANDPlatform(), app, faultOpts(mbpta.WithExecutorPool(pool))...)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := rep.Fingerprint(); got != refFP {
+			t.Fatalf("remote-executor fabric fingerprint diverges:\n got %s\nwant %s", got, refFP)
+		}
+		if n := builds.Load(); n != 0 {
+			t.Fatalf("remote executor served leases of the fault campaign (%d session builds)", n)
+		}
+		if _, err := mbpta.Campaign(ctx, mbpta.RANDPlatform(), app, parityOpts(mbpta.WithExecutorPool(pool))...); err != nil {
+			t.Fatal(err)
+		}
+		if builds.Load() == 0 {
+			t.Fatal("remote executor never served the plain campaign: the check above proves nothing")
 		}
 	})
 }

@@ -253,40 +253,16 @@ type (
 	SchedTask = sched.Task
 )
 
-// PerTaskCampaign runs a protocol-compliant campaign with per-task
-// attribution: each task maps to its per-job execution times across
-// all runs. Note that consecutive jobs within one run are correlated
-// (shared warm cache state); for per-task MBPTA use
-// PerTaskWorstCampaign instead. Of the campaign options only WithRuns
-// and WithBaseSeed apply — per-task measurement is a serial,
-// instrumentation-heavy mode outside the streaming engine.
-func PerTaskCampaign(cfg PlatformConfig, w TaskAware, opts ...CampaignOption) (map[string][]float64, error) {
-	c := resolveCampaignConfig(opts)
-	return platform.PerTaskCampaign(cfg, w, c.runs, c.seed)
-}
-
 // PerTaskWorstCampaign maps each task to its per-run worst job time —
 // i.i.d. samples that conservatively cover every activation, the
 // per-task MBPTA input. Of the campaign options only WithRuns and
-// WithBaseSeed apply; see PerTaskCampaign.
+// WithBaseSeed apply — per-task measurement is a serial,
+// instrumentation-heavy mode outside the streaming engine. (The jobs
+// of one run share warm cache state and are correlated, which is why
+// only the per-run worst job enters the analysis.)
 func PerTaskWorstCampaign(cfg PlatformConfig, w TaskAware, opts ...CampaignOption) (map[string][]float64, error) {
 	c := resolveCampaignConfig(opts)
 	return platform.PerTaskWorstCampaign(cfg, w, c.runs, c.seed)
-}
-
-// Adaptive collection (the paper's protocol: measure until the tail
-// fit converges).
-type (
-	// AdaptiveOptions tunes the batch-and-refit collection loop.
-	AdaptiveOptions = platform.AdaptiveOptions
-	// AdaptiveResult is a campaign collected until convergence.
-	AdaptiveResult = platform.AdaptiveResult
-)
-
-// AdaptiveCampaign measures w in batches until the CRPS convergence
-// criterion allows stopping (or MaxRuns is reached).
-func AdaptiveCampaign(cfg PlatformConfig, w Workload, opts AdaptiveOptions) (*AdaptiveResult, error) {
-	return platform.AdaptiveCampaign(cfg, w, opts)
 }
 
 // ResponseTimes computes classical fixed-priority response-time

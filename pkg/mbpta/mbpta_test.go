@@ -7,6 +7,7 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/platform"
 	"repro/pkg/mbpta"
 )
 
@@ -247,24 +248,32 @@ func TestPerTaskWrappers(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	all, err := mbpta.PerTaskCampaign(mbpta.RANDPlatform(), app,
-		mbpta.WithRuns(10), mbpta.WithBaseSeed(2))
-	if err != nil {
-		t.Fatal(err)
-	}
 	worst, err := mbpta.PerTaskWorstCampaign(mbpta.RANDPlatform(), app,
 		mbpta.WithRuns(10), mbpta.WithBaseSeed(2))
 	if err != nil {
 		t.Fatal(err)
 	}
-	// 4 sensor jobs per run vs 1 worst sample per run.
-	if len(all["sensor-acq"]) != 40 || len(worst["sensor-acq"]) != 10 {
-		t.Errorf("campaign sizes: all=%d worst=%d",
-			len(all["sensor-acq"]), len(worst["sensor-acq"]))
+	// 1 worst sample per run.
+	if len(worst["sensor-acq"]) != 10 {
+		t.Errorf("worst campaign has %d sensor samples, want 10", len(worst["sensor-acq"]))
 	}
-	// The worst sample of a run upper-bounds that run's jobs.
-	if worst["sensor-acq"][0] < all["sensor-acq"][0] {
-		t.Error("worst sample below first job")
+	// The worst sample of a run upper-bounds each of that run's 4
+	// sensor jobs.
+	p, err := mbpta.NewPlatform(mbpta.RANDPlatform())
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, jobs, err := p.RunPerTask(app, 0, platform.DeriveRunSeed(2, 0))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(jobs["sensor-acq"]) != 4 {
+		t.Errorf("run 0 has %d sensor jobs, want 4", len(jobs["sensor-acq"]))
+	}
+	for i, j := range jobs["sensor-acq"] {
+		if float64(j) > worst["sensor-acq"][0] {
+			t.Errorf("sensor job %d (%d cycles) exceeds the run's worst sample %v", i, j, worst["sensor-acq"][0])
+		}
 	}
 }
 

@@ -85,9 +85,9 @@ type CampaignSpec struct {
 	QuantileGate  bool    `json:"quantile_gate,omitempty"`
 	QuantileAlpha float64 `json:"quantile_alpha,omitempty"`
 	// FaultRate attaches the deterministic SEU injector: expected
-	// upsets per run (Poisson), 0 = no injection. Fault campaigns
-	// execute on the service's local workers — the injection layer is
-	// not pool-schedulable.
+	// upsets per run (Poisson), 0 = no injection. Fault campaigns run
+	// on the service's executor pool, on its in-process executors
+	// (remote executors are never leased an injected campaign).
 	FaultRate float64 `json:"fault_rate,omitempty"`
 	// Mitigation names the fault-mitigation scheme under FaultRate
 	// ("none", "scrub", "ecc", "lockstep"; empty = none) and Hazard the
