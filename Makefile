@@ -27,18 +27,23 @@ check: staticcheck
 # matrix cells on the pool, clamp tallies independent of where runs
 # executed, the pWCET service HTTP API, the daemon's serve/join/shutdown
 # cycle, and the 120-concurrent-campaign stress test (fair scheduling +
-# admission backpressure).
+# admission backpressure). Pool and local campaigns share one session
+# engine: the fabric suite runs the supervision scenarios on the pool
+# (TestPoolSupervision*), and the crash-resume test resumes every kill
+# point on a pool as well as locally.
 service-check:
 	$(GO) test ./internal/fabric/ ./internal/pwcetd/ ./cmd/pwcetd/
-	$(GO) test -run 'TestFingerprintParityAcrossExecutionModes|TestFaultFingerprintParityAcrossExecutionModes' ./pkg/mbpta/
+	$(GO) test -run 'TestFingerprintParityAcrossExecutionModes|TestFaultFingerprintParityAcrossExecutionModes|TestJournalCrashResumeBitIdentical' ./pkg/mbpta/
 	$(GO) test -run 'TestClampedRunsCountDeliveredRuns' ./internal/faults/
 	$(GO) test -run 'TestRunnerWithFabricPool' ./internal/matrix/
 
 # End-to-end durability gate: journal a campaign, kill it mid-flight,
 # tear the journal tail, resume, and require a bit-identical report
-# (exits non-zero on any fingerprint mismatch).
+# (exits non-zero on any fingerprint mismatch); then resume every kill
+# point of the crash-resume test locally and on an executor pool.
 resume-check:
 	$(GO) run ./examples/resumable_campaign
+	$(GO) test -run 'TestJournalCrashResumeBitIdentical' ./pkg/mbpta/
 
 # Scenario-matrix cache gate: run a small matrix cold, re-run it after
 # an analysis-only tweak, and require zero re-simulated runs, >=90%
@@ -79,14 +84,15 @@ endif
 # the telemetry and fingerprint suites.
 # Fault campaigns run on the fabric pool too, so the fault parity test
 # (matched by 'Fingerprint') and the matrix's pooled fault cells are
-# race-checked alongside the fabric suite.
+# race-checked alongside the fabric suite, which includes the pool
+# supervision tests; the crash-resume test adds resume on a pool.
 # The repo-root Multicore goldens run under race as well: board reuse
 # keeps arbiter state alive across runs, so cross-run sharing bugs only
 # show up when the reused board's goroutine mode is race-checked.
 race:
 	$(GO) test -race ./internal/platform/ ./internal/rng/ ./internal/faults/ ./internal/telemetry/
 	$(GO) test -race ./internal/fabric/ ./internal/pwcetd/
-	$(GO) test -race -run 'Telemetry|Fingerprint|Mitigat' ./pkg/mbpta/
+	$(GO) test -race -run 'Telemetry|Fingerprint|Mitigat|TestJournalCrashResumeBitIdentical' ./pkg/mbpta/
 	$(GO) test -race -run 'TestRunnerWithFabricPool' ./internal/matrix/
 	$(GO) test -race -run 'TestMulticoreGolden' .
 

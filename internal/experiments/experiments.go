@@ -214,24 +214,7 @@ func (e *Env) wireJournal(so *platform.StreamOptions, state func() ([]byte, erro
 	}
 	so.Journal = j
 	so.Resume = &rs
-	if e.P.Telemetry != nil {
-		// Re-emit the journaled batches' event stream so a resumed
-		// campaign's telemetry matches an uninterrupted one.
-		reg, rsCopy, batch := e.P.Telemetry, rs, so.BatchSize
-		so.Replay = func() {
-			for i := 0; i < rsCopy.StartBatch; i++ {
-				start := i * batch
-				end := start + batch
-				if end > rsCopy.Delivered {
-					end = rsCopy.Delivered
-				}
-				platform.ReplayBatch(reg, platform.Batch{Index: i, Start: start, Results: rsCopy.Prefix[start:end]})
-				if publish != nil {
-					publish(i)
-				}
-			}
-		}
-	}
+	so.Replay = publish
 	return j.Close, nil
 }
 

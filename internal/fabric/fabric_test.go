@@ -131,10 +131,6 @@ func TestFabricRejectsUnsupportedOptions(t *testing.T) {
 	pool := NewPool(Config{Executors: 1})
 	defer pool.Close()
 	if _, err := pool.StreamCampaign(context.Background(), platform.RAND(), w,
-		platform.StreamOptions{MaxRuns: 5, Resume: &platform.ResumeState{}}, nil); err == nil {
-		t.Error("resume accepted")
-	}
-	if _, err := pool.StreamCampaign(context.Background(), platform.RAND(), w,
 		platform.StreamOptions{MaxRuns: 0}, nil); err == nil {
 		t.Error("zero runs accepted")
 	}

@@ -113,62 +113,61 @@ func (p *Pool) handleExecutor(conn net.Conn, stop <-chan struct{}) {
 	introduced := make(map[uint64]bool)
 
 	for {
-		l := p.acquireLease(remoteSessions, stop)
+		s, l := p.acquireLease(remoteSessions, stop, nil)
 		if l == nil {
 			return // pool closed
 		}
-		s := l.r.s
 		if !introduced[s.id] {
 			if err := writeJSONFrame(bw, kindSpec, s.spec); err != nil {
-				s.abandonLease(l)
+				l.Abandon()
 				return
 			}
 			introduced[s.id] = true
 		}
 		msg := leaseMsg{Session: s.id, Start: l.Start(), End: l.End()}
 		if err := writeJSONFrame(bw, kindLease, msg); err != nil {
-			s.abandonLease(l)
+			l.Abandon()
 			return
 		}
 		if err := bw.Flush(); err != nil {
-			s.abandonLease(l)
+			l.Abandon()
 			return
 		}
-		if !p.mergeLeaseResults(fr, l) {
+		if !mergeLeaseResults(fr, s.spec.BaseSeed, l) {
 			return // connection is gone; the lease was re-queued
 		}
 	}
 }
 
 // mergeLeaseResults reads one lease's worth of frames off the
-// connection, merging run records into the session. It returns false
-// when the connection died (the lease has been abandoned for re-queue).
-func (p *Pool) mergeLeaseResults(fr *wal.FrameReader, l *lease) bool {
-	s := l.r.s
+// connection, validating each run record (range, seed derived from
+// baseSeed) before it completes in the session. It returns false when
+// the connection died (the lease has been abandoned for re-queue).
+func mergeLeaseResults(fr *wal.FrameReader, baseSeed uint64, l *platform.Lease) bool {
 	for {
 		kind, payload, err := fr.Next()
 		if err != nil {
-			s.abandonLease(l)
+			l.Abandon()
 			return false
 		}
 		switch kind {
 		case wal.KindRun:
 			rec, err := wal.DecodeRunRecord(payload)
 			if err != nil {
-				s.failLease(l, fmt.Errorf("fabric: corrupt run record from executor: %w", err))
+				l.Fail(fmt.Errorf("fabric: corrupt run record from executor: %w", err))
 				return false
 			}
 			if rec.Run < l.Start() || rec.Run >= l.End() {
-				s.failLease(l, fmt.Errorf("fabric: executor returned run %d outside lease [%d,%d)",
+				l.Fail(fmt.Errorf("fabric: executor returned run %d outside lease [%d,%d)",
 					rec.Run, l.Start(), l.End()))
 				return false
 			}
-			if want := platform.DeriveRunSeed(s.opts.BaseSeed, rec.Run); rec.Seed != want {
-				s.failLease(l, fmt.Errorf("fabric: executor run %d used seed %#x, protocol requires %#x",
+			if want := platform.DeriveRunSeed(baseSeed, rec.Run); rec.Seed != want {
+				l.Fail(fmt.Errorf("fabric: executor run %d used seed %#x, protocol requires %#x",
 					rec.Run, rec.Seed, want))
 				return false
 			}
-			s.completeRun(rec.Run, platform.RunResult{
+			l.Complete(rec.Run, platform.RunResult{
 				Cycles:       rec.Cycles,
 				Instructions: rec.Instructions,
 				Path:         rec.Path,
@@ -176,7 +175,7 @@ func (p *Pool) mergeLeaseResults(fr *wal.FrameReader, l *lease) bool {
 				Faults:       rec.Faults,
 			})
 		case kindLeaseDone:
-			s.finishLease(l)
+			l.Finish()
 			return true
 		case kindLeaseFail:
 			var msg leaseFailMsg
@@ -184,11 +183,11 @@ func (p *Pool) mergeLeaseResults(fr *wal.FrameReader, l *lease) bool {
 			if json.Unmarshal(payload, &msg) == nil && msg.Error != "" {
 				reason = msg.Error
 			}
-			s.failLease(l, fmt.Errorf("fabric: executor failed lease [%d,%d): %s",
+			l.Fail(fmt.Errorf("fabric: executor failed lease [%d,%d): %s",
 				l.Start(), l.End(), reason))
 			return true
 		default:
-			s.failLease(l, fmt.Errorf("fabric: unexpected frame kind %#x from executor", kind))
+			l.Fail(fmt.Errorf("fabric: unexpected frame kind %#x from executor", kind))
 			return false
 		}
 	}

@@ -44,9 +44,10 @@ type CellProgress struct {
 type Runner struct {
 	// Pool, when non-nil, executes single-core cells' runs on the
 	// fabric's executor pool, fault-injected cells included (on its
-	// in-process executors). Co-runner cells execute locally: the pool
-	// builds a fresh board per lease, and a co-simulated board
-	// re-records its co-runner traces on its first run.
+	// in-process executors). Co-runner cells execute locally: a pool
+	// executor builds a fresh board whenever it switches sessions or
+	// idles, and a co-simulated board re-records its co-runner traces
+	// on its first run.
 	Pool *fabric.Pool
 	// Cache, when non-nil, deduplicates simulation across cells and
 	// across matrix invocations.

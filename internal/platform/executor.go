@@ -4,6 +4,8 @@ import (
 	"context"
 	"fmt"
 	"time"
+
+	"repro/internal/telemetry"
 )
 
 // Board is one simulated machine a worker executes measurement runs
@@ -39,46 +41,25 @@ func (mc *Multicore) ExecuteRun(ctx context.Context, w Workload, run int, seed u
 }
 
 // ExecPolicy bundles the per-run resilience knobs shared by the
-// streaming engine and the distributed campaign fabric: an optional
-// run cache, a per-attempt wall-clock bound, and a bounded
-// seed-preserving retry policy.
+// session engine's executors and remote executors: a per-attempt
+// wall-clock bound and a bounded seed-preserving retry policy.
 type ExecPolicy struct {
-	// Cached, when non-nil, is consulted before any execution: a hit
-	// returns the memoized result of run and skips the board, timeouts
-	// and retries entirely. The platform protocol makes
-	// results a pure function of (workload, run, seed), so replaying a
-	// recorded result is indistinguishable from re-simulating it — this
-	// is the content-addressed run cache's entry point into both the
-	// streaming engine and the campaign fabric.
-	Cached func(run int) (RunResult, bool)
 	// RunTimeout bounds each attempt; an attempt exceeding it fails with
 	// an error matching ErrRunTimeout. Zero means no per-run deadline.
 	RunTimeout time.Duration
 	// Retry re-executes failed attempts under the original seed.
 	Retry RetryPolicy
-	// counters receives retry/timeout tallies (nil-safe).
-	counters retryCounters
-}
-
-// retryCounters abstracts the telemetry sink of the retry loop so the
-// engine can pass its registry without ExecPolicy importing it.
-type retryCounters interface {
-	incTimeout()
-	incRetry()
+	// tele receives the retry/timeout tallies (nil: none).
+	tele *telemetry.Registry
 }
 
 // ExecuteRun executes one measurement run on board under pol: run's
 // seed is DeriveRunSeed(baseSeed, run), each attempt is bounded by
 // pol.RunTimeout, and failing attempts retry per pol.Retry with the
 // same seed — a retried run yields exactly the result a first-attempt
-// success would have. This is the per-run primitive the streaming
-// engine's workers and the fabric's executors share.
+// success would have. This is the per-run primitive in-process and
+// remote executors share.
 func ExecuteRun(ctx context.Context, board Board, w Workload, baseSeed uint64, run int, pol ExecPolicy) (RunResult, error) {
-	if pol.Cached != nil {
-		if r, ok := pol.Cached(run); ok {
-			return r, nil
-		}
-	}
 	seed := DeriveRunSeed(baseSeed, run)
 
 	attempts := pol.Retry.MaxAttempts
@@ -119,12 +100,10 @@ func ExecuteRun(ctx context.Context, board Board, w Workload, baseSeed uint64, r
 		}
 		if timedOut {
 			err = fmt.Errorf("%w: run %d exceeded %s: %v", ErrRunTimeout, run, pol.RunTimeout, err)
-			if pol.counters != nil {
-				pol.counters.incTimeout()
-			}
+			pol.tele.Counter("campaign_run_timeouts_total").Inc()
 		}
-		if a+1 < attempts && pol.counters != nil {
-			pol.counters.incRetry()
+		if a+1 < attempts {
+			pol.tele.Counter("campaign_run_retries_total").Inc()
 		}
 		lastErr = err
 	}

@@ -6,7 +6,6 @@ import (
 	"fmt"
 	"runtime"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"repro/internal/telemetry"
@@ -22,13 +21,13 @@ var ErrCanceled = errors.New("platform: campaign canceled")
 // error surfaces only once the attempts are exhausted.
 var ErrRunTimeout = errors.New("platform: run timed out")
 
-// ErrWorkerPanic reports that a worker panicked while executing a run.
-// The panic is recovered at the run boundary and — like a timeout —
-// handled by the supervision policy: the worker restarts on a fresh
-// board and the run is re-queued seed-preserved.
+// ErrWorkerPanic reports that an executor panicked while executing a
+// run. The panic is recovered at the run boundary and — like a timeout —
+// handled by the supervision policy: the executor restarts on a fresh
+// board and the run is re-leased seed-preserved.
 var ErrWorkerPanic = errors.New("platform: worker panicked")
 
-// ErrDegraded reports that a campaign gave up on its workers: the
+// ErrDegraded reports that a campaign gave up on its executors: the
 // consecutive-restart budget (SupervisionPolicy.MaxRestarts) was
 // exhausted without a successful run in between. A degraded campaign is
 // not a crash — the engine flushes every completed run to the journal
@@ -48,16 +47,17 @@ type RetryPolicy struct {
 	Backoff time.Duration
 }
 
-// SupervisionPolicy bounds worker restarts. A worker is restarted (on a
-// fresh board, with backoff, the in-flight run re-queued under its
-// original seed) when a run panics or times out past its retry budget;
-// other errors still fail the campaign immediately. The zero value
-// selects the defaults: 8 consecutive restarts, 10ms initial backoff.
-// MaxRestarts < 0 disables restarts entirely — a panic or exhausted
-// timeout then aborts the campaign like any other worker error.
+// SupervisionPolicy bounds executor restarts. An in-process executor —
+// of a local campaign or of a fabric pool — is restarted (on a fresh
+// board, with backoff, its lease re-queued under the original seeds)
+// when a run panics or times out past its retry budget; other errors
+// still fail the campaign immediately. The zero value selects the
+// defaults: 8 consecutive restarts, 10ms initial backoff. MaxRestarts
+// < 0 disables restarts entirely — a panic or exhausted timeout then
+// aborts the campaign like any other run error.
 type SupervisionPolicy struct {
 	// MaxRestarts is the number of consecutive restarts (across all
-	// workers, reset by any successful run) tolerated before the
+	// executors, reset by any completed run) tolerated before the
 	// campaign degrades with ErrDegraded. 0 selects 8; < 0 disables
 	// restarts.
 	MaxRestarts int
@@ -76,8 +76,8 @@ func (p SupervisionPolicy) withDefaults() SupervisionPolicy {
 	return p
 }
 
-// Journal persists a campaign's progress for crash recovery. The engine
-// drives it single-threaded from the batch barrier: LogRun for each
+// Journal persists a campaign's progress for crash recovery. The session
+// engine drives it single-threaded from its delivery loop: LogRun for each
 // newly completed run in run order, then Barrier after the sink has
 // observed the batch (the implementation checkpoints derived state and
 // makes everything durable). Flush is called instead of Barrier when
@@ -134,14 +134,16 @@ type StreamOptions struct {
 	// index, so the measured series is identical for any batch size —
 	// only the stop decision granularity changes.
 	BatchSize int
-	// Parallel is the number of worker platforms (0 = GOMAXPROCS).
-	// Parallelism does not affect results either: batches are barriers,
-	// so the sink always observes a complete, ordered prefix.
+	// Parallel is the number of in-process executors of a local
+	// campaign, each with its own board (0 = GOMAXPROCS; a pool ignores
+	// it). Parallelism does not affect results either: batches are
+	// delivered in run order, so the sink always observes a complete,
+	// ordered prefix.
 	Parallel int
 	// BaseSeed derives the per-run seeds; the same BaseSeed reproduces
 	// the campaign bit-for-bit.
 	BaseSeed uint64
-	// NewBoard substitutes the worker-board factory (nil = a fresh
+	// NewBoard substitutes the executor-board factory (nil = a fresh
 	// single-core Platform built from the campaign's Config). The
 	// multicore campaign path plugs in here, building co-simulated
 	// Multicore boards, and so does fault injection, decorating
@@ -149,10 +151,13 @@ type StreamOptions struct {
 	// honor the Board contract so results stay placement-independent.
 	NewBoard func() (Board, error)
 	// Cached, when non-nil, short-circuits run execution with memoized
-	// results: a hit skips the board, timeouts and retries for that
-	// run. The scenario-matrix run cache plugs in here; see
-	// ExecPolicy.Cached. Misses execute normally, so a partial cache
-	// extends a campaign instead of restarting it.
+	// results: an executor consults it before anything else, and a hit
+	// skips the board, timeouts and retries for that run (a lease the
+	// cache serves entirely builds no board). The platform protocol makes
+	// results a pure function of (workload, run, seed), so a recorded
+	// result is indistinguishable from a re-simulated one. The
+	// scenario-matrix run cache plugs in here. Misses execute normally,
+	// so a partial cache extends a campaign instead of restarting it.
 	Cached func(run int) (RunResult, bool)
 	// RunTimeout bounds each run attempt's wall-clock time; an attempt
 	// exceeding it fails with an error matching ErrRunTimeout and is
@@ -162,7 +167,7 @@ type StreamOptions struct {
 	// per-run seed, so a retry that succeeds yields the exact result the
 	// first attempt would have.
 	Retry RetryPolicy
-	// Supervise bounds worker restarts after panics and exhausted
+	// Supervise bounds executor restarts after panics and exhausted
 	// timeouts (see SupervisionPolicy; the zero value enables the
 	// defaults).
 	Supervise SupervisionPolicy
@@ -174,18 +179,21 @@ type StreamOptions struct {
 	// Resume primes the campaign with journaled progress; see
 	// ResumeState. Nil starts from run 0.
 	Resume *ResumeState
-	// Replay, when non-nil, runs right after the campaign_start event is
-	// emitted and before any run executes — the resume path uses it to
-	// re-emit the telemetry event stream of already-journaled batches so
-	// a resumed campaign's JSONL is byte-identical to an uninterrupted
-	// one.
-	Replay func()
+	// Replay completes the telemetry replay of a resumed campaign. With
+	// Resume and Telemetry set, the engine re-emits the run and batch
+	// events of every journaled batch right after campaign_start, before
+	// any run executes, and calls Replay (when non-nil) with each batch's
+	// index after them — the resume path re-emits the batch's analysis
+	// event there — so a resumed campaign's JSONL is byte-identical to an
+	// uninterrupted one.
+	Replay func(batch int)
 	// Telemetry attaches a metrics/event registry to the campaign. Nil
 	// disables telemetry entirely: the run loop is bit-identical and
-	// allocation-identical to an untelemetered campaign. When set, the
-	// engine harvests simulator and campaign instruments at each batch
-	// barrier and emits the structured event stream (campaign_start,
-	// run, batch, campaign_end) in deterministic order.
+	// allocation-identical to an untelemetered campaign. When set,
+	// in-process executors diff their board's simulator counters after
+	// each run, and the engine folds them and the campaign instruments in
+	// at each batch barrier and emits the structured event stream
+	// (campaign_start, run, batch, campaign_end) in deterministic order.
 	Telemetry *telemetry.Registry
 }
 
@@ -221,350 +229,70 @@ type Batch struct {
 // A nil sink streams to nobody (a plain fixed-size campaign).
 type BatchSink func(b Batch) (stop bool, err error)
 
-// supervisor tracks the consecutive-restart budget shared by all
-// workers of one campaign.
-type supervisor struct {
-	policy SupervisionPolicy
-	tele   *telemetry.Registry
-
-	consec atomic.Int64
-	mu     sync.Mutex
-	causes []error
-}
-
-func newSupervisor(p SupervisionPolicy, reg *telemetry.Registry) *supervisor {
-	return &supervisor{policy: p.withDefaults(), tele: reg}
-}
-
-// noteSuccess resets the consecutive-restart budget after any
-// successful run. The fast path (no restarts pending) is a single
-// atomic load.
-func (s *supervisor) noteSuccess() {
-	if s.consec.Load() == 0 {
-		return
-	}
-	s.consec.Store(0)
-	s.mu.Lock()
-	s.causes = nil
-	s.mu.Unlock()
-}
-
-// restartable reports whether a run failure is a supervision matter
-// (panic or exhausted timeout) rather than a campaign-fatal error.
-func (s *supervisor) restartable(err error) bool {
-	if s.policy.MaxRestarts < 0 {
-		return false
-	}
-	return errors.Is(err, ErrWorkerPanic) || errors.Is(err, ErrRunTimeout)
-}
-
-// allowRestart records the failure and charges the restart budget.
-// Returning false means the budget is exhausted: the campaign degrades.
-func (s *supervisor) allowRestart(wk, run int, err error) bool {
-	s.mu.Lock()
-	s.causes = append(s.causes, fmt.Errorf("worker %d, run %d: %w", wk, run, err))
-	s.mu.Unlock()
-	n := s.consec.Add(1)
-	if n > int64(s.policy.MaxRestarts) {
-		s.tele.Gauge("campaign_degraded").Set(1)
-		return false
-	}
-	s.tele.Counter("worker_restarts_total").Inc()
-	return true
-}
-
-// degradedCauses returns the recorded failures when the budget was
-// exhausted, nil otherwise.
-func (s *supervisor) degradedCauses() []error {
-	if s.consec.Load() <= int64(s.policy.MaxRestarts) {
-		return nil
-	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return append([]error(nil), s.causes...)
-}
-
-// backoff sleeps before a restart (doubling per consecutive restart,
-// capped at 1s); returns false if ctx fires first.
-func (s *supervisor) backoff(ctx context.Context) bool {
-	d := s.policy.Backoff
-	if n := s.consec.Load(); n > 1 {
-		shift := n - 1
-		if shift > 10 {
-			shift = 10
-		}
-		d <<= shift
-	}
-	if d > time.Second {
-		d = time.Second
-	}
-	t := time.NewTimer(d)
-	defer t.Stop()
-	select {
-	case <-ctx.Done():
-		return false
-	case <-t.C:
-		return true
-	}
-}
-
 // StreamCampaign executes a measurement campaign in deterministic
-// batches: workers run a batch in parallel, the batch completes as a
-// barrier, and the sink observes the ordered prefix collected so far —
-// the primitive behind convergence-driven early stopping. The protocol
-// guarantees of RunCampaign carry over: run i always uses
-// DeriveRunSeed(BaseSeed, i), so neither Parallel nor BatchSize can
-// change the measured series.
+// batches on a private session (see Session) served by Parallel
+// in-process executors, and hands each completed batch to the sink in
+// run order — the primitive behind convergence-driven early stopping.
+// Run i always uses DeriveRunSeed(BaseSeed, i), so neither Parallel nor
+// BatchSize can change the measured series. The executors split each
+// batch into leases and never run ahead of the batch being delivered,
+// so a campaign the sink stops executes exactly its delivered batches.
+// Each executor keeps one board, built up front, for the whole
+// campaign (PrepareRun resets every stateful resource, so reuse is
+// protocol-compliant).
 //
-// On the first worker error the remaining workers stop at their next
-// run boundary and the error is returned; when several workers fail,
-// all distinct errors are reported via errors.Join. Panics and
-// exhausted timeouts are supervision matters instead (see
-// SupervisionPolicy): the worker restarts on a fresh board and the run
-// re-executes under its original seed, so a recovered hiccup leaves no
-// trace in the measured series. Context cancellation stops the workers
-// promptly; the completed contiguous run prefix of the current batch is
-// flushed to the journal and returned as a partial result alongside an
-// error matching errors.Is(err, ErrCanceled). A campaign that exhausts
-// its restart budget ends the same way with ErrDegraded.
+// On the first run error the executors stop at their next run boundary
+// and the error is returned; when several fail, all distinct errors are
+// reported via errors.Join. Panics and exhausted timeouts are
+// supervision matters instead (see SupervisionPolicy): the executor
+// restarts on a fresh board and the run re-executes under its original
+// seed, so a recovered hiccup leaves no trace in the measured series.
+// Context cancellation stops the executors promptly; the completed
+// contiguous run prefix of the current batch is flushed to the journal
+// and returned as a partial result alongside an error matching
+// errors.Is(err, ErrCanceled). A campaign that exhausts its restart
+// budget ends the same way with ErrDegraded.
 func StreamCampaign(ctx context.Context, cfg Config, w Workload, opts StreamOptions, sink BatchSink) (*CampaignResult, error) {
-	if opts.MaxRuns < 1 {
-		return nil, fmt.Errorf("platform: campaign needs >= 1 run, got %d", opts.MaxRuns)
+	s, err := openSession(ctx, cfg, w, opts)
+	if err != nil {
+		return nil, err
 	}
-	o := opts.withDefaults()
+	defer s.cancel()
+	s.split, s.paced, s.wake = 2*s.o.Parallel, true, s.cond.Broadcast
+	s.limit = min(s.nextCarve+s.o.BatchSize, s.limit)
 
-	executed, delivered, batch0 := 0, 0, 0
-	if o.Resume != nil {
-		if err := o.Resume.validate(o); err != nil {
-			return nil, err
-		}
-		executed = len(o.Resume.Prefix)
-		delivered = o.Resume.Delivered
-		batch0 = o.Resume.StartBatch
-		o.Telemetry.Counter("campaign_resumes_total").Inc()
-	}
-
-	// One board per worker, reused across batches: PrepareRun resets
-	// every stateful resource, so reuse is protocol-compliant. A
-	// supervised restart swaps in a fresh board.
-	newBoard := o.NewBoard
-	if newBoard == nil {
-		newBoard = func() (Board, error) { return New(cfg) }
-	}
-	boards := make([]Board, o.Parallel)
-	for i := range boards {
-		b, err := newBoard()
+	executors := make([]Executor, s.o.Parallel)
+	for i := range executors {
+		b, err := s.newBoard()
 		if err != nil {
 			return nil, err
 		}
-		boards[i] = b
+		executors[i].s = s
+		executors[i].adopt(b)
 	}
-
-	runCtx, cancel := context.WithCancel(ctx)
-	defer cancel()
-	sup := newSupervisor(o.Supervise, o.Telemetry)
-	pol := o.execPolicy()
-
-	var tele *streamTele
-	if o.Telemetry != nil {
-		tele = newStreamTele(o.Telemetry, boards, o, cfg.Name, w.Name())
-	}
-	if o.Replay != nil {
-		o.Replay()
-	}
-
-	res := &CampaignResult{
-		Platform: cfg.Name,
-		Workload: w.Name(),
-		Results:  make([]RunResult, 0, o.MaxRuns),
-	}
-	if o.Resume != nil {
-		res.Results = append(res.Results, o.Resume.Prefix...)
-	}
-
-	// finishPartial journals and returns the contiguous completed prefix
-	// when the campaign ends mid-batch (cancellation or degradation).
-	finishPartial := func(total, journaledFrom int) error {
-		res.Results = res.Results[:total]
-		if o.Journal == nil {
-			return nil
-		}
-		for run := journaledFrom; run < total; run++ {
-			if err := o.Journal.LogRun(run, DeriveRunSeed(o.BaseSeed, run), res.Results[run]); err != nil {
-				return fmt.Errorf("platform: journal: %w", err)
+	var wg sync.WaitGroup
+	for i := range executors {
+		wg.Add(1)
+		go func(e *Executor) {
+			defer wg.Done()
+			for l := s.waitLease(); l != nil; l = s.waitLease() {
+				e.Run(l)
 			}
-		}
-		if err := o.Journal.Flush(); err != nil {
-			return fmt.Errorf("platform: journal: %w", err)
-		}
-		return nil
+		}(&executors[i])
 	}
-
-	stopped := o.Resume != nil && o.Resume.Stopped
-	for batch := batch0; delivered < o.MaxRuns && !stopped; batch++ {
-		start := delivered
-		batchStart := time.Now()
-		n := o.BatchSize
-		if start+n > o.MaxRuns {
-			n = o.MaxRuns - start
-		}
-		end := start + n
-		if len(res.Results) < end {
-			res.Results = res.Results[:end]
-		}
-		out := res.Results[start:end]
-		// filled counts results this batch inherits from the resume
-		// prefix (a cancellation-flushed tail): they are not re-executed.
-		filled := executed - start
-		if filled < 0 {
-			filled = 0
-		}
-		if filled > n {
-			filled = n
-		}
-		done := make([]bool, n)
-		for i := 0; i < filled; i++ {
-			done[i] = true
-		}
-
-		next := make(chan int, n-filled)
-		for i := filled; i < n; i++ {
-			next <- start + i
-		}
-		close(next)
-
-		errs := make([]error, len(boards))
-		var wg sync.WaitGroup
-		for wk := range boards {
-			wg.Add(1)
-			go func(wk int) {
-				defer wg.Done()
-				pending := -1 // re-queued run after a supervised restart
-				for {
-					run := pending
-					pending = -1
-					if run < 0 {
-						r, ok := <-next
-						if !ok {
-							return
-						}
-						run = r
-					}
-					if runCtx.Err() != nil {
-						return
-					}
-					r, err := SafeExecuteRun(runCtx, boards[wk], w, o.BaseSeed, run, pol)
-					if err == nil {
-						out[run-start] = r
-						done[run-start] = true
-						sup.noteSuccess()
-						continue
-					}
-					if runCtx.Err() != nil {
-						return // campaign is already ending
-					}
-					if !sup.restartable(err) {
-						errs[wk] = err
-						cancel() // stop the other workers at their next run boundary
-						return
-					}
-					if !sup.allowRestart(wk, run, err) {
-						cancel() // degraded: end the campaign at the barrier
-						return
-					}
-					if !sup.backoff(runCtx) {
-						return
-					}
-					fresh, err := newBoard()
-					if err != nil {
-						errs[wk] = fmt.Errorf("platform: worker %d restart: %w", wk, err)
-						cancel()
-						return
-					}
-					boards[wk] = fresh
-					pending = run // re-queue seed-preserved
-				}
-			}(wk)
-		}
-		wg.Wait()
-
-		// k is the contiguous completed prefix of this batch — the only
-		// part that is usable (and journalable) if the campaign ends here.
-		k := 0
-		for k < n && done[k] {
-			k++
-		}
-		journaledFrom := start + filled
-
-		if err := ctx.Err(); err != nil {
-			if ferr := finishPartial(start+k, journaledFrom); ferr != nil {
-				return nil, ferr
-			}
-			return res, fmt.Errorf("%w after %d runs: %w", ErrCanceled, start+k, err)
-		}
-		if causes := sup.degradedCauses(); causes != nil {
-			if ferr := finishPartial(start+k, journaledFrom); ferr != nil {
-				return nil, ferr
-			}
-			return res, fmt.Errorf("%w after %d runs: %w", ErrDegraded, start+k, errors.Join(causes...))
-		}
-		if err := joinDistinct(errs); err != nil {
-			return nil, err
-		}
-
-		if executed < end {
-			executed = end
-		}
-		if o.Journal != nil {
-			for run := journaledFrom; run < end; run++ {
-				if err := o.Journal.LogRun(run, DeriveRunSeed(o.BaseSeed, run), out[run-start]); err != nil {
-					return nil, fmt.Errorf("platform: journal: %w", err)
-				}
-			}
-		}
-		b := Batch{Index: batch, Start: start, Results: out}
-		if tele != nil {
-			tele.observeBatch(b, boards, time.Since(batchStart))
-		}
-		if sink != nil {
-			stop, err := sink(b)
-			if err != nil {
-				return nil, err
-			}
-			stopped = stop
-		}
-		if o.Journal != nil {
-			if err := o.Journal.Barrier(b); err != nil {
-				return nil, fmt.Errorf("platform: journal: %w", err)
-			}
-		}
-		delivered = end
-	}
-	if tele != nil {
-		tele.finish(len(res.Results), stopped)
-	}
-	return res, nil
+	res, err := s.Run(sink)
+	wg.Wait()
+	return res, err
 }
 
-// execPolicy translates the campaign options into the shared per-run
+// execPolicy translates the campaign options into the per-run
 // execution policy (see ExecuteRun in executor.go).
 func (o StreamOptions) execPolicy() ExecPolicy {
-	pol := ExecPolicy{Cached: o.Cached, RunTimeout: o.RunTimeout, Retry: o.Retry}
-	if o.Telemetry != nil {
-		pol.counters = teleRetryCounters{reg: o.Telemetry}
-	}
-	return pol
+	return ExecPolicy{RunTimeout: o.RunTimeout, Retry: o.Retry, tele: o.Telemetry}
 }
 
-// teleRetryCounters routes the retry loop's tallies into the campaign
-// registry.
-type teleRetryCounters struct{ reg *telemetry.Registry }
-
-func (c teleRetryCounters) incTimeout() { c.reg.Counter("campaign_run_timeouts_total").Inc() }
-func (c teleRetryCounters) incRetry()   { c.reg.Counter("campaign_run_retries_total").Inc() }
-
-// joinDistinct combines worker errors, dropping nils and duplicates
-// (several workers often fail identically), so the caller sees every
+// joinDistinct combines run errors, dropping nils and duplicates
+// (several executors often fail identically), so the caller sees every
 // distinct failure exactly once.
 func joinDistinct(errs []error) error {
 	seen := make(map[string]bool, len(errs))

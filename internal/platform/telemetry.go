@@ -1,9 +1,12 @@
 // Telemetry harvest for the campaign engine. The simulator's hot loop
 // carries no telemetry calls: the substrate models keep plain struct
-// counters (cache/TLB/FPU stats, run-kind tallies), and this file
-// collects them into a telemetry.Registry at batch barriers — the one
-// point in a streaming campaign where a single goroutine observes a
-// complete, ordered prefix of the run series.
+// counters (cache/TLB/FPU stats, run-kind tallies). An executor diffs
+// its board's counters after each run it completes; the session keeps
+// the delta of the first copy of each run (first write wins, like the
+// result) summed per batch, and this file folds that sum into a
+// telemetry.Registry at the batch barrier — the one point in a
+// streaming campaign where a single goroutine observes a complete,
+// ordered prefix of the run series.
 //
 // Determinism: every instrument harvested from per-run state (cache,
 // TLB, FPU, cycle, instruction and outcome counters; run/batch events)
@@ -64,6 +67,30 @@ func (b BoardStats) Sub(prev BoardStats) BoardStats {
 	}
 }
 
+// add returns the counter sum b + d, accumulating per-run deltas.
+func (b BoardStats) add(d BoardStats) BoardStats {
+	return BoardStats{
+		IL1:           addCache(b.IL1, d.IL1),
+		DL1:           addCache(b.DL1, d.DL1),
+		ITLB:          tlb.Stats{Hits: b.ITLB.Hits + d.ITLB.Hits, Misses: b.ITLB.Misses + d.ITLB.Misses, MRUHits: b.ITLB.MRUHits + d.ITLB.MRUHits},
+		DTLB:          tlb.Stats{Hits: b.DTLB.Hits + d.DTLB.Hits, Misses: b.DTLB.Misses + d.DTLB.Misses, MRUHits: b.DTLB.MRUHits + d.DTLB.MRUHits},
+		FPU:           fpu.Stats{DivWorstCase: b.FPU.DivWorstCase + d.FPU.DivWorstCase, SqrtWorstCase: b.FPU.SqrtWorstCase + d.FPU.SqrtWorstCase},
+		ReplayRuns:    b.ReplayRuns + d.ReplayRuns,
+		InterpretRuns: b.InterpretRuns + d.InterpretRuns,
+	}
+}
+
+func addCache(a, b cache.Stats) cache.Stats {
+	return cache.Stats{
+		Hits:        a.Hits + b.Hits,
+		Misses:      a.Misses + b.Misses,
+		Evictions:   a.Evictions + b.Evictions,
+		WriteHits:   a.WriteHits + b.WriteHits,
+		WriteMisses: a.WriteMisses + b.WriteMisses,
+		MRUHits:     a.MRUHits + b.MRUHits,
+	}
+}
+
 func subCache(a, b cache.Stats) cache.Stats {
 	return cache.Stats{
 		Hits:        a.Hits - b.Hits,
@@ -80,8 +107,8 @@ func subTLB(a, b tlb.Stats) tlb.Stats {
 }
 
 // streamTele aggregates one campaign's telemetry: pre-resolved
-// instruments plus the per-board snapshots the barrier harvest diffs
-// against. All methods run on the campaign goroutine.
+// instruments fed at each batch barrier. All methods run on the
+// session's delivery loop.
 //
 // Every instrument the barrier harvest touches is resolved once at
 // campaign start — the per-batch path does no registry lookups and no
@@ -90,8 +117,6 @@ func subTLB(a, b tlb.Stats) tlb.Stats {
 // event) instead of per counter update.
 type streamTele struct {
 	reg     *telemetry.Registry
-	prev    []BoardStats
-	seen    []Board // which board produced prev[i]
 	started time.Time
 
 	runs, clean, quarantined, faults, batches *telemetry.Counter
@@ -181,8 +206,8 @@ type boardStatser interface {
 // BoardStats returns the cumulative substrate counters of the measured
 // core (core 0) — the core whose timing the campaign analyzes; the
 // co-runner cores exist to generate contention and are not reported.
-// Harvested at batch barriers like Platform's, when no run is in
-// flight on the board.
+// Read between runs like Platform's, when no run is in flight on the
+// board.
 func (mc *Multicore) BoardStats() BoardStats {
 	if !mc.built {
 		return BoardStats{}
@@ -199,11 +224,9 @@ func (mc *Multicore) BoardStats() BoardStats {
 	}
 }
 
-func newStreamTele(reg *telemetry.Registry, boards []Board, o StreamOptions, platformName, workload string) *streamTele {
+func newStreamTele(reg *telemetry.Registry, o StreamOptions, platformName, workload string) *streamTele {
 	t := &streamTele{
 		reg:          reg,
-		prev:         make([]BoardStats, len(boards)),
-		seen:         make([]Board, len(boards)),
 		started:      time.Now(),
 		runs:         reg.Counter("campaign_runs_total"),
 		clean:        reg.Counter("campaign_clean_runs_total"),
@@ -223,12 +246,6 @@ func newStreamTele(reg *telemetry.Registry, boards []Board, o StreamOptions, pla
 		fpuSqrt:      reg.Counter("sim_fpu_sqrt_worstcase_total"),
 		replay:       reg.Counter("sim_replay_runs_total"),
 		interpret:    reg.Counter("sim_interpret_runs_total"),
-	}
-	for i, b := range boards {
-		if s, ok := b.(boardStatser); ok {
-			t.prev[i] = s.BoardStats()
-		}
-		t.seen[i] = b
 	}
 	reg.Emit("campaign_start", -1,
 		telemetry.Str("platform", platformName),
@@ -297,50 +314,21 @@ func emitBatchResults(reg *telemetry.Registry, b Batch) {
 	)
 }
 
-// ReplayBatch re-emits a journaled batch's result-derived telemetry —
-// the resume path's half of the event stream (the analysis events are
-// replayed by the analyzer). Board-level substrate counters (cache,
-// TLB, FPU) and the wall-clock instruments cannot be reconstructed from
-// run records and are documented resume exclusions, like the existing
-// parallelism exclusions of DESIGN.md §11.
-func ReplayBatch(reg *telemetry.Registry, b Batch) {
-	if reg == nil {
-		return
-	}
-	emitBatchResults(reg, b)
-}
-
 // observeBatch folds one completed batch into the registry: result-
-// derived counters and per-run events (in run order), then the summed
-// substrate deltas of every worker board, then the derived gauges.
-func (t *streamTele) observeBatch(b Batch, boards []Board, elapsed time.Duration) {
+// derived counters and per-run events (in run order), then the
+// substrate counters its runs added on the executors' boards, then the
+// derived gauges.
+func (t *streamTele) observeBatch(b Batch, delta BoardStats, elapsed time.Duration) {
 	emitBatchResults(t.reg, b)
 
-	for i, board := range boards {
-		s, ok := board.(boardStatser)
-		if !ok {
-			continue
-		}
-		cur := s.BoardStats()
-		if t.seen[i] != board {
-			// The board was replaced by a supervised restart: its
-			// predecessor's unharvested work is gone, so restart the
-			// delta baseline rather than underflowing the counters.
-			t.seen[i] = board
-			t.prev[i] = cur
-			continue
-		}
-		delta := cur.Sub(t.prev[i])
-		t.prev[i] = cur
-		t.il1.add(delta.IL1)
-		t.dl1.add(delta.DL1)
-		t.itlb.add(delta.ITLB)
-		t.dtlb.add(delta.DTLB)
-		t.fpuDiv.Add(delta.FPU.DivWorstCase)
-		t.fpuSqrt.Add(delta.FPU.SqrtWorstCase)
-		t.replay.Add(delta.ReplayRuns)
-		t.interpret.Add(delta.InterpretRuns)
-	}
+	t.il1.add(delta.IL1)
+	t.dl1.add(delta.DL1)
+	t.itlb.add(delta.ITLB)
+	t.dtlb.add(delta.DTLB)
+	t.fpuDiv.Add(delta.FPU.DivWorstCase)
+	t.fpuSqrt.Add(delta.FPU.SqrtWorstCase)
+	t.replay.Add(delta.ReplayRuns)
+	t.interpret.Add(delta.InterpretRuns)
 	t.il1.setRatios()
 	t.dl1.setRatios()
 	t.itlb.setRatios()

@@ -288,16 +288,18 @@ func WithRetry(maxAttempts int, backoff time.Duration) CampaignOption {
 	}
 }
 
-// WithSupervision bounds worker restarts. A worker whose run panics or
-// times out past its retry budget is restarted on a fresh simulated
-// board with exponential backoff, the interrupted run re-queued under
-// its original seed — a recovered hiccup leaves no trace in the
+// WithSupervision bounds executor restarts, locally and on the
+// in-process executors of a WithExecutorPool pool alike. An executor
+// whose run panics or times out past its retry budget is restarted on a
+// fresh simulated board with exponential backoff, its lease re-queued
+// under the original seeds — a recovered hiccup leaves no trace in the
 // measured series. After maxRestarts consecutive restarts with no
-// successful run in between the campaign degrades: completed runs are
+// completed run in between the campaign degrades: completed runs are
 // flushed to the journal and the partial report is returned with an
 // error matching ErrDegraded. maxRestarts 0 selects the default budget
 // of 8; negative disables restarts (a panic then aborts the campaign
-// like any worker error). backoff 0 selects 10ms.
+// like any run error). backoff 0 selects 10ms. A remote executor's
+// failure re-leases its lease instead, up to three attempts.
 func WithSupervision(maxRestarts int, backoff time.Duration) CampaignOption {
 	return func(c *campaignConfig) {
 		c.supervise = platform.SupervisionPolicy{MaxRestarts: maxRestarts, Backoff: backoff}
@@ -357,16 +359,17 @@ func WithTelemetry(reg *Telemetry) CampaignOption {
 }
 
 // WithExecutorPool executes the campaign's runs on a shared campaign
-// fabric (see internal/fabric and cmd/pwcetd) instead of a private
-// worker pool: many concurrent campaigns multiplex over the pool's
-// executors with fair scheduling and bounded backpressure. The merge
-// path preserves bit-identity — the report's fingerprint equals that
-// of a single-process campaign with the same seed and budget.
+// fabric (see internal/fabric and cmd/pwcetd) instead of private
+// in-process executors: many concurrent campaigns multiplex over the
+// pool's executors with fair scheduling and bounded backpressure. The
+// campaign runs the same session engine as a local one, so the report's
+// fingerprint equals that of a single-process campaign with the same
+// seed and budget, WithSupervision governs the pool's in-process
+// executors, and Resume continues a journal on the pool.
 // WithFaultInjection campaigns run on the pool's in-process executors
-// only; WithCoRunners is rejected. WithParallelism and WithSupervision
-// are pool-side concerns and are ignored under a pool, as is WithRetry
-// on remote executors; Resume on a pool is not supported (resume
-// locally, the journal format is identical).
+// only; WithCoRunners is rejected. WithParallelism is a pool-side
+// concern and is ignored under a pool, as are WithRetry and
+// WithSupervision on remote executors.
 func WithExecutorPool(pool ExecutorPool) CampaignOption {
 	return func(c *campaignConfig) { c.pool = pool }
 }
@@ -489,7 +492,11 @@ func Campaign(ctx context.Context, cfg PlatformConfig, w Workload, opts ...Campa
 // uninterrupted campaign, as is the telemetry event stream when
 // WithTelemetry is set (already-journaled batches are re-emitted before
 // execution continues; simulator-level counters of the crashed process
-// are the one exclusion, as they live and die with its boards).
+// are the one exclusion, as they live and die with its boards). With
+// WithExecutorPool the campaign resumes on the pool: the local engine
+// and the pool run the same session, which seeds its merge watermark
+// from the journal prefix, so a journal written locally resumes on a
+// pool and vice versa.
 //
 // A torn tail or corrupted record truncates the journal to its last
 // valid checkpoint and resumes from there; only a damaged header or
@@ -501,9 +508,6 @@ func Resume(ctx context.Context, cfg PlatformConfig, w Workload, journalPath str
 	c := resolveCampaignConfig(opts)
 	if err := c.validate(); err != nil {
 		return nil, err
-	}
-	if c.pool != nil {
-		return nil, errors.New("mbpta: Resume on an executor pool is not supported; resume locally (the journal format is identical)")
 	}
 	if c.journalSink != nil {
 		return nil, errors.New("mbpta: WithJournalSink is not supported with Resume; Resume manages the journal itself")
@@ -535,27 +539,9 @@ func Resume(ctx context.Context, cfg PlatformConfig, w Workload, journalPath str
 	rs := plan.Resume
 	rs.Stopped = online.Done()
 	so.Resume = &rs
-	if c.telemetry != nil {
-		// Re-emit the event stream of the journaled batches so a resumed
-		// campaign's telemetry is byte-identical to an uninterrupted one.
-		// Interleaving matches the live engine: per-batch run and batch
-		// events, then that batch's analysis event.
-		batchSize := so.BatchSize
-		if batchSize > so.MaxRuns {
-			batchSize = so.MaxRuns
-		}
-		so.Replay = func() {
-			for i := 0; i < rs.StartBatch; i++ {
-				start := i * batchSize
-				end := start + batchSize
-				if end > rs.Delivered {
-					end = rs.Delivered
-				}
-				platform.ReplayBatch(c.telemetry, platform.Batch{Index: i, Start: start, Results: rs.Prefix[start:end]})
-				online.PublishSnapshot(i)
-			}
-		}
-	}
+	// The engine re-emits each journaled batch's run and batch events;
+	// the batch's analysis event follows, as in the live campaign.
+	so.Replay = online.PublishSnapshot
 	return c.execute(ctx, cfg, w, online, so)
 }
 
@@ -588,10 +574,10 @@ func (c *campaignConfig) validate() error {
 	if c.faults != nil && len(c.coRunners) > 0 {
 		return errors.New("mbpta: WithFaultInjection targets single-core boards and is incompatible with WithCoRunners")
 	}
-	// The pool builds a fresh board per lease, and a fresh Multicore
-	// board re-records its co-runner traces into a large preallocated
-	// buffer: co-runner campaigns stay local until that buffer grows on
-	// demand.
+	// A pool executor builds a fresh board whenever it switches
+	// sessions or idles, and a fresh Multicore board re-records its
+	// co-runner traces into a large preallocated buffer: co-runner
+	// campaigns stay local until that buffer grows on demand.
 	if c.pool != nil && len(c.coRunners) > 0 {
 		return errors.New("mbpta: WithCoRunners is not supported on an executor pool")
 	}

@@ -10,6 +10,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/fabric"
 	"repro/internal/wal"
 	"repro/pkg/mbpta"
 )
@@ -116,31 +117,53 @@ func TestJournalCrashResumeBitIdentical(t *testing.T) {
 		{"after-last-but-one-barrier", marks[4].End},
 		{"torn-record-tail", marks[1].End + 3},
 	}
+	// Each kill point resumes locally and, in the "-on-pool" mode, on an
+	// executor pool: both run the same session engine, so the pool seeds
+	// its watermark from the journal prefix exactly as a local resume.
+	pool := fabric.NewPool(fabric.Config{Executors: 2})
+	defer pool.Close()
+	modes := []struct {
+		suffix string
+		opts   []mbpta.CampaignOption
+	}{
+		{"", nil},
+		{"-on-pool", []mbpta.CampaignOption{mbpta.WithExecutorPool(pool)}},
+	}
 	for _, kp := range kills {
-		t.Run(kp.name, func(t *testing.T) {
-			killed := truncateCopy(t, journal, kp.off)
-			rep, events, err := campaignWithEvents(t, func(reg *mbpta.Telemetry) (*mbpta.CampaignReport, error) {
-				return mbpta.Resume(context.Background(), mbpta.RANDPlatform(), app, killed,
-					journalOpts(mbpta.WithTelemetry(reg))...)
+		for _, mode := range modes {
+			t.Run(kp.name+mode.suffix, func(t *testing.T) {
+				resumeKilled(t, app, journal, kp.off, refFP, refEvents, mode.opts)
 			})
-			if err != nil {
-				t.Fatal(err)
-			}
-			if got := rep.Fingerprint(); got != refFP {
-				t.Fatalf("resumed fingerprint diverges:\n got %s\nwant %s", got, refFP)
-			}
-			if !bytes.Equal(events, refEvents) {
-				t.Fatal("resumed telemetry JSONL diverges from uninterrupted campaign")
-			}
-			// The repaired journal must now itself be complete and valid.
-			rec2, err := wal.Recover(killed)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if len(rec2.Runs) != 120 || rec2.Checkpoint == nil || rec2.Checkpoint.Runs != 120 {
-				t.Fatalf("resumed journal incomplete: %d runs, checkpoint %+v", len(rec2.Runs), rec2.Checkpoint)
-			}
-		})
+		}
+	}
+}
+
+// resumeKilled resumes a copy of journal truncated at off and requires
+// the uninterrupted campaign's fingerprint and telemetry JSONL, and a
+// complete repaired journal.
+func resumeKilled(t *testing.T, app mbpta.Workload, journal string, off int64, refFP string, refEvents []byte, extra []mbpta.CampaignOption) {
+	t.Helper()
+	killed := truncateCopy(t, journal, off)
+	rep, events, err := campaignWithEvents(t, func(reg *mbpta.Telemetry) (*mbpta.CampaignReport, error) {
+		return mbpta.Resume(context.Background(), mbpta.RANDPlatform(), app, killed,
+			journalOpts(append(extra, mbpta.WithTelemetry(reg))...)...)
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := rep.Fingerprint(); got != refFP {
+		t.Fatalf("resumed fingerprint diverges:\n got %s\nwant %s", got, refFP)
+	}
+	if !bytes.Equal(events, refEvents) {
+		t.Fatal("resumed telemetry JSONL diverges from uninterrupted campaign")
+	}
+	// The repaired journal must now itself be complete and valid.
+	rec2, err := wal.Recover(killed)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(rec2.Runs) != 120 || rec2.Checkpoint == nil || rec2.Checkpoint.Runs != 120 {
+		t.Fatalf("resumed journal incomplete: %d runs, checkpoint %+v", len(rec2.Runs), rec2.Checkpoint)
 	}
 }
 
