@@ -130,7 +130,9 @@ cover:
 # instruction streams, the telemetry event codec in both directions, the
 # campaign-journal (WAL) codec and recovery scan, the quantile
 # estimator and nine-decile gate against adversarial samples (NaN/Inf,
-# ties, denormals, tiny n), the hazard sampler against arbitrary
+# ties, denormals, tiny n), the online analyzer's incremental i.i.d.
+# gate against the from-scratch gate under arbitrary batchings and
+# restores, the hazard sampler against arbitrary
 # profile parameters, and the cache and TLB fast paths (same-line and
 # same-page probes, line-slot memo, micro-cache) differentially against
 # the plain scan under arbitrary access/flush/reseed/upset streams, and
@@ -146,6 +148,7 @@ fuzz:
 	$(GO) test ./internal/wal/ -run '^$$' -fuzz '^FuzzDecodePayloads$$' -fuzztime 30s
 	$(GO) test ./internal/stats/ -run '^$$' -fuzz '^FuzzEstimateQuantile$$' -fuzztime 30s
 	$(GO) test ./internal/stats/ -run '^$$' -fuzz '^FuzzCompareQuantiles$$' -fuzztime 30s
+	$(GO) test ./internal/core/ -run '^$$' -fuzz '^FuzzIncrementalIIDGate$$' -fuzztime 30s
 	$(GO) test ./internal/faults/ -run '^$$' -fuzz '^FuzzHazard$$' -fuzztime 30s
 	$(GO) test ./internal/cache/ -run '^$$' -fuzz '^FuzzCacheAccessStream$$' -fuzztime 30s
 	$(GO) test ./internal/tlb/ -run '^$$' -fuzz '^FuzzTLBLookupStream$$' -fuzztime 30s

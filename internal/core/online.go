@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"sort"
 	"time"
 
 	"repro/internal/evt"
@@ -292,6 +293,7 @@ type OnlineAnalyzer struct {
 	refProb float64
 
 	times    []float64
+	halves   ksHalves
 	byPath   map[string][]float64
 	total    int
 	outcomes map[string]int
@@ -449,7 +451,8 @@ func (o *OnlineAnalyzer) ObserveBatch(obs []Observation) (Snapshot, error) {
 		snap.Discarded = len(o.times)
 	}
 	if len(o.times) >= 8 {
-		if gate, err := stats.CheckIID(o.times, o.opts.Alpha); err == nil {
+		lo, hi := o.halves.extend(o.times)
+		if gate, err := stats.CheckIIDSorted(o.times, lo, hi, o.opts.Alpha); err == nil {
 			snap.Gate, snap.GateChecked = gate, true
 		}
 	}
@@ -512,4 +515,63 @@ func (o *OnlineAnalyzer) Snapshots() []Snapshot {
 // allow it.
 func (o *OnlineAnalyzer) Finalize() (*Result, error) {
 	return NewAnalyzer(o.opts).AnalyzeByPath(o.byPath)
+}
+
+// ksHalves keeps the two halves the i.i.d. gate's KS test compares —
+// times[:n/2] and times[n/2:n] — sorted across batches, so a gate
+// costs a sort of the new runs and linear merges instead of two full
+// sorts. Invariant, once built (n > 0): lo and hi hold exactly the
+// values of those two halves of the first n clean times, each sorted as
+// sort.Float64s sorts. "Exactly" is up to swapping equal values (-0
+// for +0, one NaN for another), which KS cannot tell apart: its D uses
+// comparisons only. A restored analyzer starts with n == 0 and
+// rebuilds the halves from its series at its first gate.
+type ksHalves struct {
+	n              int
+	lo, hi         []float64
+	spare, scratch []float64 // merge destination and sort buffer, reused
+}
+
+// extend brings the halves up to times, which must extend the series
+// the halves were last built from, and returns them.
+func (k *ksHalves) extend(times []float64) (lo, hi []float64) {
+	n := len(times)
+	switch {
+	case k.n == 0:
+		k.lo = sortInto(k.lo[:0], times[:n/2])
+		k.hi = sortInto(k.hi[:0], times[n/2:])
+	case n > k.n:
+		old := k.n
+		// Fold the new runs into the second half ...
+		k.scratch = sortInto(k.scratch[:0], times[old:])
+		k.hi, k.spare = stats.MergeSorted(k.spare[:0], k.hi, k.scratch), k.hi
+		// ... then move the runs the midpoint passed over, which all
+		// sit in the second half now, into the first.
+		k.scratch = sortInto(k.scratch[:0], times[old/2:n/2])
+		k.hi = removeSorted(k.hi, k.scratch)
+		k.lo, k.spare = stats.MergeSorted(k.spare[:0], k.lo, k.scratch), k.lo
+	}
+	k.n = n
+	return k.lo, k.hi
+}
+
+// sortInto overwrites dst with a sorted copy of xs.
+func sortInto(dst, xs []float64) []float64 {
+	dst = append(dst[:0], xs...)
+	sort.Float64s(dst)
+	return dst
+}
+
+// removeSorted deletes the multiset rem from xs in place; both are
+// sorted as sort.Float64s sorts and every value of rem occurs in xs.
+func removeSorted(xs, rem []float64) []float64 {
+	out, j := xs[:0], 0
+	for _, x := range xs {
+		if j < len(rem) && (x == rem[j] || (x != x && rem[j] != rem[j])) {
+			j++
+			continue
+		}
+		out = append(out, x)
+	}
+	return out
 }

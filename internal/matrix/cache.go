@@ -184,7 +184,8 @@ func (e *Entry) Journal() platform.Journal { return e.journal }
 // Appended reports how many new runs this entry journaled.
 func (e *Entry) Appended() int { return e.journal.appended }
 
-// Close syncs the journal and releases the key lock.
+// Close closes the journal, syncing it if this entry changed it, and
+// releases the key lock.
 func (e *Entry) Close() error {
 	err := e.journal.close()
 	if e.release != nil {
@@ -200,8 +201,9 @@ func (e *Entry) Close() error {
 // the cached prefix. Barriers past the skip frontier write an empty
 // checkpoint and fsync — checkpoints bound how much a torn tail can
 // truncate on recovery, exactly as in campaign journals. Barriers
-// inside the cached prefix append nothing and so sync nothing; Close
-// still syncs.
+// inside the cached prefix append nothing and so sync nothing, and
+// Close syncs only a journal this entry appended to or truncated, so a
+// fully warm entry performs no fsync.
 type cacheJournal struct {
 	w        *wal.Writer
 	skip     int // length of the already-journaled prefix

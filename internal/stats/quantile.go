@@ -429,12 +429,13 @@ func savageDickeyLogBF(diff, se, tau float64) float64 {
 
 // pooledBodySpread returns half the pooled q10-q90 spread, the default
 // Bayesian prior scale. Falls back to 1.0 for degenerate (constant)
-// pools so the Bayes factor stays defined.
+// pools so the Bayes factor stays defined. The pool is the merge of the
+// two sorted halves, exactly what sorting their concatenation gives:
+// both inputs are finite (CompareQuantiles rejects the rest), and
+// equal finite values differ at most in the sign of zero, which the
+// Harrell-Davis sums cannot see.
 func pooledBodySpread(sortedA, sortedB []float64) float64 {
-	pool := make([]float64, 0, len(sortedA)+len(sortedB))
-	pool = append(pool, sortedA...)
-	pool = append(pool, sortedB...)
-	sort.Float64s(pool)
+	pool := MergeSorted(make([]float64, 0, len(sortedA)+len(sortedB)), sortedA, sortedB)
 	lo, _, err := hdEstimate(pool, 0.1)
 	if err != nil {
 		return 1

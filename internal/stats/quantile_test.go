@@ -3,6 +3,7 @@ package stats
 import (
 	"errors"
 	"math"
+	"sort"
 	"testing"
 
 	"repro/internal/rng"
@@ -325,5 +326,52 @@ func TestQuantileGateFingerprint(t *testing.T) {
 	}
 	if s := r1.String(); s == "" {
 		t.Error("empty String()")
+	}
+}
+
+// TestPooledBodySpreadMergeMatchesSortedPool pins the merged prior pool
+// to the one built by appending both halves and sorting, bit for bit,
+// on heavy ties, signed zeros and wide spreads.
+func TestPooledBodySpreadMergeMatchesSortedPool(t *testing.T) {
+	sortedPool := func(a, b []float64) float64 {
+		pool := append(append([]float64(nil), a...), b...)
+		sort.Float64s(pool)
+		lo, _, err := hdEstimate(pool, 0.1)
+		if err != nil {
+			return 1
+		}
+		hi, _, err := hdEstimate(pool, 0.9)
+		if err != nil {
+			return 1
+		}
+		if s := (hi - lo) / 2; s > 0 {
+			return s
+		}
+		return 1
+	}
+	src := rng.NewXoroshiro128(9)
+	negZero := math.Copysign(0, -1)
+	draws := map[string]func() float64{
+		"smooth":      func() float64 { return 1e5 + 1e3*rng.Float64(src) },
+		"ties":        func() float64 { return float64(int(4 * rng.Float64(src))) },
+		"signed-zero": func() float64 { return []float64{negZero, 0, 1}[int(3*rng.Float64(src))] },
+		"wide":        func() float64 { return (rng.Float64(src) - 0.5) * 1e300 },
+	}
+	for name, draw := range draws {
+		for _, n := range []int{1, 2, 17, 160} {
+			a, b := make([]float64, n), make([]float64, n+n%3)
+			for i := range a {
+				a[i] = draw()
+			}
+			for i := range b {
+				b[i] = draw()
+			}
+			sort.Float64s(a)
+			sort.Float64s(b)
+			got, want := pooledBodySpread(a, b), sortedPool(a, b)
+			if math.Float64bits(got) != math.Float64bits(want) {
+				t.Errorf("%s n=%d: merged pool spread %v, sorted pool %v", name, n, got, want)
+			}
+		}
 	}
 }

@@ -100,13 +100,20 @@ func DefaultLjungBoxLags(n int) int {
 // distribution with the Stephens small-sample correction
 // lambda = (sqrt(ne) + 0.12 + 0.11/sqrt(ne)) * D, ne = na*nb/(na+nb).
 func KolmogorovSmirnov2(a, b []float64, alpha float64) (TestResult, error) {
-	if len(a) == 0 || len(b) == 0 {
+	return KolmogorovSmirnov2Sorted(sortedCopy(a), sortedCopy(b), alpha)
+}
+
+// KolmogorovSmirnov2Sorted is KolmogorovSmirnov2 on samples already
+// sorted ascending, as sort.Float64s sorts them. Callers that keep
+// their samples sorted across calls (the online analyzer's series
+// halves) skip the two sorts; KolmogorovSmirnov2 sorts and calls it,
+// so both share one D and p-value computation. D depends only on
+// comparisons, so equal values (such as -0 and +0) may sit in either
+// order.
+func KolmogorovSmirnov2Sorted(sa, sb []float64, alpha float64) (TestResult, error) {
+	if len(sa) == 0 || len(sb) == 0 {
 		return TestResult{}, ErrEmpty
 	}
-	sa := append([]float64(nil), a...)
-	sb := append([]float64(nil), b...)
-	sort.Float64s(sa)
-	sort.Float64s(sb)
 	na, nb := len(sa), len(sb)
 	var d float64
 	i, j := 0, 0
@@ -140,6 +147,35 @@ func KolmogorovSmirnov2(a, b []float64, alpha float64) (TestResult, error) {
 	}, nil
 }
 
+func sortedCopy(xs []float64) []float64 {
+	s := append([]float64(nil), xs...)
+	sort.Float64s(s)
+	return s
+}
+
+// MergeSorted appends the merge of a and b, both sorted as
+// sort.Float64s sorts (ascending, NaNs first), to dst and returns the
+// extended slice, which is sorted the same way. dst must not overlap a
+// or b.
+func MergeSorted(dst, a, b []float64) []float64 {
+	i, j := 0, 0
+	for i < len(a) && j < len(b) {
+		if sortLess(b[j], a[i]) {
+			dst = append(dst, b[j])
+			j++
+		} else {
+			dst = append(dst, a[i])
+			i++
+		}
+	}
+	dst = append(dst, a[i:]...)
+	return append(dst, b[j:]...)
+}
+
+// sortLess is the order sort.Float64s sorts by: ascending, with NaNs
+// before every other value.
+func sortLess(x, y float64) bool { return x < y || (x != x && y == y) }
+
 // IIDReport is the combined i.i.d. gate of the MBPTA process: the sample
 // passes when neither test rejects at the chosen significance level.
 type IIDReport struct {
@@ -164,12 +200,29 @@ func CheckIID(xs []float64, alpha float64) (IIDReport, error) {
 	if len(xs) < 8 {
 		return IIDReport{}, ErrTooFew
 	}
+	half := len(xs) / 2
+	return CheckIIDSorted(xs, sortedCopy(xs[:half]), sortedCopy(xs[half:]), alpha)
+}
+
+// CheckIIDSorted is CheckIID with the two halves supplied already
+// sorted: lo must hold xs[:len(xs)/2] and hi xs[len(xs)/2:], each
+// sorted as sort.Float64s sorts (ErrDomain if their lengths disagree).
+// The report is bit-identical to CheckIID's; an analyzer that extends
+// its series batch by batch keeps the halves sorted instead of
+// re-sorting them at every gate.
+func CheckIIDSorted(xs, lo, hi []float64, alpha float64) (IIDReport, error) {
+	if len(xs) < 8 {
+		return IIDReport{}, ErrTooFew
+	}
+	half := len(xs) / 2
+	if len(lo) != half || len(hi) != len(xs)-half {
+		return IIDReport{}, ErrDomain
+	}
 	lb, err := LjungBox(xs, DefaultLjungBoxLags(len(xs)), alpha)
 	if err != nil {
 		return IIDReport{}, fmt.Errorf("independence test: %w", err)
 	}
-	half := len(xs) / 2
-	ks, err := KolmogorovSmirnov2(xs[:half], xs[half:], alpha)
+	ks, err := KolmogorovSmirnov2Sorted(lo, hi, alpha)
 	if err != nil {
 		return IIDReport{}, fmt.Errorf("identical-distribution test: %w", err)
 	}

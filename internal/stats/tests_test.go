@@ -2,6 +2,7 @@ package stats
 
 import (
 	"math"
+	"sort"
 	"testing"
 
 	"repro/internal/rng"
@@ -189,6 +190,40 @@ func TestCheckIIDFailsOnTrend(t *testing.T) {
 	}
 	if rep.Pass {
 		t.Error("i.i.d. gate passed on trending data")
+	}
+}
+
+func TestCheckIIDSortedRejectsMismatchedHalves(t *testing.T) {
+	xs := iidSample(3, 20)
+	lo, hi := sortedCopy(xs[:10]), sortedCopy(xs[10:])
+	for _, c := range []struct{ lo, hi []float64 }{{lo[:9], hi}, {lo, hi[:9]}, {hi, lo[:9]}} {
+		if _, err := CheckIIDSorted(xs, c.lo, c.hi, 0.05); err != ErrDomain {
+			t.Errorf("halves of %d and %d runs for a 20-run series: err %v, want ErrDomain", len(c.lo), len(c.hi), err)
+		}
+	}
+	if _, err := CheckIIDSorted(xs[:7], nil, nil, 0.05); err != ErrTooFew {
+		t.Errorf("7-run series: err %v, want ErrTooFew", err)
+	}
+}
+
+// TestMergeSortedOrdersLikeSort: merging two sorted slices gives what
+// sorting their concatenation gives, NaNs first, ties and infinities
+// included.
+func TestMergeSortedOrdersLikeSort(t *testing.T) {
+	nan, inf := math.NaN(), math.Inf(1)
+	a := []float64{nan, -inf, -1, 2, 2, 5, inf}
+	b := []float64{nan, nan, -3, 2, 4, 4, 9}
+	sort.Float64s(a)
+	sort.Float64s(b)
+	got := MergeSorted([]float64{42}, a, b)
+	want := append([]float64{42}, sortedCopy(append(append([]float64(nil), a...), b...))...)
+	if len(got) != len(want) {
+		t.Fatalf("merged %d values, want %d", len(got), len(want))
+	}
+	for i := range got {
+		if got[i] != want[i] && !(math.IsNaN(got[i]) && math.IsNaN(want[i])) {
+			t.Fatalf("merged %v, want %v", got, want)
+		}
 	}
 }
 

@@ -61,7 +61,8 @@ func (j *CampaignJournal) Barrier(b platform.Batch) error {
 // Flush implements platform.Journal.
 func (j *CampaignJournal) Flush() error { return j.w.Sync() }
 
-// Close syncs and closes the underlying journal file.
+// Close closes the underlying journal file, syncing it if this
+// journal changed it (see Writer.Close).
 func (j *CampaignJournal) Close() error { return j.w.Close() }
 
 // ResumePlan is a recovered journal translated into what a campaign

@@ -112,8 +112,11 @@ func Recover(path string) (*Recovered, error) {
 		return rec, nil
 	}
 
+	// One frame header and one payload buffer serve every record: the
+	// decoders copy whatever they keep.
+	frame := make([]byte, 5)
+	var body []byte
 	for {
-		frame := make([]byte, 5)
 		if _, err := io.ReadFull(br, frame); err != nil {
 			if err == io.EOF {
 				return rec, nil // clean end of journal
@@ -125,7 +128,11 @@ func Recover(path string) (*Recovered, error) {
 		if plen > maxPayload {
 			return corrupt(fmt.Sprintf("record length %d exceeds limit", plen))
 		}
-		body := make([]byte, int(plen)+4)
+		if need := int(plen) + 4; cap(body) < need {
+			body = make([]byte, need)
+		} else {
+			body = body[:need]
+		}
 		if _, err := io.ReadFull(br, body); err != nil {
 			return corrupt("torn record payload")
 		}

@@ -257,6 +257,61 @@ func TestOpenAppendContinues(t *testing.T) {
 	}
 }
 
+// TestCloseSyncsOnlyWhatItWrote: a writer that only replays a clean
+// journal closes without an fsync; one that truncated a torn tail on
+// open fsyncs once on close, even with no appends, and the truncation
+// survives a reopen.
+func TestCloseSyncsOnlyWhatItWrote(t *testing.T) {
+	path := writeJournal(t, 2, 5, nil)
+	clean, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	reg := telemetry.New()
+	w, _, err := OpenAppend(path, reg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := w.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if w.Fsyncs() != 0 || reg.Counter("wal_fsyncs_total").Value() != 0 {
+		t.Fatalf("read-only reopen of a clean journal fsynced %d times, want 0", w.Fsyncs())
+	}
+
+	// Tear the tail: half of a run record's frame header.
+	if err := os.WriteFile(path, append(clean, kindRun, 9), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	w, rec, err := OpenAppend(path, reg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !rec.Truncated || rec.ValidSize != int64(len(clean)) {
+		t.Fatalf("torn tail recovered as truncated=%v valid=%d, want true %d", rec.Truncated, rec.ValidSize, len(clean))
+	}
+	if err := w.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if w.Fsyncs() != 1 || reg.Counter("wal_fsyncs_total").Value() != 1 {
+		t.Fatalf("closing a truncated journal fsynced %d times, want 1", w.Fsyncs())
+	}
+	got, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got, clean) {
+		t.Fatalf("reopened journal is %d bytes, want the %d-byte valid prefix", len(got), len(clean))
+	}
+	rec, err = Recover(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rec.Truncated || len(rec.Runs) != 10 {
+		t.Fatalf("reopen after truncation: truncated %v, %d runs, want false, 10", rec.Truncated, len(rec.Runs))
+	}
+}
+
 func TestAppendOrderEnforced(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "o.wal")
 	w, err := Create(path, testMeta, nil)

@@ -18,6 +18,8 @@ type Writer struct {
 	buf     *bufio.Writer
 	scratch []byte
 	nextRun int
+	// truncated records that OpenAppend cut a torn tail off the file.
+	truncated bool
 
 	records uint64
 	fsyncs  uint64
@@ -77,7 +79,7 @@ func OpenAppend(path string, reg *telemetry.Registry) (*Writer, *Recovered, erro
 		f.Close()
 		return nil, nil, err
 	}
-	w := &Writer{f: f, buf: bufio.NewWriter(f), tele: reg, nextRun: len(rec.Runs)}
+	w := &Writer{f: f, buf: bufio.NewWriter(f), tele: reg, nextRun: len(rec.Runs), truncated: rec.Truncated}
 	return w, rec, nil
 }
 
@@ -147,9 +149,15 @@ func (w *Writer) Sync() error {
 	return nil
 }
 
-// Close syncs and closes the journal.
+// Close syncs and closes the journal. A writer that never changed the
+// file skips the sync: it appended no record and truncated no torn
+// tail, as when a warm run-cache entry only replays its prefix, so it
+// has nothing of its own to make durable (DESIGN.md §12).
 func (w *Writer) Close() error {
-	syncErr := w.Sync()
+	var syncErr error
+	if w.records > 0 || w.truncated {
+		syncErr = w.Sync()
+	}
 	closeErr := w.f.Close()
 	if syncErr != nil {
 		return syncErr
