@@ -30,12 +30,16 @@ check: staticcheck
 # admission backpressure). Pool and local campaigns share one session
 # engine: the fabric suite runs the supervision scenarios on the pool
 # (TestPoolSupervision*), and the crash-resume test resumes every kill
-# point on a pool as well as locally.
+# point on a pool as well as locally. Registry-built workloads (what
+# the service and executors run) keep the zero-alloc run loop: the
+# fabric suite checks that Build forwards Reloader and TraceStable, and
+# TestSteadyStateZeroAlloc holds a registry-built TVCA to 0 allocs/run.
 service-check:
 	$(GO) test ./internal/fabric/ ./internal/pwcetd/ ./cmd/pwcetd/
 	$(GO) test -run 'TestFingerprintParityAcrossExecutionModes|TestFaultFingerprintParityAcrossExecutionModes|TestJournalCrashResumeBitIdentical' ./pkg/mbpta/
 	$(GO) test -run 'TestClampedRunsCountDeliveredRuns' ./internal/faults/
 	$(GO) test -run 'TestRunnerWithFabricPool' ./internal/matrix/
+	$(GO) test -run 'TestSteadyStateZeroAlloc' .
 
 # End-to-end durability gate: journal a campaign, kill it mid-flight,
 # tear the journal tail, resume, and require a bit-identical report

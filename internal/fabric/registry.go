@@ -7,6 +7,7 @@ import (
 	"sync"
 	"time"
 
+	"repro/internal/isa"
 	"repro/internal/kernels"
 	"repro/internal/platform"
 	"repro/internal/tvca"
@@ -73,7 +74,8 @@ func (r *Registry) Kinds() []string {
 }
 
 // Build instantiates spec. The result implements SpecWorkload, so a
-// campaign built from a spec is remote-dispatchable by construction.
+// campaign built from a spec is remote-dispatchable by construction,
+// and keeps the built workload's Reloader and TraceStable fast paths.
 func (r *Registry) Build(spec WorkloadSpec) (SpecWorkload, error) {
 	r.mu.RLock()
 	build, ok := r.builders[spec.Kind]
@@ -85,16 +87,42 @@ func (r *Registry) Build(spec WorkloadSpec) (SpecWorkload, error) {
 	if err != nil {
 		return nil, fmt.Errorf("fabric: build workload %q: %w", spec.Kind, err)
 	}
-	return specced{Workload: w, spec: spec}, nil
+	s := &specced{Workload: w, spec: spec}
+	if rl, ok := w.(platform.Reloader); ok {
+		return &reloadSpecced{specced: s, r: rl}, nil
+	}
+	return s, nil
 }
 
-// specced tags a built workload with the spec that produced it.
+// specced tags a built workload with the spec that produced it. It is a
+// pointer so that the platform's workload identity checks (machine
+// reuse, trace replay) compare it without panicking: a struct holding
+// a json.RawMessage is not comparable. Besides the spec it forwards
+// platform.TraceStable; Reloader is forwarded by reloadSpecced only
+// when the built workload implements it. faults.OutputChecker is not
+// forwarded (see DESIGN.md §13).
 type specced struct {
 	platform.Workload
 	spec WorkloadSpec
 }
 
-func (s specced) WorkloadSpec() WorkloadSpec { return s.spec }
+func (s *specced) WorkloadSpec() WorkloadSpec { return s.spec }
+
+// TraceStable reports the built workload's platform.TraceStable value
+// (false when it does not declare one).
+func (s *specced) TraceStable() bool {
+	ts, ok := s.Workload.(platform.TraceStable)
+	return ok && ts.TraceStable()
+}
+
+// reloadSpecced is a specced whose built workload implements
+// platform.Reloader.
+type reloadSpecced struct {
+	*specced
+	r platform.Reloader
+}
+
+func (s *reloadSpecced) Reload(m *isa.Machine, run int) error { return s.r.Reload(m, run) }
 
 // decodeParams unmarshals params over defaults; empty params keep them.
 func decodeParams[T any](params json.RawMessage, defaults T) (T, error) {

@@ -87,7 +87,7 @@ type Multicore struct {
 	// and the identical machinery on Platform): the event stream
 	// recorded on the first run of a trace-stable measured workload,
 	// replayed through the timing model on subsequent runs.
-	mTrace     []isa.Event
+	mTrace     eventTrace
 	mTraceW    Workload
 	mTracePath string
 
@@ -385,16 +385,17 @@ func (mc *Multicore) grantPassLocked() {
 // the event stream for replay, and emits lookahead heartbeats. It is a
 // persistent struct (no per-iteration closure allocation).
 type mcSink struct {
-	core *cpu.Core
-	port *mcPort
-	rec  []isa.Event // non-nil while recording a trace
+	core      *cpu.Core
+	port      *mcPort
+	rec       eventTrace // the iteration being recorded, if recording
+	recording bool
 }
 
 // Consume implements isa.EventSink.
 func (s *mcSink) Consume(ev isa.Event) {
 	s.core.Consume(ev)
-	if s.rec != nil {
-		s.rec = append(s.rec, ev)
+	if s.recording {
+		s.rec.add(ev)
 	}
 	s.port.hbCount++
 	if s.port.hbCount%heartbeatEvery == 0 {
@@ -722,11 +723,11 @@ func isStable(w Workload) bool {
 // replay on subsequent runs. The recording run's timing is untouched.
 func (mc *Multicore) recordMeasured(w Workload, m *isa.Machine) (uint64, error) {
 	m.Cancel = mc.cancelFn
-	rs := recordSink{core: mc.cores[0], buf: make([]isa.Event, 0, 1<<16)}
+	rs := recordSink{core: mc.cores[0]}
 	if _, err := m.RunSink(&rs); err != nil {
 		return 0, err
 	}
-	mc.mTrace, mc.mTraceW, mc.mTracePath = rs.buf, w, w.PathOf(m)
+	mc.mTrace, mc.mTraceW, mc.mTracePath = rs.trace, w, w.PathOf(m)
 	return mc.cores[0].Cycle(), nil
 }
 
@@ -738,11 +739,13 @@ func (mc *Multicore) recordMeasured(w Workload, m *isa.Machine) (uint64, error) 
 // interpreter's Cancel granularity.
 func (mc *Multicore) replayMeasured() (uint64, error) {
 	core := mc.cores[0]
-	for i := range mc.mTrace {
-		if i&1023 == 0 && mc.stop.Load() {
+	for _, chunk := range mc.mTrace {
+		if mc.stop.Load() {
 			return 0, isa.ErrCancelled
 		}
-		core.Consume(mc.mTrace[i])
+		for i := range chunk {
+			core.Consume(chunk[i])
+		}
 	}
 	return core.Cycle(), nil
 }
@@ -777,11 +780,12 @@ func (mc *Multicore) runCoRunner(c int) {
 			// Decode-once: record this iteration's event stream; every
 			// later iteration (and run) replays it through the timing
 			// model, skipping architectural re-execution entirely.
-			sink.rec = make([]isa.Event, 0, 1<<14)
+			sink.rec, sink.recording = nil, true
 		}
 		_, err = m.RunSink(sink)
 		if err != nil {
-			sink.rec = nil // a partial trace must never be replayed
+			// A partial trace must never be replayed.
+			sink.rec, sink.recording = nil, false
 			if errors.Is(err, isa.ErrCancelled) {
 				return
 			}
@@ -790,8 +794,8 @@ func (mc *Multicore) runCoRunner(c int) {
 			return
 		}
 		if cs.stable {
-			cs.trace = sink.rec
-			sink.rec = nil
+			cs.trace = sink.rec.flat()
+			sink.rec, sink.recording = nil, false
 		}
 		mc.iterations[c]++
 	}

@@ -190,7 +190,7 @@ type Platform struct {
 	// through the timing model on subsequent runs.
 	replayOff bool
 	paranoid  bool
-	trace     []isa.Event
+	trace     eventTrace
 	traceW    Workload
 	tracePath string
 }
@@ -401,29 +401,65 @@ func (p *Platform) machineFor(w Workload, run int) (*isa.Machine, error) {
 	return m, nil
 }
 
+// traceChunk is the number of events in one eventTrace chunk (56 KB).
+// A replay polls for cancellation once per chunk, every 1,024 events,
+// as the interpreter does.
+const traceChunk = 1024
+
+// eventTrace is a recorded event stream held in fixed-size chunks. It
+// grows on demand without copying: recording allocates the trace's
+// size rounded up to one chunk, where a growing flat slice would
+// allocate about five times that in discarded backing arrays.
+type eventTrace [][]isa.Event
+
+func (t *eventTrace) add(ev isa.Event) {
+	n := len(*t)
+	if n == 0 || len((*t)[n-1]) == traceChunk {
+		*t = append(*t, make([]isa.Event, 0, traceChunk))
+		n++
+	}
+	(*t)[n-1] = append((*t)[n-1], ev)
+}
+
+// flat returns the trace as one slice.
+func (t eventTrace) flat() []isa.Event {
+	if len(t) == 1 {
+		return t[0]
+	}
+	n := 0
+	for _, c := range t {
+		n += len(c)
+	}
+	out := make([]isa.Event, 0, n)
+	for _, c := range t {
+		out = append(out, c...)
+	}
+	return out
+}
+
 // recordSink forwards every event to the timing core and captures it
 // for later replay. The recording run's timing is untouched: the core
 // consumes exactly the stream it would have consumed.
 type recordSink struct {
-	core *cpu.Core
-	buf  []isa.Event
+	core  *cpu.Core
+	trace eventTrace
 }
 
 func (r *recordSink) Consume(ev isa.Event) {
 	r.core.Consume(ev)
-	r.buf = append(r.buf, ev)
+	r.trace.add(ev)
 }
 
 // recordTrace runs m fully while capturing its event stream, then
 // stores the trace (and the run's path classification, which for a
 // trace-stable workload is the same every run) for replay.
 func (p *Platform) recordTrace(w Workload, m *isa.Machine) (uint64, error) {
-	rs := recordSink{core: p.core, buf: make([]isa.Event, 0, 1<<16)}
+	rs := recordSink{core: p.core}
 	start := p.core.Cycle()
 	if _, err := m.RunSink(&rs); err != nil {
 		return 0, err
 	}
-	p.trace, p.traceW, p.tracePath = rs.buf, w, w.PathOf(m)
+	p.trace, p.traceW, p.tracePath = rs.trace, w, w.PathOf(m)
 	return p.core.Cycle() - start, nil
 }
 
@@ -436,12 +472,14 @@ func (p *Platform) recordTrace(w Workload, m *isa.Machine) (uint64, error) {
 func (p *Platform) runReplay(ctx context.Context, w Workload, run int, runSeed uint64) (RunResult, error) {
 	p.PrepareRun(runSeed)
 	poll := ctx != nil && ctx.Done() != nil
-	for i := range p.trace {
-		if poll && i&1023 == 0 && ctx.Err() != nil {
+	for _, chunk := range p.trace {
+		if poll && ctx.Err() != nil {
 			return RunResult{}, fmt.Errorf("platform %s: replay run %d: %w",
 				p.cfg.Name, run, isa.ErrCancelled)
 		}
-		p.core.Consume(p.trace[i])
+		for i := range chunk {
+			p.core.Consume(chunk[i])
+		}
 	}
 	res := RunResult{
 		Cycles:       p.core.Cycle(),

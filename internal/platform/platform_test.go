@@ -3,11 +3,13 @@ package platform
 import (
 	"context"
 	"fmt"
+	"runtime"
 	"testing"
 
 	"repro/internal/cache"
 	"repro/internal/fpu"
 	"repro/internal/isa"
+	"repro/internal/kernels"
 	"repro/internal/tlb"
 	"repro/internal/tvca"
 )
@@ -384,4 +386,83 @@ func TestDeriveRunSeedNoCollisionsAcrossBases(t *testing.T) {
 			seen[s] = key
 		}
 	}
+}
+
+// TestTraceRecordingGrowsOnDemand: recording a small trace-stable
+// workload on a fresh board allocates in proportion to its trace, not
+// a fixed 65,536-event (3.7 MB) buffer, on both the single-core
+// Platform and the Multicore board (measured workload plus a
+// trace-stable co-runner). Later runs must replay the recording.
+func TestTraceRecordingGrowsOnDemand(t *testing.T) {
+	// The trace is ~7,800 events (435 KB). A fixed preallocation costs
+	// 3.7 MB; a flat slice regrown by append costs ~2 MB.
+	const limit = 768 << 10
+	w := kernels.MatMul{N: 8, Seed: 1}
+	allocated := func(run func() error) uint64 {
+		t.Helper()
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		if err := run(); err != nil {
+			t.Fatal(err)
+		}
+		runtime.ReadMemStats(&after)
+		return after.TotalAlloc - before.TotalAlloc
+	}
+
+	p, err := New(RAND())
+	if err != nil {
+		t.Fatal(err)
+	}
+	uni := allocated(func() error {
+		_, err := p.Run(w, 0, DeriveRunSeed(5, 0))
+		return err
+	})
+	if uni >= limit {
+		t.Errorf("Platform: recording run allocated %d bytes, want < %d", uni, limit)
+	}
+	if _, err := p.Run(w, 1, DeriveRunSeed(5, 1)); err != nil {
+		t.Fatal(err)
+	}
+	if st := p.BoardStats(); st.ReplayRuns != 1 {
+		t.Errorf("Platform: %d replayed runs after recording, want 1", st.ReplayRuns)
+	}
+
+	mc, err := NewMulticore(RAND(), []Workload{stableStreamer{streamer{lines: 64}}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := mc.ensureBoard(); err != nil {
+		t.Fatal(err)
+	}
+	multi := allocated(func() error {
+		_, err := mc.Run(w, 0, DeriveRunSeed(5, 0))
+		return err
+	})
+	if multi >= limit {
+		t.Errorf("Multicore: recording run allocated %d bytes, want < %d", multi, limit)
+	}
+	// The replayed runs (a multi-chunk trace) must match a board that
+	// interprets the same workload every run.
+	interp, err := NewMulticore(RAND(), []Workload{stableStreamer{streamer{lines: 64}}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 4; i++ {
+		seed := DeriveRunSeed(5, i)
+		got, err := mc.Run(w, i, seed)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, err := interp.Run(opaqueWorkload{w}, i, seed)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got.Measured != want.Measured {
+			t.Fatalf("Multicore run %d: replayed %+v, interpreted %+v", i, got.Measured, want.Measured)
+		}
+	}
+	if st := mc.BoardStats(); st.ReplayRuns != 4 {
+		t.Errorf("Multicore: %d replayed runs after recording, want 4", st.ReplayRuns)
+	}
+	t.Logf("recording run allocated %d B (Platform), %d B (Multicore)", uni, multi)
 }

@@ -24,6 +24,7 @@ import (
 	"time"
 
 	"repro/internal/experiments"
+	"repro/internal/fabric"
 	"repro/internal/kernels"
 	"repro/internal/platform"
 	"repro/internal/tvca"
@@ -91,25 +92,44 @@ func TestGoldenCampaignCycles(t *testing.T) {
 // TestSteadyStateZeroAlloc asserts the allocation-free run loop: once
 // the platform has a cached machine for the workload (first run), a
 // full measurement run — reseed, flush, reload, interpret, drain —
-// performs zero heap allocations.
+// performs zero heap allocations. It holds both for a workload built
+// directly and for one built from a spec through the fabric registry
+// (the path pwcetd, the matrix and remote executors take).
 func TestSteadyStateZeroAlloc(t *testing.T) {
-	app := goldenApp(t)
-	p, err := platform.New(platform.RAND())
+	cfg := tvca.DefaultConfig()
+	cfg.Frames = 4
+	params, err := json.Marshal(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := p.Run(app, 0, platform.DeriveRunSeed(42, 0)); err != nil {
+	built, err := fabric.BuiltinRegistry().Build(fabric.WorkloadSpec{Kind: "tvca", Params: params})
+	if err != nil {
 		t.Fatal(err)
 	}
-	run := 1
-	avg := testing.AllocsPerRun(50, func() {
-		if _, err := p.Run(app, run, platform.DeriveRunSeed(42, run)); err != nil {
+	for _, tc := range []struct {
+		name string
+		w    platform.Workload
+	}{
+		{"direct", goldenApp(t)},
+		{"registry", built},
+	} {
+		p, err := platform.New(platform.RAND())
+		if err != nil {
 			t.Fatal(err)
 		}
-		run++
-	})
-	if avg != 0 {
-		t.Errorf("steady-state run allocates: %.1f allocs/run, want 0", avg)
+		if _, err := p.Run(tc.w, 0, platform.DeriveRunSeed(42, 0)); err != nil {
+			t.Fatal(err)
+		}
+		run := 1
+		avg := testing.AllocsPerRun(50, func() {
+			if _, err := p.Run(tc.w, run, platform.DeriveRunSeed(42, run)); err != nil {
+				t.Fatal(err)
+			}
+			run++
+		})
+		if avg != 0 {
+			t.Errorf("%s: steady-state run allocates: %.1f allocs/run, want 0", tc.name, avg)
+		}
 	}
 }
 
