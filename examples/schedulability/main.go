@@ -35,8 +35,7 @@ func main() {
 	// would fail the i.i.d. gate — consecutive jobs within a run share
 	// warmed cache state; per-run worst-case samples are i.i.d. and
 	// conservatively cover all activations.)
-	byTask, err := mbpta.PerTaskWorstCampaign(mbpta.RANDPlatform(), app,
-		mbpta.WithRuns(runs), mbpta.WithBaseSeed(31))
+	byTask, err := mbpta.PerTaskWorstCampaign(mbpta.RANDPlatform(), app, runs, 31)
 	if err != nil {
 		log.Fatal(err)
 	}

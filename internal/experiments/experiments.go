@@ -20,7 +20,7 @@ import (
 	"repro/internal/stats"
 	"repro/internal/telemetry"
 	"repro/internal/tvca"
-	"repro/internal/wal"
+	"repro/pkg/mbpta"
 )
 
 // Params configures a full evaluation run.
@@ -62,10 +62,10 @@ type Params struct {
 	Hazard faults.Hazard
 	// Telemetry, when non-nil, attaches the observability layer to the
 	// RAND campaign: simulator and campaign instruments are harvested
-	// at batch barriers, the i.i.d. gate publishes its p-values, and
-	// the streaming analyzer (Converge mode) publishes the pWCET
-	// trajectory. Nil keeps every campaign untelemetered and
-	// bit-identical to earlier revisions.
+	// at batch barriers, and the campaign's incremental analyzer
+	// publishes its gate p-values and pWCET trajectory at every batch,
+	// in fixed-size and Converge mode alike. Nil keeps every campaign
+	// untelemetered.
 	Telemetry *telemetry.Registry
 	// Journal, when set, makes the RAND campaign crash-safe: every
 	// completed run and a per-batch checkpoint are written to an
@@ -96,9 +96,6 @@ type Env struct {
 	det       *platform.CampaignResult
 	randConv  *ConvergeInfo
 	randFault *faults.Summary
-	// randInj is the RAND campaign's injector while one is attached —
-	// the only holder of the clamped-draw tally.
-	randInj *faults.Injector
 }
 
 // ConvergeInfo summarizes an early-stopped RAND campaign.
@@ -129,197 +126,75 @@ func NewEnv(p Params) (*Env, error) {
 // App returns the workload.
 func (e *Env) App() *tvca.App { return e.app }
 
-// RAND returns the (cached) campaign on the time-randomized platform.
-// With Params.Converge it streams batches through the online analyzer
-// and stops at pWCET-delta convergence; RANDConvergence then reports
-// where it stopped.
+// RAND returns the (cached) campaign on the time-randomized platform,
+// measured by mbpta.Campaign (or mbpta.Resume under Params.Resume).
+// With Params.Converge it stops at pWCET-delta convergence;
+// RANDConvergence then reports where it stopped.
 func (e *Env) RAND() (*platform.CampaignResult, error) {
-	if e.rand == nil {
-		if e.P.Converge {
-			return e.randConverged()
-		}
-		so, err := e.randStreamOptions()
-		if err != nil {
-			return nil, err
-		}
-		// One barrier at the end, as in earlier revisions — except when
-		// journaling, where the engine default granularity (250) bounds
-		// the re-execution window after a crash.
-		so.BatchSize = e.P.Runs
-		if e.P.Journal != "" {
-			so.BatchSize = 0
-			cleanup, err := e.wireJournal(&so, nil, nil, nil)
-			if err != nil {
-				return nil, err
-			}
-			defer cleanup()
-		}
-		c, err := platform.StreamCampaign(context.Background(), platform.RAND(), e.app, so, nil)
-		if err != nil {
-			return nil, err
-		}
-		e.setRAND(c)
+	if e.rand != nil {
+		return e.rand, nil
 	}
-	return e.rand, nil
-}
-
-// wireJournal attaches the WAL durability layer to so: Create for a
-// fresh campaign, recover-and-resume under Params.Resume. state
-// provides the per-barrier checkpoint payload (nil journals runs
-// without analyzer state); onResume runs after recovery with the plan
-// and the mutable resume state (to restore analyzer state); publish
-// re-emits the analysis event of one replayed batch (nil when the
-// campaign has no online analyzer). The returned func closes the
-// journal.
-func (e *Env) wireJournal(so *platform.StreamOptions, state func() ([]byte, error), onResume func(*wal.ResumePlan, *platform.ResumeState) error, publish func(batch int)) (func() error, error) {
-	// Normalize the batch size the same way the engine will, so the
-	// journaled identity record holds the effective value.
-	if so.BatchSize <= 0 {
-		so.BatchSize = 250
+	rule := mbpta.FixedRuns(e.P.Runs)
+	if e.P.Converge {
+		rule = mbpta.PWCETDelta(1e-12, e.P.ConvergeTol, 2)
 	}
-	if so.BatchSize > so.MaxRuns {
-		so.BatchSize = so.MaxRuns
-	}
-	meta := wal.Meta{
-		Platform:  platform.RAND().Name,
-		Workload:  e.app.Name(),
-		BaseSeed:  so.BaseSeed,
-		MaxRuns:   so.MaxRuns,
-		BatchSize: so.BatchSize,
-	}
-	if !e.P.Resume {
-		jw, err := wal.Create(e.P.Journal, meta, e.P.Telemetry)
-		if err != nil {
-			return nil, err
-		}
-		j := wal.NewCampaignJournal(jw, state)
-		so.Journal = j
-		return j.Close, nil
-	}
-	plan, err := wal.PrepareResume(e.P.Journal, e.P.Telemetry)
-	if err != nil {
-		return nil, err
-	}
-	if err := plan.Meta.Validate(meta); err != nil {
-		plan.Writer.Close()
-		return nil, err
-	}
-	j := wal.NewCampaignJournal(plan.Writer, state)
-	rs := plan.Resume
-	if onResume != nil {
-		if err := onResume(plan, &rs); err != nil {
-			plan.Writer.Close()
-			return nil, err
-		}
-	}
-	so.Journal = j
-	so.Resume = &rs
-	so.Replay = publish
-	return j.Close, nil
-}
-
-// randStreamOptions assembles the RAND campaign's stream options,
-// attaching the SEU injector when Params.FaultRate asks for it.
-func (e *Env) randStreamOptions() (platform.StreamOptions, error) {
-	so := platform.StreamOptions{
-		MaxRuns:   e.P.Runs,
-		Parallel:  e.P.Parallel,
-		BaseSeed:  e.P.Seed,
-		Telemetry: e.P.Telemetry,
+	opts := []mbpta.CampaignOption{
+		mbpta.WithRuns(e.P.Runs),
+		mbpta.WithBaseSeed(e.P.Seed),
+		mbpta.WithParallelism(e.P.Parallel),
+		mbpta.WithStopRule(rule),
+		mbpta.WithAnalyzerOptions(e.P.Analysis),
+		mbpta.WithTelemetry(e.P.Telemetry),
+		mbpta.MeasureOnly(),
 	}
 	if e.P.FaultRate > 0 {
-		inj, err := faults.New(faults.Config{
+		opts = append(opts, mbpta.WithFaultInjection(faults.Config{
 			Rate:       e.P.FaultRate,
 			Mitigation: e.P.Mitigation,
 			Hazard:     e.P.Hazard,
-			Telemetry:  e.P.Telemetry,
-		})
-		if err != nil {
-			return so, err
-		}
-		e.randInj = inj
-		so.NewBoard = inj.NewBoard(platform.RAND())
+		}))
 	}
-	return so, nil
-}
-
-// setRAND caches the campaign and its fault-outcome tally.
-func (e *Env) setRAND(c *platform.CampaignResult) {
-	e.rand = c
+	ctx, cfg := context.Background(), platform.RAND()
+	var rep *mbpta.CampaignReport
+	var err error
+	switch {
+	case e.P.Journal != "" && e.P.Resume:
+		rep, err = mbpta.Resume(ctx, cfg, e.app, e.P.Journal, opts...)
+	case e.P.Journal != "":
+		// Journaled campaigns keep the engine's default batch size,
+		// which bounds re-execution after a crash.
+		rep, err = mbpta.Campaign(ctx, cfg, e.app, append(opts, mbpta.WithJournal(e.P.Journal))...)
+	default:
+		if !e.P.Converge {
+			// One barrier at the end: the fixed protocol has nothing to
+			// evaluate between batches.
+			opts = append(opts, mbpta.WithBatchSize(e.P.Runs))
+		}
+		rep, err = mbpta.Campaign(ctx, cfg, e.app, opts...)
+	}
+	// An unconverged campaign is a result, reported by RANDConvergence.
+	if err != nil && !errors.Is(err, mbpta.ErrNotConverged) {
+		return nil, err
+	}
+	e.rand = rep.Campaign
 	if e.P.FaultRate > 0 {
-		s := faults.Summarize(c.Results)
-		if e.randInj != nil {
-			s.ClampedRuns = e.randInj.ClampedRuns(e.P.Seed, len(c.Results))
-		}
-		e.randFault = &s
+		e.randFault = &rep.Faults
 	}
+	if e.P.Converge {
+		e.randConv = &ConvergeInfo{
+			Converged: rep.Converged,
+			StopRuns:  rep.StopRuns,
+			MaxRuns:   e.P.Runs,
+			Rule:      rep.Rule,
+			Snapshots: rep.Snapshots,
+		}
+	}
+	return e.rand, nil
 }
 
 // FaultSummary returns the RAND campaign's run-outcome tally, or nil
 // when fault injection is off (or the campaign has not run yet).
 func (e *Env) FaultSummary() *faults.Summary { return e.randFault }
-
-// randConverged collects the RAND campaign through the streaming
-// engine with a pWCET(1e-12)-delta stop rule.
-func (e *Env) randConverged() (*platform.CampaignResult, error) {
-	rule := core.PWCETDelta(1e-12, e.P.ConvergeTol, 2)
-	so, err := e.randStreamOptions()
-	if err != nil {
-		return nil, err
-	}
-	online := core.NewOnlineAnalyzer(e.P.Analysis, rule)
-	if e.P.Journal != "" {
-		cleanup, jerr := e.wireJournal(&so,
-			func() ([]byte, error) { return online.MarshalState() },
-			func(plan *wal.ResumePlan, rs *platform.ResumeState) error {
-				if plan.State == nil {
-					return nil
-				}
-				restored, rerr := core.RestoreOnlineAnalyzer(e.P.Analysis, rule, plan.State)
-				if rerr != nil {
-					return fmt.Errorf("experiments: restore analyzer state from %s: %w", e.P.Journal, rerr)
-				}
-				online = restored
-				rs.Stopped = online.Done()
-				return nil
-			},
-			func(batch int) { online.PublishSnapshot(batch) })
-		if jerr != nil {
-			return nil, jerr
-		}
-		defer cleanup()
-	}
-	online.SetTelemetry(e.P.Telemetry)
-	sink := func(b platform.Batch) (bool, error) {
-		obs := make([]core.Observation, len(b.Results))
-		for i, r := range b.Results {
-			obs[i] = core.Observation{
-				Cycles:    float64(r.Cycles),
-				Path:      r.Path,
-				Outcome:   r.Outcome,
-				Mitigated: platform.MitigatedOutcome(r.Outcome),
-			}
-		}
-		snap, err := online.ObserveBatch(obs)
-		if err != nil {
-			return false, err
-		}
-		return snap.Done, nil
-	}
-	c, err := platform.StreamCampaign(context.Background(), platform.RAND(), e.app, so, sink)
-	if err != nil {
-		return nil, err
-	}
-	e.setRAND(c)
-	e.randConv = &ConvergeInfo{
-		Converged: online.Done(),
-		StopRuns:  len(c.Results),
-		MaxRuns:   e.P.Runs,
-		Rule:      rule.Name(),
-		Snapshots: online.Snapshots(),
-	}
-	return e.rand, nil
-}
 
 // RANDConvergence returns the early-stopping summary of the RAND
 // campaign, or nil when Params.Converge is off (or the campaign has

@@ -16,11 +16,6 @@ const (
 	HazardOrbit    HazardKind = "orbit"
 )
 
-// HazardKinds lists the hazard profiles in canonical order.
-func HazardKinds() []HazardKind {
-	return []HazardKind{HazardConstant, HazardWeibull, HazardOrbit}
-}
-
 // Hazard generalizes the constant per-run Poisson rate to a
 // time-varying profile: run i's expected upset count is
 // Rate * Weight(i), where Weight is the discretized hazard function,

@@ -21,11 +21,6 @@ const (
 	MitigationLockstep MitigationKind = "lockstep"
 )
 
-// MitigationKinds lists the mitigation schemes in canonical order.
-func MitigationKinds() []MitigationKind {
-	return []MitigationKind{MitigationNone, MitigationScrub, MitigationECC, MitigationLockstep}
-}
-
 // Mitigated run outcomes: runs whose upsets a mitigation layer absorbed.
 // Unlike the quarantine taxonomy these outcomes stay in the analyzed
 // measurement series — the mitigation's cycle overhead is the point, it

@@ -51,84 +51,38 @@ type (
 	// gate p-values, the current tail fit and the pWCET curve it
 	// implies (via its PWCETAt and Curve methods).
 	Progress = core.Snapshot
-	// StreamBatch is one completed, ordered batch of a streaming
-	// campaign (advanced use: platform.StreamCampaign sinks).
-	StreamBatch = platform.Batch
-	// StreamOptions tunes the low-level streaming executor.
-	StreamOptions = platform.StreamOptions
 	// FaultConfig tunes the SEU injector (see WithFaultInjection): the
 	// expected upsets per run, the hazard profile and mitigation layer,
 	// the targeted arrays, and the watchdog factor for hung-run
 	// detection.
 	FaultConfig = faults.Config
-	// FaultTarget selects a hardware array subject to upsets.
-	FaultTarget = faults.Target
 	// FaultSummary tallies a campaign's run outcomes (clean vs
 	// quarantined by class, plus mitigated recoveries).
 	FaultSummary = faults.Summary
 	// Mitigation configures the fault-mitigation layer (scrubbing, ECC,
 	// lockstep) of a FaultConfig.
 	Mitigation = faults.Mitigation
-	// MitigationKind names a mitigation scheme.
-	MitigationKind = faults.MitigationKind
 	// Hazard configures the time-varying upset-rate profile of a
 	// FaultConfig.
 	Hazard = faults.Hazard
-	// HazardKind names a hazard profile.
-	HazardKind = faults.HazardKind
-	// RetryPolicy bounds per-run retries (see WithRetry).
-	RetryPolicy = platform.RetryPolicy
-	// BatchSink consumes ordered batches from the low-level streaming
-	// executor (advanced use; see ExecutorPool).
-	BatchSink = platform.BatchSink
-	// Board is one simulated machine runs execute on (advanced use:
-	// StreamOptions.NewBoard and the campaign fabric).
-	Board = platform.Board
 	// Journal persists campaign progress at batch barriers (advanced
 	// use: WithJournalSink; WithJournal covers the common case).
 	Journal = platform.Journal
 )
 
-// ExecutorPool is the distributed campaign fabric contract: an
-// implementation executes a campaign's runs on a shared pool of
-// executors (in-process or remote) and delivers results as ordered
-// batches, bit-identical to platform.StreamCampaign — run i always
-// uses seed DeriveRunSeed(base, i), so where a run executes never
-// changes the result. fabric.Pool implements it; pass one to
-// WithExecutorPool.
-type ExecutorPool interface {
-	StreamCampaign(ctx context.Context, cfg PlatformConfig, w Workload, opts StreamOptions, sink BatchSink) (*CampaignResult, error)
-}
-
-// Fault-injection run-outcome classes and targets re-exported for
-// option construction and summary inspection.
+// Fault-injection run-outcome classes, mitigation schemes and hazard
+// profiles re-exported for option construction and summary inspection.
 const (
 	OutcomeMasked          = faults.OutcomeMasked
 	OutcomeTimingPerturbed = faults.OutcomeTimingPerturbed
 	OutcomeWrongOutput     = faults.OutcomeWrongOutput
 	OutcomeHung            = faults.OutcomeHung
 
-	// Mitigated outcomes: recovered runs that stay in the analyzed
-	// series with their recovery overhead charged as cycles.
-	OutcomeCorrected = faults.OutcomeCorrected
-	OutcomeScrubbed  = faults.OutcomeScrubbed
-	OutcomeVoted     = faults.OutcomeVoted
-
-	FaultTargetIL1    = faults.TargetIL1
-	FaultTargetDL1    = faults.TargetDL1
-	FaultTargetITLB   = faults.TargetITLB
-	FaultTargetDTLB   = faults.TargetDTLB
-	FaultTargetIntReg = faults.TargetIntReg
-	FaultTargetFPReg  = faults.TargetFPReg
-
-	MitigationNone     = faults.MitigationNone
-	MitigationScrub    = faults.MitigationScrub
-	MitigationECC      = faults.MitigationECC
-	MitigationLockstep = faults.MitigationLockstep
+	MitigationNone = faults.MitigationNone
+	MitigationECC  = faults.MitigationECC
 
 	HazardConstant = faults.HazardConstant
 	HazardWeibull  = faults.HazardWeibull
-	HazardOrbit    = faults.HazardOrbit
 )
 
 // ParseMitigation resolves a mitigation kind name ("none", "scrub",
@@ -155,12 +109,6 @@ func CRPSConverged(threshold float64, streak int) StopRule {
 	return core.CRPSConverged(threshold, streak)
 }
 
-// MaxWallClock stops once the campaign has been measuring for d.
-func MaxWallClock(d time.Duration) StopRule { return core.MaxWallClock(d) }
-
-// AnyRule stops as soon as any of its rules does.
-func AnyRule(rules ...StopRule) StopRule { return core.AnyRule(rules...) }
-
 // campaignConfig is the resolved option set of Campaign.
 type campaignConfig struct {
 	runs        int
@@ -173,14 +121,14 @@ type campaignConfig struct {
 	measureOnly bool
 	faults      *FaultConfig
 	runTimeout  time.Duration
-	retry       RetryPolicy
+	retry       platform.RetryPolicy
 	supervise   platform.SupervisionPolicy
 	journal     string
 	journalSink Journal
 	cached      func(run int) (RunResult, bool)
 	telemetry   *Telemetry
 	coRunners   []Workload
-	pool        ExecutorPool
+	pool        *FabricPool
 }
 
 // CampaignOption configures Campaign.
@@ -284,7 +232,7 @@ func WithRunTimeout(d time.Duration) CampaignOption {
 // retry.
 func WithRetry(maxAttempts int, backoff time.Duration) CampaignOption {
 	return func(c *campaignConfig) {
-		c.retry = RetryPolicy{MaxAttempts: maxAttempts, Backoff: backoff}
+		c.retry = platform.RetryPolicy{MaxAttempts: maxAttempts, Backoff: backoff}
 	}
 }
 
@@ -359,7 +307,7 @@ func WithTelemetry(reg *Telemetry) CampaignOption {
 }
 
 // WithExecutorPool executes the campaign's runs on a shared campaign
-// fabric (see internal/fabric and cmd/pwcetd) instead of private
+// fabric pool (see NewFabricPool and cmd/pwcetd) instead of private
 // in-process executors: many concurrent campaigns multiplex over the
 // pool's executors with fair scheduling and bounded backpressure. The
 // campaign runs the same session engine as a local one, so the report's
@@ -370,7 +318,7 @@ func WithTelemetry(reg *Telemetry) CampaignOption {
 // only; WithCoRunners is rejected. WithParallelism is a pool-side
 // concern and is ignored under a pool, as are WithRetry and
 // WithSupervision on remote executors.
-func WithExecutorPool(pool ExecutorPool) CampaignOption {
+func WithExecutorPool(pool *FabricPool) CampaignOption {
 	return func(c *campaignConfig) { c.pool = pool }
 }
 
@@ -381,7 +329,9 @@ func WithExecutorPool(pool ExecutorPool) CampaignOption {
 // DeriveRunSeed(base, i) regardless of parallelism — so multicore
 // campaigns compose with journaling, stop rules and progress exactly
 // like single-core ones. Incompatible with WithFaultInjection (the SEU
-// injector targets single-core boards) and with WithExecutorPool.
+// injector targets single-core boards) and with WithExecutorPool:
+// co-runner campaigns on a pool have not been measured yet, so they
+// stay on private executors.
 func WithCoRunners(coRunners ...Workload) CampaignOption {
 	return func(c *campaignConfig) { c.coRunners = coRunners }
 }
@@ -575,9 +525,9 @@ func (c *campaignConfig) validate() error {
 		return errors.New("mbpta: WithFaultInjection targets single-core boards and is incompatible with WithCoRunners")
 	}
 	// A pool executor builds a fresh board whenever it switches
-	// sessions or idles, and a fresh Multicore board re-records its
-	// co-runner traces into a large preallocated buffer: co-runner
-	// campaigns stay local until that buffer grows on demand.
+	// sessions or idles, and what that costs a Multicore board with
+	// co-runner traces to re-record has not been measured: co-runner
+	// campaigns stay local until it has.
 	if c.pool != nil && len(c.coRunners) > 0 {
 		return errors.New("mbpta: WithCoRunners is not supported on an executor pool")
 	}
@@ -611,7 +561,7 @@ func (c *campaignConfig) streamOptions(cfg PlatformConfig) platform.StreamOption
 // sink and assembles the report — the shared tail of Campaign and
 // Resume.
 func (c *campaignConfig) execute(ctx context.Context, cfg PlatformConfig, w Workload, online *core.OnlineAnalyzer, so platform.StreamOptions) (*CampaignReport, error) {
-	sink := func(b StreamBatch) (bool, error) {
+	sink := func(b platform.Batch) (bool, error) {
 		obs := make([]core.Observation, len(b.Results))
 		for i, r := range b.Results {
 			obs[i] = core.Observation{

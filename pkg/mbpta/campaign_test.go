@@ -7,6 +7,8 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/core"
+	"repro/internal/faults"
 	"repro/pkg/mbpta"
 )
 
@@ -224,8 +226,8 @@ func TestStopRuleConstructorsExported(t *testing.T) {
 		mbpta.FixedRuns(10),
 		mbpta.PWCETDelta(0, 0, 0),
 		mbpta.CRPSConverged(0, 0),
-		mbpta.MaxWallClock(time.Second),
-		mbpta.AnyRule(mbpta.FixedRuns(1), mbpta.MaxWallClock(time.Hour)),
+		core.MaxWallClock(time.Second),
+		core.AnyRule(mbpta.FixedRuns(1), core.MaxWallClock(time.Hour)),
 	} {
 		if r.Name() == "" {
 			t.Error("rule with empty name")
@@ -367,7 +369,7 @@ func TestCampaignMitigatedRunsAnalyzed(t *testing.T) {
 		mbpta.WithRuns(300), mbpta.WithBaseSeed(42), mbpta.MeasureOnly(),
 		mbpta.WithFaultInjection(mbpta.FaultConfig{
 			Rate:       0.5,
-			Mitigation: mbpta.Mitigation{Kind: mbpta.MitigationLockstep},
+			Mitigation: mbpta.Mitigation{Kind: faults.MitigationLockstep},
 		}))
 	if err != nil {
 		t.Fatal(err)

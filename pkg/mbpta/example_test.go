@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"log"
 
+	"repro/internal/evt"
 	"repro/pkg/mbpta"
 )
 
@@ -11,7 +12,7 @@ import (
 // known Gumbel tail and query the pWCET curve.
 func Example() {
 	// Synthetic execution times with a known per-run tail.
-	g := mbpta.Gumbel{Mu: 100000, Beta: 1500}
+	g := evt.Gumbel{Mu: 100000, Beta: 1500}
 	times := sampleGumbel(g, 3000)
 
 	gate, err := mbpta.CheckIID(times, 0.05)
@@ -30,15 +31,6 @@ func Example() {
 	// Output:
 	// i.i.d. gate passed: true
 	// pWCET(1e-6) < pWCET(1e-12): true
-}
-
-// Querying a fitted Gumbel directly.
-func ExampleGumbel() {
-	g := mbpta.Gumbel{Mu: 1000, Beta: 50}
-	x, _ := g.QuantileSF(1e-9)
-	fmt.Printf("exceeded with p=1e-9 at %.0f cycles\n", x)
-	// Output:
-	// exceeded with p=1e-9 at 2036 cycles
 }
 
 // Classical MBTA baseline: high watermark plus an engineering margin.
@@ -65,7 +57,7 @@ func ExampleResponseTimes() {
 // sampleGumbel draws deterministic variates by inversion over an
 // equidistributed low-discrepancy sequence perturbed enough to pass the
 // independence tests.
-func sampleGumbel(g mbpta.Gumbel, n int) []float64 {
+func sampleGumbel(g evt.Gumbel, n int) []float64 {
 	out := make([]float64, n)
 	state := uint64(0x9E3779B97F4A7C15)
 	for i := range out {

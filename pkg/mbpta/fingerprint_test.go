@@ -10,6 +10,8 @@ import (
 	"sort"
 	"testing"
 
+	"repro/internal/core"
+	"repro/internal/evt"
 	"repro/internal/stats"
 )
 
@@ -139,7 +141,7 @@ func syntheticReport(runs int) *CampaignReport {
 		s := Progress{
 			Batch: b, Runs: 10 * b, TotalRuns: 10*b + 1, Quarantined: 1, BlockSize: 50, Discarded: -b,
 			GateChecked: b%2 == 1, Fitted: b > 1, Done: b == 3,
-			Fit: Gumbel{Mu: 1e5 + float64(b), Beta: -inf}, Delta: nan, RefProb: 1e-12,
+			Fit: evt.Gumbel{Mu: 1e5 + float64(b), Beta: -inf}, Delta: nan, RefProb: 1e-12,
 			PWCET: inf, PWCETRelDelta: -inf,
 			Gate:         IIDReport{Independence: test, IdentDist: test, Pass: b == 1},
 			QGate:        qg,
@@ -150,11 +152,11 @@ func syntheticReport(runs int) *CampaignReport {
 	}
 	r.Analysis = &Result{
 		BlockSize: 50,
-		Paths: []PathResult{
-			{Path: `pa"th`, N: 700, Method: MethodBlockMaxima, Fit: Gumbel{Mu: 3, Beta: nan}, GEVXi: -0.0, Maxima: 14, Discarded: 0, QGate: &qg},
+		Paths: []core.PathResult{
+			{Path: `pa"th`, N: 700, Method: MethodBlockMaxima, Fit: evt.Gumbel{Mu: 3, Beta: nan}, GEVXi: -0.0, Maxima: 14, Discarded: 0, QGate: &qg},
 			{Path: "bad\xff", N: -1, Method: "pot", GEVXi: inf, Pooled: true},
 		},
-		SmallPaths: []SmallPath{{Path: "\\small\"", N: 3, HWM: -inf}, {Path: "", N: 0, HWM: nan}},
+		SmallPaths: []core.SmallPath{{Path: "\\small\"", N: 3, HWM: -inf}, {Path: "", N: 0, HWM: nan}},
 	}
 	return r
 }

@@ -11,6 +11,7 @@ import (
 	"time"
 
 	"repro/internal/fabric"
+	"repro/internal/telemetry"
 	"repro/internal/wal"
 	"repro/pkg/mbpta"
 )
@@ -34,7 +35,7 @@ func campaignWithEvents(t *testing.T, fn func(reg *mbpta.Telemetry) (*mbpta.Camp
 	t.Helper()
 	reg := mbpta.NewTelemetry()
 	var buf bytes.Buffer
-	sink := mbpta.NewTelemetryJSONL(&buf)
+	sink := telemetry.NewJSONLSink(&buf)
 	reg.Attach(sink)
 	rep, err := fn(reg)
 	if ferr := sink.Flush(); ferr != nil {

@@ -25,8 +25,8 @@
 //   - WithBaseSeed: seed of the per-run seed derivation
 //   - WithParallelism: worker platforms; never changes results
 //   - WithBatchSize: runs between stop-rule evaluations
-//   - WithStopRule: FixedRuns (paper default), PWCETDelta,
-//     CRPSConverged, MaxWallClock, or AnyRule of several
+//   - WithStopRule: FixedRuns (paper default), PWCETDelta or
+//     CRPSConverged
 //   - WithProgress: per-batch Snapshot callback
 //   - WithAnalyzerOptions: analyzer configuration for refits and the
 //     final analysis
@@ -65,7 +65,6 @@ import (
 	"io"
 
 	"repro/internal/core"
-	"repro/internal/evt"
 	"repro/internal/isa"
 	"repro/internal/mbta"
 	"repro/internal/platform"
@@ -86,47 +85,14 @@ type (
 	Options = core.Options
 	// Result is a complete analysis with pWCET query methods.
 	Result = core.Result
-	// PathResult is the per-path portion of a Result.
-	PathResult = core.PathResult
-	// CurvePoint is one point of the Figure-2 pWCET curve.
-	CurvePoint = core.CurvePoint
-	// ConvergencePoint is one step of the campaign-size convergence
-	// trace.
-	ConvergencePoint = core.ConvergencePoint
-	// Gumbel is the extreme-value distribution MBPTA fits.
-	Gumbel = evt.Gumbel
-	// FitMethod selects the Gumbel estimator (PWM, moments, MLE).
-	FitMethod = evt.FitMethod
 	// IIDReport carries the Ljung-Box + Kolmogorov-Smirnov gate
 	// outcome.
 	IIDReport = stats.IIDReport
-	// TestResult is a single statistical test outcome.
-	TestResult = stats.TestResult
 	// TailMethod selects block-maxima (paper default) or
 	// peaks-over-threshold tail estimation.
 	TailMethod = core.TailMethod
-	// CI is a bootstrap confidence interval on a pWCET estimate.
-	CI = core.CI
 	// CVPoint is one point of the MBPTA-CV exponentiality ladder.
 	CVPoint = core.CVPoint
-	// Summary is the descriptive-statistics block of a PathResult.
-	Summary = stats.Summary
-	// ECDF is the empirical distribution behind Result.Observed.
-	ECDF = stats.ECDF
-	// SmallPath records a path observed too rarely to fit (kept as an
-	// HWM floor in Result.SmallPaths).
-	SmallPath = core.SmallPath
-	// TailModel answers per-run exceedance queries (PathResult.Tail).
-	TailModel = evt.TailModel
-	// PerRunTail is the per-run projection of a block-maxima Gumbel.
-	PerRunTail = core.PerRunTail
-	// ExceedanceModel is the peaks-over-threshold tail (PathResult.PoT).
-	ExceedanceModel = evt.ExceedanceModel
-	// GPD is the generalized Pareto tail inside an ExceedanceModel.
-	GPD = evt.GPD
-	// GEV is the generalized extreme-value fit behind the tail-shape
-	// diagnostic.
-	GEV = evt.GEV
 )
 
 // Tail estimation methods for Options.Method.
@@ -155,62 +121,14 @@ var (
 	ErrInsufficient = core.ErrInsufficient
 )
 
-// Fit method names.
-const (
-	MethodPWM     = evt.MethodPWM
-	MethodMoments = evt.MethodMoments
-	MethodMLE     = evt.MethodMLE
-)
-
 // NewAnalyzer returns an analyzer with opts completed by the paper's
 // defaults.
 func NewAnalyzer(opts Options) *Analyzer { return core.NewAnalyzer(opts) }
 
 // CheckIID runs the standalone i.i.d. gate (Ljung-Box + two-sample KS)
 // on an execution-time series at significance alpha.
-// Quantile-gate surface: the nine-decile two-sample comparison and
-// timing-leak oracle (see internal/stats).
-type (
-	// QuantileGateOptions configures the nine-decile gate.
-	QuantileGateOptions = stats.QuantileGateOptions
-	// QuantileGateReport is the two-layer per-decile verdict.
-	QuantileGateReport = stats.QuantileGateReport
-	// DecileResult is one decile's comparison result.
-	DecileResult = stats.DecileResult
-	// QuantileEstimate is a Harrell-Davis quantile estimate with CI.
-	QuantileEstimate = stats.QuantileEstimate
-)
-
-// CompareQuantiles runs the two-layer decile comparison of two
-// run-time samples — the timing-leak oracle primitive.
-func CompareQuantiles(a, b []float64, opts QuantileGateOptions) (QuantileGateReport, error) {
-	return stats.CompareQuantiles(a, b, opts)
-}
-
-// CheckQuantileGate compares the ordered halves of one series — the
-// sharper identical-distribution gate.
-func CheckQuantileGate(times []float64, opts QuantileGateOptions) (QuantileGateReport, error) {
-	return stats.CheckQuantileGate(times, opts)
-}
-
-// EstimateQuantile computes a Harrell-Davis quantile estimate with a
-// Maritz-Jarrett standard error and confidence interval.
-func EstimateQuantile(times []float64, q, confidence float64) (QuantileEstimate, error) {
-	return stats.EstimateQuantile(times, q, confidence)
-}
-
 func CheckIID(times []float64, alpha float64) (IIDReport, error) {
 	return stats.CheckIID(times, alpha)
-}
-
-// ExtendedIIDReport adds turning-point randomness and Mann-Kendall
-// trend diagnostics to the paper's gate.
-type ExtendedIIDReport = stats.ExtendedIIDReport
-
-// CheckIIDExtended applies the full diagnostic battery (Ljung-Box, KS,
-// turning-point, Mann-Kendall) at level alpha.
-func CheckIIDExtended(times []float64, alpha float64) (ExtendedIIDReport, error) {
-	return stats.CheckIIDExtended(times, alpha)
 }
 
 // Platform types (the hardware-randomized substrate).
@@ -225,44 +143,26 @@ type (
 	RunResult = platform.RunResult
 	// CampaignResult is an ordered measurement campaign.
 	CampaignResult = platform.CampaignResult
-	// InterferenceConfig attaches synthetic co-runner bus traffic.
-	InterferenceConfig = platform.InterferenceConfig
-	// Multicore co-simulates real co-runner programs on the other
-	// cores, sharing the bus and DRAM with the measured workload.
-	Multicore = platform.Multicore
-	// MulticoreResult is one co-simulated measurement.
-	MulticoreResult = platform.MulticoreResult
 )
-
-// NewMulticore builds a co-simulated multicore platform: the measured
-// workload runs on core 0, the co-runners loop on the remaining cores.
-func NewMulticore(cfg PlatformConfig, coRunners []Workload) (*Multicore, error) {
-	return platform.NewMulticore(cfg, coRunners)
-}
 
 // Per-task measurement types.
 type (
-	// Span names a PC range — one task's body within a program.
-	Span = isa.Span
 	// TaskAware is a Workload exposing its task spans for per-job
 	// execution-time attribution.
 	TaskAware = platform.TaskAware
-	// JobTimes maps task names to per-job cycle counts of one run.
-	JobTimes = platform.JobTimes
 	// SchedTask is one periodic task of a fixed-priority set.
 	SchedTask = sched.Task
 )
 
-// PerTaskWorstCampaign maps each task to its per-run worst job time —
-// i.i.d. samples that conservatively cover every activation, the
-// per-task MBPTA input. Of the campaign options only WithRuns and
-// WithBaseSeed apply — per-task measurement is a serial,
-// instrumentation-heavy mode outside the streaming engine. (The jobs
-// of one run share warm cache state and are correlated, which is why
-// only the per-run worst job enters the analysis.)
-func PerTaskWorstCampaign(cfg PlatformConfig, w TaskAware, opts ...CampaignOption) (map[string][]float64, error) {
-	c := resolveCampaignConfig(opts)
-	return platform.PerTaskWorstCampaign(cfg, w, c.runs, c.seed)
+// PerTaskWorstCampaign maps each task to its per-run worst job time
+// over runs serial runs seeded from seed — i.i.d. samples that
+// conservatively cover every activation, the per-task MBPTA input.
+// Per-task measurement is an instrumentation-heavy mode outside the
+// streaming engine, so it takes no campaign options. (The jobs of one
+// run share warm cache state and are correlated, which is why only the
+// per-run worst job enters the analysis.)
+func PerTaskWorstCampaign(cfg PlatformConfig, w TaskAware, runs int, seed uint64) (map[string][]float64, error) {
+	return platform.PerTaskWorstCampaign(cfg, w, runs, seed)
 }
 
 // ResponseTimes computes classical fixed-priority response-time
@@ -338,10 +238,6 @@ func AnalyzeMBTA(times []float64) (MBTAResult, error) { return mbta.Analyze(time
 type (
 	// TraceSet is a persisted measurement campaign.
 	TraceSet = trace.Set
-	// TraceSample is one persisted run.
-	TraceSample = trace.Sample
-	// ReportSeries is one line of an exceedance plot.
-	ReportSeries = report.Series
 	// ReportBar is one bar of a comparison chart.
 	ReportBar = report.Bar
 )
@@ -352,20 +248,8 @@ func RenderBarChart(w io.Writer, title string, width int, bars []ReportBar) erro
 	return report.BarChart(w, title, width, bars)
 }
 
-// RenderExceedancePlot renders one or more exceedance-probability
-// series on a log-scale Y axis (the Figure-2 style pWCET plot) to w.
-func RenderExceedancePlot(w io.Writer, title string, floor float64, width, height int, series ...ReportSeries) error {
-	return report.ExceedancePlot(w, title, floor, width, height, series...)
-}
-
-// WriteTraceCSV / ReadTraceCSV persist campaigns as CSV.
+// WriteTraceCSV persists a campaign as CSV.
 func WriteTraceCSV(w io.Writer, s *TraceSet) error { return trace.WriteCSV(w, s) }
 
 // ReadTraceCSV parses the WriteTraceCSV format.
 func ReadTraceCSV(r io.Reader) (*TraceSet, error) { return trace.ReadCSV(r) }
-
-// WriteTraceJSON / ReadTraceJSON persist campaigns as JSON.
-func WriteTraceJSON(w io.Writer, s *TraceSet) error { return trace.WriteJSON(w, s) }
-
-// ReadTraceJSON parses the WriteTraceJSON format.
-func ReadTraceJSON(r io.Reader) (*TraceSet, error) { return trace.ReadJSON(r) }

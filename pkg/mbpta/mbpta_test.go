@@ -7,7 +7,11 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/evt"
 	"repro/internal/platform"
+	"repro/internal/report"
+	"repro/internal/stats"
+	"repro/internal/trace"
 	"repro/pkg/mbpta"
 )
 
@@ -104,7 +108,7 @@ func TestErrorSentinelsExported(t *testing.T) {
 func TestTracePersistenceRoundTrip(t *testing.T) {
 	set := &mbpta.TraceSet{
 		Platform: "RAND", Workload: "demo",
-		Samples: []mbpta.TraceSample{{Run: 0, Cycles: 10, Path: "p"}},
+		Samples: []trace.Sample{{Run: 0, Cycles: 10, Path: "p"}},
 	}
 	var buf bytes.Buffer
 	if err := mbpta.WriteTraceCSV(&buf, set); err != nil {
@@ -118,10 +122,10 @@ func TestTracePersistenceRoundTrip(t *testing.T) {
 		t.Error("CSV round trip lost data")
 	}
 	buf.Reset()
-	if err := mbpta.WriteTraceJSON(&buf, set); err != nil {
+	if err := trace.WriteJSON(&buf, set); err != nil {
 		t.Fatal(err)
 	}
-	got, err = mbpta.ReadTraceJSON(&buf)
+	got, err = trace.ReadJSON(&buf)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -140,8 +144,8 @@ func TestRenderHelpers(t *testing.T) {
 		t.Error("bar chart missing title")
 	}
 	buf.Reset()
-	err = mbpta.RenderExceedancePlot(&buf, "curve", 1e-9, 40, 8,
-		mbpta.ReportSeries{Times: []float64{1, 2}, Probs: []float64{0.5, 0.01}, Name: "s"})
+	err = report.ExceedancePlot(&buf, "curve", 1e-9, 40, 8,
+		report.Series{Times: []float64{1, 2}, Probs: []float64{0.5, 0.01}, Name: "s"})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -172,7 +176,7 @@ func TestCustomWorkloadViaBuilder(t *testing.T) {
 }
 
 func TestGumbelExported(t *testing.T) {
-	g := mbpta.Gumbel{Mu: 100, Beta: 10}
+	g := evt.Gumbel{Mu: 100, Beta: 10}
 	x, err := g.QuantileSF(1e-9)
 	if err != nil {
 		t.Fatal(err)
@@ -211,7 +215,7 @@ func TestExtendedGateWrapper(t *testing.T) {
 		state = state*6364136223846793005 + 1442695040888963407
 		times[i] = 1000 + float64(state>>40)/float64(1<<18)
 	}
-	rep, err := mbpta.CheckIIDExtended(times, 0.05)
+	rep, err := stats.CheckIIDExtended(times, 0.05)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -248,8 +252,7 @@ func TestPerTaskWrappers(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	worst, err := mbpta.PerTaskWorstCampaign(mbpta.RANDPlatform(), app,
-		mbpta.WithRuns(10), mbpta.WithBaseSeed(2))
+	worst, err := mbpta.PerTaskWorstCampaign(mbpta.RANDPlatform(), app, 10, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -286,7 +289,7 @@ func TestMulticoreWrapper(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	mc, err := mbpta.NewMulticore(mbpta.RANDPlatform(), nil)
+	mc, err := platform.NewMulticore(mbpta.RANDPlatform(), nil)
 	if err != nil {
 		t.Fatal(err)
 	}

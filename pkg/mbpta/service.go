@@ -1,7 +1,6 @@
 // The pWCET analysis service surface: the wire types of the pwcetd
 // HTTP API, a client for it, and the public face of the distributed
-// campaign fabric (pool construction, workload specs, the remote
-// executor entry point). The service itself lives in internal/pwcetd
+// campaign fabric (pool construction, workload specs). The service itself lives in internal/pwcetd
 // and is started by cmd/pwcetd; this file is everything a program
 // needs to talk to one — or to embed a fabric pool directly.
 
@@ -30,7 +29,7 @@ type (
 	FabricConfig = fabric.Config
 	// FabricPool is the fabric coordinator: a shared executor pool many
 	// concurrent campaigns multiplex over with fair scheduling and
-	// bounded backpressure. It implements ExecutorPool.
+	// bounded backpressure.
 	FabricPool = fabric.Pool
 	// FabricStats is a point-in-time pool snapshot.
 	FabricStats = fabric.Stats
@@ -50,13 +49,6 @@ func NewFabricPool(cfg FabricConfig) *FabricPool { return fabric.NewPool(cfg) }
 // (the TVCA case study and the generality kernels), the default
 // registry of pools, executors and the pWCET service.
 func BuiltinWorkloads() *WorkloadRegistry { return fabric.BuiltinRegistry() }
-
-// RunFabricExecutor joins addr's coordinator as a remote executor and
-// executes leases until the connection drops or ctx is canceled. A nil
-// registry selects BuiltinWorkloads.
-func RunFabricExecutor(ctx context.Context, addr string, reg *WorkloadRegistry) error {
-	return fabric.RunExecutor(ctx, addr, reg)
-}
 
 // NamedPlatformConfig resolves the reference platform builds by name:
 // "RAND" (or empty) and "DET".

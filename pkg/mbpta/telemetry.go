@@ -14,16 +14,8 @@ import (
 type (
 	// Telemetry is a metrics/event registry (nil = disabled).
 	Telemetry = telemetry.Registry
-	// TelemetryEvent is one structured campaign event.
-	TelemetryEvent = telemetry.Event
-	// TelemetryField is one event payload entry.
-	TelemetryField = telemetry.Field
-	// TelemetrySink consumes emitted events.
-	TelemetrySink = telemetry.EventSink
 	// TelemetryRing retains the most recent events in memory.
 	TelemetryRing = telemetry.RingSink
-	// TelemetryJSONL streams events as JSON lines.
-	TelemetryJSONL = telemetry.JSONLSink
 	// TelemetryServer is a running /metrics exposition endpoint.
 	TelemetryServer = telemetry.Server
 )
@@ -35,16 +27,6 @@ func NewTelemetry() *Telemetry { return telemetry.New() }
 // events (capacity < 1 selects 256). Attach it to a registry with
 // reg.Attach.
 func NewTelemetryRing(capacity int) *TelemetryRing { return telemetry.NewRingSink(capacity) }
-
-// NewTelemetryJSONL returns a sink writing each event as one JSON line
-// to w. Call Flush once the campaign ends.
-func NewTelemetryJSONL(w io.Writer) *TelemetryJSONL { return telemetry.NewJSONLSink(w) }
-
-// ReadTelemetryEvents parses a JSON-lines event stream back into
-// events — the inverse of NewTelemetryJSONL.
-func ReadTelemetryEvents(r io.Reader) ([]TelemetryEvent, error) {
-	return telemetry.ReadEvents(r)
-}
 
 // ServeTelemetry starts an HTTP exposition server for reg on addr
 // (":0" picks a free port): /metrics serves the Prometheus text

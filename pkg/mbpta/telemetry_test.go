@@ -6,6 +6,7 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/telemetry"
 	"repro/pkg/mbpta"
 )
 
@@ -15,7 +16,7 @@ func teleCampaign(t *testing.T, parallel int) (map[string]float64, []byte) {
 	t.Helper()
 	reg := mbpta.NewTelemetry()
 	var log bytes.Buffer
-	sink := mbpta.NewTelemetryJSONL(&log)
+	sink := telemetry.NewJSONLSink(&log)
 	reg.Attach(sink)
 	_, err := mbpta.Campaign(context.Background(), mbpta.RANDPlatform(), smallApp(t),
 		mbpta.WithRuns(300),
@@ -76,7 +77,7 @@ func TestTelemetryParallelismInvariance(t *testing.T) {
 	}
 
 	// Sanity: the stream must actually contain the campaign narrative.
-	evs, err := mbpta.ReadTelemetryEvents(bytes.NewReader(log1))
+	evs, err := telemetry.ReadEvents(bytes.NewReader(log1))
 	if err != nil {
 		t.Fatal(err)
 	}
