@@ -140,12 +140,16 @@ cover:
 # ties, denormals, tiny n), the online analyzer's incremental i.i.d.
 # gate against the from-scratch gate under arbitrary batchings and
 # restores, the hazard sampler against arbitrary
-# profile parameters, and the cache and TLB fast paths (same-line and
-# same-page probes, line-slot memo, micro-cache) differentially against
-# the plain scan under arbitrary access/flush/reseed/upset streams, and
+# profile parameters, and the cache and TLB fast paths (two-entry line
+# and page records, bulk repeats, line-slot memo, micro-cache)
+# differentially against the plain scan under arbitrary
+# access/flush/reseed/upset streams, and
 # the multicore board's planned co-runner replay against interpretation
-# over arbitrary co-runner loops. Seed corpora live under the packages'
-# testdata/fuzz/ directories.
+# over arbitrary co-runner loops, the timing model's fetch blocks
+# against one-instruction blocks over arbitrary programs on every board
+# kind, and pwcetd's campaign-spec and matrix-spec request decoders
+# (every body gets a 2xx or a typed 4xx). Seed corpora live under the
+# packages' testdata/fuzz/ directories.
 fuzz:
 	$(GO) test ./internal/isa/ -run '^$$' -fuzz '^FuzzInterpreter$$' -fuzztime 30s
 	$(GO) test ./internal/telemetry/ -run '^$$' -fuzz '^FuzzEventRoundTrip$$' -fuzztime 30s
@@ -160,6 +164,9 @@ fuzz:
 	$(GO) test ./internal/cache/ -run '^$$' -fuzz '^FuzzCacheAccessStream$$' -fuzztime 30s
 	$(GO) test ./internal/tlb/ -run '^$$' -fuzz '^FuzzTLBLookupStream$$' -fuzztime 30s
 	$(GO) test ./internal/platform/ -run '^$$' -fuzz '^FuzzMulticoreInlineReplay$$' -fuzztime 30s
+	$(GO) test ./internal/platform/ -run '^$$' -fuzz '^FuzzFetchBlocks$$' -fuzztime 30s
+	$(GO) test ./internal/pwcetd/ -run '^$$' -fuzz '^FuzzCampaignSpecDecode$$' -fuzztime 30s
+	$(GO) test ./internal/pwcetd/ -run '^$$' -fuzz '^FuzzMatrixSpecDecode$$' -fuzztime 30s
 
 clean:
 	$(GO) clean -testcache

@@ -160,21 +160,27 @@ type Cache struct {
 	place     placeKind
 	repl      replKind
 
-	// Most-recent-line record: the line touched by the last hit or
-	// fill. That line is necessarily still resident when the next
-	// access arrives (no intervening access can have evicted it), so an
-	// access to the same line address short-circuits placement hashing
-	// and the way scan with identical side effects. Tag-array fault
-	// injection can invalidate the "tag matches line address" premise,
-	// so mruOff bypasses the record from the first upset until Flush.
-	// last points into the slab; nil = no record.
-	lastLA uint64
-	last   *line
-	mruOff bool
+	// Two-entry line record: la0 is the line touched by the last hit or
+	// fill, la1 the distinct line touched before it; idx0/idx1 are their
+	// slab indices + 1, 0 = no record. Both lines are necessarily still
+	// resident when the next access arrives: nothing since their last
+	// touch could evict la0, and the one fill since la1's (the one that
+	// made la0 current) drops the record if it landed on idx1 (see
+	// note). An access to either line therefore short-circuits placement
+	// hashing and the way scan with identical side effects. Tag-array
+	// fault injection can invalidate the "tag matches line address"
+	// premise, so mruOff bypasses both records from the first upset until
+	// Flush. Indices rather than slab pointers keep record updates free
+	// of GC write barriers.
+	la0, la1   uint64
+	idx0, idx1 uint32
+	mruOff     bool
 
-	// Same-line hits served by FastAccess/FastWrite. They are kept out
-	// of stats so the probes stay within the inliner's budget, and are
-	// folded into Hits, WriteHits and MRUHits by Stats.
+	// Same-line hits served by FastAccess/FastWrite (and RepeatHit) on
+	// the la0 record. They are kept out of stats so the probes stay
+	// within the inliner's budget, and are folded into Hits, WriteHits
+	// and MRUHits by Stats. Hits on the la1 record are ordinary Hits
+	// and WriteHits, like memo hits.
 	fastReads  uint64
 	fastWrites uint64
 
@@ -256,7 +262,7 @@ func (c *Cache) Flush() {
 	clear(c.lines)
 	clear(c.rrCursor)
 	clear(c.memo[:])
-	c.last = nil
+	c.idx0, c.idx1 = 0, 0
 	c.mruOff = false
 }
 
@@ -265,10 +271,10 @@ func (c *Cache) Flush() {
 // has no effect (kept so callers can treat both platforms uniformly).
 func (c *Cache) Reseed(seed uint64) {
 	c.seed = seed
-	// The record's and the memo's exactness arguments assume a fixed
+	// The records' and the memo's exactness arguments assume a fixed
 	// placement mapping; after a reseed the same line address maps
 	// elsewhere.
-	c.last = nil
+	c.idx0, c.idx1 = 0, 0
 	clear(c.memo[:])
 }
 
@@ -322,38 +328,85 @@ func (c *Cache) setWays(set int) []line {
 	return c.lines[base : base+c.ways]
 }
 
-// FastAccess is the inlinable same-line probe of Access: when addr lies
-// in the line the previous access hit or filled, it performs that read
-// hit and returns true; otherwise it changes nothing and returns false,
-// and the caller falls back to Access. Callers on the per-instruction
-// path test it first so the common case costs no call.
+// FastAccess is the inlinable record probe of Access: when addr lies
+// in the line the previous access hit or filled (the la0 record), it
+// performs that read hit and returns true; otherwise it changes nothing
+// and returns false, and the caller tries FastAccess1 and then falls
+// back to Access. Callers on the per-instruction path test the probes
+// first so the common case costs no call.
 func (c *Cache) FastAccess(addr uint64) bool {
-	l := c.last
-	if l == nil || addr>>c.lineShift != c.lastLA {
+	if addr>>c.lineShift != c.la0 || c.idx0 == 0 {
 		return false
 	}
 	c.clock++
-	l.lru = c.clock
+	c.lines[c.idx0-1].lru = c.clock
 	c.fastReads++
 	return true
 }
 
 // FastWrite is FastAccess for stores: a same-line write hit.
 func (c *Cache) FastWrite(addr uint64) bool {
-	l := c.last
-	if l == nil || addr>>c.lineShift != c.lastLA {
+	if addr>>c.lineShift != c.la0 || c.idx0 == 0 {
 		return false
 	}
 	c.clock++
-	l.lru = c.clock
+	c.lines[c.idx0-1].lru = c.clock
 	c.fastWrites++
+	return true
+}
+
+// FastAccess1 is the inlinable probe of the la1 record: when addr lies
+// in the distinct line touched before the previous access's, it
+// performs that read hit — an ordinary hit, not an MRUHit — makes the
+// line the most recent and returns true; otherwise it changes nothing
+// and returns false.
+func (c *Cache) FastAccess1(addr uint64) bool {
+	if addr>>c.lineShift != c.la1 || c.idx1 == 0 {
+		return false
+	}
+	c.clock++
+	c.lines[c.idx1-1].lru = c.clock
+	c.stats.Hits++
+	c.la0, c.la1, c.idx0, c.idx1 = c.la1, c.la0, c.idx1, c.idx0
+	return true
+}
+
+// FastWrite1 is FastAccess1 for stores.
+func (c *Cache) FastWrite1(addr uint64) bool {
+	if addr>>c.lineShift != c.la1 || c.idx1 == 0 {
+		return false
+	}
+	c.clock++
+	c.lines[c.idx1-1].lru = c.clock
+	c.stats.WriteHits++
+	c.la0, c.la1, c.idx0, c.idx1 = c.la1, c.la0, c.idx1, c.idx0
+	return true
+}
+
+// Recorded reports whether addr lies in the most recently touched line
+// (the la0 record), so RepeatHit would apply.
+func (c *Cache) Recorded(addr uint64) bool {
+	return c.idx0 != 0 && addr>>c.lineShift == c.la0
+}
+
+// RepeatHit performs k read hits on addr's line in bulk when it is the
+// most recently touched line, leaving the clock, the line's recency
+// stamp and the counters exactly as k FastAccess calls would, and
+// returns true; otherwise it changes nothing and returns false.
+func (c *Cache) RepeatHit(addr uint64, k uint64) bool {
+	if !c.Recorded(addr) {
+		return false
+	}
+	c.clock += k
+	c.lines[c.idx0-1].lru = c.clock
+	c.fastReads += k
 	return true
 }
 
 // Access performs a read access (instruction fetch or load). It returns
 // true on hit; on miss the line is allocated, evicting per policy.
 func (c *Cache) Access(addr uint64) bool {
-	if c.FastAccess(addr) {
+	if c.FastAccess(addr) || c.FastAccess1(addr) {
 		return true
 	}
 	la := c.lineAddr(addr)
@@ -378,7 +431,7 @@ func (c *Cache) Access(addr uint64) bool {
 // write miss does not allocate. With WriteAllocate it behaves like a
 // read access for allocation purposes. Returns true on hit.
 func (c *Cache) Write(addr uint64) bool {
-	if c.FastWrite(addr) {
+	if c.FastWrite(addr) || c.FastWrite1(addr) {
 		return true
 	}
 	la := c.lineAddr(addr)
@@ -417,7 +470,7 @@ func (c *Cache) memoHit(la uint64) bool {
 		return false
 	}
 	l.lru = c.clock
-	c.lastLA, c.last = la, l
+	c.note(la, int(i-1))
 	return true
 }
 
@@ -438,15 +491,24 @@ func (c *Cache) scanSet(set int, la uint64) bool {
 	return false
 }
 
-// note records the slab line touched by a hit or fill in the same-line
-// record and the memo. Under mruOff neither is read, so neither is kept.
+// note records the slab line touched by a hit or fill in the records
+// and the memo. A new line pushes the la0 record down to la1; a record
+// left naming the same slab slot as la0 is a line that a fill has just
+// evicted, so it is dropped. Under mruOff neither the records nor the
+// memo is read, so neither is kept.
 func (c *Cache) note(la uint64, idx int) {
 	if c.mruOff {
 		return
 	}
-	c.lastLA = la
-	c.last = &c.lines[idx]
-	c.memo[la&(memoSlots-1)] = uint32(idx) + 1
+	i := uint32(idx) + 1
+	if la != c.la0 || c.idx0 == 0 {
+		c.la1, c.idx1 = c.la0, c.idx0
+	}
+	c.la0, c.idx0 = la, i
+	if c.idx1 == i {
+		c.idx1 = 0
+	}
+	c.memo[la&(memoSlots-1)] = i
 }
 
 // Probe reports whether addr is present without updating state or
@@ -532,11 +594,10 @@ func (c *Cache) Scrub(set, way int) {
 	c.disableFast()
 }
 
-// disableFast bypasses the same-line record and the memo until the next
-// Flush.
+// disableFast bypasses the records and the memo until the next Flush.
 func (c *Cache) disableFast() {
 	c.mruOff = true
-	c.last = nil
+	c.idx0, c.idx1 = 0, 0
 	clear(c.memo[:])
 }
 

@@ -5,10 +5,11 @@
 // controller behind it.
 //
 // The model is event-additive: the architectural interpreter
-// (internal/isa) feeds one Event per retired instruction, and the core
-// charges the base pipelined cost plus every stall that event incurs
-// (cache misses, TLB walks, long execute latencies, taken-branch
-// bubbles, store-buffer pressure). This is the standard abstraction
+// (internal/isa) feeds the retired instructions one fetch block at a
+// time (or one Event per instruction), and the core charges each
+// instruction's base pipelined cost plus every stall it incurs (cache
+// misses, TLB walks, long execute latencies, taken-branch bubbles,
+// store-buffer pressure). This is the standard abstraction
 // level of the MBPTA literature, where the analyzed jitter sources are
 // exactly cache/TLB placement and replacement, FPU latency and memory
 // interference.
@@ -16,6 +17,7 @@ package cpu
 
 import (
 	"fmt"
+	"math"
 
 	"repro/internal/bus"
 	"repro/internal/cache"
@@ -136,6 +138,11 @@ type Core struct {
 	FPU  *fpu.FPU
 	Bus  Interconnect
 
+	// direct is set when Bus is a BusMem: fills and drains then call the
+	// bus and DRAM models without an interface call.
+	direct BusMem
+	isDir  bool
+
 	cycle      uint64
 	storeSlots []uint64 // completion times of in-flight write-through stores
 	stats      Stats
@@ -144,13 +151,14 @@ type Core struct {
 	// not re-read config structs per retired instruction.
 	itlbWalks   int
 	dtlbWalks   int
-	fpAddExtra  uint64
-	fpMulExtra  uint64
-	intMulExtra uint64
-	intDivExtra uint64
 	branchTaken uint64
 	loadUse     uint64
 	transfer    uint64 // Bus.TransferCycles()
+	fetchBytes  int    // FetchBytes()
+	// fixedExtra holds the execute-stage cycles beyond the base cycle of
+	// the fixed-latency classes (integer multiply/divide, FP add/mul),
+	// indexed by class; every other class has 0.
+	fixedExtra [256]uint64
 }
 
 // NewCore wires a core together. All components must be non-nil.
@@ -162,22 +170,36 @@ func NewCore(id int, params Params, il1, dl1 *cache.Cache, itlb, dtlb *tlb.TLB,
 	if il1 == nil || dl1 == nil || itlb == nil || dtlb == nil || f == nil || b == nil {
 		return nil, fmt.Errorf("cpu: core %d: nil component", id)
 	}
-	return &Core{
+	c := &Core{
 		ID: id, Params: params,
 		IL1: il1, DL1: dl1, ITLB: itlb, DTLB: dtlb,
 		FPU: f, Bus: b,
 		storeSlots:  make([]uint64, params.StoreBufferDepth),
 		itlbWalks:   itlb.Config().WalkAccesses,
 		dtlbWalks:   dtlb.Config().WalkAccesses,
-		fpAddExtra:  uint64(f.AddLatency() - 1),
-		fpMulExtra:  uint64(f.MulLatency() - 1),
-		intMulExtra: uint64(params.IntMulExtra),
-		intDivExtra: uint64(params.IntDivExtra),
 		branchTaken: uint64(params.BranchTaken),
 		loadUse:     uint64(params.LoadUseExtra),
 		transfer:    b.TransferCycles(),
-	}, nil
+		fetchBytes:  min(il1.Config().LineBytes, itlb.Config().PageBytes),
+	}
+	c.fixedExtra[isa.ClassIntMul] = uint64(params.IntMulExtra)
+	c.fixedExtra[isa.ClassIntDiv] = uint64(params.IntDivExtra)
+	c.fixedExtra[isa.ClassFPAdd] = uint64(f.AddLatency() - 1)
+	c.fixedExtra[isa.ClassFPMul] = uint64(f.MulLatency() - 1)
+	if bm, ok := b.(BusMem); ok {
+		c.direct, c.isDir = bm, true
+	}
+	if il1 == dl1 || itlb == dtlb {
+		// A unified cache or TLB is touched between a block's fetches.
+		c.fetchBytes = 0
+	}
+	return c, nil
 }
+
+// FetchBytes implements isa.BlockSink: the granule within which every
+// fetch after the first is an IL1 hit on the same line and an ITLB hit
+// on the same page — the smaller of the IL1 line and the ITLB page.
+func (c *Core) FetchBytes() int { return c.fetchBytes }
 
 // Cycle returns the current core-local cycle count.
 func (c *Core) Cycle() uint64 { return c.cycle }
@@ -211,84 +233,164 @@ func (c *Core) FlushAll() {
 // memFill charges one cache-line fill (or page-walk access) via the
 // shared bus and DRAM: queueing delay + transfer + access latency.
 func (c *Core) memFill(addr uint64, kind bus.Kind) uint64 {
-	start, memLat := c.Bus.Request(c.cycle, kind, addr)
+	start, memLat := c.request(kind, addr)
 	wait := start - c.cycle
 	return wait + c.transfer + memLat
 }
 
-// Consume charges one retired instruction to the pipeline.
+// request asks the interconnect for the bus at the current cycle.
+func (c *Core) request(kind bus.Kind, addr uint64) (start, memLat uint64) {
+	if c.isDir {
+		return c.direct.Request(c.cycle, kind, addr)
+	}
+	return c.Bus.Request(c.cycle, kind, addr)
+}
+
+// Consume charges one retired instruction to the pipeline: it is the
+// one-instruction block of ev.
 func (c *Core) Consume(ev isa.Event) {
-	c.stats.Instructions++
-	// --- Fetch: ITLB, then IL1. --- Each probe below tests the inlined
-	// same-page/same-line fast path first, so the common hit costs no
-	// call; the full lookup runs only when it declines.
-	if !c.ITLB.FastHit(ev.PC) && !c.ITLB.Lookup(ev.PC) {
+	classes := [1]isa.Class{ev.Class}
+	var ops [2]uint64
+	switch ev.Class {
+	case isa.ClassLoad, isa.ClassStore:
+		ops[0] = ev.Addr
+	case isa.ClassFPDiv, isa.ClassFPSqrt:
+		ops[0], ops[1] = math.Float64bits(ev.FOp1), math.Float64bits(ev.FOp2)
+	}
+	c.ConsumeBlock(ev.PC, classes[:], ev.Taken, ops[:])
+}
+
+// ConsumeBlock implements isa.BlockSink: it charges one fetch block to
+// the pipeline exactly as one Consume per instruction would. Its loop is
+// the one copy of the per-class stage logic.
+//
+// IL1 and ITLB are touched only by fetches, and every fetch after the
+// block's first lies on the line and page that first fetch hit or
+// filled — the arrays' most-recent records. So the later fetches are
+// guaranteed hits that charge no cycles, and one RepeatHit per array
+// applies them in bulk with the clock, recency stamp and hit counters
+// they would have left. While a record is off (after a fault upset,
+// until the next flush) the block falls back to one probe per fetch.
+func (c *Core) ConsumeBlock(pc uint64, classes []isa.Class, taken bool, ops []uint64) {
+	n := len(classes)
+	c.stats.Instructions += uint64(n)
+	c.fetch(pc)
+	bulk := true
+	if n > 1 {
+		bulk = c.ITLB.Recorded(pc) && c.IL1.Recorded(pc)
+		if bulk {
+			c.ITLB.RepeatHit(pc, uint64(n-1))
+			c.IL1.RepeatHit(pc, uint64(n-1))
+		}
+	}
+	// The clock and the block's data and execute stalls live in locals;
+	// c.cycle is synced around every call that reads or advances it.
+	cyc, dmem, exec := c.cycle, uint64(0), uint64(0)
+	dtlb, dl1 := c.DTLB, c.DL1
+	k := 0 // next operand word
+	for i, cl := range classes {
+		if !bulk && i > 0 {
+			c.cycle = cyc
+			c.fetch(pc + uint64(i)*isa.InstrBytes)
+			cyc = c.cycle
+		}
+		// Base pipelined cost, then the execute/memory stage by class.
+		cyc++
+		switch cl {
+		case isa.ClassNop, isa.ClassIntALU, isa.ClassHalt:
+			// single cycle, fully pipelined
+		case isa.ClassBranch:
+			if taken && i == n-1 {
+				cyc += c.branchTaken
+				c.stats.BranchStall += c.branchTaken
+			}
+		case isa.ClassLoad:
+			// Each data probe tests the two inlined record probes first.
+			addr := ops[k]
+			k++
+			if !dtlb.FastHit(addr) && !dtlb.FastHit1(addr) && !dtlb.Lookup(addr) {
+				c.cycle = cyc
+				c.dtlbWalk(addr)
+				cyc = c.cycle
+			}
+			if dl1.FastAccess(addr) || dl1.FastAccess1(addr) || dl1.Access(addr) {
+				cyc += c.loadUse
+				dmem += c.loadUse
+			} else {
+				c.cycle = cyc
+				fill := c.memFill(addr, bus.KindLineFill)
+				cyc += fill
+				dmem += fill
+			}
+		case isa.ClassStore:
+			addr := ops[k]
+			k++
+			c.cycle = cyc
+			if !dtlb.FastHit(addr) && !dtlb.FastHit1(addr) && !dtlb.Lookup(addr) {
+				c.dtlbWalk(addr)
+			}
+			if !dl1.FastWrite(addr) && !dl1.FastWrite1(addr) {
+				dl1.Write(addr) // write-through, no allocate
+			}
+			c.storeDrain(addr)
+			cyc = c.cycle
+		case isa.ClassFPDiv:
+			e := c.divExtra(math.Float64frombits(ops[k]), math.Float64frombits(ops[k+1]))
+			k += 2
+			cyc += e
+			exec += e
+		case isa.ClassFPSqrt:
+			e := c.sqrtExtra(math.Float64frombits(ops[k]))
+			k++
+			cyc += e
+			exec += e
+		default:
+			e := c.fixedExtra[cl]
+			cyc += e
+			exec += e
+		}
+	}
+	c.cycle = cyc
+	c.stats.DMemStall += dmem
+	c.stats.ExecStall += exec
+}
+
+// fetch charges the ITLB and IL1 probes of one instruction fetch. Each
+// probe tests the inlined same-page/same-line fast path first, so the
+// common hit costs no call; the full lookup runs only when it declines.
+func (c *Core) fetch(pc uint64) {
+	if !c.ITLB.FastHit(pc) && !c.ITLB.Lookup(pc) {
 		walk := uint64(0)
 		for i := 0; i < c.itlbWalks; i++ {
-			walk += c.memFill(ev.PC, bus.KindTLBWalk)
+			walk += c.memFill(pc, bus.KindTLBWalk)
 		}
 		c.cycle += walk
 		c.stats.IFetchStall += walk
 	}
-	if !c.IL1.FastAccess(ev.PC) && !c.IL1.Access(ev.PC) {
-		fill := c.memFill(ev.PC, bus.KindLineFill)
+	if !c.IL1.FastAccess(pc) && !c.IL1.FastAccess1(pc) && !c.IL1.Access(pc) {
+		fill := c.memFill(pc, bus.KindLineFill)
 		c.cycle += fill
 		c.stats.IFetchStall += fill
 	}
-	// Base pipelined cost.
-	c.cycle++
-
-	// --- Execute / memory stage, by class. ---
-	switch ev.Class {
-	case isa.ClassNop, isa.ClassIntALU, isa.ClassHalt:
-		// single cycle, fully pipelined
-	case isa.ClassBranch:
-		if ev.Taken {
-			c.cycle += c.branchTaken
-			c.stats.BranchStall += c.branchTaken
-		}
-	case isa.ClassLoad:
-		if !c.DTLB.FastHit(ev.Addr) && !c.DTLB.Lookup(ev.Addr) {
-			c.dtlbWalk(ev.Addr)
-		}
-		if c.DL1.FastAccess(ev.Addr) || c.DL1.Access(ev.Addr) {
-			c.cycle += c.loadUse
-			c.stats.DMemStall += c.loadUse
-		} else {
-			fill := c.memFill(ev.Addr, bus.KindLineFill)
-			c.cycle += fill
-			c.stats.DMemStall += fill
-		}
-	case isa.ClassStore:
-		if !c.DTLB.FastHit(ev.Addr) && !c.DTLB.Lookup(ev.Addr) {
-			c.dtlbWalk(ev.Addr)
-		}
-		if !c.DL1.FastWrite(ev.Addr) {
-			c.DL1.Write(ev.Addr) // write-through, no allocate
-		}
-		c.storeDrain(ev.Addr)
-	default:
-		c.cycle += c.execStall(&ev)
-	}
 }
+
+// divExtra and sqrtExtra are the operand-dependent FPU latencies beyond
+// the base cycle.
+func (c *Core) divExtra(dividend, divisor float64) uint64 {
+	return uint64(c.FPU.DivLatency(dividend, divisor) - 1)
+}
+
+func (c *Core) sqrtExtra(x float64) uint64 { return uint64(c.FPU.SqrtLatency(x) - 1) }
 
 // execStall counts and returns the cycles a long-latency execute-stage
 // event (integer multiply/divide, FPU) spends beyond its base cycle.
 func (c *Core) execStall(ev *isa.Event) uint64 {
-	var n uint64
+	n := c.fixedExtra[ev.Class]
 	switch ev.Class {
-	case isa.ClassIntMul:
-		n = c.intMulExtra
-	case isa.ClassIntDiv:
-		n = c.intDivExtra
-	case isa.ClassFPAdd:
-		n = c.fpAddExtra
-	case isa.ClassFPMul:
-		n = c.fpMulExtra
 	case isa.ClassFPDiv:
-		n = uint64(c.FPU.DivLatency(ev.FOp1, ev.FOp2) - 1)
+		n = c.divExtra(ev.FOp1, ev.FOp2)
 	case isa.ClassFPSqrt:
-		n = uint64(c.FPU.SqrtLatency(ev.FOp1) - 1)
+		n = c.sqrtExtra(ev.FOp1)
 	}
 	c.stats.ExecStall += n
 	return n
@@ -316,17 +418,17 @@ func (c *Core) storeDrain(addr uint64) {
 		c.stats.StoreStall += wait
 	}
 	// Issue the drain from the current (post-stall) time.
-	start, memLat := c.Bus.Request(c.cycle, bus.KindWrite, addr)
+	start, memLat := c.request(bus.KindWrite, addr)
 	c.storeSlots[slot] = start + c.transfer + memLat
 }
 
-// RunProgram executes prog architecturally on machine memory mem32 and
-// charges its timing to the core, returning the consumed cycles. The
-// core is passed as the machine's EventSink directly — no per-run
-// closure allocation.
+// RunProgram executes m's program architecturally and charges its
+// timing to the core one fetch block at a time, returning the consumed
+// cycles. The core is passed as the machine's BlockSink directly — no
+// per-run closure allocation.
 func (c *Core) RunProgram(m *isa.Machine) (uint64, error) {
 	startCycle := c.cycle
-	if _, err := m.RunSink(c); err != nil {
+	if _, err := m.RunBlocks(c); err != nil {
 		return 0, err
 	}
 	return c.cycle - startCycle, nil
@@ -523,12 +625,14 @@ func (c *Core) Grant(p *Plan, start, memLat uint64) {
 	}
 }
 
-// drainSlot returns the store-buffer slot that frees first.
+// drainSlot returns the store-buffer slot that frees first (the lowest
+// such index on ties).
 func (c *Core) drainSlot() int {
-	slot := 0
-	for i := 1; i < len(c.storeSlots); i++ {
-		if c.storeSlots[i] < c.storeSlots[slot] {
-			slot = i
+	slots := c.storeSlots
+	slot, first := 0, slots[0]
+	for i := 1; i < len(slots); i++ {
+		if slots[i] < first {
+			slot, first = i, slots[i]
 		}
 	}
 	return slot

@@ -362,26 +362,12 @@ func (in *Injector) faultedRun(ctx context.Context, p *platform.Platform, w plat
 		budget = base.Instructions + watchdogSlack
 	}
 	m.StepLimit = budget
-	if ctx != nil && ctx.Done() != nil {
-		m.Cancel = func() bool { return ctx.Err() != nil }
-	}
-	idx, injected := 0, 0
+	p.PollContext(ctx, m)
 	startCycle := c.Cycle()
-	sink := func(ev isa.Event) {
-		c.Consume(ev)
-		for idx < len(plan) && plan[idx].Step <= m.Steps() {
-			in.apply(plan[idx], m, c)
-			if scrub != nil {
-				scrub.note(plan[idx])
-			}
-			idx++
-			injected++
-		}
-		if scrub != nil {
-			scrub.tick(m.Steps(), c)
-		}
-	}
-	_, runErr := m.Run(sink)
+	sink := faultSink{in: in, m: m, c: c, plan: plan, scrub: scrub}
+	_, runErr := m.RunBlocks(&sink)
+	p.PollContext(nil, m)
+	injected := sink.injected
 	res := platform.RunResult{
 		Cycles:       c.Cycle() - startCycle,
 		Instructions: c.Stats().Instructions,
@@ -412,6 +398,38 @@ func (in *Injector) faultedRun(ctx context.Context, p *platform.Platform, w plat
 		res.Outcome = OutcomeWrongOutput
 	}
 	return res, nil
+}
+
+// faultSink charges a faulted run to the core one instruction at a
+// time and applies each planned upset, and each scrub boundary, right
+// after the instruction whose retirement reaches its step.
+type faultSink struct {
+	in       *Injector
+	m        *isa.Machine
+	c        *cpu.Core
+	plan     []Fault
+	scrub    *scrubber
+	idx      int // next plan entry
+	injected int
+}
+
+// FetchBytes asks for one-instruction blocks: upsets land between
+// instructions.
+func (s *faultSink) FetchBytes() int { return 0 }
+
+func (s *faultSink) ConsumeBlock(pc uint64, classes []isa.Class, taken bool, ops []uint64) {
+	s.c.ConsumeBlock(pc, classes, taken, ops)
+	for s.idx < len(s.plan) && s.plan[s.idx].Step <= s.m.Steps() {
+		s.in.apply(s.plan[s.idx], s.m, s.c)
+		if s.scrub != nil {
+			s.scrub.note(s.plan[s.idx])
+		}
+		s.idx++
+		s.injected++
+	}
+	if s.scrub != nil {
+		s.scrub.tick(s.m.Steps(), s.c)
+	}
 }
 
 // apply flips the addressed bit.

@@ -1,8 +1,6 @@
 package isa
 
 import (
-	"encoding/binary"
-	"errors"
 	"fmt"
 	"testing"
 
@@ -127,103 +125,6 @@ func TestRandomProgramsTerminateDeterministically(t *testing.T) {
 			t.Fatalf("trial %d: nondeterministic rerun", trial)
 		}
 	}
-}
-
-// decodeFuzzProgram maps arbitrary fuzzer bytes onto a program, 8 bytes
-// per instruction: opcode (mod 48, so invalid opcodes past OpFtoi are
-// reachable), the three integer and three FP register selectors (mod
-// 32), a 16-bit signed immediate and a 16-bit signed branch target.
-// Unlike randomProgram above — which only emits well-formed code — this
-// decoder produces wild control flow, unaligned addresses, division by
-// zero and undecodable opcodes on purpose.
-func decodeFuzzProgram(data []byte) *Program {
-	code := make([]Instr, 0, len(data)/8+1)
-	for len(data) >= 8 {
-		code = append(code, Instr{
-			Op:     Op(data[0] % 48),
-			Rd:     Reg(data[1] % NumRegs),
-			Rs1:    Reg(data[2] % NumRegs),
-			Rs2:    Reg(data[3] % NumRegs),
-			Fd:     FReg(data[1] % NumRegs),
-			Fs1:    FReg(data[2] % NumRegs),
-			Fs2:    FReg(data[3] % NumRegs),
-			Imm:    int32(int16(binary.LittleEndian.Uint16(data[4:6]))),
-			Target: int32(int16(binary.LittleEndian.Uint16(data[6:8]))),
-		})
-		data = data[8:]
-	}
-	code = append(code, Instr{Op: OpHalt})
-	return &Program{Name: "fuzz", CodeBase: 0x4000, Code: code}
-}
-
-// FuzzInterpreter throws arbitrary instruction streams at the
-// interpreter: it must never panic, must fail only with its documented
-// error classes, and must replay bit-identically — the property the
-// whole measurement protocol rests on.
-func FuzzInterpreter(f *testing.F) {
-	f.Add([]byte{})
-	// add r1, r1, r1; jmp @0 — a tight infinite loop (step limit).
-	f.Add([]byte{
-		byte(OpAdd), 1, 1, 1, 0, 0, 0, 0,
-		byte(OpJmp), 0, 0, 0, 0, 0, 0, 0,
-	})
-	// div r1, r2, r0 — divide by zero.
-	f.Add([]byte{byte(OpDiv), 1, 2, 0, 0, 0, 0, 0})
-	// ld r1, [r0+3] — unaligned load.
-	f.Add([]byte{byte(OpLd), 1, 0, 0, 3, 0, 0, 0})
-	// ret [r5] with a garbage register value — PC out of range.
-	f.Add([]byte{
-		byte(OpAddi), 5, 0, 0, 0x39, 0x30, 0, 0,
-		byte(OpRet), 0, 5, 0, 0, 0, 0, 0,
-	})
-	// Opcode 47 — undecodable.
-	f.Add([]byte{47, 0, 0, 0, 0, 0, 0, 0})
-
-	f.Fuzz(func(t *testing.T, data []byte) {
-		if len(data) > 8*4096 {
-			t.Skip("program too large")
-		}
-		prog := decodeFuzzProgram(data)
-		run := func() (uint64, [NumRegs]int32, error) {
-			m := NewMachine(prog, NewMemory())
-			m.StepLimit = 50_000
-			var events uint64
-			steps, err := m.Run(func(Event) { events++ })
-			if events != steps {
-				t.Fatalf("%d events for %d retired instructions", events, steps)
-			}
-			var regs [NumRegs]int32
-			for r := 0; r < NumRegs; r++ {
-				regs[r] = m.Reg(Reg(r))
-			}
-			return steps, regs, err
-		}
-
-		steps, regs, err := run()
-		if err != nil {
-			known := false
-			for _, want := range []error{
-				ErrDivideByZero, ErrPCOutOfRange, ErrUnalignedAddr,
-				ErrStepLimit, ErrUnknownOpcode,
-			} {
-				if errors.Is(err, want) {
-					known = true
-					break
-				}
-			}
-			if !known {
-				t.Fatalf("undocumented error class: %v", err)
-			}
-		}
-
-		steps2, regs2, err2 := run()
-		if steps != steps2 || regs != regs2 || (err == nil) != (err2 == nil) {
-			t.Fatalf("nondeterministic replay: steps %d/%d, err %v/%v", steps, steps2, err, err2)
-		}
-		if err != nil && err.Error() != err2.Error() {
-			t.Fatalf("nondeterministic error: %v vs %v", err, err2)
-		}
-	})
 }
 
 // TestRandomProgramsUnderTiming runs a batch of random programs through

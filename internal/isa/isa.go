@@ -9,8 +9,9 @@
 //   - a Builder, i.e. a tiny structured assembler with labels used by
 //     the workload packages to write programs in Go,
 //   - a functional interpreter (Machine) that executes programs
-//     architecturally and emits one Event per retired instruction for
-//     the timing model in internal/cpu.
+//     architecturally and hands the retired instructions to the timing
+//     model in internal/cpu one fetch block at a time (or one Event
+//     per instruction, for sinks that act between instructions).
 //
 // The interpreter is deliberately split from timing: architectural
 // results depend only on the program and its inputs, while cycle counts

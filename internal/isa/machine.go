@@ -1,7 +1,6 @@
 package isa
 
 import (
-	"encoding/binary"
 	"fmt"
 	"math"
 )
@@ -20,12 +19,34 @@ type Event struct {
 	Taken bool    // branch outcome
 }
 
-// EventSink consumes the per-retired-instruction event stream. The
-// timing model (cpu.Core) implements it directly; passing the interface
-// instead of a bound-method closure keeps the steady-state run loop
-// allocation-free.
+// EventSink consumes the retired instruction stream one Event per
+// instruction. Sinks that act between instructions (fault injection,
+// per-task attribution, trace recording) implement it; RunSink and Run
+// feed them.
 type EventSink interface {
 	Consume(Event)
+}
+
+// BlockSink consumes the retired instruction stream one fetch block at
+// a time. A fetch block is a run of sequentially retired instructions
+// whose PCs share one fetch granule of FetchBytes bytes; it ends early
+// at a taken transfer, at Halt, and at every error, step-limit or
+// cancel exit (where the instructions retired so far are delivered
+// before the run returns). The timing model (cpu.Core) implements it:
+// every fetch after a block's first is a hit on the line and page the
+// first one touched, so the core probes its IL1 and ITLB once per
+// block.
+type BlockSink interface {
+	// FetchBytes is the fetch granule, a power of two; 0 or anything
+	// below InstrBytes delivers one instruction per block.
+	FetchBytes() int
+	// ConsumeBlock receives one block: the PC of its first instruction,
+	// the classes of its instructions in order, whether the last one
+	// transferred control (only the last can), and the dynamic operands
+	// of its instructions in order: one word per load or store (the
+	// effective address), two per FDIV and one per FSQRT (the operands'
+	// math.Float64bits). The slices are valid only during the call.
+	ConsumeBlock(pc uint64, classes []Class, taken bool, ops []uint64)
 }
 
 // Memory is the byte-addressable data memory shared by architectural
@@ -35,8 +56,9 @@ type EventSink interface {
 // A small direct-mapped page-pointer table (indexed by the low bits of
 // the page number) lets accesses skip the map lookup even when a loop
 // alternates between pages (e.g. a coefficient array and a history
-// buffer); the aligned fast paths of the accessors are small enough to
-// inline into the interpreter loop.
+// buffer). The table probe (slot) and the word accesses are small
+// enough to inline into the interpreter loop, which calls the
+// accessors' slow paths only on a table miss or a misaligned address.
 type Memory struct {
 	pages map[uint64]*page
 	tabPN [tabSlots]uint64
@@ -50,7 +72,28 @@ const pageSize = 1 << pageShift
 // pages direct-maps into 64 slots with few collisions.
 const tabSlots = 64
 
-type page [pageSize]byte
+// page holds one page as little-endian 64-bit words: byte k of a word
+// is its bits 8k..8k+7, so a 32-bit access at offset 4 of a word is its
+// upper half, exactly as in a byte array read little-endian, and an
+// aligned access is one array index, small enough to inline.
+type page [pageSize / 8]uint64
+
+// The page accessors take a size-aligned address within the page.
+
+func (p *page) load32(addr uint64) uint32 {
+	return uint32(p[addr>>3&(pageSize/8-1)] >> (addr & 4 * 8))
+}
+
+func (p *page) store32(addr uint64, v uint32) {
+	w, sh := &p[addr>>3&(pageSize/8-1)], addr&4*8
+	*w = *w&^(0xffffffff<<sh) | uint64(v)<<sh
+}
+
+func (p *page) load64(addr uint64) float64 {
+	return math.Float64frombits(p[addr>>3&(pageSize/8-1)])
+}
+
+func (p *page) store64(addr uint64, v float64) { p[addr>>3&(pageSize/8-1)] = math.Float64bits(v) }
 
 // NewMemory returns an empty memory.
 func NewMemory() *Memory {
@@ -83,13 +126,22 @@ func (m *Memory) pageFor(addr uint64, alloc bool) *page {
 	return p
 }
 
-// Read32 loads an aligned 32-bit word.
-func (m *Memory) Read32(addr uint64) (uint32, error) {
+// slot returns addr's page when the page-pointer table holds it and
+// addr is size-aligned — the accessors' fast path, small enough to
+// inline into the interpreter loop — or nil.
+func (m *Memory) slot(addr, size uint64) *page {
 	pn := addr >> pageShift
 	h := pn & (tabSlots - 1)
-	if p := m.tabP[h]; addr&3 == 0 && p != nil && m.tabPN[h] == pn {
-		off := addr & (pageSize - 1)
-		return binary.LittleEndian.Uint32(p[off : off+4]), nil
+	if p := m.tabP[h]; addr&(size-1) == 0 && m.tabPN[h] == pn {
+		return p
+	}
+	return nil
+}
+
+// Read32 loads an aligned 32-bit word.
+func (m *Memory) Read32(addr uint64) (uint32, error) {
+	if p := m.slot(addr, 4); p != nil {
+		return p.load32(addr), nil
 	}
 	return m.read32Slow(addr)
 }
@@ -102,17 +154,13 @@ func (m *Memory) read32Slow(addr uint64) (uint32, error) {
 	if p == nil {
 		return 0, nil
 	}
-	off := addr & (pageSize - 1)
-	return binary.LittleEndian.Uint32(p[off : off+4]), nil
+	return p.load32(addr), nil
 }
 
 // Write32 stores an aligned 32-bit word.
 func (m *Memory) Write32(addr uint64, v uint32) error {
-	pn := addr >> pageShift
-	h := pn & (tabSlots - 1)
-	if p := m.tabP[h]; addr&3 == 0 && p != nil && m.tabPN[h] == pn {
-		off := addr & (pageSize - 1)
-		binary.LittleEndian.PutUint32(p[off:off+4], v)
+	if p := m.slot(addr, 4); p != nil {
+		p.store32(addr, v)
 		return nil
 	}
 	return m.write32Slow(addr, v)
@@ -122,19 +170,14 @@ func (m *Memory) write32Slow(addr uint64, v uint32) error {
 	if addr&3 != 0 {
 		return errUnaligned("write32", addr)
 	}
-	p := m.pageFor(addr, true)
-	off := addr & (pageSize - 1)
-	binary.LittleEndian.PutUint32(p[off:off+4], v)
+	m.pageFor(addr, true).store32(addr, v)
 	return nil
 }
 
 // Read64 loads an aligned 64-bit float.
 func (m *Memory) Read64(addr uint64) (float64, error) {
-	pn := addr >> pageShift
-	h := pn & (tabSlots - 1)
-	if p := m.tabP[h]; addr&7 == 0 && p != nil && m.tabPN[h] == pn {
-		off := addr & (pageSize - 1)
-		return math.Float64frombits(binary.LittleEndian.Uint64(p[off : off+8])), nil
+	if p := m.slot(addr, 8); p != nil {
+		return p.load64(addr), nil
 	}
 	return m.read64Slow(addr)
 }
@@ -147,17 +190,13 @@ func (m *Memory) read64Slow(addr uint64) (float64, error) {
 	if p == nil {
 		return 0, nil
 	}
-	off := addr & (pageSize - 1)
-	return math.Float64frombits(binary.LittleEndian.Uint64(p[off : off+8])), nil
+	return p.load64(addr), nil
 }
 
 // Write64 stores an aligned 64-bit float.
 func (m *Memory) Write64(addr uint64, v float64) error {
-	pn := addr >> pageShift
-	h := pn & (tabSlots - 1)
-	if p := m.tabP[h]; addr&7 == 0 && p != nil && m.tabPN[h] == pn {
-		off := addr & (pageSize - 1)
-		binary.LittleEndian.PutUint64(p[off:off+8], math.Float64bits(v))
+	if p := m.slot(addr, 8); p != nil {
+		p.store64(addr, v)
 		return nil
 	}
 	return m.write64Slow(addr, v)
@@ -167,9 +206,7 @@ func (m *Memory) write64Slow(addr uint64, v float64) error {
 	if addr&7 != 0 {
 		return errUnaligned("write64", addr)
 	}
-	p := m.pageFor(addr, true)
-	off := addr & (pageSize - 1)
-	binary.LittleEndian.PutUint64(p[off:off+8], math.Float64bits(v))
+	m.pageFor(addr, true).store64(addr, v)
 	return nil
 }
 
@@ -198,6 +235,21 @@ type Machine struct {
 	// interpreter loop indexes it instead of re-dispatching the opcode
 	// switch for every retired instruction.
 	classes []Class
+
+	// Block tables for the fetch granule blockBytes (see blockTables):
+	// lineEnd[i] reports that instruction i+1 starts a new granule, and
+	// ops holds one block's dynamic operands. sink is the BlockSink of
+	// the run in flight.
+	sink       BlockSink
+	base       uint64 // Prog.CodeBase
+	lineEnd    []bool
+	ops        []uint64
+	blockBytes int
+	tablesFor  *Program
+
+	// events adapts an EventSink to the block loop (see RunSink); it
+	// lives in the machine so RunSink allocates nothing.
+	events eventBlocks
 
 	// StepLimit guards against runaway loops in workload code; 0 means
 	// the default of 100M instructions.
@@ -258,14 +310,97 @@ func (s funcSink) Consume(ev Event) { s.f(ev) }
 // of retired instructions.
 func (m *Machine) Run(sink func(Event)) (uint64, error) {
 	if sink == nil {
-		return m.RunSink(nil)
+		return m.RunBlocks(nil)
 	}
 	return m.RunSink(funcSink{sink})
 }
 
-// RunSink is Run with an interface sink: the steady-state path used by
-// the timing model, free of the per-run closure allocation.
+// RunSink is Run with an interface sink. It runs the block loop with
+// one-instruction blocks and rebuilds each instruction's Event, so the
+// sink sees exactly one Consume per retired instruction with Steps()
+// already counting it — the points where fault injection and per-task
+// attribution act between instructions.
 func (m *Machine) RunSink(sink EventSink) (uint64, error) {
+	if sink == nil {
+		return m.RunBlocks(nil)
+	}
+	m.events = eventBlocks{code: m.Prog.Code, base: m.Prog.CodeBase, sink: sink}
+	steps, err := m.RunBlocks(&m.events)
+	m.events = eventBlocks{}
+	return steps, err
+}
+
+// eventBlocks rebuilds per-instruction Events from blocks.
+type eventBlocks struct {
+	code []Instr
+	base uint64
+	sink EventSink
+}
+
+// FetchBytes asks for one-instruction blocks.
+func (e *eventBlocks) FetchBytes() int { return 0 }
+
+// ConsumeBlock rebuilds and forwards the block's one instruction's
+// Event (FetchBytes 0 makes every block one instruction long). The
+// access size, which the block does not carry, comes from the opcode.
+func (e *eventBlocks) ConsumeBlock(pc uint64, classes []Class, taken bool, ops []uint64) {
+	ev := Event{PC: pc, Class: classes[0], Taken: taken}
+	switch ev.Class {
+	case ClassLoad, ClassStore:
+		ev.Addr, ev.Size = ops[0], 4
+		if op := e.code[(pc-e.base)/InstrBytes].Op; op == OpFld || op == OpFst {
+			ev.Size = 8
+		}
+	case ClassFPDiv:
+		ev.FOp1, ev.FOp2 = math.Float64frombits(ops[0]), math.Float64frombits(ops[1])
+	case ClassFPSqrt:
+		ev.FOp1 = math.Float64frombits(ops[0])
+	}
+	e.sink.Consume(ev)
+}
+
+// blockTables returns the line-end bits and the operand buffer for
+// fetch granule bytes (below InstrBytes: one instruction per block),
+// rebuilding them only when the granule or the program changes. A
+// block never holds more instructions than one granule spans, and no
+// instruction has more than two operand words, so the buffer is sized
+// to one granule.
+func (m *Machine) blockTables(bytes int) ([]bool, []uint64) {
+	code := m.Prog.Code
+	if bytes < InstrBytes {
+		bytes = 0
+	}
+	if m.tablesFor == m.Prog && m.blockBytes == bytes && len(m.lineEnd) == len(code) {
+		return m.lineEnd, m.ops
+	}
+	if cap(m.lineEnd) < len(code) {
+		m.lineEnd = make([]bool, len(code))
+	}
+	m.lineEnd = m.lineEnd[:len(code)]
+	longest, run := 1, 0
+	for i := range code {
+		pc := m.Prog.PCOf(i)
+		m.lineEnd[i] = bytes == 0 || pc/uint64(bytes) != (pc+InstrBytes)/uint64(bytes)
+		run++
+		longest = max(longest, run)
+		if m.lineEnd[i] {
+			run = 0
+		}
+	}
+	if cap(m.ops) < 2*longest {
+		m.ops = make([]uint64, 2*longest)
+	}
+	m.ops = m.ops[:2*longest]
+	m.blockBytes, m.tablesFor = bytes, m.Prog
+	return m.lineEnd, m.ops
+}
+
+// RunBlocks executes until Halt, delivering the retired instructions
+// to sink one fetch block at a time (see BlockSink). sink may be nil
+// for pure architectural runs. Returns the number of retired
+// instructions. This is the interpreter's only loop: Run and RunSink
+// are adapters over it.
+func (m *Machine) RunBlocks(sink BlockSink) (uint64, error) {
 	limit := m.StepLimit
 	if limit == 0 {
 		limit = 100_000_000
@@ -280,38 +415,53 @@ func (m *Machine) RunSink(sink EventSink) (uint64, error) {
 		}
 		m.classes = classes
 	}
-	classes = classes[:len(code)] // bounds hint: classes[pc] is in range iff code[pc] is
-	base := m.Prog.CodeBase
+	if sink == nil {
+		sink = discard{}
+	}
+	lineEnd, ops := m.blockTables(sink.FetchBytes())
+	lineEnd = lineEnd[:len(code)] // bounds hint: lineEnd[pc] is in range iff code[pc] is
+	m.sink, m.base = sink, m.Prog.CodeBase
 	n := int32(len(code))
-	// pc lives in a local for the duration of the loop; m.pc is synced at
-	// every exit. m.steps stays a field — fault-injection sinks read
-	// Steps() between Consume calls.
-	pc := m.pc
+	// pc and the step count live in locals for the duration of the loop;
+	// m.pc and m.steps are synced at every exit and m.steps before every
+	// delivery (sinks read Steps() between blocks). The open block is
+	// [b0, pc) with nops operand words; every exit delivers it first.
+	// One compare against stop guards both the step limit and the
+	// Cancel poll at every multiple of 1024 steps.
+	pc, steps := m.pc, m.steps
+	mem := m.Mem
+	var err error
+	stop := limit
+	if m.Cancel != nil {
+		stop = min(limit, (steps+1023)&^1023)
+	}
+	b0, nops := pc, 0
 	for {
-		if pc < 0 || pc >= n {
-			m.pc = pc
-			return m.steps, fmt.Errorf("%w: pc=%d len=%d", ErrPCOutOfRange, pc, n)
+		if uint32(pc) >= uint32(n) {
+			m.exit(b0, pc, pc, nops, steps)
+			return steps, fmt.Errorf("%w: pc=%d len=%d", ErrPCOutOfRange, pc, n)
 		}
-		if m.steps >= limit {
-			m.pc = pc
-			return m.steps, fmt.Errorf("%w: %d", ErrStepLimit, limit)
-		}
-		if m.Cancel != nil && m.steps&1023 == 0 && m.Cancel() {
-			m.pc = pc
-			return m.steps, ErrCancelled
+		if steps >= stop {
+			if steps >= limit {
+				m.exit(b0, pc, pc, nops, steps)
+				return steps, fmt.Errorf("%w: %d", ErrStepLimit, limit)
+			}
+			m.steps = steps
+			if m.Cancel() {
+				m.exit(b0, pc, pc, nops, steps)
+				return steps, ErrCancelled
+			}
+			stop = min(limit, steps+1024)
 		}
 		ins := &code[pc]
-		ev := Event{PC: base + uint64(pc)*InstrBytes, Class: classes[pc]}
 		next := pc + 1
+		taken := false
 		switch ins.Op {
 		case OpNop:
 		case OpHalt:
-			m.steps++
-			if sink != nil {
-				sink.Consume(ev)
-			}
-			m.pc = pc
-			return m.steps, nil
+			steps++
+			m.exit(b0, next, pc, nops, steps)
+			return steps, nil
 		case OpAdd:
 			m.SetReg(ins.Rd, m.regs[ins.Rs1]+m.regs[ins.Rs2])
 		case OpAddi:
@@ -340,65 +490,78 @@ func (m *Machine) RunSink(sink EventSink) (uint64, error) {
 			m.SetReg(ins.Rd, m.regs[ins.Rs1]*m.regs[ins.Rs2])
 		case OpDiv:
 			if m.regs[ins.Rs2] == 0 {
-				m.pc = pc
-				return m.steps, fmt.Errorf("%w at pc=%d", ErrDivideByZero, pc)
+				m.exit(b0, pc, pc, nops, steps)
+				return steps, fmt.Errorf("%w at pc=%d", ErrDivideByZero, pc)
 			}
 			m.SetReg(ins.Rd, m.regs[ins.Rs1]/m.regs[ins.Rs2])
 		case OpLd:
+			// Each access tests the memory's inlined fast path first.
 			addr := uint64(uint32(m.regs[ins.Rs1] + ins.Imm))
-			v, err := m.Mem.Read32(addr)
-			if err != nil {
-				m.pc = pc
-				return m.steps, fmt.Errorf("pc=%d: %w", pc, err)
+			var v uint32
+			if p := mem.slot(addr, 4); p != nil {
+				v = p.load32(addr)
+			} else if v, err = mem.read32Slow(addr); err != nil {
+				m.exit(b0, pc, pc, nops, steps)
+				return steps, fmt.Errorf("pc=%d: %w", pc, err)
 			}
 			m.SetReg(ins.Rd, int32(v))
-			ev.Addr, ev.Size = addr, 4
+			ops[nops] = addr
+			nops++
 		case OpSt:
 			addr := uint64(uint32(m.regs[ins.Rs1] + ins.Imm))
-			if err := m.Mem.Write32(addr, uint32(m.regs[ins.Rs2])); err != nil {
-				m.pc = pc
-				return m.steps, fmt.Errorf("pc=%d: %w", pc, err)
+			if p := mem.slot(addr, 4); p != nil {
+				p.store32(addr, uint32(m.regs[ins.Rs2]))
+			} else if err = mem.write32Slow(addr, uint32(m.regs[ins.Rs2])); err != nil {
+				m.exit(b0, pc, pc, nops, steps)
+				return steps, fmt.Errorf("pc=%d: %w", pc, err)
 			}
-			ev.Addr, ev.Size = addr, 4
+			ops[nops] = addr
+			nops++
 		case OpFld:
 			addr := uint64(uint32(m.regs[ins.Rs1] + ins.Imm))
-			v, err := m.Mem.Read64(addr)
-			if err != nil {
-				m.pc = pc
-				return m.steps, fmt.Errorf("pc=%d: %w", pc, err)
+			var v float64
+			if p := mem.slot(addr, 8); p != nil {
+				v = p.load64(addr)
+			} else if v, err = mem.read64Slow(addr); err != nil {
+				m.exit(b0, pc, pc, nops, steps)
+				return steps, fmt.Errorf("pc=%d: %w", pc, err)
 			}
 			m.fregs[ins.Fd] = v
-			ev.Addr, ev.Size = addr, 8
+			ops[nops] = addr
+			nops++
 		case OpFst:
 			addr := uint64(uint32(m.regs[ins.Rs1] + ins.Imm))
-			if err := m.Mem.Write64(addr, m.fregs[ins.Fs2]); err != nil {
-				m.pc = pc
-				return m.steps, fmt.Errorf("pc=%d: %w", pc, err)
+			if p := mem.slot(addr, 8); p != nil {
+				p.store64(addr, m.fregs[ins.Fs2])
+			} else if err = mem.write64Slow(addr, m.fregs[ins.Fs2]); err != nil {
+				m.exit(b0, pc, pc, nops, steps)
+				return steps, fmt.Errorf("pc=%d: %w", pc, err)
 			}
-			ev.Addr, ev.Size = addr, 8
+			ops[nops] = addr
+			nops++
 		case OpBeq:
 			if m.regs[ins.Rs1] == m.regs[ins.Rs2] {
-				next, ev.Taken = ins.Target, true
+				next, taken = ins.Target, true
 			}
 		case OpBne:
 			if m.regs[ins.Rs1] != m.regs[ins.Rs2] {
-				next, ev.Taken = ins.Target, true
+				next, taken = ins.Target, true
 			}
 		case OpBlt:
 			if m.regs[ins.Rs1] < m.regs[ins.Rs2] {
-				next, ev.Taken = ins.Target, true
+				next, taken = ins.Target, true
 			}
 		case OpBge:
 			if m.regs[ins.Rs1] >= m.regs[ins.Rs2] {
-				next, ev.Taken = ins.Target, true
+				next, taken = ins.Target, true
 			}
 		case OpJmp:
-			next, ev.Taken = ins.Target, true
+			next, taken = ins.Target, true
 		case OpCall:
 			m.SetReg(ins.Rd, pc+1)
-			next, ev.Taken = ins.Target, true
+			next, taken = ins.Target, true
 		case OpRet:
-			next, ev.Taken = m.regs[ins.Rs1], true
+			next, taken = m.regs[ins.Rs1], true
 		case OpFadd:
 			m.fregs[ins.Fd] = m.fregs[ins.Fs1] + m.fregs[ins.Fs2]
 		case OpFsub:
@@ -406,10 +569,12 @@ func (m *Machine) RunSink(sink EventSink) (uint64, error) {
 		case OpFmul:
 			m.fregs[ins.Fd] = m.fregs[ins.Fs1] * m.fregs[ins.Fs2]
 		case OpFdiv:
-			ev.FOp1, ev.FOp2 = m.fregs[ins.Fs1], m.fregs[ins.Fs2]
+			ops[nops], ops[nops+1] = math.Float64bits(m.fregs[ins.Fs1]), math.Float64bits(m.fregs[ins.Fs2])
+			nops += 2
 			m.fregs[ins.Fd] = m.fregs[ins.Fs1] / m.fregs[ins.Fs2]
 		case OpFsqrt:
-			ev.FOp1 = m.fregs[ins.Fs1]
+			ops[nops] = math.Float64bits(m.fregs[ins.Fs1])
+			nops++
 			m.fregs[ins.Fd] = math.Sqrt(m.fregs[ins.Fs1])
 		case OpFcmp:
 			a, b := m.fregs[ins.Fs1], m.fregs[ins.Fs2]
@@ -428,13 +593,39 @@ func (m *Machine) RunSink(sink EventSink) (uint64, error) {
 		case OpFtoi:
 			m.SetReg(ins.Rd, int32(m.fregs[ins.Fs1]))
 		default:
-			m.pc = pc
-			return m.steps, fmt.Errorf("%w: %v at pc=%d", ErrUnknownOpcode, ins.Op, pc)
+			m.exit(b0, pc, pc, nops, steps)
+			return steps, fmt.Errorf("%w: %v at pc=%d", ErrUnknownOpcode, ins.Op, pc)
 		}
-		m.steps++
-		if sink != nil {
-			sink.Consume(ev)
+		steps++
+		if taken || lineEnd[pc] {
+			m.steps = steps
+			m.deliver(b0, pc+1, taken, nops)
+			b0, nops = next, 0
 		}
 		pc = next
 	}
+}
+
+// deliver hands the block [b0, end) with nops operand words to the
+// sink of the run in flight.
+func (m *Machine) deliver(b0, end int32, taken bool, nops int) {
+	m.sink.ConsumeBlock(m.base+uint64(b0)*InstrBytes, m.classes[b0:end], taken, m.ops[:nops])
+}
+
+// discard is the sink of a pure architectural run.
+type discard struct{}
+
+func (discard) FetchBytes() int                              { return 0 }
+func (discard) ConsumeBlock(uint64, []Class, bool, []uint64) {}
+
+// exit syncs the machine's state for a run exit at pc, delivers the
+// retired instructions [b0, end) of the open block — a transfer never
+// precedes an exit inside a block, so none of them was taken — and
+// drops the run's sink.
+func (m *Machine) exit(b0, end, pc int32, nops int, steps uint64) {
+	m.pc, m.steps = pc, steps
+	if b0 < end {
+		m.deliver(b0, end, false, nops)
+	}
+	m.sink = nil
 }

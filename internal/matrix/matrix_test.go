@@ -163,11 +163,14 @@ func TestExpandExclusions(t *testing.T) {
 
 func TestExpandRejectsBadSpecs(t *testing.T) {
 	for name, spec := range map[string]Spec{
-		"no platforms": {Workloads: []fabric.WorkloadSpec{{Kind: "crc32"}}},
-		"no workloads": {Platforms: []string{"RAND"}},
-		"bad platform": {Platforms: []string{"XYZ"}, Workloads: []fabric.WorkloadSpec{{Kind: "crc32"}}},
-		"bad rule":     {Platforms: []string{"RAND"}, Workloads: []fabric.WorkloadSpec{{Kind: "crc32"}}, StopRules: []StopRuleSpec{{Kind: "nope"}}},
-		"bad cores":    {Platforms: []string{"RAND"}, Workloads: []fabric.WorkloadSpec{{Kind: "crc32"}}, Cores: []int{0}},
+		"no platforms":  {Workloads: []fabric.WorkloadSpec{{Kind: "crc32"}}},
+		"no workloads":  {Platforms: []string{"RAND"}},
+		"bad platform":  {Platforms: []string{"XYZ"}, Workloads: []fabric.WorkloadSpec{{Kind: "crc32"}}},
+		"bad rule":      {Platforms: []string{"RAND"}, Workloads: []fabric.WorkloadSpec{{Kind: "crc32"}}, StopRules: []StopRuleSpec{{Kind: "nope"}}},
+		"bad cores":     {Platforms: []string{"RAND"}, Workloads: []fabric.WorkloadSpec{{Kind: "crc32"}}, Cores: []int{0}},
+		"cores > board": {Platforms: []string{"RAND"}, Workloads: []fabric.WorkloadSpec{{Kind: "crc32"}}, Cores: []int{5}},
+		"too many cells": {Platforms: []string{"RAND"}, Workloads: make([]fabric.WorkloadSpec, 64),
+			FaultRates: make([]float64, 65)},
 		"all excluded": {Platforms: []string{"RAND"}, Workloads: []fabric.WorkloadSpec{{Kind: "crc32"}}, Exclude: []Exclusion{{}}},
 	} {
 		if _, err := Expand(spec); err == nil {

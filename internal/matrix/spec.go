@@ -18,6 +18,7 @@ import (
 	"fmt"
 
 	"repro/internal/fabric"
+	"repro/internal/platform"
 	"repro/pkg/mbpta"
 )
 
@@ -256,13 +257,18 @@ func (c Cell) groupKey() string {
 	return fmt.Sprintf("%s/f%g/c%d/%s%s", c.Workload.Kind, c.FaultRate, c.Cores, c.StopRule.label(), c.faultSuffix())
 }
 
+// MaxCells bounds the cross product a spec may span.
+const MaxCells = 4096
+
 // Expand resolves the spec to its cell list: the cross product over
 // axes in (platform, workload, fault rate, cores, mitigation, stop
 // rule) order, minus exclusions. Fault×multicore combinations are
 // dropped automatically (the fault-injection layer requires
 // single-core boards), and so are mitigation×fault-rate-0 combinations
 // (mitigation rides the fault layer). Expansion is deterministic: the
-// same spec always yields the same cells in the same order.
+// same spec always yields the same cells in the same order. A spec
+// whose axes span more than MaxCells combinations is refused before
+// any cell is built.
 func Expand(s Spec) ([]Cell, error) {
 	if len(s.Platforms) == 0 {
 		return nil, errors.New("matrix: spec lists no platforms")
@@ -270,9 +276,20 @@ func Expand(s Spec) ([]Cell, error) {
 	if len(s.Workloads) == 0 {
 		return nil, errors.New("matrix: spec lists no workloads")
 	}
+	boardCores := 0 // the smallest board among the platforms
 	for _, p := range s.Platforms {
-		if _, err := fabric.NamedPlatform(p); err != nil {
+		cfg, err := fabric.NamedPlatform(p)
+		if err != nil {
 			return nil, err
+		}
+		if boardCores == 0 || cfg.Cores < boardCores {
+			boardCores = cfg.Cores
+		}
+	}
+	span := 1
+	for _, n := range []int{len(s.Platforms), len(s.Workloads), len(s.FaultRates), len(s.Cores), len(s.Mitigations), len(s.StopRules)} {
+		if span *= max(n, 1); span > MaxCells {
+			return nil, fmt.Errorf("matrix: spec spans more than %d cells", MaxCells)
 		}
 	}
 	for _, w := range s.Workloads {
@@ -289,8 +306,8 @@ func Expand(s Spec) ([]Cell, error) {
 		cores = []int{1}
 	}
 	for _, n := range cores {
-		if n < 1 {
-			return nil, fmt.Errorf("matrix: cores axis value %d < 1", n)
+		if n < 1 || n > boardCores {
+			return nil, fmt.Errorf("matrix: cores axis value %d not in [1,%d]", n, boardCores)
 		}
 	}
 	mitigations := s.Mitigations
@@ -312,6 +329,9 @@ func Expand(s Spec) ([]Cell, error) {
 	runs := s.Runs
 	if runs <= 0 {
 		runs = 3000
+	}
+	if runs > platform.MaxCampaignRuns {
+		return nil, fmt.Errorf("matrix: runs %d above the %d-run budget limit", runs, platform.MaxCampaignRuns)
 	}
 	batch := s.Batch
 	if batch <= 0 {

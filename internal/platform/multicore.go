@@ -87,7 +87,7 @@ type Multicore struct {
 	// and the identical machinery on Platform): the event stream
 	// recorded on the first run of a trace-stable measured workload,
 	// replayed through the timing model on subsequent runs.
-	mTrace     eventTrace
+	mTrace     *blockTrace
 	mTraceW    Workload
 	mTracePath string
 
@@ -718,34 +718,29 @@ func isStable(w Workload) bool {
 }
 
 // recordMeasured runs the measured machine fully while capturing its
-// event stream, then stores the trace (and the run's path
+// block stream, then stores the trace (and the run's path
 // classification, run-invariant for a trace-stable workload) for
 // replay on subsequent runs. The recording run's timing is untouched.
 func (mc *Multicore) recordMeasured(w Workload, m *isa.Machine) (uint64, error) {
 	m.Cancel = mc.cancelFn
 	rs := recordSink{core: mc.cores[0]}
-	if _, err := m.RunSink(&rs); err != nil {
+	if _, err := m.RunBlocks(&rs); err != nil {
 		return 0, err
 	}
-	mc.mTrace, mc.mTraceW, mc.mTracePath = rs.trace, w, w.PathOf(m)
+	mc.mTrace, mc.mTraceW, mc.mTracePath = &rs.trace, w, w.PathOf(m)
 	return mc.cores[0].Cycle(), nil
 }
 
 // replayMeasured performs one measurement by replaying the recorded
-// event stream through core 0's timing model. The per-run protocol
+// block stream through core 0's timing model. The per-run protocol
 // (flush, reset, reseed) already ran, so placement/replacement
 // randomness and bus contention are exactly as in full execution and
 // the measured cycles are bit-identical. The stop poll matches the
 // interpreter's Cancel granularity.
 func (mc *Multicore) replayMeasured() (uint64, error) {
 	core := mc.cores[0]
-	for _, chunk := range mc.mTrace {
-		if mc.stop.Load() {
-			return 0, isa.ErrCancelled
-		}
-		for i := range chunk {
-			core.Consume(chunk[i])
-		}
+	if !mc.mTrace.replay(core, mc.cancelFn) {
+		return 0, isa.ErrCancelled
 	}
 	return core.Cycle(), nil
 }

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"sort"
 
+	"repro/internal/cpu"
 	"repro/internal/isa"
 )
 
@@ -56,50 +57,63 @@ func (p *Platform) RunPerTask(w TaskAware, run int, runSeed uint64) (RunResult, 
 	}
 	p.PrepareRun(runSeed)
 
-	jobs := make(JobTimes)
-	spanOf := func(pc uint64) int {
-		for i := range spans {
-			if pc >= spans[i].Start && pc < spans[i].End {
-				return i
-			}
-		}
-		return -1
-	}
-	current := -1 // span index of the running job
-	var jobCycles, dispatchCycles uint64
-	prev := p.core.Cycle()
-	sink := func(ev isa.Event) {
-		p.core.Consume(ev)
-		now := p.core.Cycle()
-		delta := now - prev
-		prev = now
-		sp := spanOf(ev.PC)
-		if sp != current {
-			if current >= 0 {
-				name := spans[current].Name
-				jobs[name] = append(jobs[name], jobCycles)
-			}
-			current = sp
-			jobCycles = 0
-		}
-		if sp >= 0 {
-			jobCycles += delta
-		} else {
-			dispatchCycles += delta
-		}
-	}
-	if _, err := m.Run(sink); err != nil {
+	ts := taskSink{core: p.core, spans: spans, jobs: make(JobTimes), current: -1, prev: p.core.Cycle()}
+	if _, err := m.RunBlocks(&ts); err != nil {
 		return RunResult{}, nil, fmt.Errorf("platform %s: run %d: %w", p.cfg.Name, run, err)
 	}
+	jobs, current, jobCycles := ts.jobs, ts.current, ts.jobCycles
 	if current >= 0 {
 		jobs[spans[current].Name] = append(jobs[spans[current].Name], jobCycles)
 	}
-	jobs["(dispatcher)"] = []uint64{dispatchCycles}
+	jobs["(dispatcher)"] = []uint64{ts.dispatchCycles}
 	return RunResult{
 		Cycles:       p.core.Cycle(),
 		Instructions: p.core.Stats().Instructions,
 		Path:         w.PathOf(m),
 	}, jobs, nil
+}
+
+// taskSink charges a run to the core one instruction at a time and
+// attributes each instruction's cycles to the task span holding its PC
+// (or to the dispatcher outside every span).
+type taskSink struct {
+	core                      *cpu.Core
+	spans                     []isa.Span
+	jobs                      JobTimes
+	current                   int // span index of the running job, -1 for none
+	prev                      uint64
+	jobCycles, dispatchCycles uint64
+}
+
+// FetchBytes asks for one-instruction blocks: a task span may start or
+// end inside a fetch line.
+func (s *taskSink) FetchBytes() int { return 0 }
+
+func (s *taskSink) ConsumeBlock(pc uint64, classes []isa.Class, taken bool, ops []uint64) {
+	s.core.ConsumeBlock(pc, classes, taken, ops)
+	now := s.core.Cycle()
+	delta := now - s.prev
+	s.prev = now
+	sp := -1
+	for i := range s.spans {
+		if pc >= s.spans[i].Start && pc < s.spans[i].End {
+			sp = i
+			break
+		}
+	}
+	if sp != s.current {
+		if s.current >= 0 {
+			name := s.spans[s.current].Name
+			s.jobs[name] = append(s.jobs[name], s.jobCycles)
+		}
+		s.current = sp
+		s.jobCycles = 0
+	}
+	if sp >= 0 {
+		s.jobCycles += delta
+	} else {
+		s.dispatchCycles += delta
+	}
 }
 
 // PerTaskWorstCampaign is the per-task campaign a certification-grade

@@ -190,9 +190,15 @@ type Platform struct {
 	// through the timing model on subsequent runs.
 	replayOff bool
 	paranoid  bool
-	trace     eventTrace
+	trace     *blockTrace
 	traceW    Workload
 	tracePath string
+
+	// runCtx is the context of the run in flight, polled through
+	// cancelPoll — a method value bound once per board, so a cancelable
+	// run allocates no closure.
+	runCtx     context.Context
+	cancelPoll func() bool
 }
 
 // New instantiates a platform from cfg.
@@ -201,6 +207,7 @@ func New(cfg Config) (*Platform, error) {
 		return nil, err
 	}
 	p := &Platform{cfg: cfg}
+	p.cancelPoll = p.canceled
 	p.rsrc = rng.NewXoroshiro128(1)
 	p.seedr = rng.NewSplitMix64(1)
 	var err error
@@ -240,6 +247,20 @@ func New(cfg Config) (*Platform, error) {
 
 // Config returns the platform configuration.
 func (p *Platform) Config() Config { return p.cfg }
+
+// canceled reports whether the run in flight's context is done.
+func (p *Platform) canceled() bool { return p.runCtx.Err() != nil }
+
+// PollContext arms m to poll ctx for cancellation through the board's
+// persistent poll, so a cancelable run allocates no closure; a ctx that
+// can never fire, nil included, disarms m. Disarm m with a nil ctx once
+// its run is over.
+func (p *Platform) PollContext(ctx context.Context, m *isa.Machine) {
+	p.runCtx, m.Cancel = nil, nil
+	if ctx != nil && ctx.Done() != nil {
+		p.runCtx, m.Cancel = ctx, p.cancelPoll
+	}
+}
 
 // Core returns the measured core (core 0).
 func (p *Platform) Core() *cpu.Core { return p.core }
@@ -360,10 +381,7 @@ func (p *Platform) RunCtx(ctx context.Context, w Workload, run int, runSeed uint
 	if err != nil {
 		return RunResult{}, fmt.Errorf("platform %s: prepare run %d: %w", p.cfg.Name, run, err)
 	}
-	m.Cancel = nil // a reused machine may carry a previous run's closure
-	if ctx != nil && ctx.Done() != nil {
-		m.Cancel = func() bool { return ctx.Err() != nil }
-	}
+	p.PollContext(ctx, m)
 	p.PrepareRun(runSeed)
 	var cycles uint64
 	if ts, ok := w.(TraceStable); ok && ts.TraceStable() && !p.replayOff {
@@ -371,6 +389,7 @@ func (p *Platform) RunCtx(ctx context.Context, w Workload, run int, runSeed uint
 	} else {
 		cycles, err = p.core.RunProgram(m)
 	}
+	p.PollContext(nil, m)
 	if err != nil {
 		return RunResult{}, fmt.Errorf("platform %s: run %d: %w", p.cfg.Name, run, err)
 	}
@@ -402,14 +421,13 @@ func (p *Platform) machineFor(w Workload, run int) (*isa.Machine, error) {
 }
 
 // traceChunk is the number of events in one eventTrace chunk (56 KB).
-// A replay polls for cancellation once per chunk, every 1,024 events,
-// as the interpreter does.
 const traceChunk = 1024
 
-// eventTrace is a recorded event stream held in fixed-size chunks. It
-// grows on demand without copying: recording allocates the trace's
-// size rounded up to one chunk, where a growing flat slice would
-// allocate about five times that in discarded backing arrays.
+// eventTrace is a recorded event stream (a co-runner's iteration, see
+// Multicore) held in fixed-size chunks. It grows on demand without
+// copying: recording allocates the trace's size rounded up to one
+// chunk, where a growing flat slice would allocate about five times
+// that in discarded backing arrays.
 type eventTrace [][]isa.Event
 
 func (t *eventTrace) add(ev isa.Event) {
@@ -437,29 +455,78 @@ func (t eventTrace) flat() []isa.Event {
 	return out
 }
 
-// recordSink forwards every event to the timing core and captures it
+// blockTrace is a recorded fetch-block stream (see isa.BlockSink): the
+// measured core's blocks in order, their classes and dynamic operands
+// held in two flat arrays. Replaying it through Core.ConsumeBlock
+// repeats exactly the timing-model calls of the recorded run, at about
+// a third of an event trace's size.
+type blockTrace struct {
+	blocks  []tracedBlock
+	classes []isa.Class
+	ops     []uint64
+}
+
+// tracedBlock is one recorded block: its start PC, its numbers of
+// instructions and operand words, and its taken bit.
+type tracedBlock struct {
+	pc     uint64
+	n, ops uint32
+	taken  bool
+}
+
+func (t *blockTrace) add(pc uint64, classes []isa.Class, taken bool, ops []uint64) {
+	t.blocks = append(t.blocks, tracedBlock{pc: pc, n: uint32(len(classes)), ops: uint32(len(ops)), taken: taken})
+	t.classes = append(t.classes, classes...)
+	t.ops = append(t.ops, ops...)
+}
+
+// replay feeds the trace to core block by block. It polls canceled, if
+// non-nil, before the first block and after every 1,024 replayed
+// instructions, as the interpreter polls Cancel, and reports false as
+// soon as it fires.
+func (t *blockTrace) replay(core *cpu.Core, canceled func() bool) bool {
+	c, o := 0, 0
+	poll := 0
+	for _, b := range t.blocks {
+		if canceled != nil && c >= poll {
+			if canceled() {
+				return false
+			}
+			poll = c + 1024
+		}
+		n, k := c+int(b.n), o+int(b.ops)
+		core.ConsumeBlock(b.pc, t.classes[c:n], b.taken, t.ops[o:k])
+		c, o = n, k
+	}
+	return true
+}
+
+// recordSink forwards every block to the timing core and captures it
 // for later replay. The recording run's timing is untouched: the core
-// consumes exactly the stream it would have consumed.
+// consumes exactly the blocks it would have consumed.
 type recordSink struct {
 	core  *cpu.Core
-	trace eventTrace
+	trace blockTrace
 }
 
-func (r *recordSink) Consume(ev isa.Event) {
-	r.core.Consume(ev)
-	r.trace.add(ev)
+// FetchBytes asks for the core's blocks.
+func (r *recordSink) FetchBytes() int { return r.core.FetchBytes() }
+
+func (r *recordSink) ConsumeBlock(pc uint64, classes []isa.Class, taken bool, ops []uint64) {
+	r.core.ConsumeBlock(pc, classes, taken, ops)
+	r.trace.add(pc, classes, taken, ops)
 }
 
-// recordTrace runs m fully while capturing its event stream, then
+// recordTrace runs m fully while capturing its block stream, then
 // stores the trace (and the run's path classification, which for a
 // trace-stable workload is the same every run) for replay.
 func (p *Platform) recordTrace(w Workload, m *isa.Machine) (uint64, error) {
 	rs := recordSink{core: p.core}
 	start := p.core.Cycle()
-	if _, err := m.RunSink(&rs); err != nil {
+	if _, err := m.RunBlocks(&rs); err != nil {
 		return 0, err
 	}
-	p.trace, p.traceW, p.tracePath = rs.trace, w, w.PathOf(m)
+	p.trace, p.traceW, p.tracePath = &rs.trace, w, w.PathOf(m)
 	return p.core.Cycle() - start, nil
 }
 
@@ -471,15 +538,15 @@ func (p *Platform) recordTrace(w Workload, m *isa.Machine) (uint64, error) {
 // against a full execution with the same seed.
 func (p *Platform) runReplay(ctx context.Context, w Workload, run int, runSeed uint64) (RunResult, error) {
 	p.PrepareRun(runSeed)
-	poll := ctx != nil && ctx.Done() != nil
-	for _, chunk := range p.trace {
-		if poll && ctx.Err() != nil {
-			return RunResult{}, fmt.Errorf("platform %s: replay run %d: %w",
-				p.cfg.Name, run, isa.ErrCancelled)
-		}
-		for i := range chunk {
-			p.core.Consume(chunk[i])
-		}
+	var canceled func() bool
+	if ctx != nil && ctx.Done() != nil {
+		p.runCtx, canceled = ctx, p.cancelPoll
+	}
+	ok := p.trace.replay(p.core, canceled)
+	p.runCtx = nil
+	if !ok {
+		return RunResult{}, fmt.Errorf("platform %s: replay run %d: %w",
+			p.cfg.Name, run, isa.ErrCancelled)
 	}
 	res := RunResult{
 		Cycles:       p.core.Cycle(),
@@ -502,11 +569,10 @@ func (p *Platform) crossCheck(ctx context.Context, w Workload, run int, runSeed 
 	if err != nil {
 		return fmt.Errorf("platform %s: paranoia prepare run %d: %w", p.cfg.Name, run, err)
 	}
-	if ctx != nil && ctx.Done() != nil {
-		m.Cancel = func() bool { return ctx.Err() != nil }
-	}
+	p.PollContext(ctx, m)
 	p.PrepareRun(runSeed)
 	cycles, err := p.core.RunProgram(m)
+	p.PollContext(nil, m)
 	if err != nil {
 		return fmt.Errorf("platform %s: paranoia run %d: %w", p.cfg.Name, run, err)
 	}

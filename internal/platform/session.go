@@ -105,8 +105,8 @@ func NewSession(ctx context.Context, cfg Config, w Workload, opts StreamOptions,
 // openSession validates opts and builds the session state; the caller
 // sets the lease geometry.
 func openSession(ctx context.Context, cfg Config, w Workload, opts StreamOptions) (*Session, error) {
-	if opts.MaxRuns < 1 {
-		return nil, fmt.Errorf("platform: campaign needs >= 1 run, got %d", opts.MaxRuns)
+	if opts.MaxRuns < 1 || opts.MaxRuns > MaxCampaignRuns {
+		return nil, fmt.Errorf("platform: campaign run budget %d not in [1,%d]", opts.MaxRuns, MaxCampaignRuns)
 	}
 	o := opts.withDefaults()
 	s := &Session{

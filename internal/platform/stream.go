@@ -123,10 +123,15 @@ func (rs *ResumeState) validate(o StreamOptions) error {
 	return nil
 }
 
+// MaxCampaignRuns bounds a campaign's run budget: a session holds one
+// result slot per budgeted run.
+const MaxCampaignRuns = 10_000_000
+
 // StreamOptions tunes StreamCampaign.
 type StreamOptions struct {
-	// MaxRuns is the campaign's run budget (required, >= 1). The
-	// campaign ends after MaxRuns runs unless the sink stops it earlier.
+	// MaxRuns is the campaign's run budget (required, in [1,
+	// MaxCampaignRuns]). The campaign ends after MaxRuns runs unless the
+	// sink stops it earlier.
 	MaxRuns int
 	// BatchSize is the number of runs executed between sink calls
 	// (default 250). Batching never changes results: run i always uses

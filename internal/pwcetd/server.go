@@ -35,6 +35,7 @@ import (
 
 	"repro/internal/fabric"
 	"repro/internal/matrix"
+	"repro/internal/platform"
 	"repro/internal/telemetry"
 	"repro/pkg/mbpta"
 )
@@ -159,6 +160,9 @@ func (s *Server) Close() {
 func (s *Server) Submit(spec mbpta.CampaignSpec) (string, error) {
 	if spec.Runs < 0 || spec.Batch < 0 {
 		return "", fmt.Errorf("pwcetd: negative runs (%d) or batch size (%d)", spec.Runs, spec.Batch)
+	}
+	if spec.Runs > platform.MaxCampaignRuns {
+		return "", fmt.Errorf("pwcetd: runs %d above the %d-run budget limit", spec.Runs, platform.MaxCampaignRuns)
 	}
 	if spec.FaultRate < 0 {
 		return "", fmt.Errorf("pwcetd: negative fault rate %g", spec.FaultRate)

@@ -116,18 +116,25 @@ type TLB struct {
 	mruIdx [mruSlots]int32
 	mruOff bool
 
-	// Single-entry record of the immediately preceding lookup. If the
-	// current vpn equals it, the previous Lookup hit or filled this very
-	// vpn and nothing has run since that could evict it, so this lookup
-	// is a hit at the recorded index with no verification load needed
-	// (vpns are unique absent faults; mruOff covers faults). Instruction
-	// fetch streams stay on one 4 KiB page for ~1k instructions, making
-	// this the dominant path. last points into entries; nil = no record.
-	lastVPN uint64
-	last    *entry
+	// Two-entry record of the preceding lookups: vpn0 is the page of the
+	// immediately preceding lookup, vpn1 the distinct page looked up
+	// before it; idx0/idx1 are their entry indices + 1, 0 = no record.
+	// If the current vpn equals vpn0, the previous Lookup hit or filled
+	// this very vpn and nothing has run since that could evict it, so
+	// this lookup is a hit at the recorded index with no verification
+	// load needed (vpns are unique absent faults; mruOff covers faults).
+	// vpn1's entry is just as resident: the one fill since its lookup
+	// (the one that made vpn0 current) drops the record if it replaced
+	// idx1 (see noteMRU). Instruction fetch streams stay on one 4 KiB
+	// page for ~1k instructions, and data streams alternate between a
+	// few pages, making these the dominant paths. Indices rather than
+	// entry pointers keep record updates free of GC write barriers.
+	vpn0, vpn1 uint64
+	idx0, idx1 uint32
 
-	// Same-page hits served by FastHit, folded into Hits and MRUHits by
-	// Stats so the probe stays within the inliner's budget.
+	// Same-page hits served by FastHit (and RepeatHit) on the vpn0
+	// record, folded into Hits and MRUHits by Stats so the probe stays
+	// within the inliner's budget.
 	fastHits uint64
 }
 
@@ -160,7 +167,7 @@ func (t *TLB) clearMRU() {
 	for i := range t.mruIdx {
 		t.mruIdx[i] = -1
 	}
-	t.last = nil
+	t.idx0, t.idx1 = 0, 0
 }
 
 // Config returns the TLB configuration.
@@ -190,19 +197,60 @@ func (t *TLB) Flush() {
 
 // FastHit is the inlinable same-page probe of Lookup: when addr lies on
 // the page the previous lookup hit or filled — a guaranteed hit at the
-// recorded entry (see the lastVPN invariant) — it performs that hit and
+// recorded entry (see the vpn0 invariant) — it performs that hit and
 // returns true; otherwise it changes nothing and returns false, and the
-// caller falls back to Lookup.
+// caller tries FastHit1 and then falls back to Lookup.
 func (t *TLB) FastHit(addr uint64) bool {
-	e := t.last
-	if e == nil || addr>>t.pageShift != t.lastVPN {
+	if addr>>t.pageShift != t.vpn0 || t.idx0 == 0 {
 		return false
 	}
 	t.clock++
 	if t.repl == replLRU {
-		e.stamp = t.clock
+		t.entries[t.idx0-1].stamp = t.clock
 	}
 	t.fastHits++
+	return true
+}
+
+// FastHit1 is the inlinable probe of the vpn1 record: when addr lies on
+// the distinct page looked up before the previous lookup's, it performs
+// that hit exactly as Lookup would, makes the page the most recent and
+// returns true; otherwise it changes nothing and returns false. Lookup
+// would serve the hit from the micro-cache, an MRUHit: vpn1's last
+// lookup wrote its slot, and only lookups of vpn0, which noteMRU keeps
+// in a different slot, ran since.
+func (t *TLB) FastHit1(addr uint64) bool {
+	if addr>>t.pageShift != t.vpn1 || t.idx1 == 0 {
+		return false
+	}
+	t.clock++
+	if t.repl == replLRU {
+		t.entries[t.idx1-1].stamp = t.clock
+	}
+	t.fastHits++
+	t.vpn0, t.vpn1, t.idx0, t.idx1 = t.vpn1, t.vpn0, t.idx1, t.idx0
+	return true
+}
+
+// Recorded reports whether addr lies on the page of the immediately
+// preceding lookup (the vpn0 record), so RepeatHit would apply.
+func (t *TLB) Recorded(addr uint64) bool {
+	return t.idx0 != 0 && addr>>t.pageShift == t.vpn0
+}
+
+// RepeatHit performs k hits on addr's page in bulk when it is the page
+// of the immediately preceding lookup, leaving the clock, the entry's
+// stamp and the counters exactly as k FastHit calls would, and returns
+// true; otherwise it changes nothing and returns false.
+func (t *TLB) RepeatHit(addr uint64, k uint64) bool {
+	if !t.Recorded(addr) {
+		return false
+	}
+	t.clock += k
+	if t.repl == replLRU {
+		t.entries[t.idx0-1].stamp = t.clock
+	}
+	t.fastHits += k
 	return true
 }
 
@@ -210,7 +258,7 @@ func (t *TLB) FastHit(addr uint64) bool {
 // filled (the walk cost is charged by the timing model, which sees the
 // miss and issues Config().WalkAccesses memory accesses).
 func (t *TLB) Lookup(addr uint64) bool {
-	if t.FastHit(addr) {
+	if t.FastHit(addr) || t.FastHit1(addr) {
 		return true
 	}
 	vpn := addr >> t.pageShift
@@ -272,11 +320,16 @@ func (t *TLB) Lookup(addr uint64) bool {
 }
 
 // noteMRU records where vpn lives, in both the direct-mapped slot table
-// and the single-entry last-lookup record (which every lookup must
-// refresh for its invariant to hold). The scan finds first matches, and
-// a fill only ever happens when no valid entry holds vpn, so the
-// recorded index is always the first (and only) match while faults are
-// absent. Under mruOff neither is read, so neither is kept.
+// and the two-entry lookup record (which every lookup must refresh for
+// its invariant to hold). A new page pushes the vpn0 record down to
+// vpn1. The vpn1 record is dropped when it names the same entry as
+// vpn0 (a page that a fill has just replaced) and when the two pages
+// share a micro-cache slot (vpn0's lookup has just overwritten vpn1's
+// slot, so Lookup would no longer count vpn1's next hit as an MRUHit).
+// The scan finds first matches, and a fill only ever happens when no
+// valid entry holds vpn, so the recorded index is always the first (and
+// only) match while faults are absent. Under mruOff neither is read, so
+// neither is kept.
 func (t *TLB) noteMRU(vpn uint64, idx int32) {
 	if t.mruOff {
 		return
@@ -284,7 +337,14 @@ func (t *TLB) noteMRU(vpn uint64, idx int32) {
 	h := int(vpn) & (mruSlots - 1)
 	t.mruVPN[h] = vpn
 	t.mruIdx[h] = idx
-	t.lastVPN, t.last = vpn, &t.entries[idx]
+	i := uint32(idx) + 1
+	if vpn != t.vpn0 || t.idx0 == 0 {
+		t.vpn1, t.idx1 = t.vpn0, t.idx0
+	}
+	t.vpn0, t.idx0 = vpn, i
+	if t.idx1 == i || (t.vpn1^vpn)&(mruSlots-1) == 0 {
+		t.idx1 = 0
+	}
 }
 
 // InjectEntryFault flips bit number bit of the virtual page number
@@ -320,8 +380,8 @@ func (t *TLB) Scrub(idx int) {
 	t.disableFast()
 }
 
-// disableFast bypasses the last-page record and the micro-cache until
-// the next Flush.
+// disableFast bypasses the lookup records and the micro-cache until the
+// next Flush.
 func (t *TLB) disableFast() {
 	t.mruOff = true
 	t.clearMRU()

@@ -85,9 +85,9 @@ func (c Config) Validate() error {
 	if c.Taps*8 > histSlotBytes {
 		return fmt.Errorf("tvca: taps %d overflow a %d-byte history slot", c.Taps, histSlotBytes)
 	}
-	if c.Frames*c.Sensors*8 > offCoef {
-		return fmt.Errorf("tvca: raw sample array (%d bytes) overflows segment (%d)",
-			c.Frames*c.Sensors*8, offCoef)
+	if c.Frames > offCoef/(c.Sensors*8) { // c.Frames*c.Sensors*8 > offCoef, overflow-free
+		return fmt.Errorf("tvca: raw sample array (%d frames x %d sensors x 8 bytes) overflows segment (%d)",
+			c.Frames, c.Sensors, offCoef)
 	}
 	if c.CodeBase%4 != 0 || c.DataBase%8 != 0 {
 		return fmt.Errorf("tvca: misaligned bases code=%#x data=%#x", c.CodeBase, c.DataBase)

@@ -14,6 +14,7 @@
 package repro
 
 import (
+	"context"
 	"encoding/json"
 	"os"
 	"path/filepath"
@@ -94,7 +95,9 @@ func TestGoldenCampaignCycles(t *testing.T) {
 // full measurement run — reseed, flush, reload, interpret, drain —
 // performs zero heap allocations. It holds both for a workload built
 // directly and for one built from a spec through the fabric registry
-// (the path pwcetd, the matrix and remote executors take).
+// (the path pwcetd, the matrix and remote executors take), and for runs
+// under a cancelable context, as every campaign session's runs are
+// (the board binds its context poll once, not per run).
 func TestSteadyStateZeroAlloc(t *testing.T) {
 	cfg := tvca.DefaultConfig()
 	cfg.Frames = 4
@@ -106,23 +109,27 @@ func TestSteadyStateZeroAlloc(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	canceled, cancel := context.WithCancel(context.Background())
+	defer cancel()
 	for _, tc := range []struct {
 		name string
 		w    platform.Workload
+		ctx  context.Context
 	}{
-		{"direct", goldenApp(t)},
-		{"registry", built},
+		{"direct", goldenApp(t), context.Background()},
+		{"registry", built, context.Background()},
+		{"direct-cancelable", goldenApp(t), canceled},
 	} {
 		p, err := platform.New(platform.RAND())
 		if err != nil {
 			t.Fatal(err)
 		}
-		if _, err := p.Run(tc.w, 0, platform.DeriveRunSeed(42, 0)); err != nil {
+		if _, err := p.RunCtx(tc.ctx, tc.w, 0, platform.DeriveRunSeed(42, 0)); err != nil {
 			t.Fatal(err)
 		}
 		run := 1
 		avg := testing.AllocsPerRun(50, func() {
-			if _, err := p.Run(tc.w, run, platform.DeriveRunSeed(42, run)); err != nil {
+			if _, err := p.RunCtx(tc.ctx, tc.w, run, platform.DeriveRunSeed(42, run)); err != nil {
 				t.Fatal(err)
 			}
 			run++
