@@ -101,17 +101,23 @@ func (b *Bus) Reset() {
 // behind the transfer (the DRAM controller has its own timeline).
 func (b *Bus) Request(core int, t uint64, kind Kind) uint64 {
 	if core < 0 || core >= b.cfg.Cores {
-		panic(fmt.Sprintf("bus: core %d out of range [0,%d)", core, b.cfg.Cores))
+		panic(badCore{core, b.cfg.Cores})
 	}
-	start := t
-	if b.freeAt > start {
-		start = b.freeAt
-	}
+	start := max(t, b.freeAt)
 	b.stats.Transactions++
 	b.stats.WaitCycles += start - t
 	b.stats.BusyCycles += b.cfg.TransferCycles
 	b.freeAt = start + b.cfg.TransferCycles
 	return start
+}
+
+// badCore is Request's panic value for a core outside the bus; it
+// formats only when printed, which keeps Request small enough to
+// inline into the core's fill and drain paths.
+type badCore struct{ core, cores int }
+
+func (e badCore) Error() string {
+	return fmt.Sprintf("bus: core %d out of range [0,%d)", e.core, e.cores)
 }
 
 // Absorb folds a batch of transactions that were granted off-bus into

@@ -188,7 +188,7 @@ type Cache struct {
 	// slab index + 1 where it was last hit or filled; 0 = empty. A slot
 	// is trusted only when the slab line it names is valid and tagged
 	// with the probed line address, which is then the scan's unique
-	// match (see memoHit), so a memo hit skips placement hashing and the
+	// match (see memoIdx), so a memo hit skips placement hashing and the
 	// way scan with identical side effects.
 	memo [memoSlots]uint32
 }
@@ -411,7 +411,9 @@ func (c *Cache) Access(addr uint64) bool {
 	}
 	la := c.lineAddr(addr)
 	c.clock++
-	if c.memoHit(la) {
+	if i := c.memoIdx(la); i >= 0 {
+		c.lines[i].lru = c.clock
+		c.note(la, i)
 		c.stats.Hits++
 		return true
 	}
@@ -436,7 +438,13 @@ func (c *Cache) Write(addr uint64) bool {
 	}
 	la := c.lineAddr(addr)
 	c.clock++
-	if c.memoHit(la) || c.scan(la) {
+	if i := c.memoIdx(la); i >= 0 {
+		c.lines[i].lru = c.clock
+		c.note(la, i)
+		c.stats.WriteHits++
+		return true
+	}
+	if c.scan(la) {
 		c.stats.WriteHits++
 		return true
 	}
@@ -448,8 +456,9 @@ func (c *Cache) Write(addr uint64) bool {
 	return false
 }
 
-// memoHit serves a hit on line address la from the memo, refreshing
-// its recency stamp, or reports false and changes nothing.
+// memoIdx returns the slab index the memo holds for line address la,
+// verified to be valid and tagged la, or -1 (a memo hit is then a hit
+// on that line, which the caller applies).
 //
 // The memo is exact: fills place la only in setOf(la) and only when the
 // set does not already hold it, so absent faults a line address sits in
@@ -460,18 +469,15 @@ func (c *Cache) Write(addr uint64) bool {
 // la, where scan order matters; disableFast empties the memo and note
 // stops filling it until Flush, so the memo is bypassed under mruOff
 // without a test here.
-func (c *Cache) memoHit(la uint64) bool {
+func (c *Cache) memoIdx(la uint64) int {
 	i := c.memo[la&(memoSlots-1)]
 	if i == 0 {
-		return false
+		return -1
 	}
-	l := &c.lines[i-1]
-	if !l.valid || l.tag != la {
-		return false
+	if l := &c.lines[i-1]; !l.valid || l.tag != la {
+		return -1
 	}
-	l.lru = c.clock
-	c.note(la, int(i-1))
-	return true
+	return int(i - 1)
 }
 
 // scan finds line address la by placement and the way scan, refreshing

@@ -138,10 +138,9 @@ type Core struct {
 	FPU  *fpu.FPU
 	Bus  Interconnect
 
-	// direct is set when Bus is a BusMem: fills and drains then call the
-	// bus and DRAM models without an interface call.
+	// direct is Bus when it is a BusMem (else zero): fills and drains
+	// then call the bus and DRAM models without an interface call.
 	direct BusMem
-	isDir  bool
 
 	cycle      uint64
 	storeSlots []uint64 // completion times of in-flight write-through stores
@@ -187,7 +186,7 @@ func NewCore(id int, params Params, il1, dl1 *cache.Cache, itlb, dtlb *tlb.TLB,
 	c.fixedExtra[isa.ClassFPAdd] = uint64(f.AddLatency() - 1)
 	c.fixedExtra[isa.ClassFPMul] = uint64(f.MulLatency() - 1)
 	if bm, ok := b.(BusMem); ok {
-		c.direct, c.isDir = bm, true
+		c.direct = bm
 	}
 	if il1 == dl1 || itlb == dtlb {
 		// A unified cache or TLB is touched between a block's fetches.
@@ -240,8 +239,8 @@ func (c *Core) memFill(addr uint64, kind bus.Kind) uint64 {
 
 // request asks the interconnect for the bus at the current cycle.
 func (c *Core) request(kind bus.Kind, addr uint64) (start, memLat uint64) {
-	if c.isDir {
-		return c.direct.Request(c.cycle, kind, addr)
+	if d := &c.direct; d.Bus != nil {
+		return d.Bus.Request(d.Core, c.cycle, kind), d.Mem.Latency(addr)
 	}
 	return c.Bus.Request(c.cycle, kind, addr)
 }
@@ -274,31 +273,44 @@ func (c *Core) Consume(ev isa.Event) {
 func (c *Core) ConsumeBlock(pc uint64, classes []isa.Class, taken bool, ops []uint64) {
 	n := len(classes)
 	c.stats.Instructions += uint64(n)
-	c.fetch(pc)
-	bulk := true
-	if n > 1 {
-		bulk = c.ITLB.Recorded(pc) && c.IL1.Recorded(pc)
-		if bulk {
-			c.ITLB.RepeatHit(pc, uint64(n-1))
-			c.IL1.RepeatHit(pc, uint64(n-1))
-		}
-	}
 	// The clock and the block's data and execute stalls live in locals;
 	// c.cycle is synced around every call that reads or advances it.
 	cyc, dmem, exec := c.cycle, uint64(0), uint64(0)
-	dtlb, dl1 := c.DTLB, c.DL1
+	itlb, il1, dtlb, dl1 := c.ITLB, c.IL1, c.DTLB, c.DL1
+	bulk := false
 	k := 0 // next operand word
 	for i, cl := range classes {
-		if !bulk && i > 0 {
-			c.cycle = cyc
-			c.fetch(pc + uint64(i)*isa.InstrBytes)
-			cyc = c.cycle
+		if !bulk {
+			// Fetch: ITLB, then IL1, each testing its inlined record
+			// probes first, so the common hit costs no call.
+			fpc := pc + uint64(i)*isa.InstrBytes
+			if !itlb.FastHit(fpc) {
+				c.cycle = cyc
+				c.itlbFetch(fpc)
+				cyc = c.cycle
+			}
+			if !il1.FastAccess(fpc) && !il1.FastAccess1(fpc) {
+				c.cycle = cyc
+				c.il1Fetch(fpc)
+				cyc = c.cycle
+			}
+			if i == 0 && n > 1 && itlb.Recorded(pc) && il1.Recorded(pc) {
+				itlb.RepeatHit(pc, uint64(n-1))
+				il1.RepeatHit(pc, uint64(n-1))
+				bulk = true
+			}
 		}
 		// Base pipelined cost, then the execute/memory stage by class.
 		cyc++
 		switch cl {
 		case isa.ClassNop, isa.ClassIntALU, isa.ClassHalt:
 			// single cycle, fully pipelined
+		case isa.ClassIntMul, isa.ClassIntDiv, isa.ClassFPAdd, isa.ClassFPMul:
+			// Fixed execute latencies. (One case per class keeps the
+			// switch a jump table.)
+			e := c.fixedExtra[cl]
+			cyc += e
+			exec += e
 		case isa.ClassBranch:
 			if taken && i == n-1 {
 				cyc += c.branchTaken
@@ -344,10 +356,6 @@ func (c *Core) ConsumeBlock(pc uint64, classes []isa.Class, taken bool, ops []ui
 			k++
 			cyc += e
 			exec += e
-		default:
-			e := c.fixedExtra[cl]
-			cyc += e
-			exec += e
 		}
 	}
 	c.cycle = cyc
@@ -355,11 +363,11 @@ func (c *Core) ConsumeBlock(pc uint64, classes []isa.Class, taken bool, ops []ui
 	c.stats.ExecStall += exec
 }
 
-// fetch charges the ITLB and IL1 probes of one instruction fetch. Each
-// probe tests the inlined same-page/same-line fast path first, so the
-// common hit costs no call; the full lookup runs only when it declines.
-func (c *Core) fetch(pc uint64) {
-	if !c.ITLB.FastHit(pc) && !c.ITLB.Lookup(pc) {
+// itlbFetch and il1Fetch are the fetch probes behind the inlined
+// record probes: the full lookup, and the page walk or line fill a miss
+// charges.
+func (c *Core) itlbFetch(pc uint64) {
+	if !c.ITLB.Lookup(pc) {
 		walk := uint64(0)
 		for i := 0; i < c.itlbWalks; i++ {
 			walk += c.memFill(pc, bus.KindTLBWalk)
@@ -367,7 +375,10 @@ func (c *Core) fetch(pc uint64) {
 		c.cycle += walk
 		c.stats.IFetchStall += walk
 	}
-	if !c.IL1.FastAccess(pc) && !c.IL1.FastAccess1(pc) && !c.IL1.Access(pc) {
+}
+
+func (c *Core) il1Fetch(pc uint64) {
+	if !c.IL1.Access(pc) {
 		fill := c.memFill(pc, bus.KindLineFill)
 		c.cycle += fill
 		c.stats.IFetchStall += fill

@@ -318,37 +318,40 @@ func (m *Machine) Run(sink func(Event)) (uint64, error) {
 // RunSink is Run with an interface sink. It runs the block loop with
 // one-instruction blocks and rebuilds each instruction's Event, so the
 // sink sees exactly one Consume per retired instruction with Steps()
-// already counting it — the points where fault injection and per-task
-// attribution act between instructions.
+// already counting it.
 func (m *Machine) RunSink(sink EventSink) (uint64, error) {
 	if sink == nil {
 		return m.RunBlocks(nil)
 	}
-	m.events = eventBlocks{code: m.Prog.Code, base: m.Prog.CodeBase, sink: sink}
+	m.events = eventBlocks{m: m, sink: sink}
 	steps, err := m.RunBlocks(&m.events)
 	m.events = eventBlocks{}
 	return steps, err
 }
 
-// eventBlocks rebuilds per-instruction Events from blocks.
+// eventBlocks adapts an EventSink to one-instruction blocks.
 type eventBlocks struct {
-	code []Instr
-	base uint64
+	m    *Machine
 	sink EventSink
 }
 
 // FetchBytes asks for one-instruction blocks.
 func (e *eventBlocks) FetchBytes() int { return 0 }
 
-// ConsumeBlock rebuilds and forwards the block's one instruction's
-// Event (FetchBytes 0 makes every block one instruction long). The
-// access size, which the block does not carry, comes from the opcode.
 func (e *eventBlocks) ConsumeBlock(pc uint64, classes []Class, taken bool, ops []uint64) {
-	ev := Event{PC: pc, Class: classes[0], Taken: taken}
-	switch ev.Class {
+	e.sink.Consume(e.m.Event(pc, classes[0], taken, ops))
+}
+
+// Event rebuilds the exact Event of the retired instruction at pc with
+// class cl, taken bit taken and dynamic operands ops, as delivered in a
+// one-instruction block of m's program (see BlockSink). The access
+// size, which the block does not carry, comes from the opcode.
+func (m *Machine) Event(pc uint64, cl Class, taken bool, ops []uint64) Event {
+	ev := Event{PC: pc, Class: cl, Taken: taken}
+	switch cl {
 	case ClassLoad, ClassStore:
 		ev.Addr, ev.Size = ops[0], 4
-		if op := e.code[(pc-e.base)/InstrBytes].Op; op == OpFld || op == OpFst {
+		if op := m.Prog.Code[(pc-m.Prog.CodeBase)/InstrBytes].Op; op == OpFld || op == OpFst {
 			ev.Size = 8
 		}
 	case ClassFPDiv:
@@ -356,7 +359,7 @@ func (e *eventBlocks) ConsumeBlock(pc uint64, classes []Class, taken bool, ops [
 	case ClassFPSqrt:
 		ev.FOp1 = math.Float64frombits(ops[0])
 	}
-	e.sink.Consume(ev)
+	return ev
 }
 
 // blockTables returns the line-end bits and the operand buffer for

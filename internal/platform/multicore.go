@@ -381,21 +381,27 @@ func (mc *Multicore) grantPassLocked() {
 	}
 }
 
-// mcSink feeds one co-runner core's timing model, optionally recording
-// the event stream for replay, and emits lookahead heartbeats. It is a
-// persistent struct (no per-iteration closure allocation).
+// mcSink feeds one co-runner core's timing model one instruction at a
+// time, optionally recording the event stream for replay, and emits
+// lookahead heartbeats every heartbeatEvery retired instructions. It is
+// a persistent struct (no per-iteration closure allocation).
 type mcSink struct {
 	core      *cpu.Core
 	port      *mcPort
-	rec       eventTrace // the iteration being recorded, if recording
+	m         *isa.Machine // the iteration's machine
+	rec       eventTrace   // the iteration being recorded, if recording
 	recording bool
 }
 
-// Consume implements isa.EventSink.
-func (s *mcSink) Consume(ev isa.Event) {
-	s.core.Consume(ev)
+// FetchBytes asks for one-instruction blocks: heartbeats and the
+// recorded events are per instruction.
+func (s *mcSink) FetchBytes() int { return 0 }
+
+// ConsumeBlock implements isa.BlockSink.
+func (s *mcSink) ConsumeBlock(pc uint64, classes []isa.Class, taken bool, ops []uint64) {
+	s.core.ConsumeBlock(pc, classes, taken, ops)
 	if s.recording {
-		s.rec.add(ev)
+		s.rec.add(s.m.Event(pc, classes[0], taken, ops))
 	}
 	s.port.hbCount++
 	if s.port.hbCount%heartbeatEvery == 0 {
@@ -771,13 +777,14 @@ func (mc *Multicore) runCoRunner(c int) {
 		}
 		m.Cancel = mc.cancelFn
 		sink := &cs.sink
+		sink.m = m
 		if cs.stable {
 			// Decode-once: record this iteration's event stream; every
 			// later iteration (and run) replays it through the timing
 			// model, skipping architectural re-execution entirely.
 			sink.rec, sink.recording = nil, true
 		}
-		_, err = m.RunSink(sink)
+		_, err = m.RunBlocks(sink)
 		if err != nil {
 			// A partial trace must never be replayed.
 			sink.rec, sink.recording = nil, false
