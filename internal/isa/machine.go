@@ -20,9 +20,7 @@ type Event struct {
 }
 
 // EventSink consumes the retired instruction stream one Event per
-// instruction. Sinks that act between instructions (fault injection,
-// per-task attribution, trace recording) implement it; RunSink and Run
-// feed them.
+// instruction; RunSink feeds it through one-instruction blocks.
 type EventSink interface {
 	Consume(Event)
 }
