@@ -146,8 +146,8 @@ type Core struct {
 	storeSlots []uint64 // completion times of in-flight write-through stores
 	stats      Stats
 
-	// Hot-path constants, resolved once at construction so Consume does
-	// not re-read config structs per retired instruction.
+	// Hot-path constants, resolved once at construction so ConsumeBlock
+	// does not re-read config structs per retired instruction.
 	itlbWalks   int
 	dtlbWalks   int
 	branchTaken uint64
