@@ -35,8 +35,9 @@ check: staticcheck
 # (TestPoolSupervision*), and the crash-resume test resumes every kill
 # point on a pool as well as locally. Registry-built workloads (what
 # the service and executors run) keep the zero-alloc run loop: the
-# fabric suite checks that Build forwards Reloader and TraceStable, and
-# TestSteadyStateZeroAlloc holds a registry-built TVCA to 0 allocs/run.
+# fabric suite checks that Build forwards Reloader and TraceKeyer, and
+# TestSteadyStateZeroAlloc holds a registry-built TVCA (replayed under
+# its trace key) and a registry-built crc32 (reloaded) to 0 allocs/run.
 service-check:
 	$(GO) test ./internal/fabric/ ./internal/pwcetd/ ./cmd/pwcetd/
 	$(GO) test -run 'TestFingerprintParityAcrossExecutionModes|TestFaultFingerprintParityAcrossExecutionModes|TestJournalCrashResumeBitIdentical' ./pkg/mbpta/
@@ -147,9 +148,12 @@ cover:
 # the multicore board's planned co-runner replay against interpretation
 # over arbitrary co-runner loops, the timing model's fetch blocks
 # against one-instruction blocks over arbitrary programs on every board
-# kind, and pwcetd's campaign-spec and matrix-spec request decoders
-# (every body gets a 2xx or a typed 4xx). Seed corpora live under the
-# packages' testdata/fuzz/ directories.
+# kind, TVCA's trace key against its block streams (equal keys exactly
+# when the streams are equal apart from FDIV/FSQRT operands, over input
+# seed, transient probability, frames, unrolling and run pairs), and
+# pwcetd's campaign-spec and matrix-spec request decoders (every body
+# gets a 2xx or a typed 4xx). Seed corpora live under the packages'
+# testdata/fuzz/ directories or in the fuzz targets' f.Add seeds.
 fuzz:
 	$(GO) test ./internal/isa/ -run '^$$' -fuzz '^FuzzInterpreter$$' -fuzztime 30s
 	$(GO) test ./internal/telemetry/ -run '^$$' -fuzz '^FuzzEventRoundTrip$$' -fuzztime 30s
@@ -165,6 +169,7 @@ fuzz:
 	$(GO) test ./internal/tlb/ -run '^$$' -fuzz '^FuzzTLBLookupStream$$' -fuzztime 30s
 	$(GO) test ./internal/platform/ -run '^$$' -fuzz '^FuzzMulticoreInlineReplay$$' -fuzztime 30s
 	$(GO) test ./internal/platform/ -run '^$$' -fuzz '^FuzzFetchBlocks$$' -fuzztime 30s
+	$(GO) test ./internal/tvca/ -run '^$$' -fuzz '^FuzzTraceKey$$' -fuzztime 30s
 	$(GO) test ./internal/pwcetd/ -run '^$$' -fuzz '^FuzzCampaignSpecDecode$$' -fuzztime 30s
 	$(GO) test ./internal/pwcetd/ -run '^$$' -fuzz '^FuzzMatrixSpecDecode$$' -fuzztime 30s
 

@@ -63,11 +63,11 @@ func (s StreamerWorkload) Reload(m *isa.Machine, run int) error {
 	return nil
 }
 
-// TraceStable declares the sweep's event stream run-invariant
-// (platform.TraceStable): straight-line loop, no data-dependent control
-// flow or FP operands, so co-simulation boards may record one iteration
-// and replay it.
-func (s StreamerWorkload) TraceStable() bool { return true }
+// TraceKey declares the sweep's event stream run-invariant, the empty
+// key of platform.TraceKeyer: straight-line loop, no data-dependent
+// control flow or FP operands, so co-simulation boards may record one
+// iteration and replay it.
+func (s StreamerWorkload) TraceKey(dst []byte, run int) ([]byte, bool) { return dst[:0], true }
 
 // E8Result quantifies multicore contention on the RAND platform.
 type E8Result struct {

@@ -75,7 +75,7 @@ func (r *Registry) Kinds() []string {
 
 // Build instantiates spec. The result implements SpecWorkload, so a
 // campaign built from a spec is remote-dispatchable by construction,
-// and keeps the built workload's Reloader and TraceStable fast paths.
+// and keeps the built workload's Reloader and TraceKeyer fast paths.
 func (r *Registry) Build(spec WorkloadSpec) (SpecWorkload, error) {
 	r.mu.RLock()
 	build, ok := r.builders[spec.Kind]
@@ -98,7 +98,7 @@ func (r *Registry) Build(spec WorkloadSpec) (SpecWorkload, error) {
 // pointer so that the platform's workload identity checks (machine
 // reuse, trace replay) compare it without panicking: a struct holding
 // a json.RawMessage is not comparable. Besides the spec it forwards
-// platform.TraceStable; Reloader is forwarded by reloadSpecced only
+// platform.TraceKeyer; Reloader is forwarded by reloadSpecced only
 // when the built workload implements it. faults.OutputChecker is not
 // forwarded (see DESIGN.md §13).
 type specced struct {
@@ -108,11 +108,13 @@ type specced struct {
 
 func (s *specced) WorkloadSpec() WorkloadSpec { return s.spec }
 
-// TraceStable reports the built workload's platform.TraceStable value
-// (false when it does not declare one).
-func (s *specced) TraceStable() bool {
-	ts, ok := s.Workload.(platform.TraceStable)
-	return ok && ts.TraceStable()
+// TraceKey forwards the built workload's platform.TraceKeyer (no key
+// when it declares none).
+func (s *specced) TraceKey(dst []byte, run int) ([]byte, bool) {
+	if k, ok := s.Workload.(platform.TraceKeyer); ok {
+		return k.TraceKey(dst, run)
+	}
+	return dst, false
 }
 
 // reloadSpecced is a specced whose built workload implements

@@ -5,6 +5,7 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
+	"reflect"
 	"testing"
 
 	"repro/internal/fabric"
@@ -26,9 +27,22 @@ var directBuilds = map[string]func() (platform.Workload, error){
 	"secretdep": func() (platform.Workload, error) { return kernels.SecretDep{Lines: 48, Passes: 8, Seed: 1}, nil },
 }
 
-func traceStable(w platform.Workload) bool {
-	ts, ok := w.(platform.TraceStable)
-	return ok && ts.TraceStable()
+// traceKeys returns w's trace keys (platform.TraceKeyer) for runs 0–2,
+// or nil when it declares none.
+func traceKeys(w platform.Workload) [][]byte {
+	k, ok := w.(platform.TraceKeyer)
+	if !ok {
+		return nil
+	}
+	var keys [][]byte
+	for run := 0; run < 3; run++ {
+		key, ok := k.TraceKey(nil, run)
+		if !ok {
+			return nil
+		}
+		keys = append(keys, append([]byte{}, key...))
+	}
+	return keys
 }
 
 // sameWorkload compares two workloads the way the platform's machine
@@ -45,7 +59,7 @@ func sameWorkload(a, b platform.Workload) (same bool, err error) {
 
 // TestBuildKeepsOptionalInterfaces: for every registered kind, the
 // built workload claims platform.Reloader exactly when the directly
-// built one does, reports the same TraceStable value, round-trips its
+// built one does, gives the same trace keys, round-trips its
 // spec, and compares as an identity (equal to itself, unequal to a
 // second Build of the same spec).
 func TestBuildKeepsOptionalInterfaces(t *testing.T) {
@@ -72,8 +86,8 @@ func TestBuildKeepsOptionalInterfaces(t *testing.T) {
 			if _, gotR := got.(platform.Reloader); gotR != wantR {
 				t.Errorf("built workload implements Reloader = %v, direct = %v", gotR, wantR)
 			}
-			if g, w := traceStable(got), traceStable(want); g != w {
-				t.Errorf("built workload TraceStable = %v, direct = %v", g, w)
+			if g, w := traceKeys(got), traceKeys(want); !reflect.DeepEqual(g, w) {
+				t.Errorf("built workload trace keys = %v, direct = %v", g, w)
 			}
 			rs := got.WorkloadSpec()
 			if rs.Kind != spec.Kind || !bytes.Equal(rs.Params, spec.Params) {
@@ -92,7 +106,7 @@ func TestBuildKeepsOptionalInterfaces(t *testing.T) {
 		})
 	}
 	// The table must exercise both answers of each forward.
-	var reloaders, stable int
+	var reloaders, keyed int
 	for _, kind := range reg.Kinds() {
 		w, err := directBuilds[kind]()
 		if err != nil {
@@ -101,12 +115,12 @@ func TestBuildKeepsOptionalInterfaces(t *testing.T) {
 		if _, ok := w.(platform.Reloader); ok {
 			reloaders++
 		}
-		if traceStable(w) {
-			stable++
+		if traceKeys(w) != nil {
+			keyed++
 		}
 	}
-	if n := len(reg.Kinds()); reloaders == 0 || reloaders == n || stable == 0 || stable == n {
-		t.Errorf("%d kinds, %d reloaders, %d trace-stable: the table no longer covers both cases", n, reloaders, stable)
+	if n := len(reg.Kinds()); reloaders == 0 || reloaders == n || keyed == 0 || keyed == n {
+		t.Errorf("%d kinds, %d reloaders, %d keyed: the table no longer covers both cases", n, reloaders, keyed)
 	}
 }
 

@@ -198,7 +198,7 @@ func teleRun(t *testing.T, run func(platform.StreamOptions) (*platform.CampaignR
 
 // placementDependent reports the instruments exempt from the placement
 // invariance contract (DESIGN.md §11): wall-clock readings, retry
-// tallies, and the replay/interpret split of a trace-stable workload,
+// tallies, and the replay/interpret split of a keyed workload,
 // which depends on how many boards recorded a trace.
 func placementDependent(name string) bool {
 	return name == "campaign_runs_per_sec" ||

@@ -23,6 +23,7 @@ package isa
 import (
 	"errors"
 	"fmt"
+	"sync"
 )
 
 // Reg names an integer register r0..r31. r0 is hardwired to zero, as in
@@ -245,6 +246,23 @@ type Program struct {
 	CodeBase uint64
 	Code     []Instr
 	Symbols  map[string]int32
+
+	decodeOnce sync.Once
+	classes    []Class
+}
+
+// Classes returns the program's decode table: ClassOf of every
+// instruction, by index. It is built on first use and shared by every
+// machine running the program and every trace recorded from it; the
+// caller must not modify it.
+func (p *Program) Classes() []Class {
+	p.decodeOnce.Do(func() {
+		p.classes = make([]Class, len(p.Code))
+		for i := range p.Code {
+			p.classes[i] = ClassOf(p.Code[i].Op)
+		}
+	})
+	return p.classes
 }
 
 // SymbolPC returns the memory address of label name and whether it

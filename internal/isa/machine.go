@@ -229,7 +229,7 @@ type Machine struct {
 	pc    int32
 	steps uint64
 
-	// classes caches ClassOf per instruction index (decode-once): the
+	// classes is the program's decode table (Program.Classes): the
 	// interpreter loop indexes it instead of re-dispatching the opcode
 	// switch for every retired instruction.
 	classes []Class
@@ -261,11 +261,7 @@ type Machine struct {
 
 // NewMachine binds a program to a memory.
 func NewMachine(prog *Program, mem *Memory) *Machine {
-	classes := make([]Class, len(prog.Code))
-	for i := range prog.Code {
-		classes[i] = ClassOf(prog.Code[i].Op)
-	}
-	return &Machine{Prog: prog, Mem: mem, classes: classes}
+	return &Machine{Prog: prog, Mem: mem, classes: prog.Classes()}
 }
 
 // Reset clears registers and rewinds the PC; memory is left untouched
@@ -409,11 +405,8 @@ func (m *Machine) RunBlocks(sink BlockSink) (uint64, error) {
 	code := m.Prog.Code
 	classes := m.classes
 	if len(classes) != len(code) {
-		// The machine was constructed as a literal (tests); decode now.
-		classes = make([]Class, len(code))
-		for i := range code {
-			classes[i] = ClassOf(code[i].Op)
-		}
+		// The machine was constructed as a literal (tests).
+		classes = m.Prog.Classes()
 		m.classes = classes
 	}
 	if sink == nil {

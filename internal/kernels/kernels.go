@@ -25,11 +25,15 @@ const (
 	defaultDataBase = 0x200000
 )
 
-// inputRNG derives the per-run input generator.
-func inputRNG(seed uint64, run int) *rng.Xoroshiro128 {
+// inputRNG derives the per-run input generator: a value, so the
+// kernels' data writers draw from the stack and a reloaded run
+// allocates nothing.
+func inputRNG(seed uint64, run int) rng.Xoroshiro128 {
 	z := seed ^ (0x9E3779B97F4A7C15 * uint64(run+101))
 	z = (z ^ (z >> 30)) * 0xBF58476D1CE4E5B9
-	return rng.NewXoroshiro128(z ^ (z >> 31))
+	var src rng.Xoroshiro128
+	src.Seed(z ^ (z >> 31))
+	return src
 }
 
 // MatMul is C = A x B over NxN float64 matrices.
@@ -106,10 +110,10 @@ func (k MatMul) Prepare(run int) (*isa.Machine, error) {
 	mem := isa.NewMemory()
 	src := inputRNG(k.Seed, run)
 	for i := int32(0); i < n*n; i++ {
-		if err := mem.Write64(uint64(defaultDataBase+aOff+8*i), rng.Float64(src)); err != nil {
+		if err := mem.Write64(uint64(defaultDataBase+aOff+8*i), src.Float64()); err != nil {
 			return nil, err
 		}
-		if err := mem.Write64(uint64(defaultDataBase+bOff+8*i), rng.Float64(src)); err != nil {
+		if err := mem.Write64(uint64(defaultDataBase+bOff+8*i), src.Float64()); err != nil {
 			return nil, err
 		}
 	}
@@ -119,16 +123,17 @@ func (k MatMul) Prepare(run int) (*isa.Machine, error) {
 // PathOf: single-path kernel.
 func (k MatMul) PathOf(*isa.Machine) string { return "" }
 
-// TraceStable implements platform.TraceStable: the loop bounds, branch
-// outcomes and effective addresses are all fixed by N, and the kernel
-// has no FDIV/FSQRT (whose operand-dependent latency would make the
-// event stream input-dependent), so the retired-instruction stream is
-// identical for every run index — only the data values differ, and the
-// timing model never sees them. The platform may therefore record the
-// stream once and replay it. The other kernels are input-dependent
-// (CRC32's table addresses, InsertionSort's branches, VecNorm's
-// FDIV/FSQRT operands) and deliberately do not declare stability.
-func (k MatMul) TraceStable() bool { return true }
+// TraceKey implements platform.TraceKeyer with the empty key: the loop
+// bounds, branch outcomes and effective addresses are all fixed by N,
+// and the kernel has no FDIV/FSQRT (whose operand-dependent latency
+// would make the event stream input-dependent), so the
+// retired-instruction stream is identical for every run index — only
+// the data values differ, and the timing model never sees them. The
+// platform may therefore record the stream once and replay it. The
+// other kernels are input-dependent (CRC32's table addresses,
+// InsertionSort's branches, VecNorm's FDIV/FSQRT operands) and declare
+// no key.
+func (k MatMul) TraceKey(dst []byte, run int) ([]byte, bool) { return dst[:0], true }
 
 // Reference computes C host-side with the generated code's operation
 // order (row-major accumulate), bit-exact.
@@ -138,8 +143,8 @@ func (k MatMul) Reference(run int) [][]float64 {
 	a := make([]float64, n*n)
 	b := make([]float64, n*n)
 	for i := 0; i < n*n; i++ {
-		a[i] = rng.Float64(src)
-		b[i] = rng.Float64(src)
+		a[i] = src.Float64()
+		b[i] = src.Float64()
 	}
 	c := make([][]float64, n)
 	for i := 0; i < n; i++ {
@@ -187,7 +192,10 @@ const (
 	crcOutOff   = 0x0800
 )
 
-// crcTable is the IEEE CRC-32 table.
+// crcTab is the IEEE CRC-32 table.
+var crcTab = crcTable()
+
+// crcTable computes the IEEE CRC-32 table.
 func crcTable() [256]uint32 {
 	var t [256]uint32
 	for i := range t {
@@ -247,19 +255,37 @@ func (k CRC32) Prepare(run int) (*isa.Machine, error) {
 	}
 
 	mem := isa.NewMemory()
-	tab := crcTable()
-	for i, v := range tab {
+	if err := k.writeData(mem, run); err != nil {
+		return nil, err
+	}
+	return isa.NewMachine(prog, mem), nil
+}
+
+// writeData writes the table and run's buffer.
+func (k CRC32) writeData(mem *isa.Memory, run int) error {
+	for i, v := range crcTab {
 		if err := mem.Write32(uint64(defaultDataBase+crcTableOff+4*i), v); err != nil {
-			return nil, err
+			return err
 		}
 	}
 	src := inputRNG(k.Seed, run)
 	for i := 0; i < k.Bytes/4; i++ {
-		if err := mem.Write32(uint64(defaultDataBase+crcDataOff+4*i), rng.Uint32(src)); err != nil {
-			return nil, err
+		if err := mem.Write32(uint64(defaultDataBase+crcDataOff+4*i), src.Uint32()); err != nil {
+			return err
 		}
 	}
-	return isa.NewMachine(prog, mem), nil
+	return nil
+}
+
+// Reload implements platform.Reloader: it re-initializes a machine
+// Prepare returned in place — registers cleared, memory zeroed
+// page-wise (output words included), the run's data rewritten — with
+// observable state identical to a fresh Prepare, skipping the
+// program's re-assembly.
+func (k CRC32) Reload(m *isa.Machine, run int) error {
+	m.Reset()
+	m.Mem.Reset()
+	return k.writeData(m.Mem, run)
 }
 
 // PathOf: single-path kernel.
@@ -267,13 +293,12 @@ func (k CRC32) PathOf(*isa.Machine) string { return "" }
 
 // Reference computes the CRC host-side.
 func (k CRC32) Reference(run int) uint32 {
-	tab := crcTable()
 	src := inputRNG(k.Seed, run)
 	crc := ^uint32(0)
 	for i := 0; i < k.Bytes/4; i++ {
-		w := rng.Uint32(src)
+		w := src.Uint32()
 		for b := 0; b < 4; b++ {
-			crc = tab[(crc^w)&0xFF] ^ (crc >> 8)
+			crc = crcTab[(crc^w)&0xFF] ^ (crc >> 8)
 			w >>= 8
 		}
 	}
@@ -345,14 +370,33 @@ func (k InsertionSort) Prepare(run int) (*isa.Machine, error) {
 	}
 
 	mem := isa.NewMemory()
-	src := inputRNG(k.Seed, run)
-	for i := 0; i < k.N; i++ {
-		v := int32(rng.Intn(src, 1<<20))
-		if err := mem.Write32(uint64(defaultDataBase+4*i), uint32(v)); err != nil {
-			return nil, err
-		}
+	if err := k.writeData(mem, run); err != nil {
+		return nil, err
 	}
 	return isa.NewMachine(prog, mem), nil
+}
+
+// writeData writes run's keys.
+func (k InsertionSort) writeData(mem *isa.Memory, run int) error {
+	src := inputRNG(k.Seed, run)
+	for i := 0; i < k.N; i++ {
+		v := int32(src.Intn(1 << 20))
+		if err := mem.Write32(uint64(defaultDataBase+4*i), uint32(v)); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// Reload implements platform.Reloader: it re-initializes a machine
+// Prepare returned in place — registers cleared, memory zeroed
+// page-wise (output words included), the run's data rewritten — with
+// observable state identical to a fresh Prepare, skipping the
+// program's re-assembly.
+func (k InsertionSort) Reload(m *isa.Machine, run int) error {
+	m.Reset()
+	m.Mem.Reset()
+	return k.writeData(m.Mem, run)
 }
 
 // PathOf: sorting has no discrete mode paths; per-input timing
@@ -423,14 +467,33 @@ func (k VecNorm) Prepare(run int) (*isa.Machine, error) {
 	}
 
 	mem := isa.NewMemory()
-	src := inputRNG(k.Seed, run)
-	for i := 0; i < 4*k.N; i++ {
-		v := rng.Float64(src) + 0.1 // avoid zero vectors
-		if err := mem.Write64(uint64(defaultDataBase+8*i), v); err != nil {
-			return nil, err
-		}
+	if err := k.writeData(mem, run); err != nil {
+		return nil, err
 	}
 	return isa.NewMachine(prog, mem), nil
+}
+
+// writeData writes run's vectors.
+func (k VecNorm) writeData(mem *isa.Memory, run int) error {
+	src := inputRNG(k.Seed, run)
+	for i := 0; i < 4*k.N; i++ {
+		v := src.Float64() + 0.1 // avoid zero vectors
+		if err := mem.Write64(uint64(defaultDataBase+8*i), v); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// Reload implements platform.Reloader: it re-initializes a machine
+// Prepare returned in place — registers cleared, memory zeroed
+// page-wise (output words included), the run's data rewritten — with
+// observable state identical to a fresh Prepare, skipping the
+// program's re-assembly.
+func (k VecNorm) Reload(m *isa.Machine, run int) error {
+	m.Reset()
+	m.Mem.Reset()
+	return k.writeData(m.Mem, run)
 }
 
 // PathOf: single-path kernel.

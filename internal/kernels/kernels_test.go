@@ -168,3 +168,62 @@ func TestVecNormAnalysisModeSlowerThanOperation(t *testing.T) {
 		}
 	}
 }
+
+// TestReloadRestoresPrepareState: for every kernel that implements
+// platform.Reloader, reloading a machine that already ran (its output
+// words written) gives the state of a fresh Prepare of the new run —
+// registers, retired-step count and every data word — and the two
+// machines then retire identical event streams.
+func TestReloadRestoresPrepareState(t *testing.T) {
+	const region = 0x40000 // every kernel's data segment lies below this offset
+	for _, w := range []platform.Workload{
+		CRC32{Bytes: 1024, Seed: 3},
+		InsertionSort{N: 48, Seed: 3},
+		VecNorm{N: 16, Seed: 3},
+		SecretDep{Lines: 48, Passes: 2, Secret: 0, Seed: 3},
+		SecretDep{Lines: 48, Passes: 2, Secret: 1, Seed: 3},
+	} {
+		r, ok := w.(platform.Reloader)
+		if !ok {
+			t.Fatalf("%s does not implement platform.Reloader", w.Name())
+		}
+		m := run(t, w, 0)
+		if err := r.Reload(m, 5); err != nil {
+			t.Fatal(err)
+		}
+		fresh, err := w.Prepare(5)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i := 0; i < isa.NumRegs; i++ {
+			if m.Reg(isa.Reg(i)) != fresh.Reg(isa.Reg(i)) || m.FRegVal(isa.FReg(i)) != fresh.FRegVal(isa.FReg(i)) {
+				t.Fatalf("%s: register %d differs after Reload", w.Name(), i)
+			}
+		}
+		if m.Steps() != fresh.Steps() {
+			t.Fatalf("%s: %d steps after Reload, fresh %d", w.Name(), m.Steps(), fresh.Steps())
+		}
+		for off := uint64(0); off < region; off += 4 {
+			got, _ := m.Mem.Read32(defaultDataBase + off)
+			want, _ := fresh.Mem.Read32(defaultDataBase + off)
+			if got != want {
+				t.Fatalf("%s: data word %#x = %#x after Reload, fresh %#x", w.Name(), off, got, want)
+			}
+		}
+		var got, want []isa.Event
+		if _, err := m.Run(func(ev isa.Event) { got = append(got, ev) }); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := fresh.Run(func(ev isa.Event) { want = append(want, ev) }); err != nil {
+			t.Fatal(err)
+		}
+		if len(got) != len(want) {
+			t.Fatalf("%s: reloaded run retired %d instructions, fresh %d", w.Name(), len(got), len(want))
+		}
+		for i := range got {
+			if got[i] != want[i] {
+				t.Fatalf("%s: event %d = %+v after Reload, fresh %+v", w.Name(), i, got[i], want[i])
+			}
+		}
+	}
+}

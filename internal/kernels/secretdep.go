@@ -4,7 +4,6 @@ import (
 	"fmt"
 
 	"repro/internal/isa"
-	"repro/internal/rng"
 )
 
 // SecretDep is the timing-leak probe workload: a fixed instruction
@@ -125,24 +124,44 @@ func (k SecretDep) Prepare(run int) (*isa.Machine, error) {
 	}
 
 	mem := isa.NewMemory()
-	if err := mem.Write32(defaultDataBase+sdStrideOff, uint32(k.strideOf())); err != nil {
+	if err := k.writeData(mem, run); err != nil {
 		return nil, err
 	}
-	jitter, words := k.inputs(run)
-	if err := mem.Write32(defaultDataBase+sdJitterOff, uint32(jitter)); err != nil {
-		return nil, err
+	return isa.NewMachine(prog, mem), nil
+}
+
+// writeData writes the stride, run's delay count and array words,
+// drawn in inputs' order.
+func (k SecretDep) writeData(mem *isa.Memory, run int) error {
+	if err := mem.Write32(defaultDataBase+sdStrideOff, uint32(k.strideOf())); err != nil {
+		return err
+	}
+	src := inputRNG(k.Seed, run)
+	if err := mem.Write32(defaultDataBase+sdJitterOff, uint32(src.Intn(sdJitterN))); err != nil {
+		return err
 	}
 	// Populate the union of both strides' addresses so data memory is
 	// identical across secrets except for the stride word itself.
 	for i := 0; i < k.Lines; i++ {
-		for j, stride := range []int{sdStrideA, sdStrideB} {
+		for _, stride := range [...]int{sdStrideA, sdStrideB} {
 			addr := uint64(defaultDataBase + sdArrayOff + i*stride)
-			if err := mem.Write32(addr, words[2*i+j]); err != nil {
-				return nil, err
+			if err := mem.Write32(addr, src.Uint32()); err != nil {
+				return err
 			}
 		}
 	}
-	return isa.NewMachine(prog, mem), nil
+	return nil
+}
+
+// Reload implements platform.Reloader: it re-initializes a machine
+// Prepare returned in place — registers cleared, memory zeroed
+// page-wise (output words included), the run's data rewritten — with
+// observable state identical to a fresh Prepare, skipping the
+// program's re-assembly.
+func (k SecretDep) Reload(m *isa.Machine, run int) error {
+	m.Reset()
+	m.Mem.Reset()
+	return k.writeData(m.Mem, run)
 }
 
 // inputs derives the per-run delay count and array words. The draw
@@ -150,10 +169,10 @@ func (k SecretDep) Prepare(run int) (*isa.Machine, error) {
 // identical data memory outside the stride word.
 func (k SecretDep) inputs(run int) (jitter int32, words []uint32) {
 	src := inputRNG(k.Seed, run)
-	jitter = int32(rng.Intn(src, sdJitterN))
+	jitter = int32(src.Intn(sdJitterN))
 	words = make([]uint32, 2*k.Lines)
 	for i := range words {
-		words[i] = rng.Uint32(src)
+		words[i] = src.Uint32()
 	}
 	return jitter, words
 }

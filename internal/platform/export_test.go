@@ -53,7 +53,7 @@ func (p *Platform) RunOnCoreForTest(m *isa.Machine, runSeed uint64, perInstr boo
 }
 
 // NewStreamerMulticoreForTest returns a board of cfg whose core 1 runs a
-// trace-stable streamer, after one run of w that records the
+// run-invariant (empty-key) streamer, after one run of w that records the
 // streamer's trace, so that later runs replay it inline.
 func NewStreamerMulticoreForTest(cfg Config, w Workload) (*Multicore, error) {
 	mc, err := NewMulticore(cfg, []Workload{stableStreamer{streamer{lines: 256}}})

@@ -43,7 +43,7 @@ import (
 // reseed them in place (the same flush/reset/reseed protocol the
 // single-core Platform applies), re-initialize Reloader workload
 // machines in place, and replay recorded co-runner event streams (see
-// TraceStable) instead of re-interpreting them — the steady-state run
+// TraceKeyer) instead of re-interpreting them — the steady-state run
 // loop allocates only a handful of objects per run.
 //
 // Not safe for concurrent use: campaigns instantiate one board per
@@ -83,13 +83,12 @@ type Multicore struct {
 	lastW Workload
 	lastM *isa.Machine
 
-	// Decode-once trace replay for the measured core (see TraceStable
-	// and the identical machinery on Platform): the event stream
-	// recorded on the first run of a trace-stable measured workload,
-	// replayed through the timing model on subsequent runs.
-	mTrace     *blockTrace
-	mTraceW    Workload
-	mTracePath string
+	// Decode-once trace replay for the measured core (see TraceKeyer
+	// and the same slot on Platform): the block stream recorded on the
+	// first keyed run, replayed through the timing model for later runs
+	// with the same key. blind reports an operand-blind FPU.
+	slot  traceSlot
+	blind bool
 
 	stop        atomic.Bool // measured run over, or a core failed
 	interpreted atomic.Bool // a co-runner was interpreted this run
@@ -151,7 +150,7 @@ type coreState struct {
 type coState struct {
 	w      Workload
 	m      *isa.Machine // reused machine (Reloader workloads)
-	stable bool         // workload declares a run-invariant event stream
+	stable bool         // workload declares the empty key: a run-invariant stream
 	trace  []isa.Event  // recorded stream, replayed on later iterations
 	sink   mcSink       // persistent consume sink (no per-iteration closure)
 
@@ -423,6 +422,7 @@ func (mc *Multicore) ensureBoard() error {
 		return err
 	}
 	mc.winOK = mc.cfg.DRAM.Policy == mem.PolicyClosedPage
+	mc.blind = mc.cfg.FPUMode == fpu.ModeAnalysis
 	mc.spin = runtime.GOMAXPROCS(0) > 1
 	mc.seedr = rng.NewSplitMix64(1)
 	mc.resm = rng.NewSplitMix64(1)
@@ -473,9 +473,7 @@ func (mc *Multicore) ensureBoard() error {
 	for i, w := range mc.coRunners {
 		cs := &mc.co[i+1]
 		cs.w = w
-		if ts, ok := w.(TraceStable); ok && ts.TraceStable() {
-			cs.stable = true
-		}
+		cs.stable = constantKey(w)
 		cs.sink = mcSink{core: mc.cores[i+1], port: mc.ports[i+1]}
 	}
 	mc.cancelFn = mc.stop.Load
@@ -563,13 +561,14 @@ func (mc *Multicore) Run(w Workload, run int, runSeed uint64) (MulticoreResult, 
 	if err := mc.ensureBoard(); err != nil {
 		return MulticoreResult{}, err
 	}
-	replay := mc.mTrace != nil && w == mc.mTraceW
+	replay, record := mc.slot.next(w, run, mc.blind)
 	var m *isa.Machine
 	var err error
 	if !replay {
 		if m, err = mc.machineFor(w, run); err != nil {
 			return MulticoreResult{}, fmt.Errorf("core 0: %w", err)
 		}
+		m.Cancel = mc.cancelFn
 	}
 	mc.prepareRun(runSeed)
 	mc.inline = mc.inlineReady()
@@ -592,17 +591,18 @@ func (mc *Multicore) Run(w Workload, run int, runSeed uint64) (MulticoreResult, 
 	// return.
 	var cycles uint64
 	var runErr error
-	path := mc.mTracePath
+	var path string
 	switch {
 	case replay:
 		cycles, runErr = mc.replayMeasured()
-	case isStable(w):
+		path = mc.slot.path
+	case record:
 		mc.interpreted.Store(true)
-		cycles, runErr = mc.recordMeasured(w, m)
-		path = mc.mTracePath
+		if runErr = mc.slot.record(mc.cores[0], m); runErr == nil {
+			cycles, path = mc.cores[0].Cycle(), w.PathOf(m)
+		}
 	default:
 		mc.interpreted.Store(true)
-		m.Cancel = mc.cancelFn
 		cycles, runErr = mc.cores[0].RunProgram(m)
 		if runErr == nil {
 			path = w.PathOf(m)
@@ -665,7 +665,7 @@ func (mc *Multicore) Run(w Workload, run int, runSeed uint64) (MulticoreResult, 
 // measured core's bus requests (inlineRequest), with no goroutines,
 // locks or channel handoffs at all. This is where the
 // board earns its steady-state throughput — after the first run of a
-// campaign with trace-stable co-runners, every run takes this path.
+// campaign with run-invariant co-runners, every run takes this path.
 func (mc *Multicore) inlineReady() bool {
 	for i := range mc.coRunners {
 		if mc.co[i+1].trace == nil {
@@ -717,26 +717,6 @@ func (mc *Multicore) plan(c int, bound uint64) {
 	cs.next, cs.queued = core.NextRequest(&cs.plan)
 }
 
-// isStable reports whether w declares a run-invariant event stream.
-func isStable(w Workload) bool {
-	ts, ok := w.(TraceStable)
-	return ok && ts.TraceStable()
-}
-
-// recordMeasured runs the measured machine fully while capturing its
-// block stream, then stores the trace (and the run's path
-// classification, run-invariant for a trace-stable workload) for
-// replay on subsequent runs. The recording run's timing is untouched.
-func (mc *Multicore) recordMeasured(w Workload, m *isa.Machine) (uint64, error) {
-	m.Cancel = mc.cancelFn
-	rs := recordSink{core: mc.cores[0]}
-	if _, err := m.RunBlocks(&rs); err != nil {
-		return 0, err
-	}
-	mc.mTrace, mc.mTraceW, mc.mTracePath = &rs.trace, w, w.PathOf(m)
-	return mc.cores[0].Cycle(), nil
-}
-
 // replayMeasured performs one measurement by replaying the recorded
 // block stream through core 0's timing model. The per-run protocol
 // (flush, reset, reseed) already ran, so placement/replacement
@@ -745,7 +725,7 @@ func (mc *Multicore) recordMeasured(w Workload, m *isa.Machine) (uint64, error) 
 // interpreter's Cancel granularity.
 func (mc *Multicore) replayMeasured() (uint64, error) {
 	core := mc.cores[0]
-	if !mc.mTrace.replay(core, mc.cancelFn) {
+	if !mc.slot.trace.replay(core, mc.cancelFn) {
 		return 0, isa.ErrCancelled
 	}
 	return core.Cycle(), nil
@@ -753,7 +733,7 @@ func (mc *Multicore) replayMeasured() (uint64, error) {
 
 // runCoRunner loops core c's workload until the measured run ends:
 // replaying the recorded event stream when one exists, interpreting
-// (and, for trace-stable workloads, recording) otherwise. Its first
+// (and, for run-invariant workloads, recording) otherwise. Its first
 // failure cancels the whole run.
 func (mc *Multicore) runCoRunner(c int) {
 	defer mc.ports[c].doneNotice()

@@ -15,7 +15,7 @@ import (
 	"repro/internal/tvca"
 )
 
-// mixRunner is a trace-stable co-runner loop: iters passes over a
+// mixRunner is a run-invariant co-runner loop: iters passes over a
 // buffer at stride bytes, each a load plus the optional extras below.
 // The event stream depends on none of the board's timing or randomness,
 // so the board records it once and replays it.
@@ -78,10 +78,11 @@ func (mixRunner) Reload(m *isa.Machine, _ int) error {
 	return nil
 }
 
-func (mixRunner) TraceStable() bool { return true }
+func (mixRunner) TraceKey(dst []byte, _ int) ([]byte, bool) { return dst[:0], true }
 
 // plannedReplayApp is the measured workload: TVCA at four frames, a
-// store-heavy, path-variant program (always interpreted) that runs
+// store-heavy program (keyed: replayed on RAND after its first run,
+// interpreted on DET) that runs
 // long enough for every mixRunner to finish its recording iteration
 // inside the first measured run.
 func plannedReplayApp(tb testing.TB) *tvca.App {

@@ -14,8 +14,8 @@ import (
 	"repro/internal/isa"
 )
 
-// stableStreamer is the test streamer plus the Reloader/TraceStable
-// contract, so the board records its event stream once and replays it
+// stableStreamer is the test streamer plus the Reloader contract and
+// the empty trace key, so the board records its event stream once and replays it
 // on every later iteration and run.
 type stableStreamer struct{ streamer }
 
@@ -24,9 +24,9 @@ func (s stableStreamer) Reload(m *isa.Machine, run int) error {
 	return nil
 }
 
-func (s stableStreamer) TraceStable() bool { return true }
+func (s stableStreamer) TraceKey(dst []byte, run int) ([]byte, bool) { return dst[:0], true }
 
-// opaqueWorkload hides a workload's Reloader/TraceStable identity from
+// opaqueWorkload hides a workload's Reloader/TraceKeyer identity from
 // the board, forcing full interpretation of every iteration.
 type opaqueWorkload struct{ w Workload }
 
@@ -129,7 +129,7 @@ func TestMulticoreDeterministicAcrossGOMAXPROCS(t *testing.T) {
 
 // TestMulticoreReplayMatchesInterpretation is the replay-equivalence
 // gate for the decode-once optimization: the same co-runner run once
-// with its TraceStable contract visible (recorded, then replayed — the
+// with its empty trace key visible (recorded, then replayed — the
 // inline plan-and-merge path) and once hidden behind a wrapper (interpreted
 // every iteration in goroutine mode) must give bit-identical
 // measurements on every run.
@@ -164,7 +164,7 @@ func TestMulticoreReplayMatchesInterpretation(t *testing.T) {
 				i, rs.Measured, ro.Measured)
 		}
 	}
-	// Same comparison with a trace-stable measured workload, so the
+	// Same comparison with a run-invariant measured workload, so the
 	// stable board also replays the measured core (the fully-inline,
 	// zero-goroutine path) while the opaque board still interprets.
 	mw := stableStreamer{streamer{lines: 2048}}

@@ -185,14 +185,14 @@ type Platform struct {
 	lastW Workload
 	lastM *isa.Machine
 
-	// Decode-once trace replay (see TraceStable): the event stream
-	// recorded on the first run of a trace-stable workload, replayed
-	// through the timing model on subsequent runs.
+	// Decode-once trace replay (see TraceKeyer): the block stream
+	// recorded on the first keyed run, replayed through the timing
+	// model for later runs with the same key. blind reports an
+	// operand-blind FPU, where non-empty keys may replay.
 	replayOff bool
 	paranoid  bool
-	trace     *blockTrace
-	traceW    Workload
-	tracePath string
+	blind     bool
+	slot      traceSlot
 
 	// runCtx is the context of the run in flight, polled through
 	// cancelPoll — a method value bound once per board, so a cancelable
@@ -206,7 +206,7 @@ func New(cfg Config) (*Platform, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
-	p := &Platform{cfg: cfg}
+	p := &Platform{cfg: cfg, blind: cfg.FPUMode == fpu.ModeAnalysis}
 	p.cancelPoll = p.canceled
 	p.rsrc = rng.NewXoroshiro128(1)
 	p.seedr = rng.NewSplitMix64(1)
@@ -345,24 +345,6 @@ type Reloader interface {
 	Reload(m *isa.Machine, run int) error
 }
 
-// TraceStable is an optional Workload extension declaring whether the
-// workload's retired-instruction event stream — PCs, classes, data
-// addresses, FPU operands and branch outcomes — is identical for every
-// run index. For such workloads the platform records the stream once
-// (decode-once) and replays it through the timing model on subsequent
-// runs, skipping architectural re-execution entirely; the per-run
-// timing randomness (placement, replacement, FPU mode) still applies,
-// so the measured cycles are bit-identical to full execution.
-//
-// Declare true only when control flow, memory addressing and FDIV/FSQRT
-// operand values are all input-independent (e.g. a fixed-size matrix
-// multiply). Workloads with data-dependent control flow (TVCA's clamp
-// and saturation paths, sorting, table-driven CRC) must not implement
-// this, and fall back to full execution.
-type TraceStable interface {
-	TraceStable() bool
-}
-
 // Run performs one protocol-compliant measurement of w.
 func (p *Platform) Run(w Workload, run int, runSeed uint64) (RunResult, error) {
 	return p.RunCtx(context.Background(), w, run, runSeed)
@@ -374,7 +356,11 @@ func (p *Platform) Run(w Workload, run int, runSeed uint64) (RunResult, error) {
 // the timing model, so for a context that never fires the measured
 // cycles are bit-identical to Run.
 func (p *Platform) RunCtx(ctx context.Context, w Workload, run int, runSeed uint64) (RunResult, error) {
-	if p.trace != nil && !p.replayOff && w == p.traceW {
+	var replay, record bool
+	if !p.replayOff {
+		replay, record = p.slot.next(w, run, p.blind)
+	}
+	if replay {
 		return p.runReplay(ctx, w, run, runSeed)
 	}
 	m, err := p.machineFor(w, run)
@@ -384,8 +370,10 @@ func (p *Platform) RunCtx(ctx context.Context, w Workload, run int, runSeed uint
 	p.PollContext(ctx, m)
 	p.PrepareRun(runSeed)
 	var cycles uint64
-	if ts, ok := w.(TraceStable); ok && ts.TraceStable() && !p.replayOff {
-		cycles, err = p.recordTrace(w, m)
+	if record {
+		start := p.core.Cycle()
+		err = p.slot.record(p.core, m)
+		cycles = p.core.Cycle() - start
 	} else {
 		cycles, err = p.core.RunProgram(m)
 	}
@@ -420,129 +408,23 @@ func (p *Platform) machineFor(w Workload, run int) (*isa.Machine, error) {
 	return m, nil
 }
 
-// traceChunk is the number of events in one eventTrace chunk (56 KB).
-const traceChunk = 1024
-
-// eventTrace is a recorded event stream (a co-runner's iteration, see
-// Multicore) held in fixed-size chunks. It grows on demand without
-// copying: recording allocates the trace's size rounded up to one
-// chunk, where a growing flat slice would allocate about five times
-// that in discarded backing arrays.
-type eventTrace [][]isa.Event
-
-func (t *eventTrace) add(ev isa.Event) {
-	n := len(*t)
-	if n == 0 || len((*t)[n-1]) == traceChunk {
-		*t = append(*t, make([]isa.Event, 0, traceChunk))
-		n++
-	}
-	(*t)[n-1] = append((*t)[n-1], ev)
-}
-
-// flat returns the trace as one slice.
-func (t eventTrace) flat() []isa.Event {
-	if len(t) == 1 {
-		return t[0]
-	}
-	n := 0
-	for _, c := range t {
-		n += len(c)
-	}
-	out := make([]isa.Event, 0, n)
-	for _, c := range t {
-		out = append(out, c...)
-	}
-	return out
-}
-
-// blockTrace is a recorded fetch-block stream (see isa.BlockSink): the
-// measured core's blocks in order, their classes and dynamic operands
-// held in two flat arrays. Replaying it through Core.ConsumeBlock
-// repeats exactly the timing-model calls of the recorded run; a MatMul
-// N=8 recording takes 55 KB, where its event trace took 435 KB.
-type blockTrace struct {
-	blocks  []tracedBlock
-	classes []isa.Class
-	ops     []uint64
-}
-
-// tracedBlock is one recorded block: its start PC, its numbers of
-// instructions and operand words, and its taken bit.
-type tracedBlock struct {
-	pc      uint64
-	n, nops uint32
-	taken   bool
-}
-
-func (t *blockTrace) add(pc uint64, classes []isa.Class, taken bool, ops []uint64) {
-	t.blocks = append(t.blocks, tracedBlock{pc: pc, n: uint32(len(classes)), nops: uint32(len(ops)), taken: taken})
-	t.classes = append(t.classes, classes...)
-	t.ops = append(t.ops, ops...)
-}
-
-// replay feeds the trace to core block by block. It polls canceled, if
-// non-nil, before the first block and after every 1,024 replayed
-// instructions, as the interpreter polls Cancel, and reports false as
-// soon as it fires.
-func (t *blockTrace) replay(core *cpu.Core, canceled func() bool) bool {
-	c, o := 0, 0
-	poll := 0
-	for _, b := range t.blocks {
-		if canceled != nil && c >= poll {
-			if canceled() {
-				return false
-			}
-			poll = c + 1024
-		}
-		n, k := c+int(b.n), o+int(b.nops)
-		core.ConsumeBlock(b.pc, t.classes[c:n], b.taken, t.ops[o:k])
-		c, o = n, k
-	}
-	return true
-}
-
-// recordSink forwards every block to the timing core and captures it
-// for later replay. The recording run's timing is untouched: the core
-// consumes exactly the blocks it would have consumed.
-type recordSink struct {
-	core  *cpu.Core
-	trace blockTrace
-}
-
-// FetchBytes asks for the core's blocks.
-func (r *recordSink) FetchBytes() int { return r.core.FetchBytes() }
-
-func (r *recordSink) ConsumeBlock(pc uint64, classes []isa.Class, taken bool, ops []uint64) {
-	r.core.ConsumeBlock(pc, classes, taken, ops)
-	r.trace.add(pc, classes, taken, ops)
-}
-
-// recordTrace runs m fully while capturing its block stream, then
-// stores the trace (and the run's path classification, which for a
-// trace-stable workload is the same every run) for replay.
-func (p *Platform) recordTrace(w Workload, m *isa.Machine) (uint64, error) {
-	rs := recordSink{core: p.core}
-	start := p.core.Cycle()
-	if _, err := m.RunBlocks(&rs); err != nil {
-		return 0, err
-	}
-	p.trace, p.traceW, p.tracePath = &rs.trace, w, w.PathOf(m)
-	return p.core.Cycle() - start, nil
-}
-
-// runReplay performs one measurement by replaying the recorded event
+// runReplay performs one measurement by replaying the recorded block
 // stream through the timing model: the per-run protocol (flush, reset,
 // reseed) still applies, so placement/replacement/FPU randomness is
 // exactly as in full execution, and the measured cycles are
 // bit-identical. In paranoia mode every replayed run is cross-checked
 // against a full execution with the same seed.
 func (p *Platform) runReplay(ctx context.Context, w Workload, run int, runSeed uint64) (RunResult, error) {
+	var before BoardStats
+	if p.paranoid {
+		before = p.BoardStats()
+	}
 	p.PrepareRun(runSeed)
 	var canceled func() bool
 	if ctx != nil && ctx.Done() != nil {
 		p.runCtx, canceled = ctx, p.cancelPoll
 	}
-	ok := p.trace.replay(p.core, canceled)
+	ok := p.slot.trace.replay(p.core, canceled)
 	p.runCtx = nil
 	if !ok {
 		return RunResult{}, fmt.Errorf("platform %s: replay run %d: %w",
@@ -551,10 +433,10 @@ func (p *Platform) runReplay(ctx context.Context, w Workload, run int, runSeed u
 	res := RunResult{
 		Cycles:       p.core.Cycle(),
 		Instructions: p.core.Stats().Instructions,
-		Path:         p.tracePath,
+		Path:         p.slot.path,
 	}
 	if p.paranoid {
-		if err := p.crossCheck(ctx, w, run, runSeed, res); err != nil {
+		if err := p.crossCheck(ctx, w, run, runSeed, res, before); err != nil {
 			return RunResult{}, err
 		}
 	}
@@ -563,8 +445,11 @@ func (p *Platform) runReplay(ctx context.Context, w Workload, run int, runSeed u
 }
 
 // crossCheck re-executes the run fully (fresh machine, same seed) and
-// compares cycles, instruction count and path against the replay.
-func (p *Platform) crossCheck(ctx context.Context, w Workload, run int, runSeed uint64, got RunResult) error {
+// compares cycles, instruction count, path, the core's counters and
+// the caches', TLBs' and FPU's counter deltas against the replay,
+// whose deltas run from before.
+func (p *Platform) crossCheck(ctx context.Context, w Workload, run int, runSeed uint64, got RunResult, before BoardStats) error {
+	gotCore, after := p.core.Stats(), p.BoardStats()
 	m, err := w.Prepare(run)
 	if err != nil {
 		return fmt.Errorf("platform %s: paranoia prepare run %d: %w", p.cfg.Name, run, err)
@@ -585,6 +470,14 @@ func (p *Platform) crossCheck(ctx context.Context, w Workload, run int, runSeed 
 		return fmt.Errorf("platform %s: replay diverged from full execution on run %d: replay=%+v full=%+v",
 			p.cfg.Name, run, got, want)
 	}
+	if gc, wc := gotCore, p.core.Stats(); gc != wc {
+		return fmt.Errorf("platform %s: replay diverged from full execution on run %d: core replay=%+v full=%+v",
+			p.cfg.Name, run, gc, wc)
+	}
+	if gs, ws := after.Sub(before), p.BoardStats().Sub(after); gs != ws {
+		return fmt.Errorf("platform %s: replay diverged from full execution on run %d: counters replay=%+v full=%+v",
+			p.cfg.Name, run, gs, ws)
+	}
 	return nil
 }
 
@@ -593,7 +486,7 @@ func (p *Platform) crossCheck(ctx context.Context, w Workload, run int, runSeed 
 func (p *Platform) SetReplay(on bool) {
 	p.replayOff = !on
 	if !on {
-		p.trace, p.traceW, p.tracePath = nil, nil, ""
+		p.slot = traceSlot{}
 	}
 }
 

@@ -388,11 +388,11 @@ func TestDeriveRunSeedNoCollisionsAcrossBases(t *testing.T) {
 	}
 }
 
-// TestTraceRecordingGrowsOnDemand: recording a small trace-stable
+// TestTraceRecordingGrowsOnDemand: recording a small run-invariant
 // workload on a fresh board allocates in proportion to its trace, not
 // a fixed 65,536-event (3.7 MB) buffer, on both the single-core
 // Platform and the Multicore board (measured workload plus a
-// trace-stable co-runner). Later runs must replay the recording.
+// run-invariant co-runner). Later runs must replay the recording.
 func TestTraceRecordingGrowsOnDemand(t *testing.T) {
 	// The trace is ~7,800 events (435 KB). A fixed preallocation costs
 	// 3.7 MB; a flat slice regrown by append costs ~2 MB.

@@ -117,8 +117,6 @@ func openSession(ctx context.Context, cfg Config, w Workload, opts StreamOptions
 		pol:      o.execPolicy(),
 		sup:      o.Supervise.withDefaults(),
 		limit:    o.MaxRuns,
-		results:  make([]RunResult, o.MaxRuns),
-		done:     make([]bool, o.MaxRuns),
 		want:     math.MaxInt,
 	}
 	if s.newBoard == nil {
@@ -131,6 +129,7 @@ func openSession(ctx context.Context, cfg Config, w Workload, opts StreamOptions
 		if err := rs.validate(o); err != nil {
 			return nil, err
 		}
+		s.grow(len(rs.Prefix))
 		copy(s.results, rs.Prefix)
 		for i := range rs.Prefix {
 			s.done[i] = true
@@ -150,6 +149,39 @@ func openSession(ctx context.Context, cfg Config, w Workload, opts StreamOptions
 		s.cond.Broadcast()
 	})
 	return s, nil
+}
+
+// minSlots is the result slots a session allocates first: a campaign
+// of up to this many runs gets all of its slots in one allocation.
+const minSlots = 4096
+
+// grow extends the result slots to cover runs [0, n) (mu held or the
+// session not yet shared). Slots grow as leases are carved, so a
+// campaign's memory follows the runs it carved, not its budget;
+// capacity starts at minSlots and doubles but never passes the budget,
+// so a campaign that runs to its budget ends with exactly one slot per
+// budgeted run.
+func (s *Session) grow(n int) {
+	if n <= len(s.results) {
+		return
+	}
+	if n > cap(s.results) {
+		c := min(max(n, 2*cap(s.results), minSlots), s.o.MaxRuns)
+		results, done := make([]RunResult, len(s.results), c), make([]bool, len(s.done), c)
+		copy(results, s.results)
+		copy(done, s.done)
+		s.results, s.done = results, done
+	}
+	s.results, s.done = s.results[:n], s.done[:n]
+}
+
+// prefix returns the results of runs [0, n), all completed. The slots
+// it returns are never written again (first write wins), while grow
+// may move later runs to a new array, so the header is read under mu.
+func (s *Session) prefix(n int) []RunResult {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return s.results[:n:n]
 }
 
 // TakeLease hands out the session's next lease, or nil if none is
@@ -181,6 +213,7 @@ func (s *Session) takeLocked() *Lease {
 	batchEnd := min((s.nextCarve/s.o.BatchSize+1)*s.o.BatchSize, s.limit)
 	end := s.nextCarve + (batchEnd-s.nextCarve+s.split-1)/s.split
 	r := &leaseRange{start: s.nextCarve, end: end, running: 1, deadline: s.deadline()}
+	s.grow(end)
 	s.live = append(s.live, r)
 	s.nextCarve = end
 	return &Lease{s: s, r: r}
@@ -408,8 +441,9 @@ func (s *Session) Run(sink BatchSink) (*CampaignResult, error) {
 		if o.Journal == nil {
 			return nil
 		}
+		results := s.prefix(total)
 		for ; journaled < total; journaled++ {
-			if err := o.Journal.LogRun(journaled, DeriveRunSeed(o.BaseSeed, journaled), s.results[journaled]); err != nil {
+			if err := o.Journal.LogRun(journaled, DeriveRunSeed(o.BaseSeed, journaled), results[journaled]); err != nil {
 				return fmt.Errorf("platform: journal: %w", err)
 			}
 		}
@@ -426,7 +460,7 @@ func (s *Session) Run(sink BatchSink) (*CampaignResult, error) {
 				return nil, fmt.Errorf("platform: journal: %w", err)
 			}
 		}
-		res.Results = s.results[:total:total]
+		res.Results = s.prefix(total)
 		return res, cause
 	}
 
@@ -457,7 +491,7 @@ func (s *Session) Run(sink BatchSink) (*CampaignResult, error) {
 		if err := logRuns(end); err != nil {
 			return nil, err
 		}
-		b := Batch{Index: batch, Start: delivered, Results: s.results[delivered:end:end]}
+		b := Batch{Index: batch, Start: delivered, Results: s.prefix(end)[delivered:]}
 		if tele != nil {
 			now := time.Now()
 			tele.observeBatch(b, delta, now.Sub(last))
@@ -483,7 +517,7 @@ func (s *Session) Run(sink BatchSink) (*CampaignResult, error) {
 	if tele != nil {
 		tele.finish(delivered, stopped)
 	}
-	res.Results = s.results[:delivered:delivered]
+	res.Results = s.prefix(delivered)
 	return res, nil
 }
 

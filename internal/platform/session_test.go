@@ -2,6 +2,8 @@ package platform
 
 import (
 	"context"
+	"errors"
+	"runtime"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -145,5 +147,31 @@ func TestSessionLiveRangesBounded(t *testing.T) {
 	}
 	if n := len(s.live); n != 0 {
 		t.Errorf("%d live ranges after the campaign", n)
+	}
+}
+
+// TestSessionSlotsGrowWithCarvedRuns: a session's result slots grow as
+// leases are carved, so a campaign with the largest run budget that is
+// canceled after its first batch allocates in proportion to that batch
+// (slots up front for 10^7 runs took about 600 MB).
+func TestSessionSlotsGrowWithCarvedRuns(t *testing.T) {
+	const limit = 8 << 20
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	boards := &countingBoards{}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	c, err := StreamCampaign(ctx, RAND(), smallTVCA(t),
+		StreamOptions{MaxRuns: MaxCampaignRuns, BatchSize: 100, Parallel: 1, BaseSeed: 4, NewBoard: boards.newBoard},
+		func(b Batch) (bool, error) { cancel(); return false, nil })
+	runtime.ReadMemStats(&after)
+	if !errors.Is(err, ErrCanceled) {
+		t.Fatalf("canceled campaign returned %v, want ErrCanceled", err)
+	}
+	if len(c.Results) != 100 {
+		t.Errorf("%d runs delivered, want the first batch's 100", len(c.Results))
+	}
+	if got := after.TotalAlloc - before.TotalAlloc; got >= limit {
+		t.Errorf("a %d-run campaign canceled after one batch allocated %d bytes, want < %d", MaxCampaignRuns, got, limit)
 	}
 }

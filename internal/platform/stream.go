@@ -123,8 +123,8 @@ func (rs *ResumeState) validate(o StreamOptions) error {
 	return nil
 }
 
-// MaxCampaignRuns bounds a campaign's run budget: a session holds one
-// result slot per budgeted run.
+// MaxCampaignRuns bounds a campaign's run budget: a session keeps one
+// result slot per run it has carved into a lease, up to the budget.
 const MaxCampaignRuns = 10_000_000
 
 // StreamOptions tunes StreamCampaign.

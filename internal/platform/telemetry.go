@@ -15,9 +15,11 @@
 // commute. The exceptions, excluded from the parallelism-invariance
 // test and documented in DESIGN.md §11, are the wall-clock instruments
 // (campaign_runs_per_sec, campaign_batch_seconds), the retry/timeout
-// tallies, and sim_replay_runs_total/sim_interpret_runs_total for
-// trace-stable workloads (each worker board records its own trace on
-// its first run).
+// tallies, and the host-execution instruments
+// sim_replay_runs_total/sim_interpret_runs_total for keyed workloads:
+// each board records the trace of its own first keyed run, so which
+// later runs match it depends on which board ran which run. Their sum
+// is the number of runs executed.
 package platform
 
 import (

@@ -151,6 +151,10 @@ func (x *Xoroshiro128) Float64() float64 {
 	return float64(x.Uint64()>>11) / (1 << 53)
 }
 
+// Uint32 is the concrete-receiver variant of Uint32(Source). Must stay
+// in lockstep with Uint32(Source).
+func (x *Xoroshiro128) Uint32() uint32 { return uint32(x.Uint64() >> 32) }
+
 // Intn is the concrete-receiver variant of Intn(Source, int): same
 // algorithm, same draw sequence, no interface escape. Must stay in
 // lockstep with Intn(Source, int).

@@ -4,7 +4,6 @@ import (
 	"fmt"
 
 	"repro/internal/isa"
-	"repro/internal/sched"
 )
 
 // Register conventions of the generated code.
@@ -48,12 +47,7 @@ const (
 
 // generate builds the TVCA binary: the unrolled cyclic-executive
 // dispatch followed by the three task bodies.
-func generate(cfg Config) (*isa.Program, error) {
-	tasks := Tasks()
-	table, err := sched.ActivationTable(tasks, cfg.Frames)
-	if err != nil {
-		return nil, err
-	}
+func generate(cfg Config, table [][]int) (*isa.Program, error) {
 	taskLabels := []string{"task_sensor", "task_actx", "task_acty"}
 
 	b := isa.NewBuilder("tvca", cfg.CodeBase)

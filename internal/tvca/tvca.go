@@ -76,11 +76,11 @@ func (c Config) Validate() error {
 	if c.Frames < 4 || c.Frames%4 != 0 {
 		return fmt.Errorf("tvca: frames %d must be a positive multiple of 4", c.Frames)
 	}
-	if c.Sensors < 2 || c.Sensors > 64 {
-		return fmt.Errorf("tvca: sensors %d not in [2,64]", c.Sensors)
+	if c.Sensors < 2 || c.Sensors > maxSensors {
+		return fmt.Errorf("tvca: sensors %d not in [2,%d]", c.Sensors, maxSensors)
 	}
-	if c.Taps < 2 || c.Taps > 32 {
-		return fmt.Errorf("tvca: taps %d not in [2,32]", c.Taps)
+	if c.Taps < 2 || c.Taps > maxTaps {
+		return fmt.Errorf("tvca: taps %d not in [2,%d]", c.Taps, maxTaps)
 	}
 	if c.Taps*8 > histSlotBytes {
 		return fmt.Errorf("tvca: taps %d overflow a %d-byte history slot", c.Taps, histSlotBytes)
@@ -247,13 +247,17 @@ func Tasks() []sched.Task {
 }
 
 // App is the built workload: the generated program plus the input
-// synthesizer. It implements platform.Workload. App is safe for
-// concurrent use by multiple campaign workers: Prepare only reads the
-// immutable program and writes a fresh Memory.
+// synthesizer and the host-side control model (reference.go). It
+// implements platform.Workload, platform.Reloader and
+// platform.TraceKeyer. App is safe for concurrent use by multiple
+// campaign workers: Prepare only reads the immutable program and writes
+// a fresh Memory, and the control model keeps its state on the stack.
 type App struct {
 	cfg   Config
 	prog  *isa.Program
-	slots []int32 // per-channel history-slot offsets (fixed per binary)
+	slots []int32   // per-channel history-slot offsets (fixed per binary)
+	table [][]int   // task activations per minor frame (sched.ActivationTable)
+	coef  []float64 // FIR coefficients
 }
 
 // New validates cfg and generates the TVCA program.
@@ -261,11 +265,19 @@ func New(cfg Config) (*App, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
-	prog, err := generate(cfg)
+	table, err := sched.ActivationTable(Tasks(), cfg.Frames)
 	if err != nil {
 		return nil, err
 	}
-	return &App{cfg: cfg, prog: prog, slots: histSlots(cfg)}, nil
+	prog, err := generate(cfg, table)
+	if err != nil {
+		return nil, err
+	}
+	coef := make([]float64, cfg.Taps)
+	for t := range coef {
+		coef[t] = firCoef(t, cfg.Taps)
+	}
+	return &App{cfg: cfg, prog: prog, slots: histSlots(cfg), table: table, coef: coef}, nil
 }
 
 // Name identifies the workload in campaign results.
@@ -323,8 +335,8 @@ var scalarConsts = [...]struct {
 func (a *App) initData(m *isa.Memory) error {
 	d := a.cfg.DataBase
 	w := func(off int, v float64) error { return m.Write64(d+uint64(off), v) }
-	for t := 0; t < a.cfg.Taps; t++ {
-		if err := w(offCoef+8*t, firCoef(t, a.cfg.Taps)); err != nil {
+	for t, c := range a.coef {
+		if err := w(offCoef+8*t, c); err != nil {
 			return err
 		}
 	}
@@ -367,50 +379,63 @@ func (a *App) initData(m *isa.Memory) error {
 // the clamp and saturation paths. Inputs depend only on (InputSeed,
 // run), never on the platform, enabling paired DET/RAND comparisons.
 func (a *App) Inputs(run int) [][]float64 {
-	src := rng.NewXoroshiro128(inputSeed(a.cfg.InputSeed, run))
-	extreme := rng.Float64(src) < a.cfg.ExtremeProb
-	extremeFrame := rng.Intn(src, a.cfg.Frames)
-	extremeCh := rng.Intn(src, a.cfg.Sensors)
+	in := a.inputs(run)
 	out := make([][]float64, a.cfg.Frames)
 	for f := range out {
 		out[f] = make([]float64, a.cfg.Sensors)
 		for ch := range out[f] {
-			phase := 2 * math.Pi * (float64(f)/float64(a.cfg.Frames) + float64(ch)/float64(a.cfg.Sensors))
-			v := 1.2*math.Sin(phase) + 0.4*(rng.Float64(src)-0.5)
-			if extreme && f == extremeFrame && ch == extremeCh {
-				v *= 40 // transient spike
-			}
-			out[f][ch] = v
+			out[f][ch] = in.sample(f, ch)
 		}
 	}
 	return out
 }
 
-// writeInputs stores the run's sensor samples into the data segment. It
-// generates the samples in place with a stack-allocated generator and
-// the concrete-receiver draw helpers — the exact draw sequence of
-// Inputs, without materializing the [][]float64 (the steady-state run
-// loop must not allocate).
+// writeInputs stores the run's sensor samples into the data segment,
+// drawn in place (the steady-state run loop must not allocate).
 func (a *App) writeInputs(m *isa.Memory, run int) error {
-	var src rng.Xoroshiro128
-	src.Seed(inputSeed(a.cfg.InputSeed, run))
-	extreme := src.Float64() < a.cfg.ExtremeProb
-	extremeFrame := src.Intn(a.cfg.Frames)
-	extremeCh := src.Intn(a.cfg.Sensors)
+	in := a.inputs(run)
 	for f := 0; f < a.cfg.Frames; f++ {
 		for ch := 0; ch < a.cfg.Sensors; ch++ {
-			phase := 2 * math.Pi * (float64(f)/float64(a.cfg.Frames) + float64(ch)/float64(a.cfg.Sensors))
-			v := 1.2*math.Sin(phase) + 0.4*(src.Float64()-0.5)
-			if extreme && f == extremeFrame && ch == extremeCh {
-				v *= 40 // transient spike
-			}
 			addr := a.cfg.DataBase + uint64(offRaw+8*(f*a.cfg.Sensors+ch))
-			if err := m.Write64(addr, v); err != nil {
+			if err := m.Write64(addr, in.sample(f, ch)); err != nil {
 				return err
 			}
 		}
 	}
 	return nil
+}
+
+// inputGen draws one run's sensor samples. It is the one copy of the
+// input synthesis: Inputs, writeInputs and the control model all draw
+// through it, in (frame, channel) order.
+type inputGen struct {
+	src          rng.Xoroshiro128
+	frames       int
+	sensors      int
+	extreme      bool
+	extremeFrame int
+	extremeCh    int
+}
+
+// inputs starts run's input generator.
+func (a *App) inputs(run int) inputGen {
+	in := inputGen{frames: a.cfg.Frames, sensors: a.cfg.Sensors}
+	in.src.Seed(inputSeed(a.cfg.InputSeed, run))
+	in.extreme = in.src.Float64() < a.cfg.ExtremeProb
+	in.extremeFrame = in.src.Intn(a.cfg.Frames)
+	in.extremeCh = in.src.Intn(a.cfg.Sensors)
+	return in
+}
+
+// sample draws the sample of frame f, channel ch; samples must be drawn
+// in (frame, channel) order.
+func (in *inputGen) sample(f, ch int) float64 {
+	phase := 2 * math.Pi * (float64(f)/float64(in.frames) + float64(ch)/float64(in.sensors))
+	v := 1.2*math.Sin(phase) + 0.4*(in.src.Float64()-0.5)
+	if in.extreme && f == in.extremeFrame && ch == in.extremeCh {
+		v *= 40 // transient spike
+	}
+	return v
 }
 
 // inputSeed mixes the workload input seed with the run index.

@@ -10,7 +10,7 @@
 //     the platform's cached machine, further runs must not allocate.
 //  3. Replay equivalence: the decode-once trace-replay fast path must
 //     produce byte-identical results to full interpretation, run by
-//     run, for trace-stable workloads on both platform builds.
+//     run, for keyed workloads on both platform builds.
 package repro
 
 import (
@@ -21,6 +21,7 @@ import (
 	"regexp"
 	"sort"
 	"strconv"
+	"sync"
 	"testing"
 	"time"
 
@@ -91,13 +92,16 @@ func TestGoldenCampaignCycles(t *testing.T) {
 }
 
 // TestSteadyStateZeroAlloc asserts the allocation-free run loop: once
-// the platform has a cached machine for the workload (first run), a
-// full measurement run — reseed, flush, reload, interpret, drain —
-// performs zero heap allocations. It holds both for a workload built
-// directly and for one built from a spec through the fabric registry
-// (the path pwcetd, the matrix and remote executors take), and for runs
-// under a cancelable context, as every campaign session's runs are
-// (the board binds its context poll once, not per run).
+// the platform has a cached machine or a recorded trace for the
+// workload (first run), a full measurement run — reseed, flush, trace
+// key, reload and interpret, or replay, drain — performs zero heap
+// allocations. It holds for a workload built directly (8-frame TVCA,
+// whose runs both replay and interpret) and for ones built from a spec
+// through the fabric registry (the path pwcetd, the matrix and remote
+// executors take): a 4-frame TVCA, whose runs all share its first
+// run's key and replay, and a crc32, which reloads its machine. It
+// holds under a cancelable context too, as every campaign session's
+// runs are (the board binds its context poll once, not per run).
 func TestSteadyStateZeroAlloc(t *testing.T) {
 	cfg := tvca.DefaultConfig()
 	cfg.Frames = 4
@@ -106,6 +110,10 @@ func TestSteadyStateZeroAlloc(t *testing.T) {
 		t.Fatal(err)
 	}
 	built, err := fabric.BuiltinRegistry().Build(fabric.WorkloadSpec{Kind: "tvca", Params: params})
+	if err != nil {
+		t.Fatal(err)
+	}
+	crc, err := fabric.BuiltinRegistry().Build(fabric.WorkloadSpec{Kind: "crc32", Params: json.RawMessage(`{"Bytes":1024,"Seed":1}`)})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -118,6 +126,7 @@ func TestSteadyStateZeroAlloc(t *testing.T) {
 	}{
 		{"direct", goldenApp(t), context.Background()},
 		{"registry", built, context.Background()},
+		{"registry-crc32", crc, context.Background()},
 		{"direct-cancelable", goldenApp(t), canceled},
 	} {
 		p, err := platform.New(platform.RAND())
@@ -140,8 +149,8 @@ func TestSteadyStateZeroAlloc(t *testing.T) {
 	}
 }
 
-// TestReplayBitIdentical runs a trace-stable workload (MatMul declares
-// TraceStable) through the decode-once replay fast path and through
+// TestReplayBitIdentical runs a run-invariant workload (MatMul declares
+// the empty trace key) through the decode-once replay fast path and through
 // full interpretation, on both platform builds, and requires every run
 // to match exactly in cycles, instructions and path. 600 runs cover a
 // full reduced-campaign's worth of placement/replacement randomization.
@@ -287,8 +296,12 @@ func TestMulticorePerfAgainstSnapshot(t *testing.T) {
 }
 
 // TestReplayParanoia exercises the built-in cross-check mode: every
-// replayed run is re-executed through the interpreter and compared
-// inside the platform, which fails the run on any divergence.
+// replayed run is re-executed through the interpreter and compared —
+// result, core counters and cache/TLB/FPU counter deltas — inside the
+// platform, which fails the run on any divergence. It covers a
+// run-invariant workload on one board and a keyed campaign (16-frame
+// TVCA, whose runs replay when they share their board's first run's
+// key) on two paranoid boards.
 func TestReplayParanoia(t *testing.T) {
 	w := kernels.MatMul{N: 8, Seed: 11}
 	p, err := platform.New(platform.RAND())
@@ -300,5 +313,36 @@ func TestReplayParanoia(t *testing.T) {
 		if _, err := p.Run(w, i, platform.DeriveRunSeed(7, i)); err != nil {
 			t.Fatalf("paranoia run %d: %v", i, err)
 		}
+	}
+
+	cfg := tvca.DefaultConfig()
+	cfg.Frames = 16
+	app, err := tvca.New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var mu sync.Mutex
+	var boards []*platform.Platform
+	newBoard := func() (platform.Board, error) {
+		p, err := platform.New(platform.RAND())
+		if err != nil {
+			return nil, err
+		}
+		p.SetReplayParanoia(true)
+		mu.Lock()
+		boards = append(boards, p)
+		mu.Unlock()
+		return p, nil
+	}
+	if _, err := platform.StreamCampaign(context.Background(), platform.RAND(), app,
+		platform.StreamOptions{MaxRuns: 60, BatchSize: 20, Parallel: 2, BaseSeed: 7, NewBoard: newBoard}, nil); err != nil {
+		t.Fatalf("paranoid keyed campaign: %v", err)
+	}
+	var replayed uint64
+	for _, b := range boards {
+		replayed += b.BoardStats().ReplayRuns
+	}
+	if replayed == 0 {
+		t.Error("the keyed campaign replayed no run")
 	}
 }

@@ -35,8 +35,9 @@ func teleCampaign(t *testing.T, parallel int) (map[string]float64, []byte) {
 }
 
 // wallClock reports whether a metric measures the host rather than the
-// simulated platform — the only instruments exempt from the
-// parallelism-invariance contract (DESIGN.md §11).
+// simulated platform — with the host-execution instruments below, the
+// only ones exempt from the parallelism-invariance contract (DESIGN.md
+// §11).
 func wallClock(name string) bool {
 	return name == "campaign_runs_per_sec" ||
 		strings.HasPrefix(name, "campaign_batch_seconds") ||
@@ -44,15 +45,29 @@ func wallClock(name string) bool {
 		name == "campaign_run_timeouts_total"
 }
 
+// hostExecution reports whether a metric counts how the host executed
+// the runs: each board replays the runs that share its own first keyed
+// run's trace key, so the replay/interpret split depends on which board
+// ran which run. Only their sum, the runs executed, is invariant.
+func hostExecution(name string) bool {
+	return name == "sim_replay_runs_total" || name == "sim_interpret_runs_total"
+}
+
 // TestTelemetryParallelismInvariance: for a fixed seed, every
 // deterministic instrument and the entire event stream (byte for byte)
-// must be identical whether the campaign ran on 1 worker or 8.
+// must be identical whether the campaign ran on 1 worker or 8, and the
+// replayed and interpreted runs must add up to the runs executed.
 func TestTelemetryParallelismInvariance(t *testing.T) {
 	snap1, log1 := teleCampaign(t, 1)
 	snap8, log8 := teleCampaign(t, 8)
 
+	for _, snap := range []map[string]float64{snap1, snap8} {
+		if got := snap["sim_replay_runs_total"] + snap["sim_interpret_runs_total"]; got != 300 {
+			t.Errorf("replayed + interpreted runs = %v, want the 300 runs executed", got)
+		}
+	}
 	for name, v1 := range snap1 {
-		if wallClock(name) {
+		if wallClock(name) || hostExecution(name) {
 			continue
 		}
 		if v8, ok := snap8[name]; !ok || v8 != v1 {
@@ -60,7 +75,7 @@ func TestTelemetryParallelismInvariance(t *testing.T) {
 		}
 	}
 	for name := range snap8 {
-		if _, ok := snap1[name]; !ok && !wallClock(name) {
+		if _, ok := snap1[name]; !ok && !wallClock(name) && !hostExecution(name) {
 			t.Errorf("metric %s only exists at parallel=8", name)
 		}
 	}
