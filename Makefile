@@ -3,7 +3,7 @@
 GO ?= go
 STATICCHECK := $(shell command -v staticcheck 2>/dev/null)
 
-.PHONY: test check staticcheck bench bench-all experiments race cover fuzz resume-check service-check matrix-check leak-check performability-check clean
+.PHONY: test check staticcheck bench-all experiments race cover fuzz resume-check service-check matrix-check leak-check performability-check clean
 
 test:
 	$(GO) test ./...
@@ -103,12 +103,6 @@ race:
 	$(GO) test -race -run 'Telemetry|Fingerprint|Mitigat|TestJournalCrashResumeBitIdentical' ./pkg/mbpta/
 	$(GO) test -race -run 'TestRunnerWithFabricPool' ./internal/matrix/
 	$(GO) test -race -run 'TestMulticoreGolden' .
-
-# Perf-regression snapshot: runs the simulator throughput benchmarks
-# and writes the results (ns/op, instr/s, allocs/op, git SHA, date) to
-# the next free BENCH_<n>.json for commit-over-commit comparison.
-bench:
-	$(GO) run ./internal/tools/benchjson
 
 # Every benchmark in the repository, human-readable output only.
 bench-all:

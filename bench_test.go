@@ -410,11 +410,11 @@ func BenchmarkMulticoreThroughput(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		r, err := mc.Run(app, i, uint64(i)+1)
+		r, err := mc.ExecuteRun(context.Background(), app, i, uint64(i)+1)
 		if err != nil {
 			b.Fatal(err)
 		}
-		instr += r.Measured.Instructions
+		instr += r.Instructions
 	}
 	b.ReportMetric(float64(instr)/b.Elapsed().Seconds(), "instr/s")
 }

@@ -120,22 +120,6 @@ func (e badCore) Error() string {
 	return fmt.Sprintf("bus: core %d out of range [0,%d)", e.core, e.cores)
 }
 
-// Absorb folds a batch of transactions that were granted off-bus into
-// the timeline and counters: tx transactions whose total queueing delay
-// was wait, with the bus occupied through freeAt after the last one.
-// The multicore arbiter uses it to commit a core's locally self-granted
-// transactions (see internal/platform: arbitration windows) in one
-// call; the outcome is identical to issuing the same sequence through
-// Request.
-func (b *Bus) Absorb(tx, wait, freeAt uint64) {
-	b.stats.Transactions += tx
-	b.stats.WaitCycles += wait
-	b.stats.BusyCycles += tx * b.cfg.TransferCycles
-	if freeAt > b.freeAt {
-		b.freeAt = freeAt
-	}
-}
-
 // FreeAt reports the first idle cycle (test/debug aid).
 func (b *Bus) FreeAt() uint64 { return b.freeAt }
 

@@ -150,35 +150,3 @@ func TestNoCorePriorityState(t *testing.T) {
 		}
 	}
 }
-
-// TestAbsorbMatchesRequestSequence pins the self-grant window contract:
-// absorbing a batch of off-bus grants must leave the bus in exactly the
-// state the equivalent Request sequence would.
-func TestAbsorbMatchesRequestSequence(t *testing.T) {
-	times := []uint64{5, 6, 6, 40, 41}
-	direct := newBus(t)
-	for _, tm := range times {
-		direct.Request(0, tm, KindWrite)
-	}
-
-	absorbed := newBus(t)
-	// Replicate the port-side self-grant arithmetic: grant against a
-	// private freeAt, accumulate wait, then commit in one Absorb.
-	var freeAt, wait uint64
-	for _, tm := range times {
-		start := tm
-		if freeAt > start {
-			start = freeAt
-		}
-		wait += start - tm
-		freeAt = start + absorbed.TransferCycles()
-	}
-	absorbed.Absorb(uint64(len(times)), wait, freeAt)
-
-	if absorbed.Stats() != direct.Stats() {
-		t.Errorf("absorbed stats %+v, direct stats %+v", absorbed.Stats(), direct.Stats())
-	}
-	if absorbed.FreeAt() != direct.FreeAt() {
-		t.Errorf("absorbed freeAt %d, direct freeAt %d", absorbed.FreeAt(), direct.FreeAt())
-	}
-}

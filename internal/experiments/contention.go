@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"context"
 	"fmt"
 	"io"
 
@@ -103,18 +104,18 @@ func E8Contention(e *Env, maxCoRunners, runsPer int) (*E8Result, error) {
 		for i := range co {
 			co[i] = StreamerWorkload{Lines: 1024}
 		}
-		mcc, err := platform.NewMulticore(platform.RAND(), co)
+		c, err := platform.StreamCampaign(context.Background(), platform.RAND(), e.App(),
+			platform.StreamOptions{
+				MaxRuns: runsPer, BatchSize: runsPer,
+				BaseSeed: e.P.Seed + uint64(k), Parallel: e.P.Parallel,
+				NewBoard: func() (platform.Board, error) {
+					return platform.NewMulticore(platform.RAND(), co)
+				},
+			}, nil)
 		if err != nil {
-			return nil, err
+			return nil, fmt.Errorf("%d co-runner(s): %w", k, err)
 		}
-		times := make([]float64, runsPer)
-		for run := 0; run < runsPer; run++ {
-			r, err := mcc.Run(e.App(), run, platform.DeriveRunSeed(e.P.Seed+uint64(k), run))
-			if err != nil {
-				return nil, err
-			}
-			times[run] = float64(r.Measured.Cycles)
-		}
+		times := c.Times()
 		mean, err := stats.Mean(times)
 		if err != nil {
 			return nil, err

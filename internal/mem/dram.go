@@ -115,17 +115,6 @@ func (c *Controller) Reset() {
 	c.stats = Stats{}
 }
 
-// Absorb folds n accesses that were charged outside the controller
-// into the counters. The multicore arbiter uses it to commit a core's
-// locally self-granted transactions (see internal/platform:
-// arbitration windows); those windows are only delegated under the
-// closed-page policy, where every access costs the same fixed latency
-// and leaves no row-buffer state behind, so counting is all there is
-// to do.
-func (c *Controller) Absorb(n uint64) {
-	c.stats.Accesses += n
-}
-
 // Latency returns the access latency in cycles for addr and updates the
 // row-buffer state under the open-page policy.
 func (c *Controller) Latency(addr uint64) uint64 {

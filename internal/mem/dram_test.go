@@ -95,26 +95,3 @@ func TestReset(t *testing.T) {
 		t.Errorf("post-reset access = %d, want %d", lat, cfg.AccessCycles)
 	}
 }
-
-// TestAbsorbMatchesLatencyCount pins the self-grant window contract on
-// the controller side: under the closed-page policy, absorbing n
-// off-controller accesses must produce the same statistics as n
-// Latency calls (latency is address-independent, so only the counter
-// matters).
-func TestAbsorbMatchesLatencyCount(t *testing.T) {
-	direct, err := New(DefaultConfig())
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < 7; i++ {
-		direct.Latency(uint64(i) * 64)
-	}
-	absorbed, err := New(DefaultConfig())
-	if err != nil {
-		t.Fatal(err)
-	}
-	absorbed.Absorb(7)
-	if absorbed.Stats() != direct.Stats() {
-		t.Errorf("absorbed stats %+v, direct stats %+v", absorbed.Stats(), direct.Stats())
-	}
-}

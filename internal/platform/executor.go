@@ -22,24 +22,6 @@ func (p *Platform) ExecuteRun(ctx context.Context, w Workload, run int, seed uin
 	return p.RunCtx(ctx, w, run, seed)
 }
 
-// ExecuteRun implements Board on the co-simulated multicore platform:
-// the measured workload runs on core 0, the co-runners loop on the
-// remaining cores. Co-simulation commits to a whole run once started
-// (the arbiter has no preemption point), so ctx is honored at the run
-// boundary only.
-func (mc *Multicore) ExecuteRun(ctx context.Context, w Workload, run int, seed uint64) (RunResult, error) {
-	if ctx != nil {
-		if err := ctx.Err(); err != nil {
-			return RunResult{}, err
-		}
-	}
-	r, err := mc.Run(w, run, seed)
-	if err != nil {
-		return RunResult{}, err
-	}
-	return r.Measured, nil
-}
-
 // ExecPolicy bundles the per-run resilience knobs shared by the
 // session engine's executors and remote executors: a per-attempt
 // wall-clock bound and a bounded seed-preserving retry policy.

@@ -1,6 +1,7 @@
 package platform
 
 import (
+	"context"
 	"errors"
 
 	"repro/internal/bus"
@@ -52,6 +53,9 @@ func (p *Platform) RunOnCoreForTest(m *isa.Machine, runSeed uint64, perInstr boo
 	return counters(p.core, p.bus, p.dram), err
 }
 
+// BusStats is the shared bus's activity over the board's last run.
+func (mc *Multicore) BusStats() bus.Stats { return mc.bus.Stats() }
+
 // NewStreamerMulticoreForTest returns a board of cfg whose core 1 runs a
 // run-invariant (empty-key) streamer, after one run of w that records the
 // streamer's trace, so that later runs replay it inline.
@@ -60,7 +64,7 @@ func NewStreamerMulticoreForTest(cfg Config, w Workload) (*Multicore, error) {
 	if err != nil {
 		return nil, err
 	}
-	if _, err := mc.Run(w, 0, DeriveRunSeed(1, 0)); err != nil {
+	if _, err := mc.ExecuteRun(context.Background(), w, 0, DeriveRunSeed(1, 0)); err != nil {
 		return nil, err
 	}
 	return mc, nil

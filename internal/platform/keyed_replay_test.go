@@ -1,6 +1,7 @@
 package platform
 
 import (
+	"context"
 	"testing"
 
 	"repro/internal/tvca"
@@ -104,16 +105,17 @@ func TestMulticoreKeyedReplayMatchesInterpretation(t *testing.T) {
 	const runs = 40
 	for i := 0; i < runs; i++ {
 		seed := DeriveRunSeed(29, i)
-		kr, err := keyed.Run(app, i, seed)
+		kr, err := keyed.ExecuteRun(context.Background(), app, i, seed)
 		if err != nil {
 			t.Fatal(err)
 		}
-		pr, err := plain.Run(opaqueWorkload{app}, i, seed)
+		pr, err := plain.ExecuteRun(context.Background(), opaqueWorkload{app}, i, seed)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if kr.Measured != pr.Measured || kr.BusStats != pr.BusStats {
-			t.Fatalf("run %d: keyed board %+v, interpreting board %+v", i, kr, pr)
+		if kr != pr || keyed.BusStats() != plain.BusStats() {
+			t.Fatalf("run %d: keyed board %+v (bus %+v), interpreting board %+v (bus %+v)",
+				i, kr, keyed.BusStats(), pr, plain.BusStats())
 		}
 	}
 	if st := keyed.BoardStats(); st.ReplayRuns == 0 || st.InterpretRuns < 2 {

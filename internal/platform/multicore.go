@@ -1,9 +1,9 @@
 package platform
 
 import (
+	"context"
 	"errors"
 	"fmt"
-	"runtime"
 	"sync"
 	"sync/atomic"
 
@@ -25,9 +25,11 @@ import (
 // TLBs and pipeline), so contention reflects the co-runners' real
 // memory behaviour.
 //
-// The simulation is a conservative discrete-event co-simulation. Each
-// co-runner core runs in its own goroutine (the measured core runs in
-// the caller's), and every bus transaction synchronizes through a
+// The simulation is a conservative discrete-event co-simulation. In
+// goroutine mode — a board's recording run, and every run with a
+// co-runner that declares no trace key — each co-runner core runs in
+// its own goroutine (the measured core runs in the caller's), and
+// every bus transaction synchronizes through a
 // shared arbiter state guarded by one mutex: a request parks until the
 // arbiter can prove no other core will request at an earlier global
 // timestamp (ties broken by core index, matching a fixed-priority
@@ -36,15 +38,17 @@ import (
 // makes a parked request provably safe grants it in the same critical
 // section — there is no arbiter goroutine and no channel round-trip
 // per transaction. Results are bit-reproducible regardless of
-// goroutine scheduling and GOMAXPROCS.
+// goroutine scheduling and GOMAXPROCS. Once every co-runner has a
+// recorded stream, runs execute inline in the caller's goroutine
+// instead (see inlineReady), granting in the same order.
 //
-// The board is reusable: the first Run instantiates the bus, DRAM and
+// The board is reusable: the first run instantiates the bus, DRAM and
 // per-core cache/TLB/FPU stacks once, and subsequent runs reset and
 // reseed them in place (the same flush/reset/reseed protocol the
 // single-core Platform applies), re-initialize Reloader workload
 // machines in place, and replay recorded co-runner event streams (see
 // TraceKeyer) instead of re-interpreting them — the steady-state run
-// loop allocates only a handful of objects per run.
+// loop allocates nothing.
 //
 // Not safe for concurrent use: campaigns instantiate one board per
 // worker (see StreamOptions.NewBoard).
@@ -52,10 +56,8 @@ type Multicore struct {
 	cfg       Config
 	coRunners []Workload
 
-	// Reusable board, instantiated by the first Run.
+	// Reusable board, instantiated by the first run.
 	built  bool
-	winOK  bool // closed-page DRAM: self-grant windows are sound
-	spin   bool // spin-wait for grants before blocking (GOMAXPROCS > 1)
 	inline bool // this run replays every co-runner inline (no goroutines)
 	bus    *bus.Bus
 	dram   *mem.Controller
@@ -72,16 +74,13 @@ type Multicore struct {
 	// Per-core-runner execution state (index matches cores; entry 0,
 	// the measured core, is unused).
 	co []coState
+	wg sync.WaitGroup // a goroutine-mode run's co-runner goroutines
 
-	// Per-run outcome slots, reset by prepareRun.
-	errs       []error
-	iterations []int
-	measured   RunResult
+	// Per-core failures of the run in flight, reset by prepareRun.
+	errs []error
 
-	// Measured-machine reuse: the last machine a Reloader workload
-	// prepared, re-initialized in place on subsequent runs.
-	lastW Workload
-	lastM *isa.Machine
+	// Measured-machine reuse (Reloader workloads).
+	machine machineCache
 
 	// Decode-once trace replay for the measured core (see TraceKeyer
 	// and the same slot on Platform): the block stream recorded on the
@@ -92,7 +91,13 @@ type Multicore struct {
 
 	stop        atomic.Bool // measured run over, or a core failed
 	interpreted atomic.Bool // a co-runner was interpreted this run
-	cancelFn    func() bool // persistent closure for isa.Machine.Cancel
+
+	// runCtx is the context of the run in flight (nil when it can never
+	// fire), polled through cancelFn — the canceled method value, bound
+	// once per board, so a cancelable run allocates no closure. Every
+	// machine and replay of a run polls it.
+	runCtx   context.Context
+	cancelFn func() bool
 
 	// Cumulative run-kind tallies for the telemetry harvest (see
 	// BoardStats).
@@ -120,16 +125,6 @@ func NewMulticore(cfg Config, coRunners []Workload) (*Multicore, error) {
 	return &Multicore{cfg: cfg, coRunners: coRunners}, nil
 }
 
-// MulticoreResult is the outcome of one co-simulated measurement run.
-type MulticoreResult struct {
-	Measured RunResult
-	// CoRunnerIterations counts completed co-runner program executions
-	// during the measured run (index matches the co-runner list).
-	CoRunnerIterations []int
-	// BusStats is the shared-bus activity over the whole run.
-	BusStats bus.Stats
-}
-
 // pendReq is a parked bus request, inlined into coreState so posting a
 // request allocates nothing.
 type pendReq struct {
@@ -148,11 +143,11 @@ type coreState struct {
 
 // coState is one co-runner core's execution state across runs.
 type coState struct {
-	w      Workload
-	m      *isa.Machine // reused machine (Reloader workloads)
-	stable bool         // workload declares the empty key: a run-invariant stream
-	trace  []isa.Event  // recorded stream, replayed on later iterations
-	sink   mcSink       // persistent consume sink (no per-iteration closure)
+	w       Workload
+	machine machineCache // reused machine (Reloader workloads)
+	stable  bool         // workload declares the empty key: a run-invariant stream
+	trace   []isa.Event  // recorded stream, replayed on later iterations
+	sink    mcSink       // persistent consume sink (no per-iteration closure)
 
 	// Inline-replay state: the next trace index to plan, the planned
 	// bus requests (see cpu.Plan), and the issue time of the first one
@@ -167,14 +162,6 @@ type coState struct {
 // report their local time every this many retired instructions.
 const heartbeatEvery = 2048
 
-// grantSpinBudget is how long a core spin-waits for its grant before
-// parking on the arbiter's condition variable. Grants normally arrive
-// within a few hundred nanoseconds (one critical section away), so a
-// short spin avoids two scheduler round-trips per transaction; the
-// budget keeps a core from burning its P when the granting core is far
-// away in simulated time.
-const grantSpinBudget = 1536
-
 // mcPort is the per-core cpu.Interconnect. Its identity (which core it
 // requests for) is fixed at construction, satisfying the Interconnect
 // contract's no-core-argument design: a port cannot misattribute a
@@ -183,7 +170,6 @@ type mcPort struct {
 	mc       *Multicore
 	core     int
 	transfer uint64
-	memLat   uint64 // closed-page DRAM latency, for self-granted requests
 
 	// Grant slot: the granting goroutine writes the g* fields inside the
 	// arbiter's critical section and then publishes them with a token on
@@ -192,17 +178,8 @@ type mcPort struct {
 	// condition variable: the woken core must not have to reacquire the
 	// arbiter mutex — which the granter still holds — just to observe
 	// its grant.
-	grant                             chan struct{}
-	gStart, gMemLat, gWinEnd, gFreeAt uint64
-
-	// Open self-grant window (port-local, touched only by this core's
-	// goroutine): while winEnd is non-zero this core may grant its own
-	// requests with timestamps below winEnd against its private copy of
-	// the bus timeline, deferring the stats to the next arbiter event.
-	winEnd  uint64 // exclusive; 0 = no window
-	wFreeAt uint64 // private bus timeline while the window is open
-	rTx     uint64 // deferred transaction count
-	rWait   uint64 // deferred queueing delay
+	grant           chan struct{}
+	gStart, gMemLat uint64
 
 	// hbCount persists across workload iterations: a co-runner whose
 	// working set becomes fully cached stops requesting the bus, and
@@ -210,9 +187,8 @@ type mcPort struct {
 	hbCount uint64
 }
 
-// Request asks for the bus at time t. If the port holds a window that
-// covers t it grants itself locally — zero synchronization — otherwise
-// it parks the request in the arbiter state and waits for a grant.
+// Request asks for the bus at time t: it parks the request in the
+// arbiter state and waits for a grant.
 func (p *mcPort) Request(t uint64, kind bus.Kind, addr uint64) (uint64, uint64) {
 	if p.mc.inline {
 		// Inline-replay run: the whole board executes in this goroutine
@@ -221,23 +197,8 @@ func (p *mcPort) Request(t uint64, kind bus.Kind, addr uint64) (uint64, uint64) 
 		// arbiter is a plain function call.
 		return p.mc.inlineRequest(t, kind, addr)
 	}
-	if p.winEnd != 0 && t < p.winEnd {
-		// Self-grant: by the window's construction (see grantPassLocked)
-		// every other core is provably past t, so this transaction is
-		// next on the global timeline and its grant is a pure function
-		// of the port's private freeAt.
-		start := t
-		if p.wFreeAt > start {
-			start = p.wFreeAt
-		}
-		p.rTx++
-		p.rWait += start - t
-		p.wFreeAt = start + p.transfer
-		return start, p.memLat
-	}
 	mc := p.mc
 	mc.mu.Lock()
-	p.closeWindowLocked()
 	s := &mc.states[p.core]
 	s.pend = pendReq{time: t, kind: kind, addr: addr}
 	s.hasPend = true
@@ -246,48 +207,17 @@ func (p *mcPort) Request(t uint64, kind bus.Kind, addr uint64) (uint64, uint64) 
 	}
 	mc.grantPassLocked()
 	mc.mu.Unlock()
-
-	if mc.spin {
-		// Parallel hardware: busy-poll — the granting core is running on
-		// another P and grants arrive within a critical section, so the
-		// token is usually a few hundred nanoseconds away.
-		for i := 0; i < grantSpinBudget && len(p.grant) == 0; i++ {
-			if i&255 == 255 {
-				runtime.Gosched()
-			}
-		}
-	}
 	<-p.grant
-	if p.gWinEnd > t {
-		p.winEnd, p.wFreeAt = p.gWinEnd, p.gFreeAt
-	}
 	return p.gStart, p.gMemLat
 }
 
 // TransferCycles satisfies cpu.Interconnect.
 func (p *mcPort) TransferCycles() uint64 { return p.transfer }
 
-// closeWindowLocked commits a window's deferred transactions to the
-// shared bus and DRAM controller (mu held). Every arbiter event a port
-// posts goes through here first, so the shared timeline is current
-// before any other core can be granted.
-func (p *mcPort) closeWindowLocked() {
-	if p.winEnd == 0 {
-		return
-	}
-	if p.rTx > 0 {
-		p.mc.bus.Absorb(p.rTx, p.rWait, p.wFreeAt)
-		p.mc.dram.Absorb(p.rTx)
-		p.rTx, p.rWait = 0, 0
-	}
-	p.winEnd = 0
-}
-
 // heartbeat advances this core's lookahead horizon to local time t.
 func (p *mcPort) heartbeat(t uint64) {
 	mc := p.mc
 	mc.mu.Lock()
-	p.closeWindowLocked()
 	s := &mc.states[p.core]
 	if t > s.horizon {
 		s.horizon = t
@@ -301,7 +231,6 @@ func (p *mcPort) heartbeat(t uint64) {
 func (p *mcPort) doneNotice() {
 	mc := p.mc
 	mc.mu.Lock()
-	p.closeWindowLocked()
 	s := &mc.states[p.core]
 	s.alive = false
 	s.hasPend = false
@@ -315,17 +244,6 @@ func (p *mcPort) doneNotice() {
 // has reported a later heartbeat, or has finished), and keeps granting
 // in one pass until the lookahead no longer proves a grant safe. It
 // runs in whichever goroutine delivered the enabling event.
-//
-// Each grant may delegate a window to the granted core: granting core
-// c at time t sets its horizon to t, after which no other core can be
-// granted before c's next arbiter event (any candidate at time t' >= t
-// finds c's horizon <= t'). The arbiter is therefore serialized on c
-// anyway, and everything below the other cores' lookahead bound is
-// c's to grant itself — that bound is the window, and c's next event
-// commits the batch via closeWindowLocked before the pass resumes.
-// Windows require the grant to be a pure function of the bus timeline,
-// so they are only delegated under the closed-page DRAM policy (fixed
-// access latency, no row-buffer history).
 func (mc *Multicore) grantPassLocked() {
 	for {
 		best := -1
@@ -355,27 +273,6 @@ func (mc *Multicore) grantPassLocked() {
 		p := mc.ports[best]
 		p.gStart = mc.bus.Request(best, req.time, req.kind)
 		p.gMemLat = mc.dram.Latency(req.addr)
-		p.gWinEnd, p.gFreeAt = 0, 0
-		if mc.winOK {
-			winEnd := ^uint64(0) // all others done: unbounded window
-			for o := range mc.states {
-				os := &mc.states[o]
-				if o == best || !os.alive {
-					continue
-				}
-				b := os.horizon
-				if os.hasPend {
-					b = os.pend.time
-				}
-				if b < winEnd {
-					winEnd = b
-				}
-			}
-			if winEnd > req.time {
-				p.gWinEnd = winEnd
-				p.gFreeAt = mc.bus.FreeAt()
-			}
-		}
 		p.grant <- struct{}{}
 	}
 }
@@ -408,7 +305,7 @@ func (s *mcSink) ConsumeBlock(pc uint64, classes []isa.Class, taken bool, ops []
 	}
 }
 
-// ensureBoard instantiates the reusable board on the first Run.
+// ensureBoard instantiates the reusable board on the first run.
 func (mc *Multicore) ensureBoard() error {
 	if mc.built {
 		return nil
@@ -421,9 +318,7 @@ func (mc *Multicore) ensureBoard() error {
 	if mc.dram, err = mem.New(mc.cfg.DRAM); err != nil {
 		return err
 	}
-	mc.winOK = mc.cfg.DRAM.Policy == mem.PolicyClosedPage
 	mc.blind = mc.cfg.FPUMode == fpu.ModeAnalysis
-	mc.spin = runtime.GOMAXPROCS(0) > 1
 	mc.seedr = rng.NewSplitMix64(1)
 	mc.resm = rng.NewSplitMix64(1)
 	mc.cores = make([]*cpu.Core, n)
@@ -431,7 +326,6 @@ func (mc *Multicore) ensureBoard() error {
 	mc.srcs = make([]*rng.Xoroshiro128, n)
 	mc.states = make([]coreState, n)
 	mc.errs = make([]error, n)
-	mc.iterations = make([]int, n)
 	mc.co = make([]coState, n)
 	for c := 0; c < n; c++ {
 		src := rng.NewXoroshiro128(1)
@@ -459,7 +353,6 @@ func (mc *Multicore) ensureBoard() error {
 			mc:       mc,
 			core:     c,
 			transfer: mc.cfg.Bus.TransferCycles,
-			memLat:   mc.cfg.DRAM.AccessCycles,
 			grant:    make(chan struct{}, 1),
 		}
 		core, err := cpu.NewCore(c, mc.cfg.CoreParams, il1, dl1, itlb, dtlb, f, port)
@@ -476,7 +369,7 @@ func (mc *Multicore) ensureBoard() error {
 		cs.stable = constantKey(w)
 		cs.sink = mcSink{core: mc.cores[i+1], port: mc.ports[i+1]}
 	}
-	mc.cancelFn = mc.stop.Load
+	mc.cancelFn = mc.canceled
 	mc.built = true
 	return nil
 }
@@ -500,131 +393,104 @@ func (mc *Multicore) prepareRun(runSeed uint64) {
 		mc.cores[c].Reset()
 		mc.cores[c].FlushAll()
 		mc.states[c] = coreState{alive: true}
-		p := mc.ports[c]
-		p.hbCount, p.winEnd, p.wFreeAt, p.rTx, p.rWait = 0, 0, 0, 0, 0
+		mc.ports[c].hbCount = 0
 		mc.errs[c] = nil
-		mc.iterations[c] = 0
 		// A run may end with a co-runner's plan mid-iteration.
 		mc.co[c].i, mc.co[c].next, mc.co[c].queued = 0, 0, false
 		mc.co[c].plan.Reset()
 	}
 	mc.stop.Store(false)
 	mc.interpreted.Store(false)
-	mc.measured = RunResult{}
 }
 
-// machineFor returns the measured machine for one run: a Reloader
-// workload's cached machine re-initialized in place, or a fresh
-// Prepare.
-func (mc *Multicore) machineFor(w Workload, run int) (*isa.Machine, error) {
-	if r, ok := w.(Reloader); ok && mc.lastM != nil && w == mc.lastW {
-		if err := r.Reload(mc.lastM, run); err != nil {
-			return nil, err
+// canceled is the run's cancellation poll: the run is over (the
+// measured core finished or a core failed) or its context is done.
+func (mc *Multicore) canceled() bool {
+	return mc.stop.Load() || mc.runCtx != nil && mc.runCtx.Err() != nil
+}
+
+// ExecuteRun implements Board: one protocol-compliant measurement of w
+// on core 0 while the co-runners execute continuously on the other
+// cores. The run seed derives independent seeds for every core's
+// randomized resources. Results are a pure function of (w, run, seed)
+// and the co-runner list. The first core failure cancels every other
+// core, and so does ctx: every core polls it, so a canceled run stops
+// within a poll interval.
+func (mc *Multicore) ExecuteRun(ctx context.Context, w Workload, run int, seed uint64) (RunResult, error) {
+	if ctx != nil {
+		if err := ctx.Err(); err != nil {
+			return RunResult{}, err
 		}
-		return mc.lastM, nil
 	}
-	m, err := w.Prepare(run)
-	if err != nil {
-		return nil, err
-	}
-	if _, ok := w.(Reloader); ok {
-		mc.lastW, mc.lastM = w, m
-	}
-	return m, nil
-}
-
-// coMachine returns co-runner cs's machine for one iteration, reusing
-// the previous iteration's machine in place for Reloader workloads.
-func (mc *Multicore) coMachine(cs *coState, iter int) (*isa.Machine, error) {
-	if r, ok := cs.w.(Reloader); ok && cs.m != nil {
-		if err := r.Reload(cs.m, iter); err != nil {
-			return nil, err
-		}
-		return cs.m, nil
-	}
-	m, err := cs.w.Prepare(iter)
-	if err != nil {
-		return nil, err
-	}
-	if _, ok := cs.w.(Reloader); ok {
-		cs.m = m
-	}
-	return m, nil
-}
-
-// Run performs one protocol-compliant measurement of w on core 0 while
-// the co-runners execute continuously on the other cores. The run seed
-// derives independent seeds for every core's randomized resources.
-// Results are a pure function of (w, run, runSeed) and the co-runner
-// list; the first core failure cancels every other core.
-func (mc *Multicore) Run(w Workload, run int, runSeed uint64) (MulticoreResult, error) {
 	if err := mc.ensureBoard(); err != nil {
-		return MulticoreResult{}, err
+		return RunResult{}, err
 	}
 	replay, record := mc.slot.next(w, run, mc.blind)
 	var m *isa.Machine
-	var err error
 	if !replay {
-		if m, err = mc.machineFor(w, run); err != nil {
-			return MulticoreResult{}, fmt.Errorf("core 0: %w", err)
+		var err error
+		if m, err = mc.machine.get(w, run); err != nil {
+			return RunResult{}, fmt.Errorf("core 0: %w", err)
 		}
 		m.Cancel = mc.cancelFn
 	}
-	mc.prepareRun(runSeed)
+	mc.prepareRun(seed)
+	if ctx != nil && ctx.Done() != nil {
+		mc.runCtx = ctx
+	}
 	mc.inline = mc.inlineReady()
-
-	var wg sync.WaitGroup
 	if !mc.inline {
-		for i := range mc.coRunners {
-			wg.Add(1)
-			go func(c int) {
-				defer wg.Done()
-				mc.runCoRunner(c)
-			}(i + 1)
+		for c := 1; c < len(mc.co); c++ {
+			mc.wg.Add(1)
+			go mc.runCoRunner(c)
 		}
 	}
 
 	// Core 0: the measured workload, one protocol-compliant run in the
 	// calling goroutine. stop must be raised on every exit path —
 	// including failures — or the co-runners would loop forever; the
-	// cancel hook lets a failing co-runner cancel the measurement in
+	// cancel poll lets a failing co-runner cancel the measurement in
 	// return.
-	var cycles uint64
-	var runErr error
-	var path string
+	var res RunResult
+	var err error
 	switch {
 	case replay:
-		cycles, runErr = mc.replayMeasured()
-		path = mc.slot.path
+		res.Cycles, err = mc.replayMeasured()
+		res.Path = mc.slot.path
 	case record:
 		mc.interpreted.Store(true)
-		if runErr = mc.slot.record(mc.cores[0], m); runErr == nil {
-			cycles, path = mc.cores[0].Cycle(), w.PathOf(m)
+		if err = mc.slot.record(mc.cores[0], m); err == nil {
+			res.Cycles, res.Path = mc.cores[0].Cycle(), w.PathOf(m)
 		}
 	default:
 		mc.interpreted.Store(true)
-		cycles, runErr = mc.cores[0].RunProgram(m)
-		if runErr == nil {
-			path = w.PathOf(m)
+		if res.Cycles, err = mc.cores[0].RunProgram(m); err == nil {
+			res.Path = w.PathOf(m)
 		}
 	}
 	if !mc.inline {
 		mc.stop.Store(true)
 		mc.ports[0].doneNotice()
-		wg.Wait()
+		mc.wg.Wait()
 	}
-
-	if runErr != nil {
-		mc.errs[0] = runErr
+	mc.runCtx = nil
+	mc.errs[0] = err
+	if err := mc.runError(); err != nil {
+		return RunResult{}, err
+	}
+	if !mc.interpreted.Load() {
+		mc.replayRuns++
 	} else {
-		mc.measured = RunResult{
-			Cycles:       cycles,
-			Instructions: mc.cores[0].Stats().Instructions,
-			Path:         path,
-		}
+		mc.interpretRuns++
 	}
-	// Surface the first real failure; a core that was merely cancelled
-	// by another core's failure is not the root cause.
+	res.Instructions = mc.cores[0].Stats().Instructions
+	return res, nil
+}
+
+// runError is the run's root-cause failure: the first core error, where
+// a core that was merely cancelled by another core's failure (or by the
+// run's context) is not a root cause unless every failure is one.
+func (mc *Multicore) runError() error {
 	var firstErr, cancelled error
 	for c, err := range mc.errs {
 		if err == nil {
@@ -642,21 +508,9 @@ func (mc *Multicore) Run(w Workload, run int, runSeed uint64) (MulticoreResult, 
 		}
 	}
 	if firstErr == nil {
-		firstErr = cancelled
+		return cancelled
 	}
-	if firstErr != nil {
-		return MulticoreResult{}, firstErr
-	}
-	if !mc.interpreted.Load() {
-		mc.replayRuns++
-	} else {
-		mc.interpretRuns++
-	}
-	return MulticoreResult{
-		Measured:           mc.measured,
-		CoRunnerIterations: append([]int(nil), mc.iterations[1:]...),
-		BusStats:           mc.bus.Stats(),
-	}, nil
+	return firstErr
 }
 
 // inlineReady reports whether every co-runner has a recorded trace, so
@@ -712,7 +566,6 @@ func (mc *Multicore) plan(c int, bound uint64) {
 	core := mc.cores[c]
 	for !core.PlanUntil(&cs.plan, cs.trace, &cs.i, bound) && cs.i == len(cs.trace) {
 		cs.i = 0
-		mc.iterations[c]++
 	}
 	cs.next, cs.queued = core.NextRequest(&cs.plan)
 }
@@ -736,6 +589,7 @@ func (mc *Multicore) replayMeasured() (uint64, error) {
 // (and, for run-invariant workloads, recording) otherwise. Its first
 // failure cancels the whole run.
 func (mc *Multicore) runCoRunner(c int) {
+	defer mc.wg.Done()
 	defer mc.ports[c].doneNotice()
 	cs := &mc.co[c]
 	core := mc.cores[c]
@@ -745,11 +599,10 @@ func (mc *Multicore) runCoRunner(c int) {
 			if !mc.replayIteration(core, port, cs.trace) {
 				return
 			}
-			mc.iterations[c]++
 			continue
 		}
 		mc.interpreted.Store(true)
-		m, err := mc.coMachine(cs, iter)
+		m, err := cs.machine.get(cs.w, iter)
 		if err != nil {
 			mc.errs[c] = err
 			mc.stop.Store(true)
@@ -779,7 +632,6 @@ func (mc *Multicore) runCoRunner(c int) {
 			cs.trace = sink.rec.flat()
 			sink.rec, sink.recording = nil, false
 		}
-		mc.iterations[c]++
 	}
 }
 

@@ -7,6 +7,7 @@ package platform
 // of bus request the planner queues.
 
 import (
+	"context"
 	"fmt"
 	"testing"
 
@@ -116,20 +117,20 @@ func checkPlannedReplay(tb testing.TB, cfg Config, app Workload, co []mixRunner,
 		tb.Fatal(err)
 	}
 	for i := 0; i < runs; i++ {
-		rs, err := planned.Run(app, i, DeriveRunSeed(seed, i))
+		rs, err := planned.ExecuteRun(context.Background(), app, i, DeriveRunSeed(seed, i))
 		if err != nil {
 			tb.Fatal(err)
 		}
 		if i > 0 && !planned.inline {
 			tb.Fatalf("run %d: co-runners %+v did not replay inline", i, co)
 		}
-		ro, err := interpreted.Run(app, i, DeriveRunSeed(seed, i))
+		ro, err := interpreted.ExecuteRun(context.Background(), app, i, DeriveRunSeed(seed, i))
 		if err != nil {
 			tb.Fatal(err)
 		}
-		if rs.Measured != ro.Measured {
+		if rs != ro {
 			tb.Fatalf("run %d on %s, co-runners %+v: planned replay measured %+v, interpretation %+v",
-				i, cfg.Name, co, rs.Measured, ro.Measured)
+				i, cfg.Name, co, rs, ro)
 		}
 	}
 }

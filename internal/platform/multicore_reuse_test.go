@@ -5,6 +5,7 @@ package platform
 // bit-equivalence of the interpreted and replayed execution modes.
 
 import (
+	"context"
 	"errors"
 	"runtime"
 	"strings"
@@ -69,7 +70,7 @@ func TestMulticoreCoRunnerMidCampaignFailureCancelsRun(t *testing.T) {
 	// without cancellation the run would only fail after the measured
 	// core finished naturally.
 	start := time.Now()
-	_, err = mc.Run(streamer{lines: 1 << 17}, 0, 1)
+	_, err = mc.ExecuteRun(context.Background(), streamer{lines: 1 << 17}, 0, 1)
 	elapsed := time.Since(start)
 	if err == nil {
 		t.Fatal("mid-campaign co-runner failure did not fail the run")
@@ -87,6 +88,64 @@ func TestMulticoreCoRunnerMidCampaignFailureCancelsRun(t *testing.T) {
 	// would mean the measured core ran to completion.
 	if elapsed > 30*time.Second {
 		t.Errorf("run took %v; cancellation did not interrupt the measured core", elapsed)
+	}
+}
+
+// longRun is a measured workload whose run 0 is a short sweep and
+// every later run a sweep of seconds.
+type longRun struct{}
+
+func (longRun) Name() string { return "long-run" }
+
+func (longRun) Prepare(run int) (*isa.Machine, error) {
+	lines := int32(256)
+	if run > 0 {
+		lines = 1 << 22
+	}
+	return streamer{lines: lines}.Prepare(run)
+}
+
+func (longRun) PathOf(*isa.Machine) string { return "" }
+
+// TestMulticoreRunTimeoutBoundsCoRunnerCampaign pins that a run's
+// context reaches the board mid-run: a co-runner campaign whose second
+// run takes seconds fails with ErrRunTimeout well under a second, in
+// goroutine mode (an unkeyed co-runner) and in inline mode (a co-runner
+// replayed from the trace the first run recorded).
+func TestMulticoreRunTimeoutBoundsCoRunnerCampaign(t *testing.T) {
+	for _, tc := range []struct {
+		co     Workload
+		inline bool
+	}{
+		{stableStreamer{streamer{lines: 64}}, true},
+		{opaqueWorkload{stableStreamer{streamer{lines: 64}}}, false},
+	} {
+		var board *Multicore
+		start := time.Now()
+		_, err := StreamCampaign(context.Background(), RAND(), longRun{}, StreamOptions{
+			MaxRuns: 2, BatchSize: 2, Parallel: 1, BaseSeed: 1,
+			RunTimeout: 250 * time.Millisecond,
+			Supervise:  SupervisionPolicy{MaxRestarts: -1},
+			NewBoard: func() (Board, error) {
+				mc, err := NewMulticore(RAND(), []Workload{tc.co})
+				board = mc
+				return mc, err
+			},
+		}, nil)
+		elapsed := time.Since(start)
+		if !errors.Is(err, ErrRunTimeout) {
+			t.Errorf("inline %v: campaign error %v, want ErrRunTimeout", tc.inline, err)
+		}
+		if elapsed > 900*time.Millisecond {
+			t.Errorf("inline %v: campaign took %v; the run timeout did not stop the board", tc.inline, elapsed)
+		}
+		if st := board.BoardStats(); st.ReplayRuns+st.InterpretRuns != 1 {
+			t.Errorf("inline %v: board completed %d runs before the timeout, want run 0 only",
+				tc.inline, st.ReplayRuns+st.InterpretRuns)
+		}
+		if board.inline != tc.inline {
+			t.Errorf("timed-out run took inline mode %v, want %v", board.inline, tc.inline)
+		}
 	}
 }
 
@@ -109,11 +168,11 @@ func TestMulticoreDeterministicAcrossGOMAXPROCS(t *testing.T) {
 		}
 		out := make([]uint64, 6)
 		for i := range out {
-			r, err := mc.Run(app, i, DeriveRunSeed(21, i))
+			r, err := mc.ExecuteRun(context.Background(), app, i, DeriveRunSeed(21, i))
 			if err != nil {
 				t.Fatal(err)
 			}
-			out[i] = r.Measured.Cycles
+			out[i] = r.Cycles
 		}
 		return out
 	}
@@ -151,17 +210,17 @@ func TestMulticoreReplayMatchesInterpretation(t *testing.T) {
 	}
 	const runs = 16
 	for i := 0; i < runs; i++ {
-		rs, err := stable.Run(app, i, DeriveRunSeed(5, i))
+		rs, err := stable.ExecuteRun(context.Background(), app, i, DeriveRunSeed(5, i))
 		if err != nil {
 			t.Fatal(err)
 		}
-		ro, err := opaque.Run(app, i, DeriveRunSeed(5, i))
+		ro, err := opaque.ExecuteRun(context.Background(), app, i, DeriveRunSeed(5, i))
 		if err != nil {
 			t.Fatal(err)
 		}
-		if rs.Measured != ro.Measured {
+		if rs != ro {
 			t.Errorf("run %d: replayed board measured %+v, interpreted board %+v",
-				i, rs.Measured, ro.Measured)
+				i, rs, ro)
 		}
 	}
 	// Same comparison with a run-invariant measured workload, so the
@@ -169,17 +228,17 @@ func TestMulticoreReplayMatchesInterpretation(t *testing.T) {
 	// zero-goroutine path) while the opaque board still interprets.
 	mw := stableStreamer{streamer{lines: 2048}}
 	for i := 0; i < 4; i++ {
-		rs, err := stable.Run(mw, i, DeriveRunSeed(11, i))
+		rs, err := stable.ExecuteRun(context.Background(), mw, i, DeriveRunSeed(11, i))
 		if err != nil {
 			t.Fatal(err)
 		}
-		ro, err := opaque.Run(opaqueWorkload{mw}, i, DeriveRunSeed(11, i))
+		ro, err := opaque.ExecuteRun(context.Background(), opaqueWorkload{mw}, i, DeriveRunSeed(11, i))
 		if err != nil {
 			t.Fatal(err)
 		}
-		if rs.Measured != ro.Measured {
+		if rs != ro {
 			t.Errorf("stable measured run %d: replayed board %+v, interpreted board %+v",
-				i, rs.Measured, ro.Measured)
+				i, rs, ro)
 		}
 	}
 	// Both boards must actually have taken the modes the test names.

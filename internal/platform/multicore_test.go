@@ -1,6 +1,7 @@
 package platform
 
 import (
+	"context"
 	"strings"
 	"testing"
 
@@ -74,19 +75,19 @@ func TestMulticoreSoloMatchesSinglecore(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	r1, err := mc.Run(app, 3, 77)
+	r1, err := mc.ExecuteRun(context.Background(), app, 3, 77)
 	if err != nil {
 		t.Fatal(err)
 	}
-	r2, err := mc.Run(app, 3, 77)
+	r2, err := mc.ExecuteRun(context.Background(), app, 3, 77)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if r1.Measured != r2.Measured {
-		t.Errorf("solo multicore not deterministic: %+v vs %+v", r1.Measured, r2.Measured)
+	if r1 != r2 {
+		t.Errorf("solo multicore not deterministic: %+v vs %+v", r1, r2)
 	}
-	if r1.Measured.Cycles == 0 || r1.Measured.Instructions == 0 {
-		t.Errorf("empty measurement %+v", r1.Measured)
+	if r1.Cycles == 0 || r1.Instructions == 0 {
+		t.Errorf("empty measurement %+v", r1)
 	}
 }
 
@@ -97,9 +98,9 @@ func TestMulticoreDeterministicWithCoRunners(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var first MulticoreResult
+	var first RunResult
 	for trial := 0; trial < 5; trial++ {
-		r, err := mc.Run(app, 1, 99)
+		r, err := mc.ExecuteRun(context.Background(), app, 1, 99)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -107,9 +108,9 @@ func TestMulticoreDeterministicWithCoRunners(t *testing.T) {
 			first = r
 			continue
 		}
-		if r.Measured != first.Measured {
+		if r != first {
 			t.Fatalf("trial %d: measured %+v != %+v (goroutine-schedule dependence!)",
-				trial, r.Measured, first.Measured)
+				trial, r, first)
 		}
 	}
 }
@@ -128,18 +129,18 @@ func TestMulticoreContentionSlowsMeasuredCore(t *testing.T) {
 	}
 	slower := 0
 	for run := 0; run < 4; run++ {
-		rs, err := solo.Run(app, run, 5)
+		rs, err := solo.ExecuteRun(context.Background(), app, run, 5)
 		if err != nil {
 			t.Fatal(err)
 		}
-		rn, err := noisy.Run(app, run, 5)
+		rn, err := noisy.ExecuteRun(context.Background(), app, run, 5)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if rn.Measured.Cycles > rs.Measured.Cycles {
+		if rn.Cycles > rs.Cycles {
 			slower++
 		}
-		if rn.BusStats.WaitCycles == 0 {
+		if noisy.BusStats().WaitCycles == 0 {
 			t.Error("no bus contention recorded with 3 streaming co-runners")
 		}
 	}
@@ -149,20 +150,27 @@ func TestMulticoreContentionSlowsMeasuredCore(t *testing.T) {
 }
 
 func TestMulticoreCoRunnersMakeProgress(t *testing.T) {
+	// Every line of the co-runner's first 64-line sweep misses, so a
+	// co-runner that completes an iteration during the measured run
+	// puts at least 64 bus transactions on top of the measured core's.
 	app := tinyTVCA(t)
+	solo, err := NewMulticore(RAND(), nil)
+	if err != nil {
+		t.Fatal(err)
+	}
 	mc, err := NewMulticore(RAND(), []Workload{streamer{lines: 64}})
 	if err != nil {
 		t.Fatal(err)
 	}
-	r, err := mc.Run(app, 0, 11)
-	if err != nil {
+	if _, err := solo.ExecuteRun(context.Background(), app, 0, 11); err != nil {
 		t.Fatal(err)
 	}
-	if len(r.CoRunnerIterations) != 1 {
-		t.Fatalf("iterations %v", r.CoRunnerIterations)
+	if _, err := mc.ExecuteRun(context.Background(), app, 0, 11); err != nil {
+		t.Fatal(err)
 	}
-	if r.CoRunnerIterations[0] == 0 {
-		t.Error("co-runner completed no iterations during the measured run")
+	own, all := solo.BusStats().Transactions, mc.BusStats().Transactions
+	if all < own+64 {
+		t.Errorf("%d bus transactions with the co-runner, %d without: the co-runner completed no sweep", all, own)
 	}
 }
 
@@ -182,15 +190,15 @@ func TestMulticoreArchitecturalResultUnaffected(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	multi, err := mc.Run(app, 2, 42)
+	multi, err := mc.ExecuteRun(context.Background(), app, 2, 42)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if single.Path != multi.Measured.Path {
-		t.Errorf("path %q != %q", single.Path, multi.Measured.Path)
+	if single.Path != multi.Path {
+		t.Errorf("path %q != %q", single.Path, multi.Path)
 	}
-	if single.Instructions != multi.Measured.Instructions {
-		t.Errorf("instructions %d != %d", single.Instructions, multi.Measured.Instructions)
+	if single.Instructions != multi.Instructions {
+		t.Errorf("instructions %d != %d", single.Instructions, multi.Instructions)
 	}
 }
 
@@ -215,7 +223,7 @@ func TestMulticoreCoRunnerErrorPropagates(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := mc.Run(app, 0, 1); err == nil ||
+	if _, err := mc.ExecuteRun(context.Background(), app, 0, 1); err == nil ||
 		!strings.Contains(err.Error(), "synthetic failure") {
 		t.Errorf("co-runner error not propagated: %v", err)
 	}
@@ -226,7 +234,7 @@ func TestMulticoreMeasuredErrorPropagates(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := mc.Run(failingWorkload{}, 0, 1); err == nil ||
+	if _, err := mc.ExecuteRun(context.Background(), failingWorkload{}, 0, 1); err == nil ||
 		!strings.Contains(err.Error(), "synthetic failure") {
 		t.Errorf("measured-core error not propagated: %v", err)
 	}
@@ -247,11 +255,11 @@ func TestMulticoreSeedsChangeTiming(t *testing.T) {
 	}
 	seen := make(map[uint64]bool)
 	for seed := uint64(1); seed <= 8; seed++ {
-		r, err := mc.Run(app, 1, seed*7919)
+		r, err := mc.ExecuteRun(context.Background(), app, 1, seed*7919)
 		if err != nil {
 			t.Fatal(err)
 		}
-		seen[r.Measured.Cycles] = true
+		seen[r.Cycles] = true
 	}
 	if len(seen) < 4 {
 		t.Errorf("only %d distinct timings over 8 seeds", len(seen))

@@ -179,11 +179,10 @@ type Platform struct {
 	replayRuns    uint64
 	interpretRuns uint64
 
-	// Machine reuse: the last machine a Reloader workload prepared, so
-	// the steady-state campaign loop re-initializes it in place instead
-	// of allocating a fresh memory image every run.
-	lastW Workload
-	lastM *isa.Machine
+	// Machine reuse: the steady-state campaign loop re-initializes a
+	// Reloader workload's machine in place instead of allocating a fresh
+	// memory image every run.
+	machine machineCache
 
 	// Decode-once trace replay (see TraceKeyer): the block stream
 	// recorded on the first keyed run, replayed through the timing
@@ -363,7 +362,7 @@ func (p *Platform) RunCtx(ctx context.Context, w Workload, run int, runSeed uint
 	if replay {
 		return p.runReplay(ctx, w, run, runSeed)
 	}
-	m, err := p.machineFor(w, run)
+	m, err := p.machine.get(w, run)
 	if err != nil {
 		return RunResult{}, fmt.Errorf("platform %s: prepare run %d: %w", p.cfg.Name, run, err)
 	}
@@ -389,21 +388,31 @@ func (p *Platform) RunCtx(ctx context.Context, w Workload, run int, runSeed uint
 	}, nil
 }
 
-// machineFor returns the machine for one run: a Reloader workload's
-// cached machine re-initialized in place, or a fresh Prepare.
-func (p *Platform) machineFor(w Workload, run int) (*isa.Machine, error) {
-	if r, ok := w.(Reloader); ok && p.lastM != nil && w == p.lastW {
-		if err := r.Reload(p.lastM, run); err != nil {
+// machineCache holds the last machine a Reloader workload prepared, so
+// a board's later runs (or a co-runner's later iterations) of the same
+// workload re-initialize it in place instead of preparing a fresh one.
+type machineCache struct {
+	w Workload
+	m *isa.Machine
+}
+
+// get returns the machine for run: the cached machine reloaded in place
+// when w is the Reloader workload that prepared it, else a fresh Prepare
+// (cached when w is a Reloader).
+func (c *machineCache) get(w Workload, run int) (*isa.Machine, error) {
+	r, ok := w.(Reloader)
+	if ok && c.m != nil && w == c.w {
+		if err := r.Reload(c.m, run); err != nil {
 			return nil, err
 		}
-		return p.lastM, nil
+		return c.m, nil
 	}
 	m, err := w.Prepare(run)
 	if err != nil {
 		return nil, err
 	}
-	if _, ok := w.(Reloader); ok {
-		p.lastW, p.lastM = w, m
+	if ok {
+		c.w, c.m = w, m
 	}
 	return m, nil
 }

@@ -435,7 +435,7 @@ func TestTraceRecordingGrowsOnDemand(t *testing.T) {
 		t.Fatal(err)
 	}
 	multi := allocated(func() error {
-		_, err := mc.Run(w, 0, DeriveRunSeed(5, 0))
+		_, err := mc.ExecuteRun(context.Background(), w, 0, DeriveRunSeed(5, 0))
 		return err
 	})
 	if multi >= limit {
@@ -449,16 +449,16 @@ func TestTraceRecordingGrowsOnDemand(t *testing.T) {
 	}
 	for i := 0; i < 4; i++ {
 		seed := DeriveRunSeed(5, i)
-		got, err := mc.Run(w, i, seed)
+		got, err := mc.ExecuteRun(context.Background(), w, i, seed)
 		if err != nil {
 			t.Fatal(err)
 		}
-		want, err := interp.Run(opaqueWorkload{w}, i, seed)
+		want, err := interp.ExecuteRun(context.Background(), opaqueWorkload{w}, i, seed)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if got.Measured != want.Measured {
-			t.Fatalf("Multicore run %d: replayed %+v, interpreted %+v", i, got.Measured, want.Measured)
+		if got != want {
+			t.Fatalf("Multicore run %d: replayed %+v, interpreted %+v", i, got, want)
 		}
 	}
 	if st := mc.BoardStats(); st.ReplayRuns != 4 {

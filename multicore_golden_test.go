@@ -4,13 +4,17 @@ package repro
 //
 // The cycle values below were captured from the pre-board-reuse
 // implementation (one-shot boards, channel-based arbiter, interpreted
-// co-runners) and pin the reusable board's results bit-for-bit: board
-// reuse, decode-once trace replay, self-grant windows and the inline
-// plan-and-merge arbiter (planned co-runner requests granted by a k-way
-// merge) are all pure execution strategies and must not move a single
-// cycle. Any diff here is a correctness bug, not a perf trade.
+// co-runners) and pin the reusable board's results bit-for-bit. The
+// board has two execution modes — the locked conservative arbiter of
+// goroutine mode (a board's recording run, and every run with an
+// unkeyed co-runner) and the inline plan-and-merge arbiter (planned
+// co-runner requests granted by a k-way merge) — and board reuse and
+// decode-once trace replay sit on top of both: all are pure execution
+// strategies and must not move a single cycle. Any diff here is a
+// correctness bug, not a perf trade.
 
 import (
+	"context"
 	"fmt"
 	"hash/fnv"
 	"testing"
@@ -137,15 +141,15 @@ func TestMulticoreGoldenCycles(t *testing.T) {
 				t.Fatal(err)
 			}
 			for i := 0; i < len(tc.want); i++ {
-				r, err := mc.Run(tc.app(t), i, platform.DeriveRunSeed(tc.baseSeed, i))
+				r, err := mc.ExecuteRun(context.Background(), tc.app(t), i, platform.DeriveRunSeed(tc.baseSeed, i))
 				if err != nil {
 					t.Fatalf("run %d: %v", i, err)
 				}
-				if r.Measured.Cycles != tc.want[i] {
-					t.Errorf("run %d: cycles = %d, want %d", i, r.Measured.Cycles, tc.want[i])
+				if r.Cycles != tc.want[i] {
+					t.Errorf("run %d: cycles = %d, want %d", i, r.Cycles, tc.want[i])
 				}
-				if r.Measured.Instructions != tc.wantInstr[i] {
-					t.Errorf("run %d: instructions = %d, want %d", i, r.Measured.Instructions, tc.wantInstr[i])
+				if r.Instructions != tc.wantInstr[i] {
+					t.Errorf("run %d: instructions = %d, want %d", i, r.Instructions, tc.wantInstr[i])
 				}
 			}
 		})
@@ -168,11 +172,11 @@ func TestMulticoreGoldenFingerprint(t *testing.T) {
 	}
 	h := fnv.New64a()
 	for i := 0; i < 100; i++ {
-		r, err := mc.Run(app, i, platform.DeriveRunSeed(42, i))
+		r, err := mc.ExecuteRun(context.Background(), app, i, platform.DeriveRunSeed(42, i))
 		if err != nil {
 			t.Fatal(err)
 		}
-		fmt.Fprintf(h, "%d:%d:%d:%s\n", i, r.Measured.Cycles, r.Measured.Instructions, r.Measured.Path)
+		fmt.Fprintf(h, "%d:%d:%d:%s\n", i, r.Cycles, r.Instructions, r.Path)
 	}
 	const want = uint64(0x504e1716b9434154)
 	if got := h.Sum64(); got != want {
@@ -180,36 +184,46 @@ func TestMulticoreGoldenFingerprint(t *testing.T) {
 	}
 }
 
-// TestMulticoreSteadyStateAllocs pins the per-run allocation count of
-// a warmed board: after the recording run, a full co-simulated run —
-// board reset, reseed, measured replay, three co-runner replays, every
-// bus grant — must stay within a handful of allocations (the result's
-// iteration-count copy, mostly). The pre-refactor board allocated
-// ~13k times per run.
+// TestMulticoreSteadyStateAllocs pins the allocation-free run loop of
+// a warmed board, the multicore twin of TestSteadyStateZeroAlloc: after
+// the recording run, a full co-simulated run — board reset, reseed,
+// measured replay, three co-runner replays, every bus grant — allocates
+// nothing, under a context that can never fire and under a cancelable
+// one (the board binds its context poll once, not per run). The
+// pre-refactor board allocated ~13k times per run.
 func TestMulticoreSteadyStateAllocs(t *testing.T) {
 	app := fullTVCAApp(t)
-	mc, err := platform.NewMulticore(platform.RAND(), []platform.Workload{
-		experiments.StreamerWorkload{Lines: 1024},
-		experiments.StreamerWorkload{Lines: 1024},
-		experiments.StreamerWorkload{Lines: 1024},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	run := 0
-	for ; run < 3; run++ { // warm: record traces, build the board
-		if _, err := mc.Run(app, run, platform.DeriveRunSeed(42, run)); err != nil {
+	cancelable, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	for _, tc := range []struct {
+		name string
+		ctx  context.Context
+	}{
+		{"background", context.Background()},
+		{"cancelable", cancelable},
+	} {
+		mc, err := platform.NewMulticore(platform.RAND(), []platform.Workload{
+			experiments.StreamerWorkload{Lines: 1024},
+			experiments.StreamerWorkload{Lines: 1024},
+			experiments.StreamerWorkload{Lines: 1024},
+		})
+		if err != nil {
 			t.Fatal(err)
 		}
-	}
-	allocs := testing.AllocsPerRun(5, func() {
-		if _, err := mc.Run(app, run, platform.DeriveRunSeed(42, run)); err != nil {
-			t.Fatal(err)
+		run := 0
+		for ; run < 3; run++ { // warm: record traces, build the board
+			if _, err := mc.ExecuteRun(tc.ctx, app, run, platform.DeriveRunSeed(42, run)); err != nil {
+				t.Fatal(err)
+			}
 		}
-		run++
-	})
-	const maxAllocs = 8.0
-	if allocs > maxAllocs {
-		t.Errorf("steady-state multicore run allocates %.1f times, want <= %.0f", allocs, maxAllocs)
+		allocs := testing.AllocsPerRun(5, func() {
+			if _, err := mc.ExecuteRun(tc.ctx, app, run, platform.DeriveRunSeed(42, run)); err != nil {
+				t.Fatal(err)
+			}
+			run++
+		})
+		if allocs != 0 {
+			t.Errorf("%s: steady-state multicore run allocates %.1f times, want 0", tc.name, allocs)
+		}
 	}
 }

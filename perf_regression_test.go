@@ -16,16 +16,9 @@ package repro
 import (
 	"context"
 	"encoding/json"
-	"os"
-	"path/filepath"
-	"regexp"
-	"sort"
-	"strconv"
 	"sync"
 	"testing"
-	"time"
 
-	"repro/internal/experiments"
 	"repro/internal/fabric"
 	"repro/internal/kernels"
 	"repro/internal/platform"
@@ -183,115 +176,6 @@ func TestReplayBitIdentical(t *testing.T) {
 				t.Fatalf("%s run %d: replay %+v != interpreted %+v", pc.Name, i, fr, sr)
 			}
 		}
-	}
-}
-
-// latestBenchSnapshot loads the highest-numbered BENCH_<n>.json at the
-// repository root and returns the named benchmark's entry.
-func latestBenchSnapshot(t *testing.T, benchName string) (instrPerSec, allocsPerOp float64) {
-	t.Helper()
-	matches, err := filepath.Glob("BENCH_*.json")
-	if err != nil || len(matches) == 0 {
-		t.Fatalf("no BENCH_<n>.json snapshot at the repo root (run make bench): %v", err)
-	}
-	num := regexp.MustCompile(`^BENCH_(\d+)\.json$`)
-	sort.Slice(matches, func(i, j int) bool {
-		ni, _ := strconv.Atoi(num.FindStringSubmatch(matches[i])[1])
-		nj, _ := strconv.Atoi(num.FindStringSubmatch(matches[j])[1])
-		return ni < nj
-	})
-	latest := matches[len(matches)-1]
-	raw, err := os.ReadFile(latest)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var snap struct {
-		Benchmarks []struct {
-			Name        string  `json:"name"`
-			InstrPerSec float64 `json:"instr_per_sec"`
-			AllocsPerOp float64 `json:"allocs_per_op"`
-		} `json:"benchmarks"`
-	}
-	if err := json.Unmarshal(raw, &snap); err != nil {
-		t.Fatalf("%s: %v", latest, err)
-	}
-	for _, b := range snap.Benchmarks {
-		if b.Name == benchName {
-			return b.InstrPerSec, b.AllocsPerOp
-		}
-	}
-	t.Fatalf("%s has no %s entry", latest, benchName)
-	return 0, 0
-}
-
-// TestMulticorePerfAgainstSnapshot gates the multicore board's two
-// headline performance properties against the committed benchmark
-// snapshot (make bench -> BENCH_<n>.json):
-//
-//   - allocs per steady-state run must not exceed the snapshot (a
-//     deterministic count — any increase is a real regression);
-//   - warm-board throughput must stay within 4x of the snapshot's
-//     instr/s (a loose wall-clock floor: CI machines are noisy, but a
-//     return to the pre-board-reuse 3.2M instr/s — ~8x below the
-//     snapshot — must fail).
-func TestMulticorePerfAgainstSnapshot(t *testing.T) {
-	snapInstr, snapAllocs := latestBenchSnapshot(t, "BenchmarkMulticoreThroughput")
-
-	cfg := tvca.DefaultConfig()
-	cfg.Frames = 4
-	app, err := tvca.New(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	mc, err := platform.NewMulticore(platform.RAND(), []platform.Workload{
-		experiments.StreamerWorkload{Lines: 1024},
-		experiments.StreamerWorkload{Lines: 1024},
-		experiments.StreamerWorkload{Lines: 1024},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	run := 0
-	for ; run < 3; run++ { // warm: record traces, settle the board
-		if _, err := mc.Run(app, run, platform.DeriveRunSeed(42, run)); err != nil {
-			t.Fatal(err)
-		}
-	}
-
-	allocs := testing.AllocsPerRun(5, func() {
-		if _, err := mc.Run(app, run, platform.DeriveRunSeed(42, run)); err != nil {
-			t.Fatal(err)
-		}
-		run++
-	})
-	if allocs > snapAllocs {
-		t.Errorf("steady-state multicore run allocates %.1f times, snapshot says %.0f",
-			allocs, snapAllocs)
-	}
-
-	if raceEnabled {
-		t.Log("race detector enabled; skipping the wall-clock throughput floor")
-		return
-	}
-	if testing.Short() {
-		t.Log("-short; skipping the wall-clock throughput floor")
-		return
-	}
-	var instr uint64
-	start := time.Now()
-	const timedRuns = 20
-	for i := 0; i < timedRuns; i++ {
-		r, err := mc.Run(app, run, platform.DeriveRunSeed(42, run))
-		if err != nil {
-			t.Fatal(err)
-		}
-		run++
-		instr += r.Measured.Instructions
-	}
-	got := float64(instr) / time.Since(start).Seconds()
-	if floor := snapInstr / 4; got < floor {
-		t.Errorf("multicore throughput %.0f instr/s below floor %.0f (snapshot %.0f)",
-			got, floor, snapInstr)
 	}
 }
 

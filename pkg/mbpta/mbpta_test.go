@@ -293,11 +293,11 @@ func TestMulticoreWrapper(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	r, err := mc.Run(app, 0, 1)
+	r, err := mc.ExecuteRun(context.Background(), app, 0, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if r.Measured.Cycles == 0 {
+	if r.Cycles == 0 {
 		t.Error("empty multicore measurement")
 	}
 }
