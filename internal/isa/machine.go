@@ -253,9 +253,9 @@ type Machine struct {
 	// the default of 100M instructions.
 	StepLimit uint64
 	// Cancel, when non-nil, is polled every 1024 retired instructions;
-	// Run returns ErrCancelled once it reports true. Co-runner cores in
-	// the multicore co-simulation use it to stop when the measured core
-	// finishes.
+	// Run returns ErrCancelled once it reports true. The multicore
+	// co-simulation uses it to stop every core once the measured core
+	// finishes, a core fails or the run's context is done.
 	Cancel func() bool
 }
 
