@@ -415,7 +415,8 @@ func (mc *Multicore) canceled() bool {
 // randomized resources. Results are a pure function of (w, run, seed)
 // and the co-runner list. The first core failure cancels every other
 // core, and so does ctx: every core polls it, so a canceled run stops
-// within a poll interval.
+// within a poll interval, and a core that ctx stops before the measured
+// core finishes fails the run.
 func (mc *Multicore) ExecuteRun(ctx context.Context, w Workload, run int, seed uint64) (RunResult, error) {
 	if ctx != nil {
 		if err := ctx.Err(); err != nil {
@@ -621,9 +622,13 @@ func (mc *Multicore) runCoRunner(c int) {
 		if err != nil {
 			// A partial trace must never be replayed.
 			sink.rec, sink.recording = nil, false
-			if errors.Is(err, isa.ErrCancelled) {
+			if errors.Is(err, isa.ErrCancelled) && mc.stop.Load() {
 				return
 			}
+			// Anything else fails the run, a cancellation too: only the
+			// run's context can cancel a co-runner before stop, and a
+			// measured core that finished past its last poll would
+			// otherwise run on against fewer co-runners.
 			mc.errs[c] = err
 			mc.stop.Store(true)
 			return
