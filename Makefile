@@ -3,7 +3,7 @@
 GO ?= go
 STATICCHECK := $(shell command -v staticcheck 2>/dev/null)
 
-.PHONY: test check staticcheck bench-all experiments race cover fuzz resume-check service-check matrix-check leak-check performability-check clean
+.PHONY: test check staticcheck bench-all experiments race cover fuzz resume-check service-check matrix-check leak-check performability-check contention-check clean
 
 test:
 	$(GO) test ./...
@@ -21,6 +21,7 @@ check: staticcheck
 	$(MAKE) matrix-check
 	$(MAKE) leak-check
 	$(MAKE) performability-check
+	$(MAKE) contention-check
 
 # Service-layer gate: the campaign fabric's bit-identity proofs
 # (single-process == N-executor fabric, including a killed-and-
@@ -75,6 +76,14 @@ leak-check:
 # bound (exits non-zero on any violation).
 performability-check:
 	$(GO) run ./examples/performability_check
+
+# Multicore contention example: a 4-frame TVCA campaign solo and
+# against three run-invariant streamers through pkg/mbpta, so co-runner
+# recording and inline replay run end to end, then the analyzer on the
+# contended campaign. A rejected gate or a heavy tail is printed as the
+# verdict; any other error exits non-zero.
+contention-check:
+	$(GO) run ./examples/multicore_contention
 
 # staticcheck is optional tooling: run it when present, skip with a
 # notice otherwise (the sandbox image carries only the go toolchain).

@@ -6,13 +6,12 @@
 //
 // The model is event-additive: the architectural interpreter
 // (internal/isa) feeds the retired instructions one fetch block at a
-// time (or one Event per instruction), and the core charges each
-// instruction's base pipelined cost plus every stall it incurs (cache
-// misses, TLB walks, long execute latencies, taken-branch bubbles,
-// store-buffer pressure). This is the standard abstraction
-// level of the MBPTA literature, where the analyzed jitter sources are
-// exactly cache/TLB placement and replacement, FPU latency and memory
-// interference.
+// time, and the core charges each instruction's base pipelined cost
+// plus every stall it incurs (cache misses, TLB walks, long execute
+// latencies, taken-branch bubbles, store-buffer pressure). This is the
+// standard abstraction level of the MBPTA literature, where the
+// analyzed jitter sources are exactly cache/TLB placement and
+// replacement, FPU latency and memory interference.
 package cpu
 
 import (
@@ -245,23 +244,9 @@ func (c *Core) request(kind bus.Kind, addr uint64) (start, memLat uint64) {
 	return c.Bus.Request(c.cycle, kind, addr)
 }
 
-// Consume charges one retired instruction to the pipeline: it is the
-// one-instruction block of ev.
-func (c *Core) Consume(ev isa.Event) {
-	classes := [1]isa.Class{ev.Class}
-	var ops [2]uint64
-	switch ev.Class {
-	case isa.ClassLoad, isa.ClassStore:
-		ops[0] = ev.Addr
-	case isa.ClassFPDiv, isa.ClassFPSqrt:
-		ops[0], ops[1] = math.Float64bits(ev.FOp1), math.Float64bits(ev.FOp2)
-	}
-	c.ConsumeBlock(ev.PC, classes[:], ev.Taken, ops[:])
-}
-
 // ConsumeBlock implements isa.BlockSink: it charges one fetch block to
-// the pipeline exactly as one Consume per instruction would. Its loop is
-// the one copy of the per-class stage logic.
+// the pipeline exactly as the same instructions delivered one per block
+// would.
 //
 // IL1 and ITLB are touched only by fetches, and every fetch after the
 // block's first lies on the line and page that first fetch hit or
@@ -393,20 +378,6 @@ func (c *Core) divExtra(dividend, divisor float64) uint64 {
 
 func (c *Core) sqrtExtra(x float64) uint64 { return uint64(c.FPU.SqrtLatency(x) - 1) }
 
-// execStall counts and returns the cycles a long-latency execute-stage
-// event (integer multiply/divide, FPU) spends beyond its base cycle.
-func (c *Core) execStall(ev *isa.Event) uint64 {
-	n := c.fixedExtra[ev.Class]
-	switch ev.Class {
-	case isa.ClassFPDiv:
-		n = c.divExtra(ev.FOp1, ev.FOp2)
-	case isa.ClassFPSqrt:
-		n = c.sqrtExtra(ev.FOp1)
-	}
-	c.stats.ExecStall += n
-	return n
-}
-
 // dtlbWalk charges the page-table walk of a DTLB miss.
 func (c *Core) dtlbWalk(addr uint64) {
 	walk := uint64(0)
@@ -445,22 +416,23 @@ func (c *Core) RunProgram(m *isa.Machine) (uint64, error) {
 	return c.cycle - startCycle, nil
 }
 
-// Plan is the request queue of a core replaying a recorded event
-// stream against a bus it does not own (internal/platform's inline
-// multicore co-simulation). Replay splits Consume in two:
+// Plan is the request queue of a core replaying a recorded block stream
+// against a bus it does not own (internal/platform's inline multicore
+// co-simulation). Replay splits ConsumeBlock in two:
 //
-//   - PlanUntil runs the timing-independent half in program order: every
-//     ITLB/IL1/DTLB/DL1 probe and fixed latency, queuing each bus request
-//     the events need as a step instead of issuing it;
-//   - Grant applies one granted step, doing Consume's cycle arithmetic
-//     for it (memFill, dtlbWalk or storeDrain).
+//   - PlanBlock runs the timing-independent half of one block in program
+//     order: every ITLB/IL1/DTLB/DL1 probe and fixed latency, queuing
+//     each bus request the block needs as a step instead of issuing it;
+//   - Grant applies one granted step, doing ConsumeBlock's cycle
+//     arithmetic for it (memFill, dtlbWalk or storeDrain).
 //
 // The split is exact because a core's caches, TLBs, FPU and randomness
 // source are private and touched in program order: the hit, miss and
 // victim sequence does not depend on when requests are granted. Only
 // the cycle arithmetic and the store-buffer slot choice do, and both
-// wait for Grant. A planned and granted core is therefore bit-identical
-// to a Consume-driven one whose Interconnect granted the same requests
+// wait for Grant. So a core may plan any number of blocks ahead of its
+// grants, and a planned and granted core is bit-identical to a
+// ConsumeBlock-driven one whose Interconnect granted the same requests
 // at the same times.
 type Plan struct {
 	steps []planStep // queued requests; steps[head:] are not yet granted
@@ -516,73 +488,93 @@ func (p *Plan) queueWalk(delta uint64, n int, addr uint64, fetch bool) {
 	}
 }
 
-// PlanUntil plans trace events from index *i on, advancing *i past
-// each, and reports whether p holds a step to grant. It returns at once
-// if one is still queued; otherwise it stops after the first event that
-// queues a step, at the end of the trace, or before the first event at
-// which the core's clock plus the planned fixed cycles reaches bound.
-// Every event costs at least one cycle, so the bound ends a plan whose
-// events no longer touch the bus.
-func (c *Core) PlanUntil(p *Plan, trace []isa.Event, i *int, bound uint64) bool {
-	if p.head < len(p.steps) {
-		return true
+// PlanBlock plans one fetch block — ConsumeBlock's arguments — into p,
+// queuing its bus requests after any steps still queued. As
+// ConsumeBlock does, it probes IL1 and ITLB at the block's first fetch
+// and applies the later ones with one RepeatHit per array while both
+// hold the first fetch's line and page.
+func (c *Core) PlanBlock(p *Plan, pc uint64, classes []isa.Class, taken bool, ops []uint64) {
+	if p.head == len(p.steps) {
+		p.steps, p.head = p.steps[:0], 0
 	}
-	p.steps, p.head = p.steps[:0], 0
-	// The trace index and the unattached delta live in locals; d is the
-	// delta of the next step queued and restarts at 0 after each.
-	k, d := *i, p.delta
-	for k < len(trace) && c.cycle+d < bound {
-		ev := &trace[k]
-		k++
-		c.stats.Instructions++
-		if !c.ITLB.FastHit(ev.PC) && !c.ITLB.Lookup(ev.PC) {
-			p.queueWalk(d, c.itlbWalks, ev.PC, true)
-			d = 0
-		}
-		if !c.IL1.FastAccess(ev.PC) && !c.IL1.Access(ev.PC) {
-			p.queue(d, opFill, ev.PC, true, false)
-			d = 0
+	n := len(classes)
+	c.stats.Instructions += uint64(n)
+	// d is the delta of the next step queued and restarts at 0 after
+	// each; the block's load-use and execute stalls live in locals.
+	d, dmem, exec := p.delta, uint64(0), uint64(0)
+	itlb, il1, dtlb, dl1 := c.ITLB, c.IL1, c.DTLB, c.DL1
+	bulk := false
+	k := 0 // next operand word
+	for i, cl := range classes {
+		if !bulk {
+			fpc := pc + uint64(i)*isa.InstrBytes
+			if !itlb.FastHit(fpc) && !itlb.Lookup(fpc) {
+				p.queueWalk(d, c.itlbWalks, fpc, true)
+				d = 0
+			}
+			if !il1.FastAccess(fpc) && !il1.Access(fpc) {
+				p.queue(d, opFill, fpc, true, false)
+				d = 0
+			}
+			if i == 0 && n > 1 && itlb.Recorded(pc) && il1.Recorded(pc) {
+				itlb.RepeatHit(pc, uint64(n-1))
+				il1.RepeatHit(pc, uint64(n-1))
+				bulk = true
+			}
 		}
 		d++
-		switch ev.Class {
+		switch cl {
 		case isa.ClassNop, isa.ClassIntALU, isa.ClassHalt:
+		case isa.ClassIntMul, isa.ClassIntDiv, isa.ClassFPAdd, isa.ClassFPMul:
+			e := c.fixedExtra[cl]
+			d += e
+			exec += e
 		case isa.ClassBranch:
-			if ev.Taken {
+			if taken && i == n-1 {
 				d += c.branchTaken
 				c.stats.BranchStall += c.branchTaken
 			}
 		case isa.ClassLoad:
-			if !c.DTLB.FastHit(ev.Addr) && !c.DTLB.Lookup(ev.Addr) {
-				p.queueWalk(d, c.dtlbWalks, ev.Addr, false)
+			addr := ops[k]
+			k++
+			if !dtlb.FastHit(addr) && !dtlb.Lookup(addr) {
+				p.queueWalk(d, c.dtlbWalks, addr, false)
 				d = 0
 			}
-			if c.DL1.FastAccess(ev.Addr) || c.DL1.Access(ev.Addr) {
+			if dl1.FastAccess(addr) || dl1.Access(addr) {
 				d += c.loadUse
-				c.stats.DMemStall += c.loadUse
+				dmem += c.loadUse
 			} else {
-				p.queue(d, opFill, ev.Addr, false, false)
+				p.queue(d, opFill, addr, false, false)
 				d = 0
 			}
 		case isa.ClassStore:
-			if !c.DTLB.FastHit(ev.Addr) && !c.DTLB.Lookup(ev.Addr) {
-				p.queueWalk(d, c.dtlbWalks, ev.Addr, false)
+			addr := ops[k]
+			k++
+			if !dtlb.FastHit(addr) && !dtlb.Lookup(addr) {
+				p.queueWalk(d, c.dtlbWalks, addr, false)
 				d = 0
 			}
-			if !c.DL1.FastWrite(ev.Addr) {
-				c.DL1.Write(ev.Addr) // write-through, no allocate
+			if !dl1.FastWrite(addr) {
+				dl1.Write(addr) // write-through, no allocate
 			}
-			p.queue(d, opDrain, ev.Addr, false, false)
+			p.queue(d, opDrain, addr, false, false)
 			d = 0
-		default:
-			d += c.execStall(ev)
-		}
-		if len(p.steps) > 0 {
-			*i, p.delta = k, d
-			return true
+		case isa.ClassFPDiv:
+			e := c.divExtra(math.Float64frombits(ops[k]), math.Float64frombits(ops[k+1]))
+			k += 2
+			d += e
+			exec += e
+		case isa.ClassFPSqrt:
+			e := c.sqrtExtra(math.Float64frombits(ops[k]))
+			k++
+			d += e
+			exec += e
 		}
 	}
-	*i, p.delta = k, d
-	return false
+	p.delta = d
+	c.stats.DMemStall += dmem
+	c.stats.ExecStall += exec
 }
 
 // NextRequest returns the cycle at which the head step of p issues its

@@ -1,6 +1,7 @@
 package cpu
 
 import (
+	"slices"
 	"testing"
 
 	"repro/internal/bus"
@@ -420,24 +421,38 @@ func TestStallCountersPartitionCycles(t *testing.T) {
 	}
 }
 
-// traceRecorder feeds a core and keeps the event stream.
-type traceRecorder struct {
-	core  *Core
-	trace []isa.Event
+// recordedBlock is one fetch block as ConsumeBlock receives it.
+type recordedBlock struct {
+	pc      uint64
+	classes []isa.Class
+	taken   bool
+	ops     []uint64
 }
 
-func (r *traceRecorder) Consume(ev isa.Event) {
-	r.core.Consume(ev)
-	r.trace = append(r.trace, ev)
+// blockRecorder feeds a core its blocks and keeps them.
+type blockRecorder struct {
+	core   *Core
+	blocks []recordedBlock
 }
 
-// TestPlanGrantMatchesConsume replays a recorded stream through
-// PlanUntil/NextRequest/Grant on a second core, granting every step on
+func (r *blockRecorder) FetchBytes() int { return r.core.FetchBytes() }
+
+func (r *blockRecorder) ConsumeBlock(pc uint64, classes []isa.Class, taken bool, ops []uint64) {
+	r.core.ConsumeBlock(pc, classes, taken, ops)
+	r.blocks = append(r.blocks, recordedBlock{pc, slices.Clone(classes), taken, slices.Clone(ops)})
+}
+
+// TestPlanGrantMatchesConsume replays a recorded block stream through
+// PlanBlock/NextRequest/Grant on a second core, granting every step on
 // that core's own bus and DRAM, and requires the clock and every stall
-// counter Consume produced. The bound creeps forward a few cycles per
-// call, so planning is resumed mid-trace between steps, not only after
+// counter ConsumeBlock produced. Planning follows the multicore
+// planner's rule — whole blocks, until one queues a step or the plan
+// reaches the bound — and the bound creeps forward a few cycles per
+// grant, so planning resumes mid-trace between steps, not only after
 // them. The program misses the small caches, walks the DTLB at a page
-// stride, fills the store buffer and runs operand-dependent FDIVs.
+// stride, fills the store buffer with five stores in one fetch block,
+// runs operand-dependent FDIVs, and ends its loop with a block whose
+// not-taken branch precedes the taken one.
 func TestPlanGrantMatchesConsume(t *testing.T) {
 	b := isa.NewBuilder("prog", 0)
 	b.Li(1, 0x2000)
@@ -456,6 +471,7 @@ func TestPlanGrantMatchesConsume(t *testing.T) {
 	b.Fcvt(2, 6)
 	b.Fdiv(3, 1, 2)
 	b.Add(1, 1, 5)
+	b.Beq(0, 6, "loop") // never taken: r6 is 7
 	b.Addi(2, 2, 1)
 	b.Blt(2, 3, "loop")
 	b.Halt()
@@ -464,33 +480,44 @@ func TestPlanGrantMatchesConsume(t *testing.T) {
 		t.Fatal(err)
 	}
 	consumed := testCore(t, fpu.ModeOperation)
-	rec := &traceRecorder{core: consumed}
-	if _, err := isa.NewMachine(prog, isa.NewMemory()).RunSink(rec); err != nil {
+	rec := &blockRecorder{core: consumed}
+	if _, err := isa.NewMachine(prog, isa.NewMemory()).RunBlocks(rec); err != nil {
 		t.Fatal(err)
 	}
 
 	planned := testCore(t, fpu.ModeOperation)
 	port := planned.Bus.(BusMem)
 	var p Plan
-	i, bound := 0, uint64(0)
+	next, bound := 0, uint64(0)
+	maxDrains := 0 // the most store drains one block queued
 	for {
 		bound += 5
-		if !planned.PlanUntil(&p, rec.trace, &i, bound) {
-			if i == len(rec.trace) {
+		at, queued := planned.NextRequest(&p)
+		for !queued && at < bound && next < len(rec.blocks) {
+			blk := rec.blocks[next]
+			next++
+			planned.PlanBlock(&p, blk.pc, blk.classes, blk.taken, blk.ops)
+			drains := 0
+			for _, s := range p.steps[p.head:] {
+				if s.op == opDrain {
+					drains++
+				}
+			}
+			maxDrains = max(maxDrains, drains)
+			at, queued = planned.NextRequest(&p)
+		}
+		if !queued {
+			if next == len(rec.blocks) {
 				break
 			}
 			continue
-		}
-		at, queued := planned.NextRequest(&p)
-		if !queued {
-			t.Fatal("PlanUntil reported a step NextRequest does not see")
 		}
 		start, memLat := port.Request(at, p.Kind(), p.Addr())
 		planned.Grant(&p, start, memLat)
 	}
 	end, queued := planned.NextRequest(&p)
 	if queued || end != consumed.Cycle() {
-		t.Fatalf("planned core ends at %d (queued %v), Consume at %d", end, queued, consumed.Cycle())
+		t.Fatalf("planned core ends at %d (queued %v), ConsumeBlock at %d", end, queued, consumed.Cycle())
 	}
 	want := consumed.Stats()
 	got := planned.Stats()
@@ -500,5 +527,27 @@ func TestPlanGrantMatchesConsume(t *testing.T) {
 	}
 	if want.StoreStall == 0 || want.DMemStall == 0 || want.ExecStall == 0 {
 		t.Errorf("program exercised too little: %+v", want)
+	}
+	if maxDrains < 2 {
+		t.Errorf("no block queued several store drains (at most %d): planning never ran past a queued step", maxDrains)
+	}
+	innerBranch := false // a taken block with a not-taken branch before its last instruction
+	for _, blk := range rec.blocks {
+		innerBranch = innerBranch || blk.taken && slices.Contains(blk.classes[:len(blk.classes)-1], isa.ClassBranch)
+	}
+	if !innerBranch {
+		t.Error("no taken block holds a not-taken branch")
+	}
+	if got, want := planned.IL1.Stats(), consumed.IL1.Stats(); got != want {
+		t.Errorf("planned IL1 %+v, consumed %+v", got, want)
+	}
+	if got, want := planned.DL1.Stats(), consumed.DL1.Stats(); got != want {
+		t.Errorf("planned DL1 %+v, consumed %+v", got, want)
+	}
+	if got, want := planned.ITLB.Stats(), consumed.ITLB.Stats(); got != want {
+		t.Errorf("planned ITLB %+v, consumed %+v", got, want)
+	}
+	if got, want := planned.DTLB.Stats(), consumed.DTLB.Stats(); got != want {
+		t.Errorf("planned DTLB %+v, consumed %+v", got, want)
 	}
 }

@@ -109,7 +109,7 @@ func TestRandomProgramsTerminateDeterministically(t *testing.T) {
 		run := func() ([NumRegs]int32, uint64) {
 			m := NewMachine(prog, NewMemory())
 			m.StepLimit = 10_000_000
-			steps, err := m.Run(nil)
+			steps, err := m.RunBlocks(nil)
 			if err != nil {
 				t.Fatalf("trial %d: %v", trial, err)
 			}
@@ -141,13 +141,23 @@ func TestRandomProgramsUnderTiming(t *testing.T) {
 		}
 		m := NewMachine(prog, NewMemory())
 		m.StepLimit = 10_000_000
-		var events int
-		steps, err := m.Run(func(Event) { events++ })
+		var blocks blockCounter
+		steps, err := m.RunBlocks(&blocks)
 		if err != nil {
 			t.Fatalf("trial %d: %v", trial, err)
 		}
-		if uint64(events) != steps {
-			t.Fatalf("trial %d: %d events for %d steps", trial, events, steps)
+		if blocks.instrs != steps {
+			t.Fatalf("trial %d: %d instructions in blocks for %d steps", trial, blocks.instrs, steps)
 		}
 	}
+}
+
+// blockCounter counts the instructions of the 32-byte fetch blocks it
+// is delivered.
+type blockCounter struct{ instrs uint64 }
+
+func (*blockCounter) FetchBytes() int { return 32 }
+
+func (c *blockCounter) ConsumeBlock(_ uint64, classes []Class, _ bool, _ []uint64) {
+	c.instrs += uint64(len(classes))
 }

@@ -39,10 +39,10 @@ func FuzzInterpreter(f *testing.F) {
 		run := func() (uint64, [isa.NumRegs]int32, error) {
 			m := isa.NewMachine(prog, isa.NewMemory())
 			m.StepLimit = 50_000
-			var events uint64
-			steps, err := m.Run(func(isa.Event) { events++ })
-			if events != steps {
-				t.Fatalf("%d events for %d retired instructions", events, steps)
+			var blocks blockCounter
+			steps, err := m.RunBlocks(&blocks)
+			if blocks.instrs != steps {
+				t.Fatalf("%d instructions in blocks for %d retired instructions", blocks.instrs, steps)
 			}
 			var regs [isa.NumRegs]int32
 			for r := 0; r < isa.NumRegs; r++ {
@@ -76,4 +76,14 @@ func FuzzInterpreter(f *testing.F) {
 			t.Fatalf("nondeterministic error: %v vs %v", err, err2)
 		}
 	})
+}
+
+// blockCounter counts the instructions of the 32-byte fetch blocks it
+// is delivered.
+type blockCounter struct{ instrs uint64 }
+
+func (*blockCounter) FetchBytes() int { return 32 }
+
+func (c *blockCounter) ConsumeBlock(_ uint64, classes []isa.Class, _ bool, _ []uint64) {
+	c.instrs += uint64(len(classes))
 }

@@ -10,8 +10,8 @@
 //     the workload packages to write programs in Go,
 //   - a functional interpreter (Machine) that executes programs
 //     architecturally and hands the retired instructions to the timing
-//     model in internal/cpu one fetch block at a time (or one Event
-//     per instruction, for sinks that act between instructions).
+//     model in internal/cpu one fetch block at a time (a sink that acts
+//     between instructions asks for one-instruction blocks).
 //
 // The interpreter is deliberately split from timing: architectural
 // results depend only on the program and its inputs, while cycle counts

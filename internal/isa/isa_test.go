@@ -2,6 +2,7 @@ package isa
 
 import (
 	"errors"
+	"math"
 	"strings"
 	"testing"
 )
@@ -15,14 +16,32 @@ func mustBuild(t *testing.T, b *Builder) *Program {
 	return p
 }
 
-func runProgram(t *testing.T, p *Program) (*Machine, []Event) {
+// retired is one retired instruction as a one-instruction block
+// delivers it: its PC, class, taken bit and dynamic operands.
+type retired struct {
+	PC    uint64
+	Class Class
+	Taken bool
+	Ops   []uint64
+}
+
+// instrSink asks for one-instruction blocks and keeps each as a retired.
+type instrSink struct{ got []retired }
+
+func (*instrSink) FetchBytes() int { return 0 }
+
+func (s *instrSink) ConsumeBlock(pc uint64, classes []Class, taken bool, ops []uint64) {
+	s.got = append(s.got, retired{PC: pc, Class: classes[0], Taken: taken, Ops: append([]uint64(nil), ops...)})
+}
+
+func runProgram(t *testing.T, p *Program) (*Machine, []retired) {
 	t.Helper()
 	m := NewMachine(p, NewMemory())
-	var evs []Event
-	if _, err := m.Run(func(e Event) { evs = append(evs, e) }); err != nil {
+	var sink instrSink
+	if _, err := m.RunBlocks(&sink); err != nil {
 		t.Fatal(err)
 	}
-	return m, evs
+	return m, sink.got
 }
 
 func TestArithmetic(t *testing.T) {
@@ -67,8 +86,8 @@ func TestLoadStoreRoundTrip(t *testing.T) {
 	if m.Reg(3) != 1234 {
 		t.Errorf("r3 = %d, want 1234", m.Reg(3))
 	}
-	// Events: store then load with same address.
-	var st, ld *Event
+	// Store then load with the same address.
+	var st, ld *retired
 	for i := range evs {
 		switch evs[i].Class {
 		case ClassStore:
@@ -80,11 +99,8 @@ func TestLoadStoreRoundTrip(t *testing.T) {
 	if st == nil || ld == nil {
 		t.Fatal("missing load/store events")
 	}
-	if st.Addr != 0x2008 || ld.Addr != 0x2008 {
-		t.Errorf("addrs %#x %#x, want 0x2008", st.Addr, ld.Addr)
-	}
-	if st.Size != 4 || ld.Size != 4 {
-		t.Errorf("sizes %d %d, want 4", st.Size, ld.Size)
+	if len(st.Ops) != 1 || len(ld.Ops) != 1 || st.Ops[0] != 0x2008 || ld.Ops[0] != 0x2008 {
+		t.Errorf("operands %#x %#x, want one address 0x2008 each", st.Ops, ld.Ops)
 	}
 }
 
@@ -118,20 +134,24 @@ func TestFloatRoundTrip(t *testing.T) {
 	if m.Reg(5) != 1 {
 		t.Errorf("ftoi r5 = %d, want 1", m.Reg(5))
 	}
-	// FDIV and FSQRT events must carry operand values for the FPU
-	// latency model.
+	// FDIV and FSQRT must carry their operand values (math.Float64bits)
+	// for the FPU latency model; FLD and FST their addresses.
 	var sawDiv, sawSqrt bool
 	for _, e := range evs {
-		if e.Class == ClassFPDiv {
+		switch e.Class {
+		case ClassFPDiv:
 			sawDiv = true
-			if e.FOp1 != 3.0 || e.FOp2 != 2.0 {
-				t.Errorf("fdiv operands %v %v, want 3 2", e.FOp1, e.FOp2)
+			if len(e.Ops) != 2 || math.Float64frombits(e.Ops[0]) != 3.0 || math.Float64frombits(e.Ops[1]) != 2.0 {
+				t.Errorf("fdiv operands %#x, want 3 2", e.Ops)
 			}
-		}
-		if e.Class == ClassFPSqrt {
+		case ClassFPSqrt:
 			sawSqrt = true
-			if e.FOp1 != 9.0 {
-				t.Errorf("fsqrt operand %v, want 9", e.FOp1)
+			if len(e.Ops) != 1 || math.Float64frombits(e.Ops[0]) != 9.0 {
+				t.Errorf("fsqrt operands %#x, want 9", e.Ops)
+			}
+		case ClassLoad, ClassStore:
+			if len(e.Ops) != 1 || e.Ops[0] != 0x3000 {
+				t.Errorf("fld/fst operands %#x, want 0x3000", e.Ops)
 			}
 		}
 	}
@@ -214,7 +234,7 @@ func TestDivideByZero(t *testing.T) {
 	b := NewBuilder("divzero", 0)
 	b.Li(1, 4).Li(2, 0).Div(3, 1, 2).Halt()
 	m := NewMachine(mustBuild(t, b), NewMemory())
-	if _, err := m.Run(nil); !errors.Is(err, ErrDivideByZero) {
+	if _, err := m.RunBlocks(nil); !errors.Is(err, ErrDivideByZero) {
 		t.Errorf("err = %v, want ErrDivideByZero", err)
 	}
 }
@@ -224,7 +244,7 @@ func TestStepLimit(t *testing.T) {
 	b.Label("l").Jmp("l")
 	m := NewMachine(mustBuild(t, b), NewMemory())
 	m.StepLimit = 1000
-	if _, err := m.Run(nil); !errors.Is(err, ErrStepLimit) {
+	if _, err := m.RunBlocks(nil); !errors.Is(err, ErrStepLimit) {
 		t.Errorf("err = %v, want ErrStepLimit", err)
 	}
 }
@@ -234,7 +254,7 @@ func TestPCOutOfRange(t *testing.T) {
 	b := NewBuilder("offend", 0)
 	b.Nop()
 	m := NewMachine(mustBuild(t, b), NewMemory())
-	if _, err := m.Run(nil); !errors.Is(err, ErrPCOutOfRange) {
+	if _, err := m.RunBlocks(nil); !errors.Is(err, ErrPCOutOfRange) {
 		t.Errorf("err = %v, want ErrPCOutOfRange", err)
 	}
 }
@@ -276,13 +296,13 @@ func TestMachineResetRerunsDeterministically(t *testing.T) {
 	b.Li(1, 3).Li(2, 4).Mul(3, 1, 2).Halt()
 	p := mustBuild(t, b)
 	m := NewMachine(p, NewMemory())
-	n1, err := m.Run(nil)
+	n1, err := m.RunBlocks(nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	r1 := m.Reg(3)
 	m.Reset()
-	n2, err := m.Run(nil)
+	n2, err := m.RunBlocks(nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -406,7 +426,7 @@ func TestCancellation(t *testing.T) {
 		calls++
 		return calls > 3
 	}
-	_, err := m.Run(nil)
+	_, err := m.RunBlocks(nil)
 	if !errors.Is(err, ErrCancelled) {
 		t.Fatalf("err = %v, want ErrCancelled", err)
 	}
@@ -421,7 +441,7 @@ func TestCancelNeverTrueCompletesNormally(t *testing.T) {
 	b.Li(1, 7).Halt()
 	m := NewMachine(mustBuild(t, b), NewMemory())
 	m.Cancel = func() bool { return false }
-	if _, err := m.Run(nil); err != nil {
+	if _, err := m.RunBlocks(nil); err != nil {
 		t.Fatal(err)
 	}
 	if m.Reg(1) != 7 {
@@ -452,7 +472,7 @@ func TestSymbols(t *testing.T) {
 func TestUnknownOpcodeRejected(t *testing.T) {
 	p := &Program{Name: "bad", Code: []Instr{{Op: Op(200)}}}
 	m := NewMachine(p, NewMemory())
-	if _, err := m.Run(nil); !errors.Is(err, ErrUnknownOpcode) {
+	if _, err := m.RunBlocks(nil); !errors.Is(err, ErrUnknownOpcode) {
 		t.Errorf("err = %v, want ErrUnknownOpcode", err)
 	}
 }
@@ -465,7 +485,7 @@ func TestGuestUnalignedAccessSurfaces(t *testing.T) {
 	b.Ld(2, 1, 0)
 	b.Halt()
 	m := NewMachine(mustBuild(t, b), NewMemory())
-	if _, err := m.Run(nil); !errors.Is(err, ErrUnalignedAddr) {
+	if _, err := m.RunBlocks(nil); !errors.Is(err, ErrUnalignedAddr) {
 		t.Errorf("err = %v, want ErrUnalignedAddr", err)
 	}
 	// Same for FP stores.
@@ -474,7 +494,7 @@ func TestGuestUnalignedAccessSurfaces(t *testing.T) {
 	b.Fst(1, 0, 1)
 	b.Halt()
 	m = NewMachine(mustBuild(t, b), NewMemory())
-	if _, err := m.Run(nil); !errors.Is(err, ErrUnalignedAddr) {
+	if _, err := m.RunBlocks(nil); !errors.Is(err, ErrUnalignedAddr) {
 		t.Errorf("fst err = %v, want ErrUnalignedAddr", err)
 	}
 }

@@ -5,26 +5,6 @@ import (
 	"math"
 )
 
-// Event describes one retired instruction to the timing model: where it
-// was fetched from, what pipeline resource it uses, which data address
-// it touched (loads/stores) and the FPU operand values (FDIV/FSQRT,
-// whose latency is operand-dependent on the deterministic platform).
-type Event struct {
-	PC    uint64
-	Class Class
-	Addr  uint64  // effective address for loads/stores, else 0
-	Size  uint8   // access size in bytes for loads/stores, else 0
-	FOp1  float64 // first FPU operand (dividend / sqrt argument)
-	FOp2  float64 // second FPU operand (divisor)
-	Taken bool    // branch outcome
-}
-
-// EventSink consumes the retired instruction stream one Event per
-// instruction; RunSink feeds it through one-instruction blocks.
-type EventSink interface {
-	Consume(Event)
-}
-
 // BlockSink consumes the retired instruction stream one fetch block at
 // a time. A fetch block is a run of sequentially retired instructions
 // whose PCs share one fetch granule of FetchBytes bytes; it ends early
@@ -245,15 +225,11 @@ type Machine struct {
 	blockBytes int
 	tablesFor  *Program
 
-	// events adapts an EventSink to the block loop (see RunSink); it
-	// lives in the machine so RunSink allocates nothing.
-	events eventBlocks
-
 	// StepLimit guards against runaway loops in workload code; 0 means
 	// the default of 100M instructions.
 	StepLimit uint64
 	// Cancel, when non-nil, is polled every 1024 retired instructions;
-	// Run returns ErrCancelled once it reports true. The multicore
+	// RunBlocks returns ErrCancelled once it reports true. The multicore
 	// co-simulation uses it to stop every core once the measured core
 	// finishes, a core fails or the run's context is done.
 	Cancel func() bool
@@ -292,69 +268,6 @@ func (m *Machine) SetFReg(f FReg, v float64) { m.fregs[f] = v }
 
 // Steps returns the number of retired instructions since Reset.
 func (m *Machine) Steps() uint64 { return m.steps }
-
-// funcSink adapts a plain function to EventSink for the legacy Run
-// signature.
-type funcSink struct{ f func(Event) }
-
-func (s funcSink) Consume(ev Event) { s.f(ev) }
-
-// Run executes until Halt, feeding one Event per retired instruction to
-// sink. sink may be nil for pure architectural runs. Returns the number
-// of retired instructions.
-func (m *Machine) Run(sink func(Event)) (uint64, error) {
-	if sink == nil {
-		return m.RunBlocks(nil)
-	}
-	return m.RunSink(funcSink{sink})
-}
-
-// RunSink is Run with an interface sink. It runs the block loop with
-// one-instruction blocks and rebuilds each instruction's Event, so the
-// sink sees exactly one Consume per retired instruction with Steps()
-// already counting it.
-func (m *Machine) RunSink(sink EventSink) (uint64, error) {
-	if sink == nil {
-		return m.RunBlocks(nil)
-	}
-	m.events = eventBlocks{m: m, sink: sink}
-	steps, err := m.RunBlocks(&m.events)
-	m.events = eventBlocks{}
-	return steps, err
-}
-
-// eventBlocks adapts an EventSink to one-instruction blocks.
-type eventBlocks struct {
-	m    *Machine
-	sink EventSink
-}
-
-// FetchBytes asks for one-instruction blocks.
-func (e *eventBlocks) FetchBytes() int { return 0 }
-
-func (e *eventBlocks) ConsumeBlock(pc uint64, classes []Class, taken bool, ops []uint64) {
-	e.sink.Consume(e.m.Event(pc, classes[0], taken, ops))
-}
-
-// Event rebuilds the exact Event of the retired instruction at pc with
-// class cl, taken bit taken and dynamic operands ops, as delivered in a
-// one-instruction block of m's program (see BlockSink). The access
-// size, which the block does not carry, comes from the opcode.
-func (m *Machine) Event(pc uint64, cl Class, taken bool, ops []uint64) Event {
-	ev := Event{PC: pc, Class: cl, Taken: taken}
-	switch cl {
-	case ClassLoad, ClassStore:
-		ev.Addr, ev.Size = ops[0], 4
-		if op := m.Prog.Code[(pc-m.Prog.CodeBase)/InstrBytes].Op; op == OpFld || op == OpFst {
-			ev.Size = 8
-		}
-	case ClassFPDiv:
-		ev.FOp1, ev.FOp2 = math.Float64frombits(ops[0]), math.Float64frombits(ops[1])
-	case ClassFPSqrt:
-		ev.FOp1 = math.Float64frombits(ops[0])
-	}
-	return ev
-}
 
 // blockTables returns the line-end bits and the operand buffer for
 // fetch granule bytes (below InstrBytes: one instruction per block),
@@ -395,8 +308,7 @@ func (m *Machine) blockTables(bytes int) ([]bool, []uint64) {
 // RunBlocks executes until Halt, delivering the retired instructions
 // to sink one fetch block at a time (see BlockSink). sink may be nil
 // for pure architectural runs. Returns the number of retired
-// instructions. This is the interpreter's only loop: Run and RunSink
-// are adapters over it.
+// instructions. This is the interpreter's only loop.
 func (m *Machine) RunBlocks(sink BlockSink) (uint64, error) {
 	limit := m.StepLimit
 	if limit == 0 {

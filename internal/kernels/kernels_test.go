@@ -3,6 +3,7 @@ package kernels
 import (
 	"context"
 	"math"
+	"slices"
 	"sort"
 	"testing"
 
@@ -16,7 +17,7 @@ func run(t *testing.T, w platform.Workload, runIdx int) *isa.Machine {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := m.Run(nil); err != nil {
+	if _, err := m.RunBlocks(nil); err != nil {
 		t.Fatal(err)
 	}
 	return m
@@ -169,11 +170,35 @@ func TestVecNormAnalysisModeSlowerThanOperation(t *testing.T) {
 	}
 }
 
+// block is one delivered fetch block: its first PC, the classes of its
+// instructions, whether its last one transferred control, and their
+// dynamic operands.
+type block struct {
+	pc      uint64
+	classes []isa.Class
+	taken   bool
+	ops     []uint64
+}
+
+func (b block) equal(o block) bool {
+	return b.pc == o.pc && b.taken == o.taken &&
+		slices.Equal(b.classes, o.classes) && slices.Equal(b.ops, o.ops)
+}
+
+// blockRecorder keeps the 32-byte fetch blocks of a run.
+type blockRecorder struct{ blocks []block }
+
+func (*blockRecorder) FetchBytes() int { return 32 }
+
+func (r *blockRecorder) ConsumeBlock(pc uint64, classes []isa.Class, taken bool, ops []uint64) {
+	r.blocks = append(r.blocks, block{pc: pc, classes: slices.Clone(classes), taken: taken, ops: slices.Clone(ops)})
+}
+
 // TestReloadRestoresPrepareState: for every kernel that implements
 // platform.Reloader, reloading a machine that already ran (its output
 // words written) gives the state of a fresh Prepare of the new run —
 // registers, retired-step count and every data word — and the two
-// machines then retire identical event streams.
+// machines then retire identical fetch-block streams.
 func TestReloadRestoresPrepareState(t *testing.T) {
 	const region = 0x40000 // every kernel's data segment lies below this offset
 	for _, w := range []platform.Workload{
@@ -210,19 +235,19 @@ func TestReloadRestoresPrepareState(t *testing.T) {
 				t.Fatalf("%s: data word %#x = %#x after Reload, fresh %#x", w.Name(), off, got, want)
 			}
 		}
-		var got, want []isa.Event
-		if _, err := m.Run(func(ev isa.Event) { got = append(got, ev) }); err != nil {
+		var got, want blockRecorder
+		if _, err := m.RunBlocks(&got); err != nil {
 			t.Fatal(err)
 		}
-		if _, err := fresh.Run(func(ev isa.Event) { want = append(want, ev) }); err != nil {
+		if _, err := fresh.RunBlocks(&want); err != nil {
 			t.Fatal(err)
 		}
-		if len(got) != len(want) {
-			t.Fatalf("%s: reloaded run retired %d instructions, fresh %d", w.Name(), len(got), len(want))
+		if len(got.blocks) != len(want.blocks) {
+			t.Fatalf("%s: reloaded run retired %d blocks, fresh %d", w.Name(), len(got.blocks), len(want.blocks))
 		}
-		for i := range got {
-			if got[i] != want[i] {
-				t.Fatalf("%s: event %d = %+v after Reload, fresh %+v", w.Name(), i, got[i], want[i])
+		for i := range got.blocks {
+			if g, f := got.blocks[i], want.blocks[i]; !g.equal(f) {
+				t.Fatalf("%s: block %d = %+v after Reload, fresh %+v", w.Name(), i, g, f)
 			}
 		}
 	}

@@ -33,11 +33,16 @@ func counters(c *cpu.Core, b *bus.Bus, d *mem.Controller) BoardCounters {
 	}
 }
 
-// runOn runs m on core c in fetch blocks or, with perInstr, through
-// RunSink's Event adapter, one instruction per block.
+// instrSink feeds its core one instruction per block.
+type instrSink struct{ *cpu.Core }
+
+func (instrSink) FetchBytes() int { return 0 }
+
+// runOn runs m on core c in fetch blocks or, with perInstr, one
+// instruction per block.
 func runOn(c *cpu.Core, m *isa.Machine, perInstr bool) error {
 	if perInstr {
-		_, err := m.RunSink(c)
+		_, err := m.RunBlocks(instrSink{c})
 		return err
 	}
 	_, err := c.RunProgram(m)

@@ -46,7 +46,7 @@ import (
 // per-core cache/TLB/FPU stacks once, and subsequent runs reset and
 // reseed them in place (the same flush/reset/reseed protocol the
 // single-core Platform applies), re-initialize Reloader workload
-// machines in place, and replay recorded co-runner event streams (see
+// machines in place, and replay recorded co-runner block streams (see
 // TraceKeyer) instead of re-interpreting them — the steady-state run
 // loop allocates nothing.
 //
@@ -146,20 +146,21 @@ type coState struct {
 	w       Workload
 	machine machineCache // reused machine (Reloader workloads)
 	stable  bool         // workload declares the empty key: a run-invariant stream
-	trace   []isa.Event  // recorded stream, replayed on later iterations
-	sink    mcSink       // persistent consume sink (no per-iteration closure)
+	trace   *blockTrace  // recorded iteration, replayed on later iterations
+	sink    coreSink     // persistent sink (no per-iteration allocation)
 
-	// Inline-replay state: the next trace index to plan, the planned
-	// bus requests (see cpu.Plan), and the issue time of the first one
-	// if queued, else the cycle the plan has reached (cpu.NextRequest).
-	i      int
+	// Inline-replay state: the next block to plan, the planned bus
+	// requests (see cpu.Plan), and the issue time of the first one if
+	// queued, else the cycle the plan has reached (cpu.NextRequest).
+	cur    traceCursor
 	plan   cpu.Plan
 	next   uint64
 	queued bool
 }
 
-// heartbeatEvery is the lookahead granularity: compute-bound cores
-// report their local time every this many retired instructions.
+// heartbeatEvery is the lookahead granularity: a co-runner reports its
+// local time at the end of the block in which its retired count
+// crosses a multiple of heartbeatEvery.
 const heartbeatEvery = 2048
 
 // mcPort is the per-core cpu.Interconnect. Its identity (which core it
@@ -213,6 +214,18 @@ func (p *mcPort) Request(t uint64, kind bus.Kind, addr uint64) (uint64, uint64) 
 
 // TransferCycles satisfies cpu.Interconnect.
 func (p *mcPort) TransferCycles() uint64 { return p.transfer }
+
+// retire counts n more retired instructions and, when the count
+// crosses a multiple of heartbeatEvery, advances the core's lookahead
+// horizon to its local time t. Grant order does not depend on the
+// cadence: a heartbeat only lets a grant happen sooner in wall time.
+func (p *mcPort) retire(n int, t uint64) {
+	before := p.hbCount
+	p.hbCount += uint64(n)
+	if p.hbCount/heartbeatEvery != before/heartbeatEvery {
+		p.heartbeat(t)
+	}
+}
 
 // heartbeat advances this core's lookahead horizon to local time t.
 func (p *mcPort) heartbeat(t uint64) {
@@ -274,34 +287,6 @@ func (mc *Multicore) grantPassLocked() {
 		p.gStart = mc.bus.Request(best, req.time, req.kind)
 		p.gMemLat = mc.dram.Latency(req.addr)
 		p.grant <- struct{}{}
-	}
-}
-
-// mcSink feeds one co-runner core's timing model one instruction at a
-// time, optionally recording the event stream for replay, and emits
-// lookahead heartbeats every heartbeatEvery retired instructions. It is
-// a persistent struct (no per-iteration closure allocation).
-type mcSink struct {
-	core      *cpu.Core
-	port      *mcPort
-	m         *isa.Machine // the iteration's machine
-	rec       eventTrace   // the iteration being recorded, if recording
-	recording bool
-}
-
-// FetchBytes asks for one-instruction blocks: heartbeats and the
-// recorded events are per instruction.
-func (s *mcSink) FetchBytes() int { return 0 }
-
-// ConsumeBlock implements isa.BlockSink.
-func (s *mcSink) ConsumeBlock(pc uint64, classes []isa.Class, taken bool, ops []uint64) {
-	s.core.ConsumeBlock(pc, classes, taken, ops)
-	if s.recording {
-		s.rec.add(s.m.Event(pc, classes[0], taken, ops))
-	}
-	s.port.hbCount++
-	if s.port.hbCount%heartbeatEvery == 0 {
-		s.port.heartbeat(s.core.Cycle())
 	}
 }
 
@@ -367,7 +352,7 @@ func (mc *Multicore) ensureBoard() error {
 		cs := &mc.co[i+1]
 		cs.w = w
 		cs.stable = constantKey(w)
-		cs.sink = mcSink{core: mc.cores[i+1], port: mc.ports[i+1]}
+		cs.sink = coreSink{core: mc.cores[i+1], port: mc.ports[i+1]}
 	}
 	mc.cancelFn = mc.canceled
 	mc.built = true
@@ -396,7 +381,7 @@ func (mc *Multicore) prepareRun(runSeed uint64) {
 		mc.ports[c].hbCount = 0
 		mc.errs[c] = nil
 		// A run may end with a co-runner's plan mid-iteration.
-		mc.co[c].i, mc.co[c].next, mc.co[c].queued = 0, 0, false
+		mc.co[c].cur, mc.co[c].next, mc.co[c].queued = traceCursor{}, 0, false
 		mc.co[c].plan.Reset()
 	}
 	mc.stop.Store(false)
@@ -560,15 +545,24 @@ func (mc *Multicore) inlineRequest(t uint64, kind bus.Kind, addr uint64) (uint64
 	}
 }
 
-// plan plans co-runner core c's replay up to bound, wrapping its trace
-// at each iteration end, and records when its next request issues.
+// plan plans co-runner core c's replay one recorded block at a time,
+// wrapping its trace at each iteration end, and records when its next
+// request issues. It stops after the block that queued a request, or
+// once the core's clock plus the planned fixed cycles reaches bound.
+// Every block costs at least one cycle, so a co-runner that no longer
+// uses the bus still reaches the bound.
 func (mc *Multicore) plan(c int, bound uint64) {
 	cs := &mc.co[c]
 	core := mc.cores[c]
-	for !core.PlanUntil(&cs.plan, cs.trace, &cs.i, bound) && cs.i == len(cs.trace) {
-		cs.i = 0
+	for !cs.queued && cs.next < bound {
+		pc, classes, taken, ops, ok := cs.trace.next(&cs.cur)
+		if !ok {
+			cs.cur = traceCursor{}
+			continue
+		}
+		core.PlanBlock(&cs.plan, pc, classes, taken, ops)
+		cs.next, cs.queued = core.NextRequest(&cs.plan)
 	}
-	cs.next, cs.queued = core.NextRequest(&cs.plan)
 }
 
 // replayMeasured performs one measurement by replaying the recorded
@@ -579,81 +573,65 @@ func (mc *Multicore) plan(c int, bound uint64) {
 // interpreter's Cancel granularity.
 func (mc *Multicore) replayMeasured() (uint64, error) {
 	core := mc.cores[0]
-	if !mc.slot.trace.replay(core, mc.cancelFn) {
+	if !mc.slot.trace.replay(core, nil, mc.cancelFn) {
 		return 0, isa.ErrCancelled
 	}
 	return core.Cycle(), nil
 }
 
-// runCoRunner loops core c's workload until the measured run ends:
-// replaying the recorded event stream when one exists, interpreting
-// (and, for run-invariant workloads, recording) otherwise. Its first
-// failure cancels the whole run.
+// runCoRunner loops core c's workload until the measured run ends. Its
+// first failure cancels the whole run.
 func (mc *Multicore) runCoRunner(c int) {
 	defer mc.wg.Done()
 	defer mc.ports[c].doneNotice()
 	cs := &mc.co[c]
-	core := mc.cores[c]
-	port := mc.ports[c]
 	for iter := 0; !mc.stop.Load(); iter++ {
-		if cs.trace != nil {
-			if !mc.replayIteration(core, port, cs.trace) {
-				return
-			}
+		err := mc.coIteration(cs, iter)
+		if err == nil {
 			continue
 		}
-		mc.interpreted.Store(true)
-		m, err := cs.machine.get(cs.w, iter)
-		if err != nil {
-			mc.errs[c] = err
-			mc.stop.Store(true)
+		if errors.Is(err, isa.ErrCancelled) && mc.stop.Load() {
 			return
 		}
-		m.Cancel = mc.cancelFn
-		sink := &cs.sink
-		sink.m = m
-		if cs.stable {
-			// Decode-once: record this iteration's event stream; every
-			// later iteration (and run) replays it through the timing
-			// model, skipping architectural re-execution entirely.
-			sink.rec, sink.recording = nil, true
-		}
-		_, err = m.RunBlocks(sink)
-		if err != nil {
-			// A partial trace must never be replayed.
-			sink.rec, sink.recording = nil, false
-			if errors.Is(err, isa.ErrCancelled) && mc.stop.Load() {
-				return
-			}
-			// Anything else fails the run, a cancellation too: only the
-			// run's context can cancel a co-runner before stop, and a
-			// measured core that finished past its last poll would
-			// otherwise run on against fewer co-runners.
-			mc.errs[c] = err
-			mc.stop.Store(true)
-			return
-		}
-		if cs.stable {
-			cs.trace = sink.rec.flat()
-			sink.rec, sink.recording = nil, false
-		}
+		// Anything else fails the run, a cancellation too: only the run's
+		// context can cancel a co-runner before stop, and a measured core
+		// that finished past its last poll would otherwise run on against
+		// fewer co-runners.
+		mc.errs[c] = err
+		mc.stop.Store(true)
+		return
 	}
 }
 
-// replayIteration replays one recorded co-runner iteration through the
-// timing model, with the same heartbeat cadence as full execution and
-// the same cancellation granularity as the interpreter's Cancel poll.
-// It reports false when the run was stopped mid-iteration.
-func (mc *Multicore) replayIteration(core *cpu.Core, port *mcPort, trace []isa.Event) bool {
-	for i := range trace {
-		if i&1023 == 0 && mc.stop.Load() {
-			return false
+// coIteration runs one iteration of co-runner cs: it replays the
+// recorded trace when one exists, and otherwise interprets the
+// workload, recording the iteration of a run-invariant one so that
+// every later iteration (and run) replays it. Replay and interpretation
+// poll the run's cancellation at the same granularity.
+func (mc *Multicore) coIteration(cs *coState, iter int) error {
+	if cs.trace != nil {
+		if !cs.trace.replay(cs.sink.core, cs.sink.port, mc.cancelFn) {
+			return isa.ErrCancelled
 		}
-		core.Consume(trace[i])
-		port.hbCount++
-		if port.hbCount%heartbeatEvery == 0 {
-			port.heartbeat(core.Cycle())
-		}
+		return nil
 	}
-	return true
+	mc.interpreted.Store(true)
+	m, err := cs.machine.get(cs.w, iter)
+	if err != nil {
+		return err
+	}
+	m.Cancel = mc.cancelFn
+	if cs.stable {
+		cs.sink.trace = newBlockTrace(m.Prog)
+	}
+	_, err = m.RunBlocks(&cs.sink)
+	rec := cs.sink.trace
+	cs.sink.trace = nil
+	if err != nil {
+		return err // a partial trace must never be replayed
+	}
+	if rec != nil {
+		cs.trace = rec
+	}
+	return nil
 }

@@ -153,16 +153,16 @@ func TestMulticoreRunTimeoutBoundsCoRunnerCampaign(t *testing.T) {
 	}
 }
 
-// cancelingStreamer is a short streamer co-runner that cancels the
-// run's context when it prepares its second iteration, so its own
+// cancelingStreamer is a short streamer co-runner that calls *cancel,
+// once set, when it prepares its second iteration, so its own
 // machine's first poll sees the cancellation.
-type cancelingStreamer struct{ cancel context.CancelFunc }
+type cancelingStreamer struct{ cancel *context.CancelFunc }
 
 func (cancelingStreamer) Name() string { return "canceling-streamer" }
 
 func (w cancelingStreamer) Prepare(iter int) (*isa.Machine, error) {
-	if iter > 0 {
-		w.cancel()
+	if iter > 0 && *w.cancel != nil {
+		(*w.cancel)()
 	}
 	return streamer{lines: 8}.Prepare(iter)
 }
@@ -172,23 +172,91 @@ func (cancelingStreamer) PathOf(*isa.Machine) string { return "" }
 // TestMulticoreCoRunnerCancelFailsRun pins that a co-runner cancelled by
 // the run's context fails the run. The measured sweep is under 1024
 // instructions, so it polls the context only before its first bus
-// request; its later requests are granted only once the co-runner has
-// run past them, which takes the co-runner into its second iteration,
-// where it cancels. A co-runner that then left the run silently would
-// let the measured core finish against no contention with a nil error.
+// request; its later requests are granted only once the co-runners have
+// run past them, which takes the canceling co-runner into its second
+// iteration, where it cancels. A co-runner that then left the run
+// silently would let the measured core finish against fewer co-runners
+// with a nil error. The canceling co-runner runs alone, and next to a
+// keyed co-runner that replays the trace the board's first run
+// recorded in goroutine mode, where replay polls the context like
+// interpretation does.
 func TestMulticoreCoRunnerCancelFailsRun(t *testing.T) {
-	ctx, cancel := context.WithCancel(context.Background())
-	defer cancel()
-	mc, err := NewMulticore(RAND(), []Workload{cancelingStreamer{cancel}})
+	for _, keyed := range []bool{false, true} {
+		var cancel context.CancelFunc
+		co := []Workload{cancelingStreamer{&cancel}}
+		if keyed {
+			co = []Workload{stableStreamer{streamer{lines: 8}}, co[0]}
+		}
+		mc, err := NewMulticore(RAND(), co)
+		if err != nil {
+			t.Fatal(err)
+		}
+		run := 0
+		if keyed {
+			// Record the keyed co-runner's trace.
+			if _, err := mc.ExecuteRun(context.Background(), streamer{lines: 200}, 0, 1); err != nil {
+				t.Fatal(err)
+			}
+			if mc.co[1].trace == nil {
+				t.Fatal("keyed co-runner recorded no trace")
+			}
+			run = 1
+		}
+		var ctx context.Context
+		ctx, cancel = context.WithCancel(context.Background())
+		r, err := mc.ExecuteRun(ctx, streamer{lines: 200}, run, 1)
+		cancel()
+		if !errors.Is(err, isa.ErrCancelled) {
+			t.Fatalf("keyed %v: run with a cancelled co-runner returned (%+v, %v), want an error wrapping ErrCancelled", keyed, r, err)
+		}
+		if mc.inline {
+			t.Errorf("keyed %v: run took inline mode, want goroutine mode", keyed)
+		}
+		if !keyed && !strings.Contains(err.Error(), "core 1") {
+			t.Errorf("run error %q does not name the cancelled co-runner", err)
+		}
+	}
+}
+
+// TestMulticoreReplayingCoRunnerPollsContext pins that a co-runner
+// replaying its trace in goroutine mode, stopped by the run's context
+// before stop is raised, records the cancellation and raises stop, as
+// an interpreted co-runner does. The co-runner runs alone on the board
+// (the other cores are marked finished), so its requests are granted
+// at once; a replay that ignored the context would replay until stop.
+func TestMulticoreReplayingCoRunnerPollsContext(t *testing.T) {
+	mc, err := NewMulticore(RAND(), []Workload{stableStreamer{streamer{lines: 8}}})
 	if err != nil {
 		t.Fatal(err)
 	}
-	r, err := mc.ExecuteRun(ctx, streamer{lines: 200}, 0, 1)
-	if !errors.Is(err, isa.ErrCancelled) {
-		t.Fatalf("run with a cancelled co-runner returned (%+v, %v), want an error wrapping ErrCancelled", r, err)
+	if _, err := mc.ExecuteRun(context.Background(), streamer{lines: 200}, 0, 1); err != nil {
+		t.Fatal(err)
 	}
-	if !strings.Contains(err.Error(), "core 1") {
-		t.Errorf("run error %q does not name the cancelled co-runner", err)
+	if mc.co[1].trace == nil {
+		t.Fatal("keyed co-runner recorded no trace")
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	mc.prepareRun(2)
+	mc.states[0].alive = false
+	mc.runCtx = ctx
+	mc.wg.Add(1)
+	done := make(chan struct{})
+	go func() {
+		mc.runCoRunner(1)
+		close(done)
+	}()
+	select {
+	case <-done:
+	case <-time.After(10 * time.Second):
+		mc.stop.Store(true)
+		<-done
+		t.Fatal("replaying co-runner ignored the run's context")
+	}
+	mc.runCtx = nil
+	if !errors.Is(mc.errs[1], isa.ErrCancelled) || !mc.stop.Load() {
+		t.Errorf("replaying co-runner stopped by the context: error %v, stop %v; want ErrCancelled and stop raised",
+			mc.errs[1], mc.stop.Load())
 	}
 }
 

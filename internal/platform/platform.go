@@ -433,7 +433,7 @@ func (p *Platform) runReplay(ctx context.Context, w Workload, run int, runSeed u
 	if ctx != nil && ctx.Done() != nil {
 		p.runCtx, canceled = ctx, p.cancelPoll
 	}
-	ok := p.slot.trace.replay(p.core, canceled)
+	ok := p.slot.trace.replay(p.core, nil, canceled)
 	p.runCtx = nil
 	if !ok {
 		return RunResult{}, fmt.Errorf("platform %s: replay run %d: %w",

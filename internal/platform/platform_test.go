@@ -389,14 +389,15 @@ func TestDeriveRunSeedNoCollisionsAcrossBases(t *testing.T) {
 }
 
 // TestTraceRecordingGrowsOnDemand: recording a small run-invariant
-// workload on a fresh board allocates in proportion to its trace, not
-// a fixed 65,536-event (3.7 MB) buffer, on both the single-core
-// Platform and the Multicore board (measured workload plus a
-// run-invariant co-runner). Later runs must replay the recording.
+// workload on a fresh board allocates in proportion to its trace, on
+// both the single-core Platform and the Multicore board (measured
+// workload plus a run-invariant co-runner, both recorded as block
+// traces). Later runs must replay the recording.
 func TestTraceRecordingGrowsOnDemand(t *testing.T) {
-	// The trace is ~7,800 events (435 KB). A fixed preallocation costs
-	// 3.7 MB; a flat slice regrown by append costs ~2 MB.
-	const limit = 768 << 10
+	// Each recording here fits one 32 KB trace chunk: the recording runs
+	// allocate about 42 KB (Platform) and 79 KB (Multicore). A fixed
+	// 65,536-event buffer of the old per-instruction format cost 3.7 MB.
+	const limit = 256 << 10
 	w := kernels.MatMul{N: 8, Seed: 1}
 	allocated := func(run func() error) uint64 {
 		t.Helper()
@@ -441,7 +442,17 @@ func TestTraceRecordingGrowsOnDemand(t *testing.T) {
 	if multi >= limit {
 		t.Errorf("Multicore: recording run allocated %d bytes, want < %d", multi, limit)
 	}
-	// The replayed runs (a multi-chunk trace) must match a board that
+	// The co-runner's ~260-instruction iteration is one chunk plus its
+	// replay tables (33 KB); one 1,024-event chunk of the per-instruction
+	// format it replaced took 56 KB.
+	co := mc.co[1].trace
+	if co == nil {
+		t.Fatal("Multicore: the co-runner recorded no trace")
+	}
+	if n := co.bytes(); n > 40<<10 {
+		t.Errorf("Multicore: co-runner trace takes %d bytes, want <= %d", n, 40<<10)
+	}
+	// The replayed runs must match a board that
 	// interprets the same workload every run.
 	interp, err := NewMulticore(RAND(), []Workload{stableStreamer{streamer{lines: 64}}})
 	if err != nil {

@@ -94,63 +94,80 @@ func (s *traceSlot) next(w Workload, run int, blind bool) (replay, record bool) 
 // timing is untouched: the core consumes exactly the blocks it would
 // have consumed.
 func (s *traceSlot) record(core *cpu.Core, m *isa.Machine) error {
-	rs := recordSink{core: core, trace: blockTrace{classes: m.Prog.Classes(), base: m.Prog.CodeBase, open: true}}
+	rs := coreSink{core: core, trace: newBlockTrace(m.Prog)}
 	if _, err := m.RunBlocks(&rs); err != nil {
 		return err // a partial trace must never be replayed
 	}
-	rs.trace.finish()
-	s.trace, s.path = &rs.trace, s.w.PathOf(m)
+	s.trace, s.path = rs.trace, s.w.PathOf(m)
 	s.key, s.cur = s.cur, s.key[:0]
 	return nil
 }
 
-// recordSink forwards every block to the timing core and captures it
-// for later replay.
-type recordSink struct {
+// coreSink feeds a core's timing model the blocks a machine retires.
+// It records them into trace when that is non-nil, and when port is
+// non-nil (a co-runner in goroutine mode) it reports the core's
+// progress to the arbiter (see mcPort.retire).
+type coreSink struct {
 	core  *cpu.Core
-	trace blockTrace
+	trace *blockTrace
+	port  *mcPort
 }
 
-// FetchBytes asks for the core's blocks.
-func (r *recordSink) FetchBytes() int { return r.core.FetchBytes() }
+// FetchBytes asks for the core's blocks, at most maxBlockBytes long.
+func (s *coreSink) FetchBytes() int { return min(s.core.FetchBytes(), maxBlockBytes) }
 
-func (r *recordSink) ConsumeBlock(pc uint64, classes []isa.Class, taken bool, ops []uint64) {
-	r.core.ConsumeBlock(pc, classes, taken, ops)
-	r.trace.add(pc, classes, taken, ops)
+func (s *coreSink) ConsumeBlock(pc uint64, classes []isa.Class, taken bool, ops []uint64) {
+	s.core.ConsumeBlock(pc, classes, taken, ops)
+	if s.trace != nil {
+		s.trace.add(pc, classes, taken, ops)
+	}
+	if s.port != nil {
+		s.port.retire(len(classes), s.core.Cycle())
+	}
 }
 
 // blockTrace is a recorded fetch-block stream (see isa.BlockSink) in
 // compact form: one stream of 32-bit words. A block is a header word
-// (its instruction count, with takenWord set when its last instruction
-// transferred control), its start index in the program when it is the
-// first block or follows a taken one (every other block starts where
-// the one before it ended), then its operands: one word per load or
-// store (the interpreter forms every effective address as a 32-bit
-// value) and two per FDIV/FSQRT operand, low word first. A block's
-// classes are not stored: they are the program's decode table from its
-// start index. The stream is held in fixed-size chunks that no block
-// straddles, so recording never copies or discards a buffer. A 16-frame
-// TVCA recording takes 0.43 MB.
+// (its counts and flags, see takenWord), its start index in the
+// program when it is the first block or follows a taken one (every
+// other block starts where the one before it ended), then its
+// operands: one word per load or store (the interpreter forms every
+// effective address as a 32-bit value) and two per FDIV/FSQRT operand,
+// low word first. A block's classes are not stored: they are the
+// program's decode table from its start index. The stream is held in
+// fixed-size chunks that no block straddles, so recording never copies
+// or discards a buffer. A 16-frame TVCA recording takes 0.43 MB. The
+// measured core's replay, a co-runner's replay and the co-runner
+// planner all decode it through one cursor (next).
 type blockTrace struct {
 	classes []isa.Class // the program's decode table
 	base    uint64      // the program's code base
 	chunks  [][]uint32
-	open    bool // the next block needs its start index (first, or after a taken block)
-	longest int  // the most instructions in one block
-
-	// Replay tables, built by finish: the operand words of the
-	// instructions before index i (wordsAt[i]) and how many of them
-	// are FDIV/FSQRT (fpAt[i]), and one block's rebuilt operands.
-	wordsAt, fpAt []int32
-	wide          []uint64
+	follows bool     // the next block starts where the last one ended (not first, not after a taken block)
+	wide    []uint64 // one block's rebuilt operands (two per instruction at most)
 }
 
-// takenWord marks the header of a block whose last instruction
-// transferred control.
-const takenWord = 1 << 31
+// A block's header word holds its instruction count (bits 0-15), its
+// operand word count (bits 16-29), fpWord when it holds an FDIV or
+// FSQRT, and takenWord when its last instruction transferred control.
+// maxBlockBytes bounds the blocks a trace records (coreSink), so both
+// counts fit: at most 1,024 instructions and 4,096 operand words.
+const (
+	takenWord     = 1 << 31
+	fpWord        = 1 << 30
+	countMask     = 1<<16 - 1
+	wordsShift    = 16
+	wordsMask     = 1<<14 - 1
+	maxBlockBytes = 4096
+)
 
 // traceChunkWords is the size of one blockTrace chunk (32 KB).
 const traceChunkWords = 8192
+
+// newBlockTrace returns an empty trace of prog's blocks.
+func newBlockTrace(prog *isa.Program) *blockTrace {
+	return &blockTrace{classes: prog.Classes(), base: prog.CodeBase}
+}
 
 func (t *blockTrace) add(pc uint64, classes []isa.Class, taken bool, ops []uint64) {
 	n, i := len(classes), int((pc-t.base)/isa.InstrBytes)
@@ -161,14 +178,12 @@ func (t *blockTrace) add(pc uint64, classes []isa.Class, taken bool, ops []uint6
 		c++
 	}
 	w := t.chunks[c]
-	h := uint32(n)
-	if taken {
-		h |= takenWord
-	}
-	w = append(w, h)
-	if t.open {
+	h := len(w)
+	w = append(w, 0)
+	if !t.follows {
 		w = append(w, uint32(i))
 	}
+	start, head := len(w), uint32(n)
 	k := 0
 	for _, cl := range classes {
 		switch cl {
@@ -178,88 +193,105 @@ func (t *blockTrace) add(pc uint64, classes []isa.Class, taken bool, ops []uint6
 		case isa.ClassFPDiv:
 			w = append(w, uint32(ops[k]), uint32(ops[k]>>32), uint32(ops[k+1]), uint32(ops[k+1]>>32))
 			k += 2
+			head |= fpWord
 		case isa.ClassFPSqrt:
 			w = append(w, uint32(ops[k]), uint32(ops[k]>>32))
 			k++
+			head |= fpWord
 		}
 	}
+	head |= uint32(len(w)-start) << wordsShift
+	if taken {
+		head |= takenWord
+	}
+	w[h] = head
 	t.chunks[c] = w
-	t.open, t.longest = taken, max(t.longest, n)
-}
-
-// finish builds the replay tables: the operand-word prefix counts over
-// the program and the buffer replay rebuilds a block's operands in
-// (two per instruction at most).
-func (t *blockTrace) finish() {
-	t.wordsAt = make([]int32, len(t.classes)+1)
-	t.fpAt = make([]int32, len(t.classes)+1)
-	for i, cl := range t.classes {
-		w, fp := int32(0), int32(0)
-		switch cl {
-		case isa.ClassLoad, isa.ClassStore:
-			w = 1
-		case isa.ClassFPDiv:
-			w, fp = 4, 1
-		case isa.ClassFPSqrt:
-			w, fp = 2, 1
-		}
-		t.wordsAt[i+1] = t.wordsAt[i] + w
-		t.fpAt[i+1] = t.fpAt[i] + fp
+	t.follows = !taken
+	if len(t.wide) < 2*n {
+		t.wide = make([]uint64, 2*n)
 	}
-	t.wide = make([]uint64, 2*max(t.longest, 1))
 }
 
-// bytes is the trace's size, replay tables included.
+// bytes is the trace's size, the operand buffer included.
 func (t *blockTrace) bytes() int {
-	n := 4*(len(t.wordsAt)+len(t.fpAt)) + 8*len(t.wide)
+	n := 8 * len(t.wide)
 	for _, w := range t.chunks {
 		n += 4 * cap(w)
 	}
 	return n
 }
 
-// replay feeds the trace to core block by block. It polls canceled, if
+// traceCursor is a position in a blockTrace: the rest of the current
+// chunk from the next block's header on, the index of the chunk after
+// it and, when the next block follows the last one, the program index
+// it starts at. The zero value is the trace's start.
+type traceCursor struct {
+	w       []uint32
+	chunk   int
+	i       int
+	follows bool
+}
+
+// next decodes the block at cur into ConsumeBlock's arguments and
+// advances cur past it; ok is false at the end of the trace. The
+// operands are valid until the next call on t.
+func (t *blockTrace) next(cur *traceCursor) (pc uint64, classes []isa.Class, taken bool, ops []uint64, ok bool) {
+	w := cur.w
+	if len(w) == 0 {
+		if cur.chunk == len(t.chunks) {
+			return 0, nil, false, nil, false
+		}
+		w = t.chunks[cur.chunk]
+		cur.chunk++
+	}
+	h := w[0]
+	p := 1
+	i := cur.i
+	if !cur.follows {
+		i = int(w[p])
+		p++
+	}
+	n, words := int(h&countMask), int(h>>wordsShift&wordsMask)
+	classes = t.classes[i : i+n]
+	k := words
+	if h&fpWord == 0 {
+		// Addresses only, one word each: the common block.
+		for j, a := range w[p : p+words] {
+			t.wide[j] = uint64(a)
+		}
+	} else {
+		k = widenFP(classes, w[p:p+words], t.wide)
+	}
+	taken = h&takenWord != 0
+	cur.w, cur.i, cur.follows = w[p+words:], i+n, !taken
+	return t.base + uint64(i)*isa.InstrBytes, classes, taken, t.wide[:k], true
+}
+
+// replay feeds the trace to core block by block, reporting each block
+// to port when it is non-nil (see coreSink). It polls canceled, if
 // non-nil, before the first block and after every 1,024 replayed
 // instructions, as the interpreter polls Cancel, and reports false as
 // soon as it fires.
-func (t *blockTrace) replay(core *cpu.Core, canceled func() bool) bool {
-	i, open := 0, true
+func (t *blockTrace) replay(core *cpu.Core, port *mcPort, canceled func() bool) bool {
+	var cur traceCursor
 	done, poll := 0, 0
-	wide := t.wide
-	for _, w := range t.chunks {
-		for p := 0; p < len(w); {
-			if canceled != nil && done >= poll {
-				if canceled() {
-					return false
-				}
-				poll = done + 1024
+	for {
+		if canceled != nil && done >= poll {
+			if canceled() {
+				return false
 			}
-			h := w[p]
-			p++
-			if open {
-				i = int(w[p])
-				p++
-			}
-			n := int(h &^ takenWord)
-			classes := t.classes[i : i+n]
-			words := int(t.wordsAt[i+n] - t.wordsAt[i])
-			k := words
-			if t.fpAt[i] == t.fpAt[i+n] {
-				// Addresses only, one word each: the common block.
-				for j, a := range w[p : p+words] {
-					wide[j] = uint64(a)
-				}
-			} else {
-				k = widenFP(classes, w[p:p+words], wide)
-			}
-			p += words
-			open = h&takenWord != 0
-			core.ConsumeBlock(t.base+uint64(i)*isa.InstrBytes, classes, open, wide[:k])
-			i += n
-			done += n
+			poll = done + 1024
 		}
+		pc, classes, taken, ops, ok := t.next(&cur)
+		if !ok {
+			return true
+		}
+		core.ConsumeBlock(pc, classes, taken, ops)
+		if port != nil {
+			port.retire(len(classes), core.Cycle())
+		}
+		done += len(classes)
 	}
-	return true
 }
 
 // widenFP rebuilds the operands of a block holding an FDIV or FSQRT
@@ -284,39 +316,4 @@ func widenFP(classes []isa.Class, words []uint32, wide []uint64) int {
 		}
 	}
 	return k
-}
-
-// traceChunk is the number of events in one eventTrace chunk (56 KB).
-const traceChunk = 1024
-
-// eventTrace is a recorded event stream (a co-runner's iteration, see
-// Multicore) held in fixed-size chunks. It grows on demand without
-// copying: recording allocates the trace's size rounded up to one
-// chunk, where a growing flat slice would allocate about five times
-// that in discarded backing arrays.
-type eventTrace [][]isa.Event
-
-func (t *eventTrace) add(ev isa.Event) {
-	n := len(*t)
-	if n == 0 || len((*t)[n-1]) == traceChunk {
-		*t = append(*t, make([]isa.Event, 0, traceChunk))
-		n++
-	}
-	(*t)[n-1] = append((*t)[n-1], ev)
-}
-
-// flat returns the trace as one slice.
-func (t eventTrace) flat() []isa.Event {
-	if len(t) == 1 {
-		return t[0]
-	}
-	n := 0
-	for _, c := range t {
-		n += len(c)
-	}
-	out := make([]isa.Event, 0, n)
-	for _, c := range t {
-		out = append(out, c...)
-	}
-	return out
 }

@@ -23,7 +23,7 @@ func runGuest(t *testing.T, a *App, run int) *isa.Machine {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := m.Run(nil); err != nil {
+	if _, err := m.RunBlocks(nil); err != nil {
 		t.Fatalf("run %d: %v", run, err)
 	}
 	return m

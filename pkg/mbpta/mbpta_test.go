@@ -167,7 +167,7 @@ func TestCustomWorkloadViaBuilder(t *testing.T) {
 		t.Fatal(err)
 	}
 	m := mbpta.NewMachine(prog, mbpta.NewMemory())
-	if _, err := m.Run(nil); err != nil {
+	if _, err := m.RunBlocks(nil); err != nil {
 		t.Fatal(err)
 	}
 	if m.Reg(3) != 42 {
