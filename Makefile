@@ -79,9 +79,9 @@ performability-check:
 
 # Multicore contention example: a 4-frame TVCA campaign solo and
 # against three run-invariant streamers through pkg/mbpta, so co-runner
-# recording and inline replay run end to end, then the analyzer on the
-# contended campaign. A rejected gate or a heavy tail is printed as the
-# verdict; any other error exits non-zero.
+# recording and replay run end to end, then the analyzer on both
+# campaigns. A rejected gate or a heavy tail is printed as the verdict;
+# any other error exits non-zero.
 contention-check:
 	$(GO) run ./examples/multicore_contention
 
@@ -103,9 +103,12 @@ endif
 # (matched by 'Fingerprint') and the matrix's pooled fault cells are
 # race-checked alongside the fabric suite, which includes the pool
 # supervision tests; the crash-resume test adds resume on a pool.
-# The repo-root Multicore goldens run under race as well: board reuse
-# keeps arbiter state alive across runs, so cross-run sharing bugs only
-# show up when the reused board's goroutine mode is race-checked.
+# The Multicore board runs in one goroutine, so under race the
+# platform suite checks the goroutines of its test-side reference
+# board: every co-runner interpreted in its own goroutine behind one
+# locked arbiter, which the equivalence tests compare the board with.
+# The repo-root Multicore goldens run under race as well, on the board
+# reused across runs with its campaign workers.
 race:
 	$(GO) test -race ./internal/platform/ ./internal/rng/ ./internal/faults/ ./internal/telemetry/
 	$(GO) test -race ./internal/fabric/ ./internal/pwcetd/
@@ -148,7 +151,8 @@ cover:
 # and page records, bulk repeats, line-slot memo, micro-cache)
 # differentially against the plain scan under arbitrary
 # access/flush/reseed/upset streams, and
-# the multicore board's planned co-runner replay against interpretation
+# the multicore board against its test-side reference board (each
+# co-runner interpreted in its own goroutine behind a locked arbiter)
 # over arbitrary co-runner loops, the timing model's fetch blocks
 # against one-instruction blocks over arbitrary programs on every board
 # kind, TVCA's trace key against its block streams (equal keys exactly

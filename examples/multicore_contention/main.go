@@ -2,10 +2,12 @@
 // other cores may be busy while the measured task runs. This example
 // co-simulates TVCA against memory-streaming co-runners (real guest
 // programs sharing the bus and DRAM, not synthetic traffic), shows the
-// slowdown, and re-runs the full analysis on the contended campaign.
-// Whether MBPTA applies to that campaign is the analyzer's verdict: a
-// rejected i.i.d. gate or a heavy fitted tail is printed as the result,
-// and only other errors exit non-zero.
+// slowdown, and runs the full analysis on the solo and the contended
+// campaign at the same run count, base seed and block size, so the two
+// verdicts show what contention changed. Whether MBPTA applies to a
+// campaign is the analyzer's verdict: a rejected i.i.d. gate or a heavy
+// fitted tail is printed as the result, and only other errors exit
+// non-zero.
 //
 //	go run ./examples/multicore_contention
 package main
@@ -46,9 +48,8 @@ func (streamer) Prepare(run int) (*mbpta.Machine, error) {
 func (streamer) PathOf(*mbpta.Machine) string { return "" }
 
 // TraceKey declares the sweep run-invariant (the empty trace key): the
-// board records its first iteration and replays it from then on, so
-// after a board's first run the co-runners co-simulate inline instead
-// of being interpreted in goroutines.
+// board records its first iteration as the co-runner runs and replays
+// it from then on, instead of interpreting every iteration.
 func (streamer) TraceKey(dst []byte, run int) ([]byte, bool) { return dst[:0], true }
 
 const runs = 500
@@ -96,23 +97,27 @@ func main() {
 	fmt.Printf("contended mean: %.0f cycles (%.2fx)\n",
 		mean(contended), mean(contended)/mean(solo))
 
-	// Gate + fit on the contended campaign.
-	gate, err := mbpta.CheckIID(contended, 0.05)
-	if err != nil {
-		log.Fatal(err)
+	// Gate + fit on each campaign: same runs, seed and block size.
+	verdict := func(name string, times []float64) {
+		gate, err := mbpta.CheckIID(times, 0.05)
+		if err != nil {
+			log.Fatal(err)
+		}
+		fmt.Printf("%s campaign:\n%v\n", name, gate)
+		res, err := mbpta.NewAnalyzer(mbpta.Options{BlockSize: 25}).Analyze(times)
+		switch {
+		case errors.Is(err, mbpta.ErrIIDRejected), errors.Is(err, mbpta.ErrHeavyTail):
+			fmt.Printf("analyzer verdict: no pWCET for the %s campaign (%v)\n", name, err)
+			return
+		case err != nil:
+			log.Fatal(err)
+		}
+		bound, err := res.PWCET(1e-12)
+		if err != nil {
+			log.Fatal(err)
+		}
+		fmt.Printf("analyzer verdict: %s pWCET(1e-12) = %.0f cycles\n", name, bound)
 	}
-	fmt.Println(gate)
-	res, err := mbpta.NewAnalyzer(mbpta.Options{BlockSize: 25}).Analyze(contended)
-	switch {
-	case errors.Is(err, mbpta.ErrIIDRejected), errors.Is(err, mbpta.ErrHeavyTail):
-		fmt.Printf("analyzer verdict: no pWCET for the contended campaign (%v)\n", err)
-		return
-	case err != nil:
-		log.Fatal(err)
-	}
-	bound, err := res.PWCET(1e-12)
-	if err != nil {
-		log.Fatal(err)
-	}
-	fmt.Printf("analyzer verdict: contended pWCET(1e-12) = %.0f cycles\n", bound)
+	verdict("solo", solo)
+	verdict("contended", contended)
 }

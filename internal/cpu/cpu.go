@@ -93,7 +93,7 @@ func (s Stats) IPC() float64 {
 // grants on a global timeline, the DRAM access latency behind each
 // transaction, and the per-transaction bus occupancy. BusMem couples
 // the stand-alone bus and DRAM models; the platform layer substitutes
-// interference injectors or the multicore arbiter.
+// the multicore arbiter.
 type Interconnect interface {
 	// Request asks for the bus at time t for a transaction on addr. It
 	// returns the grant cycle and the memory access latency behind the

@@ -63,7 +63,7 @@ func (mc *Multicore) BusStats() bus.Stats { return mc.bus.Stats() }
 
 // NewStreamerMulticoreForTest returns a board of cfg whose core 1 runs a
 // run-invariant (empty-key) streamer, after one run of w that records the
-// streamer's trace, so that later runs replay it inline.
+// streamer's iteration, so that later runs replay it.
 func NewStreamerMulticoreForTest(cfg Config, w Workload) (*Multicore, error) {
 	mc, err := NewMulticore(cfg, []Workload{stableStreamer{streamer{lines: 256}}})
 	if err != nil {
@@ -77,12 +77,12 @@ func NewStreamerMulticoreForTest(cfg Config, w Workload) (*Multicore, error) {
 
 // RunOnCoreForTest is Platform.RunOnCoreForTest for the measured core
 // of a board made by NewStreamerMulticoreForTest, the co-runner
-// replaying inline in front of its bus requests.
+// replayed in front of its bus requests.
 func (mc *Multicore) RunOnCoreForTest(m *isa.Machine, runSeed uint64, perInstr bool) (BoardCounters, error) {
-	mc.prepareRun(runSeed)
-	if mc.inline = mc.inlineReady(); !mc.inline {
-		return BoardCounters{}, errors.New("platform: co-runner trace not recorded")
+	if !mc.co[1].done {
+		return BoardCounters{}, errors.New("platform: co-runner iteration not recorded")
 	}
+	mc.prepareRun(runSeed)
 	err := runOn(mc.cores[0], m, perInstr)
 	return counters(mc.cores[0], mc.bus, mc.dram), err
 }

@@ -24,18 +24,12 @@ type boardPair struct {
 	blocks, single coreRunner
 }
 
-// differentialBoards builds the DET, RAND, RAND-with-interference and
-// multicore pairs.
+// differentialBoards builds the DET, RAND and multicore pairs; the
+// multicore pair's measured core contends with a co-runner for the bus.
 func differentialBoards(t testing.TB) []boardPair {
 	t.Helper()
-	interfered := platform.RAND()
-	interfered.Interference = &platform.InterferenceConfig{Cores: 3, PeriodCycles: 40, Randomize: true}
 	var pairs []boardPair
-	for _, cfg := range []platform.Config{platform.DET(), platform.RAND(), interfered} {
-		name := cfg.Name
-		if cfg.Interference != nil {
-			name += "+interference"
-		}
+	for _, cfg := range []platform.Config{platform.DET(), platform.RAND()} {
 		var pp [2]coreRunner
 		for i := range pp {
 			p, err := platform.New(cfg)
@@ -44,7 +38,7 @@ func differentialBoards(t testing.TB) []boardPair {
 			}
 			pp[i] = p
 		}
-		pairs = append(pairs, boardPair{name, pp[0], pp[1]})
+		pairs = append(pairs, boardPair{cfg.Name, pp[0], pp[1]})
 	}
 	warm, err := fabric.BuiltinRegistry().Build(fabric.WorkloadSpec{Kind: "crc32"})
 	if err != nil {
@@ -91,8 +85,7 @@ func compareRun(t *testing.T, bp boardPair, label string, seed uint64, prepare f
 // the same boards in fetch blocks and in one-instruction blocks (the
 // per-instruction path every Event sink takes) and requires identical
 // cycles, pipeline, cache, TLB, FPU, bus and DRAM counters — MRUHits
-// included — on the DET, RAND, RAND-with-interference and multicore
-// boards.
+// included — on the DET, RAND and multicore boards.
 func TestFetchBlocksDifferential(t *testing.T) {
 	reg := fabric.BuiltinRegistry()
 	for _, bp := range differentialBoards(t) {

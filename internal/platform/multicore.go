@@ -4,8 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"sync"
-	"sync/atomic"
+	"math"
 
 	"repro/internal/bus"
 	"repro/internal/cache"
@@ -19,34 +18,32 @@ import (
 
 // Multicore co-simulates real guest programs on all cores of the
 // platform: the measured workload on core 0 and co-runner workloads on
-// the remaining cores, all sharing the bus and DRAM. Unlike the
-// synthetic InterferenceConfig traffic model, every bus transaction
-// here is generated by actual co-runner execution (its own caches,
-// TLBs and pipeline), so contention reflects the co-runners' real
-// memory behaviour.
+// the remaining cores, all sharing the bus and DRAM. Every bus
+// transaction is generated by actual co-runner execution (its own
+// caches, TLBs and pipeline), so contention reflects the co-runners'
+// real memory behaviour.
 //
-// The simulation is a conservative discrete-event co-simulation. In
-// goroutine mode — a board's recording run, and every run with a
-// co-runner that declares no trace key — each co-runner core runs in
-// its own goroutine (the measured core runs in the caller's), and
-// every bus transaction synchronizes through a
-// shared arbiter state guarded by one mutex: a request parks until the
-// arbiter can prove no other core will request at an earlier global
-// timestamp (ties broken by core index, matching a fixed-priority
-// arbiter's determinism), using periodic heartbeats from compute-bound
-// cores as lookahead. Whichever goroutine delivers the event that
-// makes a parked request provably safe grants it in the same critical
-// section — there is no arbiter goroutine and no channel round-trip
-// per transaction. Results are bit-reproducible regardless of
-// goroutine scheduling and GOMAXPROCS. Once every co-runner has a
-// recorded stream, runs execute inline in the caller's goroutine
-// instead (see inlineReady), granting in the same order.
+// A run executes in the caller's goroutine. The measured core runs its
+// workload, and each of its bus requests first grants every co-runner
+// request that issues before it (inlineRequest), in the (time, core
+// index) order of a fixed-priority conservative arbiter. Co-runners are
+// planned on demand (cpu.Plan) from a per-core block source (coState):
+// a whole recorded iteration, which wraps; or the co-runner's own
+// machine, run about 1,024 instructions at a time and paused between
+// fills. Pausing is exact because a co-runner's instruction stream does
+// not depend on timing: its memory, caches, TLBs and FPU are private,
+// and no instruction reads the clock. A co-runner that declares the
+// empty trace key (see TraceKeyer) has its first iteration recorded as
+// it is produced, across runs when a run ends before the iteration
+// does. Results are a pure function of the run and the co-runner list;
+// a test-side reference board interprets every core in its own
+// goroutine behind a locked arbiter and pins the same cycles.
 //
 // The board is reusable: the first run instantiates the bus, DRAM and
 // per-core cache/TLB/FPU stacks once, and subsequent runs reset and
 // reseed them in place (the same flush/reset/reseed protocol the
 // single-core Platform applies), re-initialize Reloader workload
-// machines in place, and replay recorded co-runner block streams (see
+// machines in place, and replay recorded block streams (see
 // TraceKeyer) instead of re-interpreting them — the steady-state run
 // loop allocates nothing.
 //
@@ -57,24 +54,17 @@ type Multicore struct {
 	coRunners []Workload
 
 	// Reusable board, instantiated by the first run.
-	built  bool
-	inline bool // this run replays every co-runner inline (no goroutines)
-	bus    *bus.Bus
-	dram   *mem.Controller
-	cores  []*cpu.Core
-	ports  []*mcPort
-	srcs   []*rng.Xoroshiro128 // per-core hardware randomness sources
-	seedr  *rng.SplitMix64     // derives per-core seeds from the run seed
-	resm   *rng.SplitMix64     // derives per-resource placement seeds
+	built bool
+	bus   *bus.Bus
+	dram  *mem.Controller
+	cores []*cpu.Core
+	srcs  []*rng.Xoroshiro128 // per-core hardware randomness sources
+	seedr *rng.SplitMix64     // derives per-core seeds from the run seed
+	resm  *rng.SplitMix64     // derives per-resource placement seeds
 
-	// Arbiter state: one entry per core, guarded by mu.
-	mu     sync.Mutex
-	states []coreState
-
-	// Per-core-runner execution state (index matches cores; entry 0,
-	// the measured core, is unused).
+	// Per-co-runner block sources and plans (index matches cores; entry
+	// 0, the measured core, is unused).
 	co []coState
-	wg sync.WaitGroup // a goroutine-mode run's co-runner goroutines
 
 	// Per-core failures of the run in flight, reset by prepareRun.
 	errs []error
@@ -89,8 +79,8 @@ type Multicore struct {
 	slot  traceSlot
 	blind bool
 
-	stop        atomic.Bool // measured run over, or a core failed
-	interpreted atomic.Bool // a co-runner was interpreted this run
+	stop        bool // a co-runner failed: the measured core's poll ends the run
+	interpreted bool // a machine ran this run
 
 	// runCtx is the context of the run in flight (nil when it can never
 	// fire), polled through cancelFn — the canceled method value, bound
@@ -111,9 +101,6 @@ func NewMulticore(cfg Config, coRunners []Workload) (*Multicore, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
-	if cfg.Interference != nil {
-		return nil, fmt.Errorf("platform %q: synthetic interference and co-simulated co-runners are mutually exclusive", cfg.Name)
-	}
 	if len(coRunners) > cfg.Cores-1 {
 		return nil, fmt.Errorf("platform %q: %d co-runners for %d cores", cfg.Name, len(coRunners), cfg.Cores)
 	}
@@ -125,170 +112,73 @@ func NewMulticore(cfg Config, coRunners []Workload) (*Multicore, error) {
 	return &Multicore{cfg: cfg, coRunners: coRunners}, nil
 }
 
-// pendReq is a parked bus request, inlined into coreState so posting a
-// request allocates nothing.
-type pendReq struct {
-	time uint64
-	kind bus.Kind
-	addr uint64
-}
-
-// coreState is the arbiter's view of one core (guarded by Multicore.mu).
-type coreState struct {
-	alive   bool
-	hasPend bool
-	horizon uint64 // the core provably issues no request at or before this time
-	pend    pendReq
-}
-
-// coState is one co-runner core's execution state across runs.
+// coState is one co-runner core's block source and plan across runs.
 type coState struct {
 	w       Workload
 	machine machineCache // reused machine (Reloader workloads)
-	stable  bool         // workload declares the empty key: a run-invariant stream
-	trace   *blockTrace  // recorded iteration, replayed on later iterations
-	sink    coreSink     // persistent sink (no per-iteration allocation)
+	stable  bool         // the empty key: src records the first iteration
 
-	// Inline-replay state: the next block to plan, the planned bus
-	// requests (see cpu.Plan), and the issue time of the first one if
-	// queued, else the cycle the plan has reached (cpu.NextRequest).
+	// src is the block stream the plan reads: a stable co-runner's
+	// recording — its whole first iteration once done, else the prefix
+	// produced so far — or a keyless co-runner's last fill.
+	src  blockTrace
+	done bool // src holds the whole iteration: the plan wraps it
+
+	// m is the machine producing src, paused between fills; nil between
+	// iterations. iter counts the iterations started this run.
+	m      *isa.Machine
+	iter   int
+	fetch  int         // src's fetch granule (see maxBlockBytes)
+	filled bool        // m delivered a block since it was resumed
+	pause  func() bool // m's Cancel: filled, or the run is canceled
+
+	// Plan state: the next block to plan, the planned bus requests (see
+	// cpu.Plan), and the issue time of the first one if queued, else the
+	// cycle the plan has reached (cpu.NextRequest).
 	cur    traceCursor
 	plan   cpu.Plan
 	next   uint64
 	queued bool
 }
 
-// heartbeatEvery is the lookahead granularity: a co-runner reports its
-// local time at the end of the block in which its retired count
-// crosses a multiple of heartbeatEvery.
-const heartbeatEvery = 2048
+// FetchBytes and ConsumeBlock make a co-runner the isa.BlockSink of its
+// own machine: the blocks it produces go into src, unplanned.
+func (cs *coState) FetchBytes() int { return cs.fetch }
 
-// mcPort is the per-core cpu.Interconnect. Its identity (which core it
-// requests for) is fixed at construction, satisfying the Interconnect
-// contract's no-core-argument design: a port cannot misattribute a
-// request.
-type mcPort struct {
-	mc       *Multicore
-	core     int
-	transfer uint64
-
-	// Grant slot: the granting goroutine writes the g* fields inside the
-	// arbiter's critical section and then publishes them with a token on
-	// grant (capacity 1, so the send never blocks and the channel never
-	// holds more than one outstanding grant). A channel rather than a
-	// condition variable: the woken core must not have to reacquire the
-	// arbiter mutex — which the granter still holds — just to observe
-	// its grant.
-	grant           chan struct{}
-	gStart, gMemLat uint64
-
-	// hbCount persists across workload iterations: a co-runner whose
-	// working set becomes fully cached stops requesting the bus, and
-	// only its heartbeats keep the arbiter's lookahead advancing.
-	hbCount uint64
+func (cs *coState) ConsumeBlock(pc uint64, classes []isa.Class, taken bool, ops []uint64) {
+	cs.src.add(pc, classes, taken, ops)
+	cs.filled = true
 }
 
-// Request asks for the bus at time t: it parks the request in the
-// arbiter state and waits for a grant.
+// restart rewinds the co-runner to the start of its program for a new
+// run, whose plan starts empty. A stable co-runner replays its
+// recording from the start, and when that is a prefix its paused
+// machine resumes past it; a keyless one starts a fresh first
+// iteration.
+func (cs *coState) restart() {
+	cs.cur, cs.next, cs.queued, cs.iter = traceCursor{}, 0, false, 0
+	cs.plan.Reset()
+	if !cs.stable {
+		cs.m = nil
+		cs.src.clear()
+	}
+}
+
+// mcPort is the cores' cpu.Interconnect. Only the measured core
+// requests through it — co-runners queue their requests in plans — so
+// a request is the merge in front of core 0's (inlineRequest).
+type mcPort struct {
+	mc       *Multicore
+	transfer uint64
+}
+
+// Request grants the measured core's request at time t.
 func (p *mcPort) Request(t uint64, kind bus.Kind, addr uint64) (uint64, uint64) {
-	if p.mc.inline {
-		// Inline-replay run: the whole board executes in this goroutine
-		// (p is always the measured core's port here — replayed
-		// co-runners request through their plans, not a port), so the
-		// arbiter is a plain function call.
-		return p.mc.inlineRequest(t, kind, addr)
-	}
-	mc := p.mc
-	mc.mu.Lock()
-	s := &mc.states[p.core]
-	s.pend = pendReq{time: t, kind: kind, addr: addr}
-	s.hasPend = true
-	if t > s.horizon {
-		s.horizon = t
-	}
-	mc.grantPassLocked()
-	mc.mu.Unlock()
-	<-p.grant
-	return p.gStart, p.gMemLat
+	return p.mc.inlineRequest(t, kind, addr)
 }
 
 // TransferCycles satisfies cpu.Interconnect.
 func (p *mcPort) TransferCycles() uint64 { return p.transfer }
-
-// retire counts n more retired instructions and, when the count
-// crosses a multiple of heartbeatEvery, advances the core's lookahead
-// horizon to its local time t. Grant order does not depend on the
-// cadence: a heartbeat only lets a grant happen sooner in wall time.
-func (p *mcPort) retire(n int, t uint64) {
-	before := p.hbCount
-	p.hbCount += uint64(n)
-	if p.hbCount/heartbeatEvery != before/heartbeatEvery {
-		p.heartbeat(t)
-	}
-}
-
-// heartbeat advances this core's lookahead horizon to local time t.
-func (p *mcPort) heartbeat(t uint64) {
-	mc := p.mc
-	mc.mu.Lock()
-	s := &mc.states[p.core]
-	if t > s.horizon {
-		s.horizon = t
-	}
-	mc.grantPassLocked()
-	mc.mu.Unlock()
-}
-
-// doneNotice marks this core finished for the run; the arbiter stops
-// waiting on it.
-func (p *mcPort) doneNotice() {
-	mc := p.mc
-	mc.mu.Lock()
-	s := &mc.states[p.core]
-	s.alive = false
-	s.hasPend = false
-	mc.grantPassLocked()
-	mc.mu.Unlock()
-}
-
-// grantPassLocked is the conservative arbiter (mu held): it grants the
-// pending request with the smallest timestamp once every other live
-// core is provably past that time (has a pending request of its own,
-// has reported a later heartbeat, or has finished), and keeps granting
-// in one pass until the lookahead no longer proves a grant safe. It
-// runs in whichever goroutine delivered the enabling event.
-func (mc *Multicore) grantPassLocked() {
-	for {
-		best := -1
-		for c := range mc.states {
-			s := &mc.states[c]
-			if s.hasPend && (best < 0 || s.pend.time < mc.states[best].pend.time) {
-				best = c
-			}
-		}
-		if best < 0 {
-			return
-		}
-		t := mc.states[best].pend.time
-		for c := range mc.states {
-			s := &mc.states[c]
-			if !s.alive || s.hasPend {
-				continue
-			}
-			if s.horizon <= t {
-				return // this core might still request at or before t
-			}
-		}
-		s := &mc.states[best]
-		req := s.pend
-		s.hasPend = false
-		s.horizon = req.time
-		p := mc.ports[best]
-		p.gStart = mc.bus.Request(best, req.time, req.kind)
-		p.gMemLat = mc.dram.Latency(req.addr)
-		p.grant <- struct{}{}
-	}
-}
 
 // ensureBoard instantiates the reusable board on the first run.
 func (mc *Multicore) ensureBoard() error {
@@ -307,11 +197,10 @@ func (mc *Multicore) ensureBoard() error {
 	mc.seedr = rng.NewSplitMix64(1)
 	mc.resm = rng.NewSplitMix64(1)
 	mc.cores = make([]*cpu.Core, n)
-	mc.ports = make([]*mcPort, n)
 	mc.srcs = make([]*rng.Xoroshiro128, n)
-	mc.states = make([]coreState, n)
 	mc.errs = make([]error, n)
 	mc.co = make([]coState, n)
+	port := &mcPort{mc: mc, transfer: mc.cfg.Bus.TransferCycles}
 	for c := 0; c < n; c++ {
 		src := rng.NewXoroshiro128(1)
 		il1, err := cache.New(mc.cfg.IL1, src)
@@ -334,27 +223,20 @@ func (mc *Multicore) ensureBoard() error {
 		if err != nil {
 			return err
 		}
-		port := &mcPort{
-			mc:       mc,
-			core:     c,
-			transfer: mc.cfg.Bus.TransferCycles,
-			grant:    make(chan struct{}, 1),
-		}
 		core, err := cpu.NewCore(c, mc.cfg.CoreParams, il1, dl1, itlb, dtlb, f, port)
 		if err != nil {
 			return err
 		}
 		mc.srcs[c] = src
 		mc.cores[c] = core
-		mc.ports[c] = port
-	}
-	for i, w := range mc.coRunners {
-		cs := &mc.co[i+1]
-		cs.w = w
-		cs.stable = constantKey(w)
-		cs.sink = coreSink{core: mc.cores[i+1], port: mc.ports[i+1]}
 	}
 	mc.cancelFn = mc.canceled
+	for i, w := range mc.coRunners {
+		cs := &mc.co[i+1]
+		cs.w, cs.stable = w, constantKey(w)
+		cs.fetch = min(mc.cores[i+1].FetchBytes(), maxBlockBytes)
+		cs.pause = func() bool { return cs.filled || mc.canceled() }
+	}
 	mc.built = true
 	return nil
 }
@@ -377,31 +259,27 @@ func (mc *Multicore) prepareRun(runSeed uint64) {
 		mc.cores[c].DL1.Reseed(mc.resm.Uint64())
 		mc.cores[c].Reset()
 		mc.cores[c].FlushAll()
-		mc.states[c] = coreState{alive: true}
-		mc.ports[c].hbCount = 0
 		mc.errs[c] = nil
-		// A run may end with a co-runner's plan mid-iteration.
-		mc.co[c].cur, mc.co[c].next, mc.co[c].queued = traceCursor{}, 0, false
-		mc.co[c].plan.Reset()
 	}
-	mc.stop.Store(false)
-	mc.interpreted.Store(false)
+	for c := 1; c < len(mc.co); c++ {
+		mc.co[c].restart()
+	}
+	mc.stop, mc.interpreted = false, false
 }
 
-// canceled is the run's cancellation poll: the run is over (the
-// measured core finished or a core failed) or its context is done.
+// canceled is the run's cancellation poll: a co-runner failed or the
+// run's context is done.
 func (mc *Multicore) canceled() bool {
-	return mc.stop.Load() || mc.runCtx != nil && mc.runCtx.Err() != nil
+	return mc.stop || mc.runCtx != nil && mc.runCtx.Err() != nil
 }
 
 // ExecuteRun implements Board: one protocol-compliant measurement of w
 // on core 0 while the co-runners execute continuously on the other
 // cores. The run seed derives independent seeds for every core's
 // randomized resources. Results are a pure function of (w, run, seed)
-// and the co-runner list. The first core failure cancels every other
-// core, and so does ctx: every core polls it, so a canceled run stops
-// within a poll interval, and a core that ctx stops before the measured
-// core finishes fails the run.
+// and the co-runner list. A co-runner failure fails the run, and the
+// measured core's next cancel poll ends it; ctx is polled by every
+// machine and replay of the run, and a core that it stops fails the run.
 func (mc *Multicore) ExecuteRun(ctx context.Context, w Workload, run int, seed uint64) (RunResult, error) {
 	if ctx != nil {
 		if err := ctx.Err(); err != nil {
@@ -424,19 +302,9 @@ func (mc *Multicore) ExecuteRun(ctx context.Context, w Workload, run int, seed u
 	if ctx != nil && ctx.Done() != nil {
 		mc.runCtx = ctx
 	}
-	mc.inline = mc.inlineReady()
-	if !mc.inline {
-		for c := 1; c < len(mc.co); c++ {
-			mc.wg.Add(1)
-			go mc.runCoRunner(c)
-		}
-	}
 
-	// Core 0: the measured workload, one protocol-compliant run in the
-	// calling goroutine. stop must be raised on every exit path —
-	// including failures — or the co-runners would loop forever; the
-	// cancel poll lets a failing co-runner cancel the measurement in
-	// return.
+	// Core 0: the measured workload. Its bus requests drive the
+	// co-runners (inlineRequest).
 	var res RunResult
 	var err error
 	switch {
@@ -444,27 +312,22 @@ func (mc *Multicore) ExecuteRun(ctx context.Context, w Workload, run int, seed u
 		res.Cycles, err = mc.replayMeasured()
 		res.Path = mc.slot.path
 	case record:
-		mc.interpreted.Store(true)
+		mc.interpreted = true
 		if err = mc.slot.record(mc.cores[0], m); err == nil {
 			res.Cycles, res.Path = mc.cores[0].Cycle(), w.PathOf(m)
 		}
 	default:
-		mc.interpreted.Store(true)
+		mc.interpreted = true
 		if res.Cycles, err = mc.cores[0].RunProgram(m); err == nil {
 			res.Path = w.PathOf(m)
 		}
-	}
-	if !mc.inline {
-		mc.stop.Store(true)
-		mc.ports[0].doneNotice()
-		mc.wg.Wait()
 	}
 	mc.runCtx = nil
 	mc.errs[0] = err
 	if err := mc.runError(); err != nil {
 		return RunResult{}, err
 	}
-	if !mc.interpreted.Load() {
+	if !mc.interpreted {
 		mc.replayRuns++
 	} else {
 		mc.interpretRuns++
@@ -499,30 +362,14 @@ func (mc *Multicore) runError() error {
 	return firstErr
 }
 
-// inlineReady reports whether every co-runner has a recorded trace, so
-// the whole run can execute in the caller's goroutine: replayed
-// co-runners are planned (cpu.Plan) and granted on demand by the
-// measured core's bus requests (inlineRequest), with no goroutines,
-// locks or channel handoffs at all. This is where the
-// board earns its steady-state throughput — after the first run of a
-// campaign with run-invariant co-runners, every run takes this path.
-func (mc *Multicore) inlineReady() bool {
-	for i := range mc.coRunners {
-		if mc.co[i+1].trace == nil {
-			return false
-		}
-	}
-	return true
-}
-
-// inlineRequest is the measured core's bus request at time t in an
-// inline-replay run: a k-way merge of the co-runners' planned requests
-// in front of it. Each pass plans every co-runner whose next request
-// may issue before t up to t, then grants the earliest co-runner
-// request issued strictly before t (ties to the lower core index).
-// Once none is left the measured request is granted, winning ties at t
-// as core 0. This is the (time, core index) grant order the
-// goroutine-mode arbiter proves out, so results are bit-identical.
+// inlineRequest is the measured core's bus request at time t: a k-way
+// merge of the co-runners' planned requests in front of it. Each pass
+// plans every co-runner whose next request may issue before t up to t,
+// then grants the earliest co-runner request issued strictly before t
+// (ties to the lower core index). Once none is left the measured
+// request is granted, winning ties at t as core 0. This is the (time,
+// core index) grant order of a conservative arbiter that waits until no
+// core can still request earlier.
 func (mc *Multicore) inlineRequest(t uint64, kind bus.Kind, addr uint64) (uint64, uint64) {
 	for {
 		best, bt := 0, t
@@ -545,24 +392,76 @@ func (mc *Multicore) inlineRequest(t uint64, kind bus.Kind, addr uint64) (uint64
 	}
 }
 
-// plan plans co-runner core c's replay one recorded block at a time,
-// wrapping its trace at each iteration end, and records when its next
-// request issues. It stops after the block that queued a request, or
-// once the core's clock plus the planned fixed cycles reaches bound.
-// Every block costs at least one cycle, so a co-runner that no longer
-// uses the bus still reaches the bound.
+// plan plans co-runner core c one block at a time from its source,
+// refilling the source whenever the plan has read all of it, and
+// records when its next request issues. It stops after the block that
+// queued a request, or once the core's clock plus the planned fixed
+// cycles reaches bound. Every block costs at least one cycle, so a
+// co-runner that no longer uses the bus still reaches the bound.
 func (mc *Multicore) plan(c int, bound uint64) {
 	cs := &mc.co[c]
 	core := mc.cores[c]
 	for !cs.queued && cs.next < bound {
-		pc, classes, taken, ops, ok := cs.trace.next(&cs.cur)
+		pc, classes, taken, ops, ok := cs.src.next(&cs.cur)
 		if !ok {
-			cs.cur = traceCursor{}
+			mc.produce(c)
 			continue
 		}
 		core.PlanBlock(&cs.plan, pc, classes, taken, ops)
 		cs.next, cs.queued = core.NextRequest(&cs.plan)
 	}
+}
+
+// produce refills co-runner c's source once the plan has read all of
+// it. A whole recorded iteration wraps. Otherwise the co-runner's
+// machine — a new one for its next iteration when the last one halted —
+// runs until its first cancel poll that finds blocks in the source,
+// about 1,024 instructions on, or until it halts. A stable co-runner's
+// blocks extend its recording, which is whole once the machine halts; a
+// keyless co-runner refills its source from empty. Every refill adds at
+// least one block, so planning always advances. A failure takes the
+// co-runner out of the run (fail).
+func (mc *Multicore) produce(c int) {
+	cs := &mc.co[c]
+	if cs.done {
+		cs.cur = traceCursor{}
+		return
+	}
+	if cs.m == nil {
+		m, err := cs.machine.get(cs.w, cs.iter)
+		if err != nil {
+			mc.fail(c, err)
+			return
+		}
+		m.Cancel = cs.pause
+		cs.m, cs.iter = m, cs.iter+1
+		cs.src.reset(m.Prog)
+		cs.cur = traceCursor{}
+	} else if !cs.stable {
+		cs.src.clear()
+		cs.cur = traceCursor{}
+	}
+	k, off := cs.src.mark()
+	mc.interpreted, cs.filled = true, false
+	_, err := cs.m.RunBlocks(cs)
+	switch {
+	case err == nil:
+		cs.m, cs.done = nil, cs.stable
+	case !errors.Is(err, isa.ErrCancelled) || mc.canceled():
+		mc.fail(c, err)
+		return
+	}
+	cs.src.seek(&cs.cur, k, off)
+}
+
+// fail records co-runner c's error and raises stop, so the measured
+// core's cancel poll ends the run. The co-runner issues no more
+// requests this run, and its next run starts its program afresh.
+func (mc *Multicore) fail(c int, err error) {
+	cs := &mc.co[c]
+	mc.errs[c], mc.stop = err, true
+	cs.m, cs.next, cs.queued = nil, math.MaxUint64, false
+	cs.src.clear()
 }
 
 // replayMeasured performs one measurement by replaying the recorded
@@ -573,65 +472,8 @@ func (mc *Multicore) plan(c int, bound uint64) {
 // interpreter's Cancel granularity.
 func (mc *Multicore) replayMeasured() (uint64, error) {
 	core := mc.cores[0]
-	if !mc.slot.trace.replay(core, nil, mc.cancelFn) {
+	if !mc.slot.trace.replay(core, mc.cancelFn) {
 		return 0, isa.ErrCancelled
 	}
 	return core.Cycle(), nil
-}
-
-// runCoRunner loops core c's workload until the measured run ends. Its
-// first failure cancels the whole run.
-func (mc *Multicore) runCoRunner(c int) {
-	defer mc.wg.Done()
-	defer mc.ports[c].doneNotice()
-	cs := &mc.co[c]
-	for iter := 0; !mc.stop.Load(); iter++ {
-		err := mc.coIteration(cs, iter)
-		if err == nil {
-			continue
-		}
-		if errors.Is(err, isa.ErrCancelled) && mc.stop.Load() {
-			return
-		}
-		// Anything else fails the run, a cancellation too: only the run's
-		// context can cancel a co-runner before stop, and a measured core
-		// that finished past its last poll would otherwise run on against
-		// fewer co-runners.
-		mc.errs[c] = err
-		mc.stop.Store(true)
-		return
-	}
-}
-
-// coIteration runs one iteration of co-runner cs: it replays the
-// recorded trace when one exists, and otherwise interprets the
-// workload, recording the iteration of a run-invariant one so that
-// every later iteration (and run) replays it. Replay and interpretation
-// poll the run's cancellation at the same granularity.
-func (mc *Multicore) coIteration(cs *coState, iter int) error {
-	if cs.trace != nil {
-		if !cs.trace.replay(cs.sink.core, cs.sink.port, mc.cancelFn) {
-			return isa.ErrCancelled
-		}
-		return nil
-	}
-	mc.interpreted.Store(true)
-	m, err := cs.machine.get(cs.w, iter)
-	if err != nil {
-		return err
-	}
-	m.Cancel = mc.cancelFn
-	if cs.stable {
-		cs.sink.trace = newBlockTrace(m.Prog)
-	}
-	_, err = m.RunBlocks(&cs.sink)
-	rec := cs.sink.trace
-	cs.sink.trace = nil
-	if err != nil {
-		return err // a partial trace must never be replayed
-	}
-	if rec != nil {
-		cs.trace = rec
-	}
-	return nil
 }

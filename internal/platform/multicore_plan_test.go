@@ -1,10 +1,12 @@
 package platform
 
-// Equivalence tests for the inline multicore path: co-runners replayed
-// through request planning and the k-way grant merge (inlineRequest)
-// must measure bit-identically to the same co-runners interpreted every
-// iteration in goroutine mode, for co-runners that exercise every kind
-// of bus request the planner queues.
+// Equivalence tests for the multicore board: co-runners planned from a
+// recorded iteration and from their paused machines, and merged in
+// front of the measured core's requests (inlineRequest), must measure
+// bit-identically to the reference board (multicore_ref_test.go), which
+// interprets every co-runner iteration in its own goroutine behind a
+// locked arbiter, for co-runners that exercise every kind of bus
+// request the planner queues.
 
 import (
 	"context"
@@ -18,7 +20,7 @@ import (
 
 // mixRunner is a run-invariant co-runner loop: iters passes over a
 // buffer at stride bytes, each a load plus the optional extras below.
-// The event stream depends on none of the board's timing or randomness,
+// The block stream depends on none of the board's timing or randomness,
 // so the board records it once and replays it.
 type mixRunner struct {
 	stride int32 // bytes between passes; >= 4 KiB walks the DTLB every pass
@@ -97,9 +99,10 @@ func plannedReplayApp(tb testing.TB) *tvca.App {
 	return app
 }
 
-// checkPlannedReplay runs app on two boards over runs runs — one whose
-// co-runners replay inline from run 1 on, one whose co-runners are
-// hidden behind opaqueWorkload and interpreted every iteration — and
+// checkPlannedReplay runs app over runs runs on three boards — one
+// whose co-runners replay the iteration they recorded on run 0, one
+// whose co-runners are hidden behind opaqueWorkload and produced by
+// their paused machines on every run, and the reference board — and
 // requires equal measurements on every run.
 func checkPlannedReplay(tb testing.TB, cfg Config, app Workload, co []mixRunner, runs int, seed uint64) {
 	tb.Helper()
@@ -112,24 +115,26 @@ func checkPlannedReplay(tb testing.TB, cfg Config, app Workload, co []mixRunner,
 	if err != nil {
 		tb.Fatal(err)
 	}
-	interpreted, err := NewMulticore(cfg, opaqueCo)
+	produced, err := NewMulticore(cfg, opaqueCo)
 	if err != nil {
 		tb.Fatal(err)
 	}
+	ref := newRefBoard(tb, cfg, opaqueCo)
 	for i := 0; i < runs; i++ {
-		rs, err := planned.ExecuteRun(context.Background(), app, i, DeriveRunSeed(seed, i))
-		if err != nil {
-			tb.Fatal(err)
+		rs := runBoth(tb, planned, ref, app, i, DeriveRunSeed(seed, i))
+		if i > 0 {
+			for c := 1; c < len(planned.co); c++ {
+				if !planned.co[c].done {
+					tb.Fatalf("run %d: co-runner %+v did not replay a whole recorded iteration", i, co[c-1])
+				}
+			}
 		}
-		if i > 0 && !planned.inline {
-			tb.Fatalf("run %d: co-runners %+v did not replay inline", i, co)
-		}
-		ro, err := interpreted.ExecuteRun(context.Background(), app, i, DeriveRunSeed(seed, i))
+		ro, err := produced.ExecuteRun(context.Background(), app, i, DeriveRunSeed(seed, i))
 		if err != nil {
 			tb.Fatal(err)
 		}
 		if rs != ro {
-			tb.Fatalf("run %d on %s, co-runners %+v: planned replay measured %+v, interpretation %+v",
+			tb.Fatalf("run %d on %s, co-runners %+v: replayed co-runners measured %+v, produced ones %+v",
 				i, cfg.Name, co, rs, ro)
 		}
 	}
@@ -174,8 +179,8 @@ func TestMulticorePlannedReplayMatchesInterpretation(t *testing.T) {
 	}
 }
 
-// FuzzMulticoreInlineReplay drives the planned-versus-interpreted
-// comparison over arbitrary co-runner loops: stride, store/FP/muldiv
+// FuzzMulticoreInlineReplay drives the board-versus-reference
+// comparison (checkPlannedReplay) over arbitrary co-runner loops: stride, store/FP/muldiv
 // mix, loop length, DRAM policy, platform and seed. Two copies of the
 // fuzzed loop run on cores 1 and 2, so equal request times between
 // co-runners, and between a co-runner and the measured core, occur

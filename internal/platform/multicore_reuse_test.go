@@ -1,12 +1,14 @@
 package platform
 
 // Tests for the reusable multicore board: error cancellation
-// mid-campaign, scheduler-independence of the arbiter, and
-// bit-equivalence of the interpreted and replayed execution modes.
+// mid-campaign, the run's context, co-runner recordings that span runs,
+// and bit-equivalence of replayed and produced co-runners with the
+// reference board across GOMAXPROCS.
 
 import (
 	"context"
 	"errors"
+	"fmt"
 	"runtime"
 	"strings"
 	"testing"
@@ -16,8 +18,8 @@ import (
 )
 
 // stableStreamer is the test streamer plus the Reloader contract and
-// the empty trace key, so the board records its event stream once and replays it
-// on every later iteration and run.
+// the empty trace key, so the board records its block stream once and
+// replays it on every later iteration and run.
 type stableStreamer struct{ streamer }
 
 func (s stableStreamer) Reload(m *isa.Machine, run int) error {
@@ -28,7 +30,7 @@ func (s stableStreamer) Reload(m *isa.Machine, run int) error {
 func (s stableStreamer) TraceKey(dst []byte, run int) ([]byte, bool) { return dst[:0], true }
 
 // opaqueWorkload hides a workload's Reloader/TraceKeyer identity from
-// the board, forcing full interpretation of every iteration.
+// the board, so every iteration is prepared afresh and interpreted.
 type opaqueWorkload struct{ w Workload }
 
 func (o opaqueWorkload) Name() string                          { return o.w.Name() }
@@ -109,17 +111,16 @@ func (longRun) PathOf(*isa.Machine) string { return "" }
 
 // TestMulticoreRunTimeoutBoundsCoRunnerCampaign pins that a run's
 // context reaches the board mid-run: a co-runner campaign whose second
-// run takes seconds (about 3 s inline and 10 s in goroutine mode on a
-// 2-vCPU x86-64 host) fails with ErrRunTimeout, in goroutine mode (an
-// unkeyed co-runner) and in inline mode (a co-runner replayed from the
-// trace the first run recorded). ErrRunTimeout alone proves the cut:
-// a run that completed would be accepted. The wall-clock bound only
-// catches a board that stops long after its deadline, with room for a
-// loaded host.
+// run takes seconds fails with ErrRunTimeout, with a co-runner produced
+// by its machine (an unkeyed one) and with one replayed from the
+// iteration the first run recorded. ErrRunTimeout alone proves the
+// cut: a run that completed would be accepted. The wall-clock bound
+// only catches a board that stops long after its deadline, with room
+// for a loaded host.
 func TestMulticoreRunTimeoutBoundsCoRunnerCampaign(t *testing.T) {
 	for _, tc := range []struct {
-		co     Workload
-		inline bool
+		co       Workload
+		recorded bool
 	}{
 		{stableStreamer{streamer{lines: 64}}, true},
 		{opaqueWorkload{stableStreamer{streamer{lines: 64}}}, false},
@@ -138,17 +139,17 @@ func TestMulticoreRunTimeoutBoundsCoRunnerCampaign(t *testing.T) {
 		}, nil)
 		elapsed := time.Since(start)
 		if !errors.Is(err, ErrRunTimeout) {
-			t.Errorf("inline %v: campaign error %v, want ErrRunTimeout", tc.inline, err)
+			t.Errorf("recorded %v: campaign error %v, want ErrRunTimeout", tc.recorded, err)
 		}
 		if elapsed > 2*time.Second {
-			t.Errorf("inline %v: campaign took %v; the run timeout did not stop the board", tc.inline, elapsed)
+			t.Errorf("recorded %v: campaign took %v; the run timeout did not stop the board", tc.recorded, elapsed)
 		}
 		if st := board.BoardStats(); st.ReplayRuns+st.InterpretRuns != 1 {
-			t.Errorf("inline %v: board completed %d runs before the timeout, want run 0 only",
-				tc.inline, st.ReplayRuns+st.InterpretRuns)
+			t.Errorf("recorded %v: board completed %d runs before the timeout, want run 0 only",
+				tc.recorded, st.ReplayRuns+st.InterpretRuns)
 		}
-		if board.inline != tc.inline {
-			t.Errorf("timed-out run took inline mode %v, want %v", board.inline, tc.inline)
+		if board.co[1].done != tc.recorded {
+			t.Errorf("co-runner replayed a recorded iteration: %v, want %v", board.co[1].done, tc.recorded)
 		}
 	}
 }
@@ -172,14 +173,13 @@ func (cancelingStreamer) PathOf(*isa.Machine) string { return "" }
 // TestMulticoreCoRunnerCancelFailsRun pins that a co-runner cancelled by
 // the run's context fails the run. The measured sweep is under 1024
 // instructions, so it polls the context only before its first bus
-// request; its later requests are granted only once the co-runners have
-// run past them, which takes the canceling co-runner into its second
-// iteration, where it cancels. A co-runner that then left the run
-// silently would let the measured core finish against fewer co-runners
-// with a nil error. The canceling co-runner runs alone, and next to a
-// keyed co-runner that replays the trace the board's first run
-// recorded in goroutine mode, where replay polls the context like
-// interpretation does.
+// request; planning the co-runners in front of its later requests
+// takes the canceling co-runner into its second iteration, where it
+// cancels, and its machine's first poll sees it. A co-runner that then
+// dropped out of the run silently would let the measured core finish
+// against fewer co-runners with a nil error. The canceling co-runner
+// runs alone, and next to a co-runner replaying the iteration the
+// board's first run recorded.
 func TestMulticoreCoRunnerCancelFailsRun(t *testing.T) {
 	for _, keyed := range []bool{false, true} {
 		var cancel context.CancelFunc
@@ -193,12 +193,12 @@ func TestMulticoreCoRunnerCancelFailsRun(t *testing.T) {
 		}
 		run := 0
 		if keyed {
-			// Record the keyed co-runner's trace.
+			// Record the keyed co-runner's iteration.
 			if _, err := mc.ExecuteRun(context.Background(), streamer{lines: 200}, 0, 1); err != nil {
 				t.Fatal(err)
 			}
-			if mc.co[1].trace == nil {
-				t.Fatal("keyed co-runner recorded no trace")
+			if !mc.co[1].done {
+				t.Fatal("keyed co-runner recorded no whole iteration")
 			}
 			run = 1
 		}
@@ -209,100 +209,134 @@ func TestMulticoreCoRunnerCancelFailsRun(t *testing.T) {
 		if !errors.Is(err, isa.ErrCancelled) {
 			t.Fatalf("keyed %v: run with a cancelled co-runner returned (%+v, %v), want an error wrapping ErrCancelled", keyed, r, err)
 		}
-		if mc.inline {
-			t.Errorf("keyed %v: run took inline mode, want goroutine mode", keyed)
-		}
-		if !keyed && !strings.Contains(err.Error(), "core 1") {
-			t.Errorf("run error %q does not name the cancelled co-runner", err)
+		if want := fmt.Sprintf("core %d", len(co)); !strings.Contains(err.Error(), want) {
+			t.Errorf("keyed %v: run error %q does not name the cancelled co-runner (%s)", keyed, err, want)
 		}
 	}
 }
 
-// TestMulticoreReplayingCoRunnerPollsContext pins that a co-runner
-// replaying its trace in goroutine mode, stopped by the run's context
-// before stop is raised, records the cancellation and raises stop, as
-// an interpreted co-runner does. The co-runner runs alone on the board
-// (the other cores are marked finished), so its requests are granted
-// at once; a replay that ignored the context would replay until stop.
-func TestMulticoreReplayingCoRunnerPollsContext(t *testing.T) {
-	mc, err := NewMulticore(RAND(), []Workload{stableStreamer{streamer{lines: 8}}})
+// pollCountCtx is a context whose Err reports Canceled once it has
+// been called n times, and whose Done channel never closes: a
+// cancellation that lands at a fixed cancel poll of a run.
+type pollCountCtx struct {
+	context.Context
+	n    int
+	done chan struct{}
+}
+
+func newPollCountCtx(n int) *pollCountCtx {
+	return &pollCountCtx{Context: context.Background(), n: n, done: make(chan struct{})}
+}
+
+func (c *pollCountCtx) Done() <-chan struct{} { return c.done }
+
+func (c *pollCountCtx) Err() error {
+	if c.n--; c.n < 0 {
+		return context.Canceled
+	}
+	return nil
+}
+
+// TestMulticoreContextFailsReplayingRun pins that the run's context
+// fails a run whose co-runners only replay: a replayed co-runner is
+// planned on demand and polls nothing, so the measured core's poll —
+// its replay's, or its interpreter's — is what ends the run, and the
+// error names core 0.
+func TestMulticoreContextFailsReplayingRun(t *testing.T) {
+	measured := stableStreamer{streamer{lines: 1 << 13}} // 32k instructions, 32 polls
+	for _, w := range []Workload{measured, opaqueWorkload{measured}} {
+		mc, err := NewMulticore(RAND(), []Workload{stableStreamer{streamer{lines: 8}}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := mc.ExecuteRun(context.Background(), w, 0, 1); err != nil {
+			t.Fatal(err)
+		}
+		if !mc.co[1].done {
+			t.Fatal("co-runner recorded no whole iteration")
+		}
+		r, err := mc.ExecuteRun(newPollCountCtx(8), w, 1, 2)
+		if !errors.Is(err, isa.ErrCancelled) || !strings.Contains(err.Error(), "core 0") {
+			t.Errorf("%s: run cancelled after 8 context checks returned (%+v, %v), want core 0 failing with ErrCancelled",
+				w.Name(), r, err)
+		}
+		if _, err := mc.ExecuteRun(context.Background(), w, 2, 3); err != nil {
+			t.Errorf("%s: run after a cancelled one: %v", w.Name(), err)
+		}
+	}
+}
+
+// growingSweep is a measured streamer sweep that doubles in length
+// with each run: 256 lines on run 0.
+type growingSweep struct{}
+
+func (growingSweep) Name() string { return "growing-sweep" }
+
+func (growingSweep) Prepare(run int) (*isa.Machine, error) {
+	return streamer{lines: 256 << run}.Prepare(run)
+}
+
+func (growingSweep) PathOf(*isa.Machine) string { return "" }
+
+// TestMulticoreStableCoRunnerRecordsAcrossRuns: an empty-key co-runner
+// whose first iteration (a 4M-line sweep, 16M instructions) outlasts
+// the measured runs keeps the prefix each run records. The next, longer
+// run replays the prefix, then resumes the paused machine past it and
+// extends the recording, and every run measures what the reference
+// board measures.
+func TestMulticoreStableCoRunnerRecordsAcrossRuns(t *testing.T) {
+	app := growingSweep{}
+	co := []Workload{stableStreamer{streamer{lines: 1 << 22}}}
+	mc, err := NewMulticore(RAND(), co)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := mc.ExecuteRun(context.Background(), streamer{lines: 200}, 0, 1); err != nil {
-		t.Fatal(err)
-	}
-	if mc.co[1].trace == nil {
-		t.Fatal("keyed co-runner recorded no trace")
-	}
-	ctx, cancel := context.WithCancel(context.Background())
-	cancel()
-	mc.prepareRun(2)
-	mc.states[0].alive = false
-	mc.runCtx = ctx
-	mc.wg.Add(1)
-	done := make(chan struct{})
-	go func() {
-		mc.runCoRunner(1)
-		close(done)
-	}()
-	select {
-	case <-done:
-	case <-time.After(10 * time.Second):
-		mc.stop.Store(true)
-		<-done
-		t.Fatal("replaying co-runner ignored the run's context")
-	}
-	mc.runCtx = nil
-	if !errors.Is(mc.errs[1], isa.ErrCancelled) || !mc.stop.Load() {
-		t.Errorf("replaying co-runner stopped by the context: error %v, stop %v; want ErrCancelled and stop raised",
-			mc.errs[1], mc.stop.Load())
+	ref := newRefBoard(t, RAND(), co)
+	words := 0
+	for run := 0; run < 3; run++ {
+		runBoth(t, mc, ref, app, run, DeriveRunSeed(3, run))
+		cs := &mc.co[1]
+		n := 0
+		for _, w := range cs.src.chunks {
+			n += len(w)
+		}
+		if cs.done || cs.m == nil {
+			t.Fatalf("run %d: the 4M-line sweep's recording is whole (%v) or its machine gone (%v)", run, cs.done, cs.m == nil)
+		}
+		if n <= words {
+			t.Fatalf("run %d: recording holds %d words after %d before it, want it extended", run, n, words)
+		}
+		words = n
 	}
 }
 
 // TestMulticoreDeterministicAcrossGOMAXPROCS pins scheduler
-// independence: the goroutine-mode arbiter must produce identical
-// measurements whether the co-runner goroutines are serialized on one
-// P or genuinely parallel. Non-stable co-runners force goroutine mode
-// on every run.
+// independence: the reference board's arbiter must produce the board's
+// measurements whether its co-runner goroutines are serialized on one P
+// or genuinely parallel. The co-runners are unkeyed, so the board
+// produces them from their machines on every run.
 func TestMulticoreDeterministicAcrossGOMAXPROCS(t *testing.T) {
 	app := tinyTVCA(t)
-	co := func() []Workload {
-		return []Workload{streamer{lines: 256}, streamer{lines: 512}}
-	}
-	runBoard := func(procs int) []uint64 {
+	co := []Workload{streamer{lines: 256}, streamer{lines: 512}}
+	for _, procs := range []int{1, 4} {
 		prev := runtime.GOMAXPROCS(procs)
-		defer runtime.GOMAXPROCS(prev)
-		mc, err := NewMulticore(RAND(), co())
+		mc, err := NewMulticore(RAND(), co)
 		if err != nil {
 			t.Fatal(err)
 		}
-		out := make([]uint64, 6)
-		for i := range out {
-			r, err := mc.ExecuteRun(context.Background(), app, i, DeriveRunSeed(21, i))
-			if err != nil {
-				t.Fatal(err)
-			}
-			out[i] = r.Cycles
+		ref := newRefBoard(t, RAND(), co)
+		for i := 0; i < 6; i++ {
+			runBoth(t, mc, ref, app, i, DeriveRunSeed(21, i))
 		}
-		return out
-	}
-	serial := runBoard(1)
-	parallel := runBoard(4)
-	for i := range serial {
-		if serial[i] != parallel[i] {
-			t.Errorf("run %d: GOMAXPROCS=1 gives %d cycles, GOMAXPROCS=4 gives %d",
-				i, serial[i], parallel[i])
-		}
+		runtime.GOMAXPROCS(prev)
 	}
 }
 
 // TestMulticoreReplayMatchesInterpretation is the replay-equivalence
-// gate for the decode-once optimization: the same co-runner run once
-// with its empty trace key visible (recorded, then replayed — the
-// inline plan-and-merge path) and once hidden behind a wrapper (interpreted
-// every iteration in goroutine mode) must give bit-identical
-// measurements on every run.
+// gate for the decode-once optimization: the same co-runners run with
+// their empty trace key visible (recorded, then replayed), hidden behind
+// a wrapper (produced by their machines every iteration) and on the
+// reference board must give bit-identical measurements on every run.
 func TestMulticoreReplayMatchesInterpretation(t *testing.T) {
 	app := tinyTVCA(t)
 	stable, err := NewMulticore(RAND(), []Workload{
@@ -319,12 +353,10 @@ func TestMulticoreReplayMatchesInterpretation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	ref := newRefBoard(t, RAND(), []Workload{streamer{lines: 256}, streamer{lines: 512}})
 	const runs = 16
 	for i := 0; i < runs; i++ {
-		rs, err := stable.ExecuteRun(context.Background(), app, i, DeriveRunSeed(5, i))
-		if err != nil {
-			t.Fatal(err)
-		}
+		rs := runBoth(t, stable, ref, app, i, DeriveRunSeed(5, i))
 		ro, err := opaque.ExecuteRun(context.Background(), app, i, DeriveRunSeed(5, i))
 		if err != nil {
 			t.Fatal(err)
@@ -335,8 +367,8 @@ func TestMulticoreReplayMatchesInterpretation(t *testing.T) {
 		}
 	}
 	// Same comparison with a run-invariant measured workload, so the
-	// stable board also replays the measured core (the fully-inline,
-	// zero-goroutine path) while the opaque board still interprets.
+	// stable board also replays the measured core while the opaque board
+	// still interprets it.
 	mw := stableStreamer{streamer{lines: 2048}}
 	for i := 0; i < 4; i++ {
 		rs, err := stable.ExecuteRun(context.Background(), mw, i, DeriveRunSeed(11, i))

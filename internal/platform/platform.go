@@ -43,18 +43,6 @@ type Config struct {
 	Bus        bus.Config
 	DRAM       mem.Config
 	RNGKind    rng.Kind
-	// Interference, when non-nil, attaches synthetic bus traffic from
-	// the other cores (co-runner model).
-	Interference *InterferenceConfig
-}
-
-// InterferenceConfig models co-runner bus pressure: each of the other
-// cores issues one line-fill-sized bus transaction every PeriodCycles,
-// with the phase jittered per run on the RAND platform.
-type InterferenceConfig struct {
-	Cores        int    // number of interfering cores (<= Config.Cores-1)
-	PeriodCycles uint64 // mean cycles between transactions per core
-	Randomize    bool   // randomize phases/periods per run (RAND platform)
 }
 
 // Validate checks the full configuration.
@@ -88,15 +76,6 @@ func (c Config) Validate() error {
 	}
 	if err := c.DRAM.Validate(); err != nil {
 		return err
-	}
-	if ic := c.Interference; ic != nil {
-		if ic.Cores < 1 || ic.Cores > c.Cores-1 {
-			return fmt.Errorf("platform %q: interference cores %d not in [1,%d]",
-				c.Name, ic.Cores, c.Cores-1)
-		}
-		if ic.PeriodCycles < 1 {
-			return fmt.Errorf("platform %q: interference period %d < 1", c.Name, ic.PeriodCycles)
-		}
 	}
 	return nil
 }
@@ -156,9 +135,9 @@ func RAND() Config {
 }
 
 // Platform is one instantiated board. Only core 0 executes the workload
-// (as in the case study); the other cores contribute interference when
-// configured. Not safe for concurrent use — campaigns instantiate one
-// Platform per worker.
+// (as in the case study); Multicore runs co-runners on the other cores.
+// Not safe for concurrent use — campaigns instantiate one Platform per
+// worker.
 type Platform struct {
 	cfg   Config
 	core  *cpu.Core
@@ -171,7 +150,6 @@ type Platform struct {
 	fpu   *fpu.FPU
 	rsrc  *rng.Xoroshiro128 // hardware randomness (replacement policies)
 	seedr *rng.SplitMix64   // derives per-resource seeds from the run seed
-	icx   *interferingBus
 
 	// Cumulative run-kind tallies for the telemetry harvest (see
 	// BoardStats): how many measurements went through the trace-replay
@@ -233,12 +211,7 @@ func New(cfg Config) (*Platform, error) {
 	if p.dram, err = mem.New(cfg.DRAM); err != nil {
 		return nil, err
 	}
-	var ic cpu.Interconnect = cpu.BusMem{Bus: p.bus, Mem: p.dram}
-	if cfg.Interference != nil {
-		p.icx = newInterferingBus(p.bus, p.dram, *cfg.Interference)
-		ic = p.icx
-	}
-	if p.core, err = cpu.NewCore(0, cfg.CoreParams, p.il1, p.dl1, p.itlb, p.dtlb, f, ic); err != nil {
+	if p.core, err = cpu.NewCore(0, cfg.CoreParams, p.il1, p.dl1, p.itlb, p.dtlb, f, cpu.BusMem{Bus: p.bus, Mem: p.dram}); err != nil {
 		return nil, err
 	}
 	return p, nil
@@ -276,9 +249,6 @@ func (p *Platform) PrepareRun(runSeed uint64) {
 	p.il1.Reseed(p.seedr.Uint64())
 	p.dl1.Reseed(p.seedr.Uint64())
 	p.rsrc.Seed(p.seedr.Uint64())
-	if p.icx != nil {
-		p.icx.reset(p.seedr.Uint64())
-	}
 }
 
 // RunResult is the outcome of one measurement run.
@@ -433,7 +403,7 @@ func (p *Platform) runReplay(ctx context.Context, w Workload, run int, runSeed u
 	if ctx != nil && ctx.Done() != nil {
 		p.runCtx, canceled = ctx, p.cancelPoll
 	}
-	ok := p.slot.trace.replay(p.core, nil, canceled)
+	ok := p.slot.trace.replay(p.core, canceled)
 	p.runCtx = nil
 	if !ok {
 		return RunResult{}, fmt.Errorf("platform %s: replay run %d: %w",
@@ -503,61 +473,3 @@ func (p *Platform) SetReplay(on bool) {
 // against a full execution with the same seed (testing aid; doubles the
 // cost of replayed runs).
 func (p *Platform) SetReplayParanoia(on bool) { p.paranoid = on }
-
-// interferingBus wraps the shared bus, injecting co-runner transactions
-// with timestamps interleaved against the measured core's requests.
-// It holds the bus and DRAM controller directly (not through a BusMem)
-// because it requests on behalf of several synthetic cores, while the
-// cpu.Interconnect contract serves exactly one.
-type interferingBus struct {
-	bus  *bus.Bus
-	mem  *mem.Controller
-	cfg  InterferenceConfig
-	next []uint64 // next injection time per interfering core
-	rnd  *rng.Xoroshiro128
-}
-
-func newInterferingBus(b *bus.Bus, d *mem.Controller, cfg InterferenceConfig) *interferingBus {
-	return &interferingBus{
-		bus:  b,
-		mem:  d,
-		cfg:  cfg,
-		next: make([]uint64, cfg.Cores),
-		rnd:  rng.NewXoroshiro128(0),
-	}
-}
-
-func (ib *interferingBus) reset(seed uint64) {
-	ib.rnd.Seed(seed)
-	for i := range ib.next {
-		if ib.cfg.Randomize {
-			ib.next[i] = uint64(rng.Intn(ib.rnd, int(ib.cfg.PeriodCycles))) + 1
-		} else {
-			// Deterministic phase: evenly staggered.
-			ib.next[i] = (uint64(i) + 1) * ib.cfg.PeriodCycles / uint64(len(ib.next)+1)
-		}
-	}
-}
-
-// Request injects all due interference traffic before granting the
-// measured core's request, preserving global FCFS order.
-func (ib *interferingBus) Request(t uint64, kind bus.Kind, addr uint64) (uint64, uint64) {
-	for i := range ib.next {
-		for ib.next[i] <= t {
-			// Synthetic co-runner fill: the address only matters for the
-			// open-page DRAM ablation; spread it across rows.
-			ib.bus.Request(i+1, ib.next[i], bus.KindLineFill)
-			ib.mem.Latency(ib.next[i] << 6)
-			if ib.cfg.Randomize {
-				ib.next[i] += uint64(rng.Intn(ib.rnd, int(2*ib.cfg.PeriodCycles))) + 1
-			} else {
-				ib.next[i] += ib.cfg.PeriodCycles
-			}
-		}
-	}
-	start := ib.bus.Request(0, t, kind)
-	return start, ib.mem.Latency(addr)
-}
-
-// TransferCycles forwards the bus occupancy.
-func (ib *interferingBus) TransferCycles() uint64 { return ib.bus.TransferCycles() }

@@ -85,16 +85,6 @@ func TestValidateRejectsBadConfigs(t *testing.T) {
 	if err := c.Validate(); err == nil {
 		t.Error("bad FPU mode accepted")
 	}
-	c = RAND()
-	c.Interference = &InterferenceConfig{Cores: 5, PeriodCycles: 100}
-	if err := c.Validate(); err == nil {
-		t.Error("too many interfering cores accepted")
-	}
-	c = RAND()
-	c.Interference = &InterferenceConfig{Cores: 1, PeriodCycles: 0}
-	if err := c.Validate(); err == nil {
-		t.Error("zero interference period accepted")
-	}
 }
 
 func TestDETRunsAreBitIdenticalAcrossSeeds(t *testing.T) {
@@ -250,54 +240,40 @@ func TestDeriveRunSeedDistinct(t *testing.T) {
 	}
 }
 
+// TestInterferenceSlowsDownRuns: three unkeyed streaming co-runners,
+// produced from their machines on every run, slow the measured core
+// down on a Multicore board against the same board without them
+// (TestMulticoreContentionSlowsMeasuredCore checks replayed ones).
 func TestInterferenceSlowsDownRuns(t *testing.T) {
 	app := smallTVCA(t)
-	base := RAND()
-	noisy := RAND()
-	noisy.Interference = &InterferenceConfig{Cores: 3, PeriodCycles: 50, Randomize: true}
-	pBase, err := New(base)
+	base, err := NewMulticore(RAND(), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	pNoisy, err := New(noisy)
+	co := streamer{lines: 512}
+	noisy, err := NewMulticore(RAND(), []Workload{co, co, co})
 	if err != nil {
 		t.Fatal(err)
 	}
 	slower := 0
 	for run := 0; run < 5; run++ {
-		rb, err := pBase.Run(app, run, 9)
+		rb, err := base.ExecuteRun(context.Background(), app, run, 9)
 		if err != nil {
 			t.Fatal(err)
 		}
-		rn, err := pNoisy.Run(app, run, 9)
+		rn, err := noisy.ExecuteRun(context.Background(), app, run, 9)
 		if err != nil {
 			t.Fatal(err)
 		}
 		if rn.Cycles > rb.Cycles {
 			slower++
 		}
+		if noisy.co[1].stable || noisy.co[1].done {
+			t.Fatal("unkeyed co-runner replayed a recording")
+		}
 	}
 	if slower < 4 {
-		t.Errorf("interference made only %d/5 runs slower", slower)
-	}
-}
-
-func TestInterferenceDeterministicMode(t *testing.T) {
-	app := smallTVCA(t)
-	cfg := DET()
-	cfg.Interference = &InterferenceConfig{Cores: 2, PeriodCycles: 100, Randomize: false}
-	p1, err := New(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	p2, err := New(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	r1, _ := p1.Run(app, 0, 1)
-	r2, _ := p2.Run(app, 0, 2) // different seed, deterministic interference
-	if r1.Cycles != r2.Cycles {
-		t.Errorf("deterministic interference varies with seed: %d vs %d", r1.Cycles, r2.Cycles)
+		t.Errorf("co-runners made only %d/5 runs slower", slower)
 	}
 }
 
@@ -445,9 +421,9 @@ func TestTraceRecordingGrowsOnDemand(t *testing.T) {
 	// The co-runner's ~260-instruction iteration is one chunk plus its
 	// replay tables (33 KB); one 1,024-event chunk of the per-instruction
 	// format it replaced took 56 KB.
-	co := mc.co[1].trace
-	if co == nil {
-		t.Fatal("Multicore: the co-runner recorded no trace")
+	co := &mc.co[1].src
+	if !mc.co[1].done {
+		t.Fatal("Multicore: the co-runner recorded no whole iteration")
 	}
 	if n := co.bytes(); n > 40<<10 {
 		t.Errorf("Multicore: co-runner trace takes %d bytes, want <= %d", n, 40<<10)

@@ -28,9 +28,14 @@ import (
 // a run with another key is interpreted. A non-empty key replays only
 // on an operand-blind FPU (fpu.ModeAnalysis, where FDIV and FSQRT take
 // their fixed worst-case latency), so DET never replays a keyed
-// workload; the empty key replays on either FPU and is the only key a
-// multicore co-runner replays, because a planned co-runner wraps its
-// trace from one iteration to the next without computing keys.
+// workload; the empty key replays on either FPU.
+//
+// The empty key is also the only key a multicore co-runner replays:
+// its iterations carry no keys, so the board records its first
+// iteration as the co-runner's machine produces it — across runs, when
+// a run ends first — and wraps the recording from one iteration to the
+// next. Any other co-runner is produced by its own machine on every
+// iteration, paused between fills of about 1,024 instructions.
 //
 // TraceKey runs on every measured run: it must be safe for concurrent
 // use (the boards of a campaign share the workload) and must not
@@ -103,14 +108,11 @@ func (s *traceSlot) record(core *cpu.Core, m *isa.Machine) error {
 	return nil
 }
 
-// coreSink feeds a core's timing model the blocks a machine retires.
-// It records them into trace when that is non-nil, and when port is
-// non-nil (a co-runner in goroutine mode) it reports the core's
-// progress to the arbiter (see mcPort.retire).
+// coreSink feeds a core's timing model the blocks a machine retires,
+// recording them into trace.
 type coreSink struct {
 	core  *cpu.Core
 	trace *blockTrace
-	port  *mcPort
 }
 
 // FetchBytes asks for the core's blocks, at most maxBlockBytes long.
@@ -118,12 +120,7 @@ func (s *coreSink) FetchBytes() int { return min(s.core.FetchBytes(), maxBlockBy
 
 func (s *coreSink) ConsumeBlock(pc uint64, classes []isa.Class, taken bool, ops []uint64) {
 	s.core.ConsumeBlock(pc, classes, taken, ops)
-	if s.trace != nil {
-		s.trace.add(pc, classes, taken, ops)
-	}
-	if s.port != nil {
-		s.port.retire(len(classes), s.core.Cycle())
-	}
+	s.trace.add(pc, classes, taken, ops)
 }
 
 // blockTrace is a recorded fetch-block stream (see isa.BlockSink) in
@@ -137,8 +134,8 @@ func (s *coreSink) ConsumeBlock(pc uint64, classes []isa.Class, taken bool, ops 
 // program's decode table from its start index. The stream is held in
 // fixed-size chunks that no block straddles, so recording never copies
 // or discards a buffer. A 16-frame TVCA recording takes 0.43 MB. The
-// measured core's replay, a co-runner's replay and the co-runner
-// planner all decode it through one cursor (next).
+// measured core's replay and the co-runner planner both decode it
+// through one cursor (next).
 type blockTrace struct {
 	classes []isa.Class // the program's decode table
 	base    uint64      // the program's code base
@@ -212,6 +209,40 @@ func (t *blockTrace) add(pc uint64, classes []isa.Class, taken bool, ops []uint6
 	}
 }
 
+// reset empties t for a recording of prog's blocks (see clear).
+func (t *blockTrace) reset(prog *isa.Program) {
+	t.clear()
+	t.classes, t.base = prog.Classes(), prog.CodeBase
+}
+
+// clear empties t, keeping its first chunk's storage: a co-runner's
+// source is refilled every 1,024 instructions, which fit in one chunk,
+// without allocating.
+func (t *blockTrace) clear() {
+	if len(t.chunks) > 0 {
+		t.chunks[0] = t.chunks[0][:0]
+		t.chunks = t.chunks[:1]
+	}
+	t.follows = false
+}
+
+// mark returns the end of t: its chunk count and its last chunk's
+// length.
+func (t *blockTrace) mark() (k, off int) {
+	if k = len(t.chunks); k > 0 {
+		off = len(t.chunks[k-1])
+	}
+	return k, off
+}
+
+// seek points cur, which had decoded all of t when mark returned
+// (k, off), at the blocks added since.
+func (t *blockTrace) seek(cur *traceCursor, k, off int) {
+	if k > 0 {
+		cur.w, cur.chunk = t.chunks[k-1][off:], k
+	}
+}
+
 // bytes is the trace's size, the operand buffer included.
 func (t *blockTrace) bytes() int {
 	n := 8 * len(t.wide)
@@ -237,7 +268,7 @@ type traceCursor struct {
 // operands are valid until the next call on t.
 func (t *blockTrace) next(cur *traceCursor) (pc uint64, classes []isa.Class, taken bool, ops []uint64, ok bool) {
 	w := cur.w
-	if len(w) == 0 {
+	for len(w) == 0 { // a cleared trace keeps an empty first chunk
 		if cur.chunk == len(t.chunks) {
 			return 0, nil, false, nil, false
 		}
@@ -267,12 +298,11 @@ func (t *blockTrace) next(cur *traceCursor) (pc uint64, classes []isa.Class, tak
 	return t.base + uint64(i)*isa.InstrBytes, classes, taken, t.wide[:k], true
 }
 
-// replay feeds the trace to core block by block, reporting each block
-// to port when it is non-nil (see coreSink). It polls canceled, if
+// replay feeds the trace to core block by block. It polls canceled, if
 // non-nil, before the first block and after every 1,024 replayed
 // instructions, as the interpreter polls Cancel, and reports false as
 // soon as it fires.
-func (t *blockTrace) replay(core *cpu.Core, port *mcPort, canceled func() bool) bool {
+func (t *blockTrace) replay(core *cpu.Core, canceled func() bool) bool {
 	var cur traceCursor
 	done, poll := 0, 0
 	for {
@@ -287,9 +317,6 @@ func (t *blockTrace) replay(core *cpu.Core, port *mcPort, canceled func() bool) 
 			return true
 		}
 		core.ConsumeBlock(pc, classes, taken, ops)
-		if port != nil {
-			port.retire(len(classes), core.Cycle())
-		}
 		done += len(classes)
 	}
 }

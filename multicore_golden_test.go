@@ -5,13 +5,12 @@ package repro
 // The cycle values below were captured from the pre-board-reuse
 // implementation (one-shot boards, channel-based arbiter, interpreted
 // co-runners) and pin the reusable board's results bit-for-bit. The
-// board has two execution modes — the locked conservative arbiter of
-// goroutine mode (a board's recording run, and every run with an
-// unkeyed co-runner) and the inline plan-and-merge arbiter (planned
-// co-runner requests granted by a k-way merge) — and board reuse and
-// decode-once trace replay sit on top of both: all are pure execution
-// strategies and must not move a single cycle. Any diff here is a
-// correctness bug, not a perf trade.
+// board now runs in one goroutine: co-runner requests are planned from
+// a recorded iteration or from the co-runner's paused machine and
+// granted by a k-way merge in front of the measured core's. Board
+// reuse, decode-once trace replay and the lazily produced co-runners
+// are pure execution strategies and must not move a single cycle. Any
+// diff here is a correctness bug, not a perf trade.
 
 import (
 	"context"
@@ -20,6 +19,7 @@ import (
 	"testing"
 
 	"repro/internal/experiments"
+	"repro/internal/kernels"
 	"repro/internal/platform"
 	"repro/internal/tvca"
 )
@@ -159,7 +159,8 @@ func TestMulticoreGoldenCycles(t *testing.T) {
 // TestMulticoreGoldenFingerprint hashes 100 full co-simulated runs —
 // cycles, instructions and path classification — into one value,
 // pinned to the pre-refactor implementation. Covers the recording run
-// (goroutine-mode arbiter) and 99 inline replay runs in one sweep.
+// (every core interpreted, the co-runners' iterations recorded as they
+// are produced) and 99 replay runs in one sweep.
 func TestMulticoreGoldenFingerprint(t *testing.T) {
 	app := fullTVCAApp(t)
 	mc, err := platform.NewMulticore(platform.RAND(), []platform.Workload{
@@ -187,26 +188,37 @@ func TestMulticoreGoldenFingerprint(t *testing.T) {
 // TestMulticoreSteadyStateAllocs pins the allocation-free run loop of
 // a warmed board, the multicore twin of TestSteadyStateZeroAlloc: after
 // the recording run, a full co-simulated run — board reset, reseed,
-// measured replay, three co-runner replays, every bus grant — allocates
-// nothing, under a context that can never fire and under a cancelable
-// one (the board binds its context poll once, not per run). The
+// measured replay, three co-runners planned, every bus grant —
+// allocates nothing, under a context that can never fire and under a
+// cancelable one (the board binds its context poll once, not per run),
+// with co-runners that replay a recorded iteration and with a keyless
+// Reloader co-runner (crc32, whose input changes per iteration) that
+// its reloaded machine produces a fill at a time on every run. The
 // pre-refactor board allocated ~13k times per run.
 func TestMulticoreSteadyStateAllocs(t *testing.T) {
 	app := fullTVCAApp(t)
 	cancelable, cancel := context.WithCancel(context.Background())
 	defer cancel()
+	streamers := []platform.Workload{
+		experiments.StreamerWorkload{Lines: 1024},
+		experiments.StreamerWorkload{Lines: 1024},
+		experiments.StreamerWorkload{Lines: 1024},
+	}
+	keyless := []platform.Workload{
+		kernels.CRC32{Bytes: 2048, Seed: 1},
+		experiments.StreamerWorkload{Lines: 1024},
+		experiments.StreamerWorkload{Lines: 1024},
+	}
 	for _, tc := range []struct {
 		name string
 		ctx  context.Context
+		co   []platform.Workload
 	}{
-		{"background", context.Background()},
-		{"cancelable", cancelable},
+		{"background", context.Background(), streamers},
+		{"cancelable", cancelable, streamers},
+		{"keyless-reloader", context.Background(), keyless},
 	} {
-		mc, err := platform.NewMulticore(platform.RAND(), []platform.Workload{
-			experiments.StreamerWorkload{Lines: 1024},
-			experiments.StreamerWorkload{Lines: 1024},
-			experiments.StreamerWorkload{Lines: 1024},
-		})
+		mc, err := platform.NewMulticore(platform.RAND(), tc.co)
 		if err != nil {
 			t.Fatal(err)
 		}
