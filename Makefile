@@ -37,8 +37,10 @@ check: staticcheck
 # point on a pool as well as locally. Registry-built workloads (what
 # the service and executors run) keep the zero-alloc run loop: the
 # fabric suite checks that Build forwards Reloader and TraceKeyer, and
-# TestSteadyStateZeroAlloc holds a registry-built TVCA (replayed under
-# its trace key) and a registry-built crc32 (reloaded) to 0 allocs/run.
+# TestSteadyStateZeroAlloc holds a registry-built TVCA (its one trace
+# key recorded on run 1, every later run replayed) and a registry-built
+# crc32 (reloaded) to 0 allocs/run, with no recording in the measured
+# window.
 service-check:
 	$(GO) test ./internal/fabric/ ./internal/pwcetd/ ./cmd/pwcetd/
 	$(GO) test -run 'TestFingerprintParityAcrossExecutionModes|TestFaultFingerprintParityAcrossExecutionModes|TestJournalCrashResumeBitIdentical' ./pkg/mbpta/
@@ -157,7 +159,11 @@ cover:
 # against one-instruction blocks over arbitrary programs on every board
 # kind, TVCA's trace key against its block streams (equal keys exactly
 # when the streams are equal apart from FDIV/FSQRT operands, over input
-# seed, transient probability, frames, unrolling and run pairs), and
+# seed, transient probability, frames, unrolling and run pairs), a
+# board's set of recorded traces against an interpreting board over
+# arbitrary key sequences of a synthetic keyed workload (every run
+# bit-identical, a replay only of the run's own key, a recording only
+# of a recurring key, the byte budget held), and
 # pwcetd's campaign-spec and matrix-spec request decoders (every body
 # gets a 2xx or a typed 4xx). Seed corpora live under the packages'
 # testdata/fuzz/ directories or in the fuzz targets' f.Add seeds.
@@ -176,6 +182,7 @@ fuzz:
 	$(GO) test ./internal/tlb/ -run '^$$' -fuzz '^FuzzTLBLookupStream$$' -fuzztime 30s
 	$(GO) test ./internal/platform/ -run '^$$' -fuzz '^FuzzMulticoreInlineReplay$$' -fuzztime 30s
 	$(GO) test ./internal/platform/ -run '^$$' -fuzz '^FuzzFetchBlocks$$' -fuzztime 30s
+	$(GO) test ./internal/platform/ -run '^$$' -fuzz '^FuzzTraceSet$$' -fuzztime 30s
 	$(GO) test ./internal/tvca/ -run '^$$' -fuzz '^FuzzTraceKey$$' -fuzztime 30s
 	$(GO) test ./internal/pwcetd/ -run '^$$' -fuzz '^FuzzCampaignSpecDecode$$' -fuzztime 30s
 	$(GO) test ./internal/pwcetd/ -run '^$$' -fuzz '^FuzzMatrixSpecDecode$$' -fuzztime 30s

@@ -73,8 +73,8 @@ type Multicore struct {
 	machine machineCache
 
 	// Decode-once trace replay for the measured core (see TraceKeyer
-	// and the same slot on Platform): the block stream recorded on the
-	// first keyed run, replayed through the timing model for later runs
+	// and the same slot on Platform): the block streams recorded for
+	// recurring keys, replayed through the timing model for later runs
 	// with the same key. blind reports an operand-blind FPU.
 	slot  traceSlot
 	blind bool
@@ -93,6 +93,7 @@ type Multicore struct {
 	// BoardStats).
 	replayRuns    uint64
 	interpretRuns uint64
+	recordings    uint64
 }
 
 // NewMulticore validates the configuration and the co-runner list: at
@@ -289,9 +290,9 @@ func (mc *Multicore) ExecuteRun(ctx context.Context, w Workload, run int, seed u
 	if err := mc.ensureBoard(); err != nil {
 		return RunResult{}, err
 	}
-	replay, record := mc.slot.next(w, run, mc.blind)
+	hit, record := mc.slot.next(w, run, mc.blind)
 	var m *isa.Machine
-	if !replay {
+	if hit == nil {
 		var err error
 		if m, err = mc.machine.get(w, run); err != nil {
 			return RunResult{}, fmt.Errorf("core 0: %w", err)
@@ -308,9 +309,9 @@ func (mc *Multicore) ExecuteRun(ctx context.Context, w Workload, run int, seed u
 	var res RunResult
 	var err error
 	switch {
-	case replay:
-		res.Cycles, err = mc.replayMeasured()
-		res.Path = mc.slot.path
+	case hit != nil:
+		res.Cycles, err = mc.replayMeasured(hit.trace)
+		res.Path = hit.path
 	case record:
 		mc.interpreted = true
 		if err = mc.slot.record(mc.cores[0], m); err == nil {
@@ -331,6 +332,9 @@ func (mc *Multicore) ExecuteRun(ctx context.Context, w Workload, run int, seed u
 		mc.replayRuns++
 	} else {
 		mc.interpretRuns++
+	}
+	if record {
+		mc.recordings++
 	}
 	res.Instructions = mc.cores[0].Stats().Instructions
 	return res, nil
@@ -464,15 +468,15 @@ func (mc *Multicore) fail(c int, err error) {
 	cs.src.clear()
 }
 
-// replayMeasured performs one measurement by replaying the recorded
-// block stream through core 0's timing model. The per-run protocol
+// replayMeasured performs one measurement by replaying trace through
+// core 0's timing model. The per-run protocol
 // (flush, reset, reseed) already ran, so placement/replacement
 // randomness and bus contention are exactly as in full execution and
 // the measured cycles are bit-identical. The stop poll matches the
 // interpreter's Cancel granularity.
-func (mc *Multicore) replayMeasured() (uint64, error) {
+func (mc *Multicore) replayMeasured(trace *blockTrace) (uint64, error) {
 	core := mc.cores[0]
-	if !mc.slot.trace.replay(core, mc.cancelFn) {
+	if !trace.replay(core, mc.cancelFn) {
 		return 0, isa.ErrCancelled
 	}
 	return core.Cycle(), nil

@@ -84,8 +84,8 @@ func (mixRunner) Reload(m *isa.Machine, _ int) error {
 func (mixRunner) TraceKey(dst []byte, _ int) ([]byte, bool) { return dst[:0], true }
 
 // plannedReplayApp is the measured workload: TVCA at four frames, a
-// store-heavy program (keyed: replayed on RAND after its first run,
-// interpreted on DET) that runs
+// store-heavy program (keyed: its one key records on RAND on its second
+// run and replays from then on; interpreted on DET) that runs
 // long enough for every mixRunner to finish its recording iteration
 // inside the first measured run.
 func plannedReplayApp(tb testing.TB) *tvca.App {

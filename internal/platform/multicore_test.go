@@ -269,7 +269,7 @@ func TestMulticoreSeedsChangeTiming(t *testing.T) {
 // depend on the core count, so the boards with 0, 1 and 3 streamers
 // place and replace the measured core's lines identically, and only the
 // co-runners' bus and DRAM traffic differs. Checked over 200 seeds each
-// for 4-frame TVCA (replayed after its first run) and for a crc32 over
+// for 4-frame TVCA (replayed from its third run on) and for a crc32 over
 // 24 KiB (interpreted every run), whose misses make contention a
 // measurable share.
 func TestMulticorePairedDominance(t *testing.T) {

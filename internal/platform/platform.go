@@ -153,18 +153,20 @@ type Platform struct {
 
 	// Cumulative run-kind tallies for the telemetry harvest (see
 	// BoardStats): how many measurements went through the trace-replay
-	// fast path versus full interpretation.
+	// fast path versus full interpretation, and how many of the
+	// interpreted ones recorded their stream.
 	replayRuns    uint64
 	interpretRuns uint64
+	recordings    uint64
 
 	// Machine reuse: the steady-state campaign loop re-initializes a
 	// Reloader workload's machine in place instead of allocating a fresh
 	// memory image every run.
 	machine machineCache
 
-	// Decode-once trace replay (see TraceKeyer): the block stream
-	// recorded on the first keyed run, replayed through the timing
-	// model for later runs with the same key. blind reports an
+	// Decode-once trace replay (see TraceKeyer and traceSlot): the
+	// block streams recorded for recurring keys, replayed through the
+	// timing model for later runs with the same key. blind reports an
 	// operand-blind FPU, where non-empty keys may replay.
 	replayOff bool
 	paranoid  bool
@@ -325,12 +327,13 @@ func (p *Platform) Run(w Workload, run int, runSeed uint64) (RunResult, error) {
 // the timing model, so for a context that never fires the measured
 // cycles are bit-identical to Run.
 func (p *Platform) RunCtx(ctx context.Context, w Workload, run int, runSeed uint64) (RunResult, error) {
-	var replay, record bool
+	var hit *recording
+	var record bool
 	if !p.replayOff {
-		replay, record = p.slot.next(w, run, p.blind)
+		hit, record = p.slot.next(w, run, p.blind)
 	}
-	if replay {
-		return p.runReplay(ctx, w, run, runSeed)
+	if hit != nil {
+		return p.runReplay(ctx, w, run, runSeed, hit)
 	}
 	m, err := p.machine.get(w, run)
 	if err != nil {
@@ -351,6 +354,9 @@ func (p *Platform) RunCtx(ctx context.Context, w Workload, run int, runSeed uint
 		return RunResult{}, fmt.Errorf("platform %s: run %d: %w", p.cfg.Name, run, err)
 	}
 	p.interpretRuns++
+	if record {
+		p.recordings++
+	}
 	return RunResult{
 		Cycles:       cycles,
 		Instructions: p.core.Stats().Instructions,
@@ -387,13 +393,13 @@ func (c *machineCache) get(w Workload, run int) (*isa.Machine, error) {
 	return m, nil
 }
 
-// runReplay performs one measurement by replaying the recorded block
-// stream through the timing model: the per-run protocol (flush, reset,
+// runReplay performs one measurement by replaying rec's block stream
+// through the timing model: the per-run protocol (flush, reset,
 // reseed) still applies, so placement/replacement/FPU randomness is
 // exactly as in full execution, and the measured cycles are
 // bit-identical. In paranoia mode every replayed run is cross-checked
 // against a full execution with the same seed.
-func (p *Platform) runReplay(ctx context.Context, w Workload, run int, runSeed uint64) (RunResult, error) {
+func (p *Platform) runReplay(ctx context.Context, w Workload, run int, runSeed uint64, rec *recording) (RunResult, error) {
 	var before BoardStats
 	if p.paranoid {
 		before = p.BoardStats()
@@ -403,7 +409,7 @@ func (p *Platform) runReplay(ctx context.Context, w Workload, run int, runSeed u
 	if ctx != nil && ctx.Done() != nil {
 		p.runCtx, canceled = ctx, p.cancelPoll
 	}
-	ok := p.slot.trace.replay(p.core, canceled)
+	ok := rec.trace.replay(p.core, canceled)
 	p.runCtx = nil
 	if !ok {
 		return RunResult{}, fmt.Errorf("platform %s: replay run %d: %w",
@@ -412,7 +418,7 @@ func (p *Platform) runReplay(ctx context.Context, w Workload, run int, runSeed u
 	res := RunResult{
 		Cycles:       p.core.Cycle(),
 		Instructions: p.core.Stats().Instructions,
-		Path:         p.slot.path,
+		Path:         rec.path,
 	}
 	if p.paranoid {
 		if err := p.crossCheck(ctx, w, run, runSeed, res, before); err != nil {
@@ -461,7 +467,7 @@ func (p *Platform) crossCheck(ctx context.Context, w Workload, run int, runSeed 
 }
 
 // SetReplay enables or disables the decode-once trace-replay fast path
-// (enabled by default). Disabling also drops any recorded trace.
+// (enabled by default). Disabling also drops the recorded traces.
 func (p *Platform) SetReplay(on bool) {
 	p.replayOff = !on
 	if !on {

@@ -16,10 +16,11 @@
 // test and documented in DESIGN.md §11, are the wall-clock instruments
 // (campaign_runs_per_sec, campaign_batch_seconds), the retry/timeout
 // tallies, and the host-execution instruments
-// sim_replay_runs_total/sim_interpret_runs_total for keyed workloads:
-// each board records the trace of its own first keyed run, so which
-// later runs match it depends on which board ran which run. Their sum
-// is the number of runs executed.
+// sim_replay_runs_total/sim_interpret_runs_total/sim_trace_recordings_total
+// for keyed workloads: each board records the keys that recur on it,
+// so which runs record, replay or interpret depends on which board ran
+// which run. The replayed and interpreted runs add up to the runs
+// executed.
 package platform
 
 import (
@@ -40,6 +41,10 @@ type BoardStats struct {
 	FPU           fpu.Stats
 	ReplayRuns    uint64
 	InterpretRuns uint64
+	// Recordings counts the interpreted runs that recorded their block
+	// stream for replay (a recording over the board's trace budget is
+	// counted and dropped).
+	Recordings uint64
 }
 
 // BoardStats returns the platform's cumulative substrate counters.
@@ -52,6 +57,7 @@ func (p *Platform) BoardStats() BoardStats {
 		FPU:           p.fpu.Stats(),
 		ReplayRuns:    p.replayRuns,
 		InterpretRuns: p.interpretRuns,
+		Recordings:    p.recordings,
 	}
 }
 
@@ -66,6 +72,7 @@ func (b BoardStats) Sub(prev BoardStats) BoardStats {
 		FPU:           fpu.Stats{DivWorstCase: b.FPU.DivWorstCase - prev.FPU.DivWorstCase, SqrtWorstCase: b.FPU.SqrtWorstCase - prev.FPU.SqrtWorstCase},
 		ReplayRuns:    b.ReplayRuns - prev.ReplayRuns,
 		InterpretRuns: b.InterpretRuns - prev.InterpretRuns,
+		Recordings:    b.Recordings - prev.Recordings,
 	}
 }
 
@@ -79,6 +86,7 @@ func (b BoardStats) add(d BoardStats) BoardStats {
 		FPU:           fpu.Stats{DivWorstCase: b.FPU.DivWorstCase + d.FPU.DivWorstCase, SqrtWorstCase: b.FPU.SqrtWorstCase + d.FPU.SqrtWorstCase},
 		ReplayRuns:    b.ReplayRuns + d.ReplayRuns,
 		InterpretRuns: b.InterpretRuns + d.InterpretRuns,
+		Recordings:    b.Recordings + d.Recordings,
 	}
 }
 
@@ -126,10 +134,10 @@ type streamTele struct {
 	batchSec                                  *telemetry.Histogram
 	runsPerSec, ipc                           *telemetry.Gauge
 
-	il1, dl1          cacheInstruments
-	itlb, dtlb        tlbInstruments
-	fpuDiv, fpuSqrt   *telemetry.Counter
-	replay, interpret *telemetry.Counter
+	il1, dl1                      cacheInstruments
+	itlb, dtlb                    tlbInstruments
+	fpuDiv, fpuSqrt               *telemetry.Counter
+	replay, interpret, recordings *telemetry.Counter
 }
 
 // cacheInstruments is one cache level's pre-resolved harvest set.
@@ -223,6 +231,7 @@ func (mc *Multicore) BoardStats() BoardStats {
 		FPU:           c0.FPU.Stats(),
 		ReplayRuns:    mc.replayRuns,
 		InterpretRuns: mc.interpretRuns,
+		Recordings:    mc.recordings,
 	}
 }
 
@@ -248,6 +257,7 @@ func newStreamTele(reg *telemetry.Registry, o StreamOptions, platformName, workl
 		fpuSqrt:      reg.Counter("sim_fpu_sqrt_worstcase_total"),
 		replay:       reg.Counter("sim_replay_runs_total"),
 		interpret:    reg.Counter("sim_interpret_runs_total"),
+		recordings:   reg.Counter("sim_trace_recordings_total"),
 	}
 	reg.Emit("campaign_start", -1,
 		telemetry.Str("platform", platformName),
@@ -331,6 +341,7 @@ func (t *streamTele) observeBatch(b Batch, delta BoardStats, elapsed time.Durati
 	t.fpuSqrt.Add(delta.FPU.SqrtWorstCase)
 	t.replay.Add(delta.ReplayRuns)
 	t.interpret.Add(delta.InterpretRuns)
+	t.recordings.Add(delta.Recordings)
 	t.il1.setRatios()
 	t.dl1.setRatios()
 	t.itlb.setRatios()

@@ -2,6 +2,7 @@ package platform
 
 import (
 	"bytes"
+	"math"
 
 	"repro/internal/cpu"
 	"repro/internal/isa"
@@ -23,12 +24,14 @@ import (
 // its stream is identical for every run index, FDIV/FSQRT operands
 // included.
 //
-// A board records the stream of the first keyed run it executes and
-// replays it for every later run whose key equals the recorded one;
-// a run with another key is interpreted. A non-empty key replays only
-// on an operand-blind FPU (fpu.ModeAnalysis, where FDIV and FSQRT take
-// their fixed worst-case latency), so DET never replays a keyed
-// workload; the empty key replays on either FPU.
+// A board keeps a small set of recordings (see traceSlot). It records
+// a non-empty key's stream the second time it runs that key, and the
+// empty key's on its first run; a later run whose key equals a
+// recorded one replays that recording, and any other run is
+// interpreted. A non-empty key replays only on an operand-blind FPU
+// (fpu.ModeAnalysis, where FDIV and FSQRT take their fixed worst-case
+// latency), so DET never replays a keyed workload; the empty key
+// replays on either FPU.
 //
 // The empty key is also the only key a multicore co-runner replays:
 // its iterations carry no keys, so the board records its first
@@ -55,64 +58,123 @@ func constantKey(w Workload) bool {
 	return ok && len(key) == 0
 }
 
-// traceSlot is a board's decode-once recording for its measured core:
-// the block trace of the first keyed run of the workload it serves,
-// with that run's key and path. Platform and Multicore own one each;
-// traces are never shared between boards.
+// traceSlot is a board's decode-once recordings for its measured core:
+// a small set of block traces of the keyed workload it serves, each
+// with its run's key and path. Platform and Multicore own one each;
+// traces are never shared between boards, and a workload switch drops
+// them.
+//
+// A non-empty key is recorded the second time the board runs it: seen
+// is a direct-mapped table of the hashes of the keys run so far, and a
+// run whose hash is already in its entry records. A hash collision can
+// therefore only start a recording early; a run replays only a trace
+// whose key equals its own byte for byte. The empty key records on its
+// first run. Beyond the first trace the set never holds more than
+// traceBudget bytes: a recording starts only while the set has room
+// for a trace the size of the first, one that outgrows the room is
+// dropped, and from then on the board records no more. Nothing is
+// evicted.
 type traceSlot struct {
 	w     Workload   // the keyed workload the slot serves
 	keyer TraceKeyer // w's keys; nil once they cannot replay on this board
-	trace *blockTrace
-	key   []byte // the recorded run's key
-	path  string
+	set   []recording
+	room  int // bytes the set may still grow by (the first trace may overdraw it)
+	seen  [seenSlots]uint64
 	cur   []byte // the key of the run in flight
 }
 
-// next decides how run of w executes: replay the recorded trace (the
-// run's key equals the recorded one), record a trace (the first keyed
-// run), or interpret. blind reports an operand-blind FPU.
-func (s *traceSlot) next(w Workload, run int, blind bool) (replay, record bool) {
+// recording is one recorded run of a traceSlot: its block trace, key
+// and path.
+type recording struct {
+	trace *blockTrace
+	key   []byte
+	path  string
+}
+
+// traceBudget bounds a board's recordings beyond its first trace
+// (1 MiB: two 16-frame TVCA traces). seenSlots is the size of the
+// table of key hashes that decides when a key recurs.
+const (
+	traceBudget = 1 << 20
+	seenSlots   = 512
+)
+
+// next decides how run of w executes: replay a recording (hit, whose
+// key equals the run's), record the run's stream (record), or
+// interpret (neither). blind reports an operand-blind FPU.
+func (s *traceSlot) next(w Workload, run int, blind bool) (hit *recording, record bool) {
 	if w != s.w {
 		k, ok := w.(TraceKeyer)
 		if !ok {
-			return false, false
+			return nil, false
 		}
-		*s = traceSlot{w: w, keyer: k, key: s.key[:0], cur: s.cur[:0]}
+		s.w, s.keyer, s.set, s.room = w, k, nil, traceBudget
+		clear(s.seen[:])
 	}
 	if s.keyer == nil {
-		return false, false
+		return nil, false
 	}
 	key, ok := s.keyer.TraceKey(s.cur[:0], run)
 	s.cur = key
 	if !ok || (len(key) > 0 && !blind) {
 		s.keyer = nil
-		return false, false
+		return nil, false
 	}
-	if s.trace == nil {
-		return false, true
+	if len(s.set) == 0 {
+		return nil, len(key) == 0 || s.recurs(key)
 	}
-	return bytes.Equal(key, s.key), false
+	for i := range s.set {
+		if bytes.Equal(key, s.set[i].key) {
+			return &s.set[i], false
+		}
+	}
+	return nil, s.room >= s.set[0].trace.bytes() && s.recurs(key)
+}
+
+// recurs notes key in the table of seen keys and reports whether it
+// was there already (or a key with the same hash was: FNV-1a, 64 bit).
+func (s *traceSlot) recurs(key []byte) bool {
+	h := uint64(14695981039346656037)
+	for _, b := range key {
+		h = (h ^ uint64(b)) * 1099511628211
+	}
+	e := &s.seen[h%seenSlots]
+	if *e == h {
+		return true
+	}
+	*e = h
+	return false
 }
 
 // record runs m to completion on core while recording its block stream,
-// and keeps the trace under the current run's key. The recording run's
-// timing is untouched: the core consumes exactly the blocks it would
-// have consumed.
+// and adds the trace to the set under the current run's key unless it
+// outgrew the set's room. The recording run's timing is untouched: the
+// core consumes exactly the blocks it would have consumed.
 func (s *traceSlot) record(core *cpu.Core, m *isa.Machine) error {
-	rs := coreSink{core: core, trace: newBlockTrace(m.Prog)}
+	rs := coreSink{core: core, trace: newBlockTrace(m.Prog), room: s.room}
+	if len(s.set) == 0 {
+		rs.room = math.MaxInt // the first trace is not bounded
+	}
 	if _, err := m.RunBlocks(&rs); err != nil {
 		return err // a partial trace must never be replayed
 	}
-	s.trace, s.path = rs.trace, s.w.PathOf(m)
-	s.key, s.cur = s.cur, s.key[:0]
+	if rs.trace == nil || rs.trace.bytes() > rs.room {
+		s.room = 0 // over budget: record no more
+		return nil
+	}
+	s.room -= rs.trace.bytes()
+	s.set = append(s.set, recording{trace: rs.trace, key: s.cur, path: s.w.PathOf(m)})
+	s.cur = nil // the recording keeps the key's storage
 	return nil
 }
 
 // coreSink feeds a core's timing model the blocks a machine retires,
-// recording them into trace.
+// recording them into trace until it would take more than room bytes;
+// it then drops the trace (nil) and only feeds the core.
 type coreSink struct {
 	core  *cpu.Core
 	trace *blockTrace
+	room  int
 }
 
 // FetchBytes asks for the core's blocks, at most maxBlockBytes long.
@@ -120,7 +182,14 @@ func (s *coreSink) FetchBytes() int { return min(s.core.FetchBytes(), maxBlockBy
 
 func (s *coreSink) ConsumeBlock(pc uint64, classes []isa.Class, taken bool, ops []uint64) {
 	s.core.ConsumeBlock(pc, classes, taken, ops)
+	if s.trace == nil {
+		return
+	}
+	k := len(s.trace.chunks)
 	s.trace.add(pc, classes, taken, ops)
+	if len(s.trace.chunks) != k && s.trace.bytes() > s.room {
+		s.trace = nil
+	}
 }
 
 // blockTrace is a recorded fetch-block stream (see isa.BlockSink) in

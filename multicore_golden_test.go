@@ -158,9 +158,10 @@ func TestMulticoreGoldenCycles(t *testing.T) {
 
 // TestMulticoreGoldenFingerprint hashes 100 full co-simulated runs —
 // cycles, instructions and path classification — into one value,
-// pinned to the pre-refactor implementation. Covers the recording run
+// pinned to the pre-refactor implementation. Covers the first run
 // (every core interpreted, the co-runners' iterations recorded as they
-// are produced) and 99 replay runs in one sweep.
+// are produced), the run that records the measured key on its
+// recurrence and 98 replay runs in one sweep.
 func TestMulticoreGoldenFingerprint(t *testing.T) {
 	app := fullTVCAApp(t)
 	mc, err := platform.NewMulticore(platform.RAND(), []platform.Workload{
@@ -223,17 +224,21 @@ func TestMulticoreSteadyStateAllocs(t *testing.T) {
 			t.Fatal(err)
 		}
 		run := 0
-		for ; run < 3; run++ { // warm: record traces, build the board
+		for ; run < 3; run++ { // warm: build the board, record traces (run 1 records the measured key)
 			if _, err := mc.ExecuteRun(tc.ctx, app, run, platform.DeriveRunSeed(42, run)); err != nil {
 				t.Fatal(err)
 			}
 		}
+		rec := mc.BoardStats().Recordings
 		allocs := testing.AllocsPerRun(5, func() {
 			if _, err := mc.ExecuteRun(tc.ctx, app, run, platform.DeriveRunSeed(42, run)); err != nil {
 				t.Fatal(err)
 			}
 			run++
 		})
+		if n := mc.BoardStats().Recordings - rec; n != 0 {
+			t.Errorf("%s: %d measured runs recorded, want none", tc.name, n)
+		}
 		if allocs != 0 {
 			t.Errorf("%s: steady-state multicore run allocates %.1f times, want 0", tc.name, allocs)
 		}

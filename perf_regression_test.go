@@ -85,16 +85,19 @@ func TestGoldenCampaignCycles(t *testing.T) {
 }
 
 // TestSteadyStateZeroAlloc asserts the allocation-free run loop: once
-// the platform has a cached machine or a recorded trace for the
-// workload (first run), a full measurement run — reseed, flush, trace
+// the platform has a cached machine and has recorded the traces it
+// keeps for the workload, a full measurement run — reseed, flush, trace
 // key, reload and interpret, or replay, drain — performs zero heap
-// allocations. It holds for a workload built directly (8-frame TVCA,
-// whose runs both replay and interpret) and for ones built from a spec
-// through the fabric registry (the path pwcetd, the matrix and remote
-// executors take): a 4-frame TVCA, whose runs all share its first
-// run's key and replay, and a crc32, which reloads its machine. It
-// holds under a cancelable context too, as every campaign session's
-// runs are (the board binds its context poll once, not per run).
+// allocations. It holds for workloads built directly (8- and 16-frame
+// TVCA, whose runs both replay and interpret) and for ones built from a
+// spec through the fabric registry (the path pwcetd, the matrix and
+// remote executors take): a 4-frame TVCA, whose runs all share one key
+// (recorded on run 1, replayed from run 2), and a crc32, which reloads
+// its machine. It holds under a cancelable context too, as every
+// campaign session's runs are (the board binds its context poll once,
+// not per run). Each case warms until it has gone 100 runs without
+// recording, and no run of the measured window may record: a recording
+// run allocates, and AllocsPerRun's integer average could hide one.
 func TestSteadyStateZeroAlloc(t *testing.T) {
 	cfg := tvca.DefaultConfig()
 	cfg.Frames = 4
@@ -110,6 +113,11 @@ func TestSteadyStateZeroAlloc(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	cfg.Frames = 16
+	app16, err := tvca.New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
 	canceled, cancel := context.WithCancel(context.Background())
 	defer cancel()
 	for _, tc := range []struct {
@@ -118,6 +126,7 @@ func TestSteadyStateZeroAlloc(t *testing.T) {
 		ctx  context.Context
 	}{
 		{"direct", goldenApp(t), context.Background()},
+		{"direct-16-frames", app16, context.Background()},
 		{"registry", built, context.Background()},
 		{"registry-crc32", crc, context.Background()},
 		{"direct-cancelable", goldenApp(t), canceled},
@@ -126,19 +135,35 @@ func TestSteadyStateZeroAlloc(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if _, err := p.RunCtx(tc.ctx, tc.w, 0, platform.DeriveRunSeed(42, 0)); err != nil {
-			t.Fatal(err)
-		}
-		run := 1
-		avg := testing.AllocsPerRun(50, func() {
+		run := 0
+		step := func() {
 			if _, err := p.RunCtx(tc.ctx, tc.w, run, platform.DeriveRunSeed(42, run)); err != nil {
 				t.Fatal(err)
 			}
 			run++
-		})
+		}
+		const quiet, maxWarm = 100, 3000
+		for last := 0; run-last < quiet; {
+			if run == maxWarm {
+				t.Fatalf("%s: still recording after %d runs", tc.name, run)
+			}
+			rec := p.BoardStats().Recordings
+			step()
+			if p.BoardStats().Recordings != rec {
+				last = run
+			}
+		}
+		st := p.BoardStats()
+		avg := testing.AllocsPerRun(50, step)
+		d := p.BoardStats().Sub(st)
+		if d.Recordings != 0 {
+			t.Errorf("%s: %d of the %d measured runs recorded", tc.name, d.Recordings, d.ReplayRuns+d.InterpretRuns)
+		}
 		if avg != 0 {
 			t.Errorf("%s: steady-state run allocates: %.1f allocs/run, want 0", tc.name, avg)
 		}
+		t.Logf("%s: warmed %d runs (%d recordings); measured %d replayed + %d interpreted runs",
+			tc.name, int(st.ReplayRuns+st.InterpretRuns), st.Recordings, d.ReplayRuns, d.InterpretRuns)
 	}
 }
 
@@ -184,8 +209,10 @@ func TestReplayBitIdentical(t *testing.T) {
 // result, core counters and cache/TLB/FPU counter deltas — inside the
 // platform, which fails the run on any divergence. It covers a
 // run-invariant workload on one board and a keyed campaign (16-frame
-// TVCA, whose runs replay when they share their board's first run's
-// key) on two paranoid boards.
+// TVCA, whose runs replay once their key recurs on their board) on two
+// paranoid boards, each of which must replay runs from two traces, so
+// that choosing the wrong recording of a board's set is cross-checked
+// too.
 func TestReplayParanoia(t *testing.T) {
 	w := kernels.MatMul{N: 8, Seed: 11}
 	p, err := platform.New(platform.RAND())
@@ -206,27 +233,45 @@ func TestReplayParanoia(t *testing.T) {
 		t.Fatal(err)
 	}
 	var mu sync.Mutex
-	var boards []*platform.Platform
+	var boards []*replayKeys
 	newBoard := func() (platform.Board, error) {
 		p, err := platform.New(platform.RAND())
 		if err != nil {
 			return nil, err
 		}
 		p.SetReplayParanoia(true)
+		b := &replayKeys{Platform: p, app: app, keys: make(map[string]int)}
 		mu.Lock()
-		boards = append(boards, p)
+		boards = append(boards, b)
 		mu.Unlock()
-		return p, nil
+		return b, nil
 	}
 	if _, err := platform.StreamCampaign(context.Background(), platform.RAND(), app,
 		platform.StreamOptions{MaxRuns: 60, BatchSize: 20, Parallel: 2, BaseSeed: 7, NewBoard: newBoard}, nil); err != nil {
 		t.Fatalf("paranoid keyed campaign: %v", err)
 	}
-	var replayed uint64
-	for _, b := range boards {
-		replayed += b.BoardStats().ReplayRuns
+	for i, b := range boards {
+		st := b.BoardStats()
+		if len(b.keys) < 2 {
+			t.Errorf("board %d: replayed %d runs of %d keys (%d runs, %d recordings), want runs of two keys",
+				i, st.ReplayRuns, len(b.keys), st.ReplayRuns+st.InterpretRuns, st.Recordings)
+		}
 	}
-	if replayed == 0 {
-		t.Error("the keyed campaign replayed no run")
+}
+
+// replayKeys is a board that counts the runs it replays by trace key.
+type replayKeys struct {
+	*platform.Platform
+	app  *tvca.App
+	keys map[string]int
+}
+
+func (b *replayKeys) ExecuteRun(ctx context.Context, w platform.Workload, run int, seed uint64) (platform.RunResult, error) {
+	before := b.BoardStats().ReplayRuns
+	res, err := b.Platform.ExecuteRun(ctx, w, run, seed)
+	if err == nil && b.BoardStats().ReplayRuns != before {
+		key, _ := b.app.TraceKey(nil, run)
+		b.keys[string(key)]++
 	}
+	return res, err
 }

@@ -50,7 +50,8 @@ func wallClock(name string) bool {
 // run's trace key, so the replay/interpret split depends on which board
 // ran which run. Only their sum, the runs executed, is invariant.
 func hostExecution(name string) bool {
-	return name == "sim_replay_runs_total" || name == "sim_interpret_runs_total"
+	return name == "sim_replay_runs_total" || name == "sim_interpret_runs_total" ||
+		name == "sim_trace_recordings_total"
 }
 
 // TestTelemetryParallelismInvariance: for a fixed seed, every
