@@ -10,11 +10,13 @@ test:
 
 # What CI runs: vet (+ staticcheck when installed) plus the full suite
 # under the race detector, then the end-to-end kill-and-resume gate.
-# The bench module is vetted separately: it imports pkg/mbpta, and the
-# root `go vet ./...` does not descend into nested modules.
+# The bench module is vetted and tested separately: it imports
+# pkg/mbpta and internal/platform, and the root `go vet ./...` and
+# `go test ./...` do not descend into nested modules.
 check: staticcheck
 	$(GO) vet ./...
 	cd bench && $(GO) vet ./...
+	cd bench && $(GO) test ./...
 	$(GO) test -race ./...
 	$(MAKE) service-check
 	$(MAKE) resume-check

@@ -321,7 +321,7 @@ func BenchmarkSimulatorThroughput(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		r, err := p.Run(app, i, uint64(i)+1)
+		r, err := p.ExecuteRun(context.Background(), app, i, uint64(i)+1)
 		if err != nil {
 			b.Fatal(err)
 		}

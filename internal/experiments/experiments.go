@@ -521,7 +521,7 @@ func E7PlacementAblation(e *Env, layouts int) (*E7Result, error) {
 		if err != nil {
 			return nil, err
 		}
-		r, err := p.Run(app, 0, 1)
+		r, err := p.ExecuteRun(context.Background(), app, 0, 1)
 		if err != nil {
 			return nil, err
 		}

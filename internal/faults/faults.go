@@ -272,13 +272,13 @@ func (in *Injector) Execute(ctx context.Context, p *platform.Platform, w platfor
 		in.clamped.Inc()
 	}
 	if n == 0 {
-		res, err := p.RunCtx(ctx, w, run, seed)
+		res, err := p.ExecuteRun(ctx, w, run, seed)
 		if err != nil || !in.cfg.Mitigation.Enabled() {
 			return res, err
 		}
 		return in.cleanOverhead(res), nil
 	}
-	base, err := p.RunCtx(ctx, w, run, seed)
+	base, err := p.ExecuteRun(ctx, w, run, seed)
 	if err != nil {
 		return base, err
 	}

@@ -202,7 +202,7 @@ func TestWatchdogClassifiesHungRun(t *testing.T) {
 		t.Fatal(err)
 	}
 	w := loopWorkload{}
-	base, err := p.RunCtx(context.Background(), w, 0, 1)
+	base, err := p.ExecuteRun(context.Background(), w, 0, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -257,7 +257,7 @@ func TestClassificationAgainstReference(t *testing.T) {
 		t.Fatal(err)
 	}
 	w := checkedWorkload{}
-	base, err := p.RunCtx(context.Background(), w, 0, 1)
+	base, err := p.ExecuteRun(context.Background(), w, 0, 1)
 	if err != nil {
 		t.Fatal(err)
 	}

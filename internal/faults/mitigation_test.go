@@ -129,7 +129,7 @@ func TestECCSingleBitNeverQuarantined(t *testing.T) {
 		t.Fatal(err)
 	}
 	w := checkedWorkload{}
-	base, err := p.RunCtx(context.Background(), w, 0, 1)
+	base, err := p.ExecuteRun(context.Background(), w, 0, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -182,7 +182,7 @@ func TestECCDoubleBitEscalates(t *testing.T) {
 		t.Fatal(err)
 	}
 	w := checkedWorkload{}
-	base, err := p.RunCtx(context.Background(), w, 0, 1)
+	base, err := p.ExecuteRun(context.Background(), w, 0, 1)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -156,11 +156,11 @@ func TestVecNormAnalysisModeSlowerThanOperation(t *testing.T) {
 		t.Fatal(err)
 	}
 	for runIdx := 0; runIdx < 5; runIdx++ {
-		ra, err := pa.Run(k, runIdx, 33)
+		ra, err := pa.ExecuteRun(context.Background(), k, runIdx, 33)
 		if err != nil {
 			t.Fatal(err)
 		}
-		ro, err := po.Run(k, runIdx, 33)
+		ro, err := po.ExecuteRun(context.Background(), k, runIdx, 33)
 		if err != nil {
 			t.Fatal(err)
 		}

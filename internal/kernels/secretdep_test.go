@@ -1,6 +1,7 @@
 package kernels
 
 import (
+	"context"
 	"testing"
 
 	"repro/internal/platform"
@@ -74,11 +75,11 @@ func TestSecretDepDETSeparatesSecrets(t *testing.T) {
 		t.Fatal(err)
 	}
 	for runIdx := 0; runIdx < 5; runIdx++ {
-		r0, err := p.Run(SecretDep{Lines: 48, Passes: 8, Secret: 0, Seed: 5}, runIdx, 17)
+		r0, err := p.ExecuteRun(context.Background(), SecretDep{Lines: 48, Passes: 8, Secret: 0, Seed: 5}, runIdx, 17)
 		if err != nil {
 			t.Fatal(err)
 		}
-		r1, err := p.Run(SecretDep{Lines: 48, Passes: 8, Secret: 1, Seed: 5}, runIdx, 17)
+		r1, err := p.ExecuteRun(context.Background(), SecretDep{Lines: 48, Passes: 8, Secret: 1, Seed: 5}, runIdx, 17)
 		if err != nil {
 			t.Fatal(err)
 		}

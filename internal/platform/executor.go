@@ -9,17 +9,13 @@ import (
 )
 
 // Board is one simulated machine a worker executes measurement runs
-// on: a single-core Platform or a co-simulated Multicore. The contract
-// is the protocol contract of (*Platform).RunCtx — all randomness
-// derives from seed, results are a pure function of (workload, run,
-// seed), and execution aborts promptly once ctx is canceled.
+// on: a single-core Platform or a co-simulated Multicore. Both apply
+// the paper's per-run protocol and measure core 0 through one shared
+// run step (measured.exec): all randomness derives from seed, results
+// are a pure function of (workload, run, seed), and execution aborts
+// promptly once ctx is canceled.
 type Board interface {
 	ExecuteRun(ctx context.Context, w Workload, run int, seed uint64) (RunResult, error)
-}
-
-// ExecuteRun implements Board: one protocol-compliant measurement.
-func (p *Platform) ExecuteRun(ctx context.Context, w Workload, run int, seed uint64) (RunResult, error) {
-	return p.RunCtx(ctx, w, run, seed)
 }
 
 // ExecPolicy bundles the per-run resilience knobs shared by the

@@ -54,8 +54,8 @@ func runOn(c *cpu.Core, m *isa.Machine, perInstr bool) error {
 // the run error.
 func (p *Platform) RunOnCoreForTest(m *isa.Machine, runSeed uint64, perInstr bool) (BoardCounters, error) {
 	p.PrepareRun(runSeed)
-	err := runOn(p.core, m, perInstr)
-	return counters(p.core, p.bus, p.dram), err
+	err := runOn(p.meas.core, m, perInstr)
+	return counters(p.meas.core, p.bus, p.dram), err
 }
 
 // BusStats is the shared bus's activity over the board's last run.

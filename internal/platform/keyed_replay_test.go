@@ -45,7 +45,7 @@ func TestKeyedReplayMatchesInterpretation(t *testing.T) {
 		}
 		st := b.fast.BoardStats()
 		t.Logf("input seed %#x: %d replayed + %d interpreted runs, %d recording runs, %d recordings of %d bytes",
-			seed, st.ReplayRuns, st.InterpretRuns, st.Recordings, len(b.fast.slot.set), setBytes(&b.fast.slot))
+			seed, st.ReplayRuns, st.InterpretRuns, st.Recordings, len(b.fast.meas.slot.set), setBytes(&b.fast.meas.slot))
 		if st.ReplayRuns+st.InterpretRuns != uint64(runs) {
 			t.Errorf("input seed %#x: %d replayed + %d interpreted runs, want %d",
 				seed, st.ReplayRuns, st.InterpretRuns, runs)
@@ -54,13 +54,13 @@ func TestKeyedReplayMatchesInterpretation(t *testing.T) {
 			t.Errorf("input seed %#x: %d replayed + %d interpreted runs, want >= 85%% replayed and >= 5%% interpreted",
 				seed, st.ReplayRuns, st.InterpretRuns)
 		}
-		for _, r := range b.fast.slot.set {
+		for _, r := range b.fast.meas.slot.set {
 			if n := r.trace.bytes(); n > 512<<10 {
 				t.Errorf("input seed %#x: 16-frame trace takes %d bytes, want <= 0.5 MB", seed, n)
 			}
 		}
-		if n := setBytes(&b.fast.slot); len(b.fast.slot.set) > 1 && n > traceBudget {
-			t.Errorf("input seed %#x: %d recordings take %d bytes, over %d", seed, len(b.fast.slot.set), n, traceBudget)
+		if n := setBytes(&b.fast.meas.slot); len(b.fast.meas.slot.set) > 1 && n > traceBudget {
+			t.Errorf("input seed %#x: %d recordings take %d bytes, over %d", seed, len(b.fast.meas.slot.set), n, traceBudget)
 		}
 	}
 
@@ -70,11 +70,11 @@ func TestKeyedReplayMatchesInterpretation(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i := 0; i < 5; i++ {
-		if _, err := det.Run(app, i, DeriveRunSeed(23, i)); err != nil {
+		if _, err := det.ExecuteRun(context.Background(), app, i, DeriveRunSeed(23, i)); err != nil {
 			t.Fatal(err)
 		}
 	}
-	if st := det.BoardStats(); st.ReplayRuns != 0 || st.Recordings != 0 || len(det.slot.set) != 0 {
+	if st := det.BoardStats(); st.ReplayRuns != 0 || st.Recordings != 0 || len(det.meas.slot.set) != 0 {
 		t.Errorf("DET replayed %d keyed runs and recorded %d, want none", st.ReplayRuns, st.Recordings)
 	}
 }

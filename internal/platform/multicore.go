@@ -7,13 +7,10 @@ import (
 	"math"
 
 	"repro/internal/bus"
-	"repro/internal/cache"
 	"repro/internal/cpu"
-	"repro/internal/fpu"
 	"repro/internal/isa"
 	"repro/internal/mem"
 	"repro/internal/rng"
-	"repro/internal/tlb"
 )
 
 // Multicore co-simulates real guest programs on all cores of the
@@ -69,31 +66,8 @@ type Multicore struct {
 	// Per-core failures of the run in flight, reset by prepareRun.
 	errs []error
 
-	// Measured-machine reuse (Reloader workloads).
-	machine machineCache
-
-	// Decode-once trace replay for the measured core (see TraceKeyer
-	// and the same slot on Platform): the block streams recorded for
-	// recurring keys, replayed through the timing model for later runs
-	// with the same key. blind reports an operand-blind FPU.
-	slot  traceSlot
-	blind bool
-
-	stop        bool // a co-runner failed: the measured core's poll ends the run
-	interpreted bool // a machine ran this run
-
-	// runCtx is the context of the run in flight (nil when it can never
-	// fire), polled through cancelFn — the canceled method value, bound
-	// once per board, so a cancelable run allocates no closure. Every
-	// machine and replay of a run polls it.
-	runCtx   context.Context
-	cancelFn func() bool
-
-	// Cumulative run-kind tallies for the telemetry harvest (see
-	// BoardStats).
-	replayRuns    uint64
-	interpretRuns uint64
-	recordings    uint64
+	// meas is core 0 and its run step, shared with Platform.
+	meas measured
 }
 
 // NewMulticore validates the configuration and the co-runner list: at
@@ -194,7 +168,6 @@ func (mc *Multicore) ensureBoard() error {
 	if mc.dram, err = mem.New(mc.cfg.DRAM); err != nil {
 		return err
 	}
-	mc.blind = mc.cfg.FPUMode == fpu.ModeAnalysis
 	mc.seedr = rng.NewSplitMix64(1)
 	mc.resm = rng.NewSplitMix64(1)
 	mc.cores = make([]*cpu.Core, n)
@@ -203,40 +176,17 @@ func (mc *Multicore) ensureBoard() error {
 	mc.co = make([]coState, n)
 	port := &mcPort{mc: mc, transfer: mc.cfg.Bus.TransferCycles}
 	for c := 0; c < n; c++ {
-		src := rng.NewXoroshiro128(1)
-		il1, err := cache.New(mc.cfg.IL1, src)
-		if err != nil {
+		mc.srcs[c] = rng.NewXoroshiro128(1)
+		if mc.cores[c], err = newCore(mc.cfg, c, mc.srcs[c], port); err != nil {
 			return err
 		}
-		dl1, err := cache.New(mc.cfg.DL1, src)
-		if err != nil {
-			return err
-		}
-		itlb, err := tlb.New(mc.cfg.ITLB, src)
-		if err != nil {
-			return err
-		}
-		dtlb, err := tlb.New(mc.cfg.DTLB, src)
-		if err != nil {
-			return err
-		}
-		f, err := fpu.New(mc.cfg.FPULat, mc.cfg.FPUMode)
-		if err != nil {
-			return err
-		}
-		core, err := cpu.NewCore(c, mc.cfg.CoreParams, il1, dl1, itlb, dtlb, f, port)
-		if err != nil {
-			return err
-		}
-		mc.srcs[c] = src
-		mc.cores[c] = core
 	}
-	mc.cancelFn = mc.canceled
+	mc.meas.init(mc.cfg, mc.cores[0])
 	for i, w := range mc.coRunners {
 		cs := &mc.co[i+1]
 		cs.w, cs.stable = w, constantKey(w)
 		cs.fetch = min(mc.cores[i+1].FetchBytes(), maxBlockBytes)
-		cs.pause = func() bool { return cs.filled || mc.canceled() }
+		cs.pause = func() bool { return cs.filled || mc.meas.canceled() }
 	}
 	mc.built = true
 	return nil
@@ -265,13 +215,6 @@ func (mc *Multicore) prepareRun(runSeed uint64) {
 	for c := 1; c < len(mc.co); c++ {
 		mc.co[c].restart()
 	}
-	mc.stop, mc.interpreted = false, false
-}
-
-// canceled is the run's cancellation poll: a co-runner failed or the
-// run's context is done.
-func (mc *Multicore) canceled() bool {
-	return mc.stop || mc.runCtx != nil && mc.runCtx.Err() != nil
 }
 
 // ExecuteRun implements Board: one protocol-compliant measurement of w
@@ -290,53 +233,15 @@ func (mc *Multicore) ExecuteRun(ctx context.Context, w Workload, run int, seed u
 	if err := mc.ensureBoard(); err != nil {
 		return RunResult{}, err
 	}
-	hit, record := mc.slot.next(w, run, mc.blind)
-	var m *isa.Machine
-	if hit == nil {
-		var err error
-		if m, err = mc.machine.get(w, run); err != nil {
-			return RunResult{}, fmt.Errorf("core 0: %w", err)
-		}
-		m.Cancel = mc.cancelFn
-	}
 	mc.prepareRun(seed)
-	if ctx != nil && ctx.Done() != nil {
-		mc.runCtx = ctx
-	}
-
 	// Core 0: the measured workload. Its bus requests drive the
 	// co-runners (inlineRequest).
-	var res RunResult
-	var err error
-	switch {
-	case hit != nil:
-		res.Cycles, err = mc.replayMeasured(hit.trace)
-		res.Path = hit.path
-	case record:
-		mc.interpreted = true
-		if err = mc.slot.record(mc.cores[0], m); err == nil {
-			res.Cycles, res.Path = mc.cores[0].Cycle(), w.PathOf(m)
-		}
-	default:
-		mc.interpreted = true
-		if res.Cycles, err = mc.cores[0].RunProgram(m); err == nil {
-			res.Path = w.PathOf(m)
-		}
-	}
-	mc.runCtx = nil
+	res, err := mc.meas.exec(ctx, w, run)
 	mc.errs[0] = err
 	if err := mc.runError(); err != nil {
 		return RunResult{}, err
 	}
-	if !mc.interpreted {
-		mc.replayRuns++
-	} else {
-		mc.interpretRuns++
-	}
-	if record {
-		mc.recordings++
-	}
-	res.Instructions = mc.cores[0].Stats().Instructions
+	mc.meas.tally()
 	return res, nil
 }
 
@@ -446,12 +351,12 @@ func (mc *Multicore) produce(c int) {
 		cs.cur = traceCursor{}
 	}
 	k, off := cs.src.mark()
-	mc.interpreted, cs.filled = true, false
+	mc.meas.interpreted, cs.filled = true, false
 	_, err := cs.m.RunBlocks(cs)
 	switch {
 	case err == nil:
 		cs.m, cs.done = nil, cs.stable
-	case !errors.Is(err, isa.ErrCancelled) || mc.canceled():
+	case !errors.Is(err, isa.ErrCancelled) || mc.meas.canceled():
 		mc.fail(c, err)
 		return
 	}
@@ -463,21 +368,7 @@ func (mc *Multicore) produce(c int) {
 // requests this run, and its next run starts its program afresh.
 func (mc *Multicore) fail(c int, err error) {
 	cs := &mc.co[c]
-	mc.errs[c], mc.stop = err, true
+	mc.errs[c], mc.meas.stop = err, true
 	cs.m, cs.next, cs.queued = nil, math.MaxUint64, false
 	cs.src.clear()
-}
-
-// replayMeasured performs one measurement by replaying trace through
-// core 0's timing model. The per-run protocol
-// (flush, reset, reseed) already ran, so placement/replacement
-// randomness and bus contention are exactly as in full execution and
-// the measured cycles are bit-identical. The stop poll matches the
-// interpreter's Cancel granularity.
-func (mc *Multicore) replayMeasured(trace *blockTrace) (uint64, error) {
-	core := mc.cores[0]
-	if !trace.replay(core, mc.cancelFn) {
-		return 0, isa.ErrCancelled
-	}
-	return core.Cycle(), nil
 }

@@ -215,57 +215,6 @@ func TestMulticoreCoRunnerCancelFailsRun(t *testing.T) {
 	}
 }
 
-// pollCountCtx is a context whose Err reports Canceled once it has
-// been called n times, and whose Done channel never closes: a
-// cancellation that lands at a fixed cancel poll of a run.
-type pollCountCtx struct {
-	context.Context
-	n    int
-	done chan struct{}
-}
-
-func newPollCountCtx(n int) *pollCountCtx {
-	return &pollCountCtx{Context: context.Background(), n: n, done: make(chan struct{})}
-}
-
-func (c *pollCountCtx) Done() <-chan struct{} { return c.done }
-
-func (c *pollCountCtx) Err() error {
-	if c.n--; c.n < 0 {
-		return context.Canceled
-	}
-	return nil
-}
-
-// TestMulticoreContextFailsReplayingRun pins that the run's context
-// fails a run whose co-runners only replay: a replayed co-runner is
-// planned on demand and polls nothing, so the measured core's poll —
-// its replay's, or its interpreter's — is what ends the run, and the
-// error names core 0.
-func TestMulticoreContextFailsReplayingRun(t *testing.T) {
-	measured := stableStreamer{streamer{lines: 1 << 13}} // 32k instructions, 32 polls
-	for _, w := range []Workload{measured, opaqueWorkload{measured}} {
-		mc, err := NewMulticore(RAND(), []Workload{stableStreamer{streamer{lines: 8}}})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if _, err := mc.ExecuteRun(context.Background(), w, 0, 1); err != nil {
-			t.Fatal(err)
-		}
-		if !mc.co[1].done {
-			t.Fatal("co-runner recorded no whole iteration")
-		}
-		r, err := mc.ExecuteRun(newPollCountCtx(8), w, 1, 2)
-		if !errors.Is(err, isa.ErrCancelled) || !strings.Contains(err.Error(), "core 0") {
-			t.Errorf("%s: run cancelled after 8 context checks returned (%+v, %v), want core 0 failing with ErrCancelled",
-				w.Name(), r, err)
-		}
-		if _, err := mc.ExecuteRun(context.Background(), w, 2, 3); err != nil {
-			t.Errorf("%s: run after a cancelled one: %v", w.Name(), err)
-		}
-	}
-}
-
 // growingSweep is a measured streamer sweep that doubles in length
 // with each run: 256 lines on run 0.
 type growingSweep struct{}

@@ -180,7 +180,7 @@ func TestMulticoreArchitecturalResultUnaffected(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	single, err := p.Run(app, 2, 42)
+	single, err := p.ExecuteRun(context.Background(), app, 2, 42)
 	if err != nil {
 		t.Fatal(err)
 	}

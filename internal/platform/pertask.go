@@ -57,7 +57,7 @@ func (p *Platform) RunPerTask(w TaskAware, run int, runSeed uint64) (RunResult, 
 	}
 	p.PrepareRun(runSeed)
 
-	ts := taskSink{core: p.core, spans: spans, jobs: make(JobTimes), current: -1, prev: p.core.Cycle()}
+	ts := taskSink{core: p.meas.core, spans: spans, jobs: make(JobTimes), current: -1, prev: p.meas.core.Cycle()}
 	if _, err := m.RunBlocks(&ts); err != nil {
 		return RunResult{}, nil, fmt.Errorf("platform %s: run %d: %w", p.cfg.Name, run, err)
 	}
@@ -67,8 +67,8 @@ func (p *Platform) RunPerTask(w TaskAware, run int, runSeed uint64) (RunResult, 
 	}
 	jobs["(dispatcher)"] = []uint64{ts.dispatchCycles}
 	return RunResult{
-		Cycles:       p.core.Cycle(),
-		Instructions: p.core.Stats().Instructions,
+		Cycles:       p.meas.core.Cycle(),
+		Instructions: p.meas.core.Stats().Instructions,
 		Path:         w.PathOf(m),
 	}, jobs, nil
 }

@@ -1,6 +1,7 @@
 package platform
 
 import (
+	"context"
 	"testing"
 
 	"repro/internal/isa"
@@ -96,7 +97,7 @@ func TestRunPerTaskMatchesPlainRun(t *testing.T) {
 	app := tinyTVCA(t)
 	p1, _ := New(RAND())
 	p2, _ := New(RAND())
-	plain, err := p1.Run(app, 2, 7)
+	plain, err := p1.ExecuteRun(context.Background(), app, 2, 7)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -140,44 +140,11 @@ func RAND() Config {
 // worker.
 type Platform struct {
 	cfg   Config
-	core  *cpu.Core
 	bus   *bus.Bus
 	dram  *mem.Controller
-	il1   *cache.Cache
-	dl1   *cache.Cache
-	itlb  *tlb.TLB
-	dtlb  *tlb.TLB
-	fpu   *fpu.FPU
 	rsrc  *rng.Xoroshiro128 // hardware randomness (replacement policies)
 	seedr *rng.SplitMix64   // derives per-resource seeds from the run seed
-
-	// Cumulative run-kind tallies for the telemetry harvest (see
-	// BoardStats): how many measurements went through the trace-replay
-	// fast path versus full interpretation, and how many of the
-	// interpreted ones recorded their stream.
-	replayRuns    uint64
-	interpretRuns uint64
-	recordings    uint64
-
-	// Machine reuse: the steady-state campaign loop re-initializes a
-	// Reloader workload's machine in place instead of allocating a fresh
-	// memory image every run.
-	machine machineCache
-
-	// Decode-once trace replay (see TraceKeyer and traceSlot): the
-	// block streams recorded for recurring keys, replayed through the
-	// timing model for later runs with the same key. blind reports an
-	// operand-blind FPU, where non-empty keys may replay.
-	replayOff bool
-	paranoid  bool
-	blind     bool
-	slot      traceSlot
-
-	// runCtx is the context of the run in flight, polled through
-	// cancelPoll — a method value bound once per board, so a cancelable
-	// run allocates no closure.
-	runCtx     context.Context
-	cancelPoll func() bool
+	meas  measured          // core 0 and its run step
 }
 
 // New instantiates a platform from cfg.
@@ -185,71 +152,53 @@ func New(cfg Config) (*Platform, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
-	p := &Platform{cfg: cfg, blind: cfg.FPUMode == fpu.ModeAnalysis}
-	p.cancelPoll = p.canceled
+	p := &Platform{cfg: cfg}
 	p.rsrc = rng.NewXoroshiro128(1)
 	p.seedr = rng.NewSplitMix64(1)
 	var err error
-	if p.il1, err = cache.New(cfg.IL1, p.rsrc); err != nil {
-		return nil, err
-	}
-	if p.dl1, err = cache.New(cfg.DL1, p.rsrc); err != nil {
-		return nil, err
-	}
-	if p.itlb, err = tlb.New(cfg.ITLB, p.rsrc); err != nil {
-		return nil, err
-	}
-	if p.dtlb, err = tlb.New(cfg.DTLB, p.rsrc); err != nil {
-		return nil, err
-	}
-	f, err := fpu.New(cfg.FPULat, cfg.FPUMode)
-	if err != nil {
-		return nil, err
-	}
-	p.fpu = f
 	if p.bus, err = bus.New(cfg.Bus); err != nil {
 		return nil, err
 	}
 	if p.dram, err = mem.New(cfg.DRAM); err != nil {
 		return nil, err
 	}
-	if p.core, err = cpu.NewCore(0, cfg.CoreParams, p.il1, p.dl1, p.itlb, p.dtlb, f, cpu.BusMem{Bus: p.bus, Mem: p.dram}); err != nil {
+	core, err := newCore(cfg, 0, p.rsrc, cpu.BusMem{Bus: p.bus, Mem: p.dram})
+	if err != nil {
 		return nil, err
 	}
+	p.meas.init(cfg, core)
 	return p, nil
 }
 
 // Config returns the platform configuration.
 func (p *Platform) Config() Config { return p.cfg }
 
-// canceled reports whether the run in flight's context is done.
-func (p *Platform) canceled() bool { return p.runCtx.Err() != nil }
-
 // PollContext arms m to poll ctx for cancellation through the board's
 // persistent poll, so a cancelable run allocates no closure; a ctx that
 // can never fire, nil included, disarms m. Disarm m with a nil ctx once
 // its run is over.
 func (p *Platform) PollContext(ctx context.Context, m *isa.Machine) {
-	p.runCtx, m.Cancel = nil, nil
+	p.meas.runCtx, m.Cancel = nil, nil
 	if ctx != nil && ctx.Done() != nil {
-		p.runCtx, m.Cancel = ctx, p.cancelPoll
+		p.meas.runCtx, m.Cancel = ctx, p.meas.cancelFn
 	}
 }
 
 // Core returns the measured core (core 0).
-func (p *Platform) Core() *cpu.Core { return p.core }
+func (p *Platform) Core() *cpu.Core { return p.meas.core }
 
 // PrepareRun applies the paper's per-run protocol: flush caches and
 // TLBs, reset the board, and install a fresh seed derived from runSeed
 // for every randomized resource.
 func (p *Platform) PrepareRun(runSeed uint64) {
-	p.core.Reset()
-	p.core.FlushAll()
+	c := p.meas.core
+	c.Reset()
+	c.FlushAll()
 	p.bus.Reset()
 	p.dram.Reset()
 	p.seedr.Seed(runSeed)
-	p.il1.Reseed(p.seedr.Uint64())
-	p.dl1.Reseed(p.seedr.Uint64())
+	c.IL1.Reseed(p.seedr.Uint64())
+	c.DL1.Reseed(p.seedr.Uint64())
 	p.rsrc.Seed(p.seedr.Uint64())
 }
 
@@ -316,52 +265,19 @@ type Reloader interface {
 	Reload(m *isa.Machine, run int) error
 }
 
-// Run performs one protocol-compliant measurement of w.
-func (p *Platform) Run(w Workload, run int, runSeed uint64) (RunResult, error) {
-	return p.RunCtx(context.Background(), w, run, runSeed)
-}
-
-// RunCtx is Run with cooperative cancellation: the guest machine polls
-// ctx between instruction bursts and aborts promptly once it is
-// canceled (e.g. by a per-run timeout). The poll does not interact with
-// the timing model, so for a context that never fires the measured
-// cycles are bit-identical to Run.
-func (p *Platform) RunCtx(ctx context.Context, w Workload, run int, runSeed uint64) (RunResult, error) {
-	var hit *recording
-	var record bool
-	if !p.replayOff {
-		hit, record = p.slot.next(w, run, p.blind)
-	}
-	if hit != nil {
-		return p.runReplay(ctx, w, run, runSeed, hit)
-	}
-	m, err := p.machine.get(w, run)
-	if err != nil {
-		return RunResult{}, fmt.Errorf("platform %s: prepare run %d: %w", p.cfg.Name, run, err)
-	}
-	p.PollContext(ctx, m)
-	p.PrepareRun(runSeed)
-	var cycles uint64
-	if record {
-		start := p.core.Cycle()
-		err = p.slot.record(p.core, m)
-		cycles = p.core.Cycle() - start
-	} else {
-		cycles, err = p.core.RunProgram(m)
-	}
-	p.PollContext(nil, m)
+// ExecuteRun implements Board: one protocol-compliant measurement of
+// w. The guest machine, or the replay, polls ctx between instruction
+// bursts and aborts promptly once it is canceled (e.g. by a per-run
+// timeout); for a context that never fires the measured cycles are
+// those of an uncancelable run.
+func (p *Platform) ExecuteRun(ctx context.Context, w Workload, run int, seed uint64) (RunResult, error) {
+	p.PrepareRun(seed)
+	res, err := p.meas.exec(ctx, w, run)
 	if err != nil {
 		return RunResult{}, fmt.Errorf("platform %s: run %d: %w", p.cfg.Name, run, err)
 	}
-	p.interpretRuns++
-	if record {
-		p.recordings++
-	}
-	return RunResult{
-		Cycles:       cycles,
-		Instructions: p.core.Stats().Instructions,
-		Path:         w.PathOf(m),
-	}, nil
+	p.meas.tally()
+	return res, nil
 }
 
 // machineCache holds the last machine a Reloader workload prepared, so
@@ -393,89 +309,11 @@ func (c *machineCache) get(w Workload, run int) (*isa.Machine, error) {
 	return m, nil
 }
 
-// runReplay performs one measurement by replaying rec's block stream
-// through the timing model: the per-run protocol (flush, reset,
-// reseed) still applies, so placement/replacement/FPU randomness is
-// exactly as in full execution, and the measured cycles are
-// bit-identical. In paranoia mode every replayed run is cross-checked
-// against a full execution with the same seed.
-func (p *Platform) runReplay(ctx context.Context, w Workload, run int, runSeed uint64, rec *recording) (RunResult, error) {
-	var before BoardStats
-	if p.paranoid {
-		before = p.BoardStats()
-	}
-	p.PrepareRun(runSeed)
-	var canceled func() bool
-	if ctx != nil && ctx.Done() != nil {
-		p.runCtx, canceled = ctx, p.cancelPoll
-	}
-	ok := rec.trace.replay(p.core, canceled)
-	p.runCtx = nil
-	if !ok {
-		return RunResult{}, fmt.Errorf("platform %s: replay run %d: %w",
-			p.cfg.Name, run, isa.ErrCancelled)
-	}
-	res := RunResult{
-		Cycles:       p.core.Cycle(),
-		Instructions: p.core.Stats().Instructions,
-		Path:         rec.path,
-	}
-	if p.paranoid {
-		if err := p.crossCheck(ctx, w, run, runSeed, res, before); err != nil {
-			return RunResult{}, err
-		}
-	}
-	p.replayRuns++
-	return res, nil
-}
-
-// crossCheck re-executes the run fully (fresh machine, same seed) and
-// compares cycles, instruction count, path, the core's counters and
-// the caches', TLBs' and FPU's counter deltas against the replay,
-// whose deltas run from before.
-func (p *Platform) crossCheck(ctx context.Context, w Workload, run int, runSeed uint64, got RunResult, before BoardStats) error {
-	gotCore, after := p.core.Stats(), p.BoardStats()
-	m, err := w.Prepare(run)
-	if err != nil {
-		return fmt.Errorf("platform %s: paranoia prepare run %d: %w", p.cfg.Name, run, err)
-	}
-	p.PollContext(ctx, m)
-	p.PrepareRun(runSeed)
-	cycles, err := p.core.RunProgram(m)
-	p.PollContext(nil, m)
-	if err != nil {
-		return fmt.Errorf("platform %s: paranoia run %d: %w", p.cfg.Name, run, err)
-	}
-	want := RunResult{
-		Cycles:       cycles,
-		Instructions: p.core.Stats().Instructions,
-		Path:         w.PathOf(m),
-	}
-	if got != want {
-		return fmt.Errorf("platform %s: replay diverged from full execution on run %d: replay=%+v full=%+v",
-			p.cfg.Name, run, got, want)
-	}
-	if gc, wc := gotCore, p.core.Stats(); gc != wc {
-		return fmt.Errorf("platform %s: replay diverged from full execution on run %d: core replay=%+v full=%+v",
-			p.cfg.Name, run, gc, wc)
-	}
-	if gs, ws := after.Sub(before), p.BoardStats().Sub(after); gs != ws {
-		return fmt.Errorf("platform %s: replay diverged from full execution on run %d: counters replay=%+v full=%+v",
-			p.cfg.Name, run, gs, ws)
-	}
-	return nil
-}
-
 // SetReplay enables or disables the decode-once trace-replay fast path
 // (enabled by default). Disabling also drops the recorded traces.
 func (p *Platform) SetReplay(on bool) {
-	p.replayOff = !on
+	p.meas.replayOff = !on
 	if !on {
-		p.slot = traceSlot{}
+		p.meas.slot = traceSlot{}
 	}
 }
-
-// SetReplayParanoia toggles cross-checking of every replayed run
-// against a full execution with the same seed (testing aid; doubles the
-// cost of replayed runs).
-func (p *Platform) SetReplayParanoia(on bool) { p.paranoid = on }

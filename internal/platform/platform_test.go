@@ -95,11 +95,11 @@ func TestDETRunsAreBitIdenticalAcrossSeeds(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	r1, err := p.Run(app, 5, 111)
+	r1, err := p.ExecuteRun(context.Background(), app, 5, 111)
 	if err != nil {
 		t.Fatal(err)
 	}
-	r2, err := p.Run(app, 5, 999999)
+	r2, err := p.ExecuteRun(context.Background(), app, 5, 999999)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -116,7 +116,7 @@ func TestRANDRunsVaryAcrossSeeds(t *testing.T) {
 	}
 	seen := make(map[uint64]bool)
 	for seed := uint64(1); seed <= 12; seed++ {
-		r, err := p.Run(app, 5, seed*7919)
+		r, err := p.ExecuteRun(context.Background(), app, 5, seed*7919)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -132,11 +132,11 @@ func TestRunReproducibleGivenSeed(t *testing.T) {
 	for _, cfg := range []Config{DET(), RAND()} {
 		p1, _ := New(cfg)
 		p2, _ := New(cfg)
-		a, err := p1.Run(app, 3, 42)
+		a, err := p1.ExecuteRun(context.Background(), app, 3, 42)
 		if err != nil {
 			t.Fatal(err)
 		}
-		b, err := p2.Run(app, 3, 42)
+		b, err := p2.ExecuteRun(context.Background(), app, 3, 42)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -153,11 +153,11 @@ func TestArchitecturalResultsPlatformIndependent(t *testing.T) {
 	det, _ := New(DET())
 	rand, _ := New(RAND())
 	for run := 0; run < 5; run++ {
-		rd, err := det.Run(app, run, 1)
+		rd, err := det.ExecuteRun(context.Background(), app, run, 1)
 		if err != nil {
 			t.Fatal(err)
 		}
-		rr, err := rand.Run(app, run, 2)
+		rr, err := rand.ExecuteRun(context.Background(), app, run, 2)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -298,7 +298,7 @@ func TestTrivialWorkloadRuns(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	r, err := p.Run(trivialWorkload{}, 0, 1)
+	r, err := p.ExecuteRun(context.Background(), trivialWorkload{}, 0, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -391,13 +391,13 @@ func TestTraceRecordingGrowsOnDemand(t *testing.T) {
 		t.Fatal(err)
 	}
 	uni := allocated(func() error {
-		_, err := p.Run(w, 0, DeriveRunSeed(5, 0))
+		_, err := p.ExecuteRun(context.Background(), w, 0, DeriveRunSeed(5, 0))
 		return err
 	})
 	if uni >= limit {
 		t.Errorf("Platform: recording run allocated %d bytes, want < %d", uni, limit)
 	}
-	if _, err := p.Run(w, 1, DeriveRunSeed(5, 1)); err != nil {
+	if _, err := p.ExecuteRun(context.Background(), w, 1, DeriveRunSeed(5, 1)); err != nil {
 		t.Fatal(err)
 	}
 	if st := p.BoardStats(); st.ReplayRuns != 1 {

@@ -226,7 +226,7 @@ func TestCancelFlushesCompletedRuns(t *testing.T) {
 	defer cancel()
 	var executed atomic.Int64
 	runner := func(ctx context.Context, p *Platform, w Workload, run int, seed uint64) (RunResult, error) {
-		r, err := p.RunCtx(ctx, w, run, seed)
+		r, err := p.ExecuteRun(ctx, w, run, seed)
 		if executed.Add(1) == 7 {
 			cancel() // cancel mid-batch, after the 7th completed run
 		}
@@ -281,7 +281,7 @@ func TestResumeSkipsExecutedRuns(t *testing.T) {
 				break
 			}
 		}
-		return p.RunCtx(ctx, w, run, seed)
+		return p.ExecuteRun(ctx, w, run, seed)
 	})
 	var batches []Batch
 	reg := telemetry.New()

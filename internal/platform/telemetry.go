@@ -48,18 +48,7 @@ type BoardStats struct {
 }
 
 // BoardStats returns the platform's cumulative substrate counters.
-func (p *Platform) BoardStats() BoardStats {
-	return BoardStats{
-		IL1:           p.il1.Stats(),
-		DL1:           p.dl1.Stats(),
-		ITLB:          p.itlb.Stats(),
-		DTLB:          p.dtlb.Stats(),
-		FPU:           p.fpu.Stats(),
-		ReplayRuns:    p.replayRuns,
-		InterpretRuns: p.interpretRuns,
-		Recordings:    p.recordings,
-	}
-}
+func (p *Platform) BoardStats() BoardStats { return p.meas.stats() }
 
 // Sub returns the counter delta b - prev (prev must be an earlier
 // snapshot of the same board).
@@ -206,9 +195,9 @@ func dtlbInstruments(reg *telemetry.Registry) tlbInstruments {
 var batchSecondsBounds = []float64{0.001, 0.005, 0.02, 0.1, 0.5, 2, 10, 60, 300}
 
 // boardStatser is the optional Board extension the substrate harvest
-// uses. Both Platform and the co-simulated Multicore implement it —
-// Multicore boards reuse their cores across runs (see ensureBoard), so
-// their counters accumulate exactly like a single-core platform's.
+// uses. Both Platform and the co-simulated Multicore implement it
+// through their shared measured core (measured.stats), whose counters
+// accumulate across the board's runs.
 type boardStatser interface {
 	BoardStats() BoardStats
 }
@@ -222,17 +211,7 @@ func (mc *Multicore) BoardStats() BoardStats {
 	if !mc.built {
 		return BoardStats{}
 	}
-	c0 := mc.cores[0]
-	return BoardStats{
-		IL1:           c0.IL1.Stats(),
-		DL1:           c0.DL1.Stats(),
-		ITLB:          c0.ITLB.Stats(),
-		DTLB:          c0.DTLB.Stats(),
-		FPU:           c0.FPU.Stats(),
-		ReplayRuns:    mc.replayRuns,
-		InterpretRuns: mc.interpretRuns,
-		Recordings:    mc.recordings,
-	}
+	return mc.meas.stats()
 }
 
 func newStreamTele(reg *telemetry.Registry, o StreamOptions, platformName, workload string) *streamTele {

@@ -128,7 +128,7 @@ func TestBoardStatsSub(t *testing.T) {
 		t.Fatal(err)
 	}
 	before := p.BoardStats()
-	if _, err := p.Run(app, 0, 1); err != nil {
+	if _, err := p.ExecuteRun(context.Background(), app, 0, 1); err != nil {
 		t.Fatal(err)
 	}
 	after := p.BoardStats()

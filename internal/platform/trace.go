@@ -24,11 +24,12 @@ import (
 // its stream is identical for every run index, FDIV/FSQRT operands
 // included.
 //
-// A board keeps a small set of recordings (see traceSlot). It records
-// a non-empty key's stream the second time it runs that key, and the
-// empty key's on its first run; a later run whose key equals a
-// recorded one replays that recording, and any other run is
-// interpreted. A non-empty key replays only on an operand-blind FPU
+// A board's measured core, on either board (see measured), keeps a
+// small set of recordings of the workload it runs (see traceSlot),
+// dropped when it runs another workload. It records a non-empty key's
+// stream the second time it runs that key, and the empty key's on its
+// first run; a later run whose key equals a recorded one replays that
+// recording, and any other run is interpreted. A non-empty key replays only on an operand-blind FPU
 // (fpu.ModeAnalysis, where FDIV and FSQRT take their fixed worst-case
 // latency), so DET never replays a keyed workload; the empty key
 // replays on either FPU.
@@ -59,10 +60,11 @@ func constantKey(w Workload) bool {
 }
 
 // traceSlot is a board's decode-once recordings for its measured core:
-// a small set of block traces of the keyed workload it serves, each
-// with its run's key and path. Platform and Multicore own one each;
-// traces are never shared between boards, and a workload switch drops
-// them.
+// a small set of block traces of the workload it serves, each with its
+// run's key and path. It lives in the measured core that Platform and
+// Multicore share (measured), one per board; traces are never shared
+// between boards, and a switch to any other workload, keyed or not,
+// drops them and the seen keys.
 //
 // A non-empty key is recorded the second time the board runs it: seen
 // is a direct-mapped table of the hashes of the keys run so far, and a
@@ -75,7 +77,7 @@ func constantKey(w Workload) bool {
 // dropped, and from then on the board records no more. Nothing is
 // evicted.
 type traceSlot struct {
-	w     Workload   // the keyed workload the slot serves
+	w     Workload   // the workload the slot serves
 	keyer TraceKeyer // w's keys; nil once they cannot replay on this board
 	set   []recording
 	room  int // bytes the set may still grow by (the first trace may overdraw it)
@@ -103,12 +105,17 @@ const (
 // key equals the run's), record the run's stream (record), or
 // interpret (neither). blind reports an operand-blind FPU.
 func (s *traceSlot) next(w Workload, run int, blind bool) (hit *recording, record bool) {
-	if w != s.w {
-		k, ok := w.(TraceKeyer)
-		if !ok {
-			return nil, false
+	keyer, ok := w.(TraceKeyer)
+	if !ok {
+		// A keyless workload is never held, nor compared: its type need
+		// not be comparable, and it has nothing to replay.
+		if s.w != nil {
+			*s = traceSlot{cur: s.cur}
 		}
-		s.w, s.keyer, s.set, s.room = w, k, nil, traceBudget
+		return nil, false
+	}
+	if w != s.w {
+		s.w, s.keyer, s.set, s.room = w, keyer, nil, traceBudget
 		clear(s.seen[:])
 	}
 	if s.keyer == nil {

@@ -2,6 +2,7 @@ package platform
 
 import (
 	"bytes"
+	"context"
 	"strconv"
 	"testing"
 
@@ -84,18 +85,18 @@ func (b twinBoards) run(t testing.TB, w Workload, i int) runKind {
 	t.Helper()
 	seed := DeriveRunSeed(31, i)
 	fb, sb := b.fast.BoardStats(), b.slow.BoardStats()
-	fr, err := b.fast.Run(w, i, seed)
+	fr, err := b.fast.ExecuteRun(context.Background(), w, i, seed)
 	if err != nil {
 		t.Fatal(err)
 	}
-	sr, err := b.slow.Run(w, i, seed)
+	sr, err := b.slow.ExecuteRun(context.Background(), w, i, seed)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if fr != sr {
 		t.Fatalf("run %d: replaying board %+v, interpreting board %+v", i, fr, sr)
 	}
-	if fc, sc := b.fast.core.Stats(), b.slow.core.Stats(); fc != sc {
+	if fc, sc := b.fast.meas.core.Stats(), b.slow.meas.core.Stats(); fc != sc {
 		t.Fatalf("run %d: core counters %+v, interpreted %+v", i, fc, sc)
 	}
 	fd, sd := b.fast.BoardStats().Sub(fb), b.slow.BoardStats().Sub(sb)
@@ -153,13 +154,13 @@ func TestTraceSetRecordsOnRecurrence(t *testing.T) {
 	w = &keyedLoop{keys: []byte{1, 9, 9, 1, 1}, scale: 40}
 	for i, want := range []runKind{interpreted, recorded, replayed, recorded, replayed} {
 		if i == 1 {
-			c.fast.slot.recurs([]byte{9})
+			c.fast.meas.slot.recurs([]byte{9})
 		}
 		if got := c.run(t, w, i); got != want {
 			t.Fatalf("collision: run %d (key %d): executed as %d, want %d", i, w.key(i), got, want)
 		}
 	}
-	if got := len(c.fast.slot.set); got != 2 {
+	if got := len(c.fast.meas.slot.set); got != 2 {
 		t.Errorf("%d recordings, want 2", got)
 	}
 }
@@ -178,7 +179,7 @@ func TestTraceSetBudget(t *testing.T) {
 		interpreted, recorded, interpreted, interpreted, interpreted,
 		replayed, replayed,
 	})
-	s := &b.fast.slot
+	s := &b.fast.meas.slot
 	if len(s.set) != 2 || setBytes(s) > traceBudget || s.room != 0 {
 		t.Errorf("%d recordings of %d bytes (room %d), want 2 within %d and no room",
 			len(s.set), setBytes(s), s.room, traceBudget)
@@ -188,16 +189,29 @@ func TestTraceSetBudget(t *testing.T) {
 	}
 }
 
-// TestTraceSetWorkloadSwitch: a board that moves to another workload
-// drops its recordings and its seen keys, so the new workload's key
-// equal to an old one neither replays the old trace nor records early.
+// TestTraceSetWorkloadSwitch: a board that moves to another workload,
+// keyed or keyless, drops its recordings and its seen keys, so the new
+// workload's key equal to an old one neither replays the old trace nor
+// records early, and a workload the board returns to starts afresh.
 func TestTraceSetWorkloadSwitch(t *testing.T) {
 	b := newTwinBoards(t, RAND())
 	runKinds(t, b, &keyedLoop{keys: []byte{5}, scale: 40}, []runKind{interpreted, recorded, replayed})
-	runKinds(t, b, &keyedLoop{keys: []byte{5}, scale: 50}, []runKind{interpreted, recorded, replayed})
-	if got := len(b.fast.slot.set); got != 1 {
+	w := &keyedLoop{keys: []byte{5}, scale: 50}
+	runKinds(t, b, w, []runKind{interpreted, recorded, replayed})
+	s := &b.fast.meas.slot
+	if got := len(s.set); got != 1 {
 		t.Errorf("%d recordings after the switch, want 1", got)
 	}
+	keyless := opaqueWorkload{w}
+	for i := 0; i < 2; i++ {
+		if got := b.run(t, keyless, i); got != interpreted {
+			t.Fatalf("keyless run %d: executed as %d, want interpreted", i, got)
+		}
+	}
+	if len(s.set) != 0 || s.w != nil || s.keyer != nil {
+		t.Errorf("after the keyless runs: %d recordings of %v, want none and no workload held", len(s.set), s.w)
+	}
+	runKinds(t, b, w, []runKind{interpreted, recorded, replayed})
 }
 
 // TestTraceSetDETRecordsNothing: equal non-empty keys may differ in
@@ -206,8 +220,8 @@ func TestTraceSetWorkloadSwitch(t *testing.T) {
 func TestTraceSetDETRecordsNothing(t *testing.T) {
 	b := newTwinBoards(t, DET())
 	runKinds(t, b, &keyedLoop{keys: []byte{1, 1, 1, 2, 2, 2}, scale: 40}, make([]runKind, 6))
-	if st := b.fast.BoardStats(); st.Recordings != 0 || len(b.fast.slot.set) != 0 {
-		t.Errorf("DET: %d recording runs, %d recordings, want none", st.Recordings, len(b.fast.slot.set))
+	if st := b.fast.BoardStats(); st.Recordings != 0 || len(b.fast.meas.slot.set) != 0 {
+		t.Errorf("DET: %d recording runs, %d recordings, want none", st.Recordings, len(b.fast.meas.slot.set))
 	}
 }
 
@@ -231,7 +245,7 @@ func FuzzTraceSet(f *testing.F) {
 			w.keys[i] = k % 8
 		}
 		b := newTwinBoards(t, RAND())
-		s := &b.fast.slot
+		s := &b.fast.meas.slot
 		runs := make(map[byte]int)
 		for i, k := range w.keys {
 			room := len(s.set) == 0 || s.room >= s.set[0].trace.bytes()

@@ -1,6 +1,7 @@
 package main
 
 import (
+	"context"
 	"crypto/sha256"
 	"fmt"
 
@@ -22,7 +23,7 @@ func main() {
 		}
 		fmt.Printf("%s first32:\n", pc.Name)
 		for i := 0; i < 32; i++ {
-			r, err := p.Run(app, i, platform.DeriveRunSeed(42, i))
+			r, err := p.ExecuteRun(context.Background(), app, i, platform.DeriveRunSeed(42, i))
 			if err != nil {
 				panic(err)
 			}
@@ -35,7 +36,7 @@ func main() {
 		h := sha256.New()
 		p2, _ := platform.New(pc)
 		for i := 0; i < 600; i++ {
-			r, err := p2.Run(app, i, platform.DeriveRunSeed(42, i))
+			r, err := p2.ExecuteRun(context.Background(), app, i, platform.DeriveRunSeed(42, i))
 			if err != nil {
 				panic(err)
 			}

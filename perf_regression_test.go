@@ -16,6 +16,7 @@ package repro
 import (
 	"context"
 	"encoding/json"
+	"reflect"
 	"sync"
 	"testing"
 
@@ -72,7 +73,7 @@ func TestGoldenCampaignCycles(t *testing.T) {
 			t.Fatal(err)
 		}
 		for i := 0; i < len(want); i++ {
-			r, err := p.Run(app, i, platform.DeriveRunSeed(42, i))
+			r, err := p.ExecuteRun(context.Background(), app, i, platform.DeriveRunSeed(42, i))
 			if err != nil {
 				t.Fatalf("%s run %d: %v", pc.Name, i, err)
 			}
@@ -137,7 +138,7 @@ func TestSteadyStateZeroAlloc(t *testing.T) {
 		}
 		run := 0
 		step := func() {
-			if _, err := p.RunCtx(tc.ctx, tc.w, run, platform.DeriveRunSeed(42, run)); err != nil {
+			if _, err := p.ExecuteRun(tc.ctx, tc.w, run, platform.DeriveRunSeed(42, run)); err != nil {
 				t.Fatal(err)
 			}
 			run++
@@ -189,11 +190,11 @@ func TestReplayBitIdentical(t *testing.T) {
 		slow.SetReplay(false)
 		for i := 0; i < 600; i++ {
 			seed := platform.DeriveRunSeed(42, i)
-			fr, err := fast.Run(w, i, seed)
+			fr, err := fast.ExecuteRun(context.Background(), w, i, seed)
 			if err != nil {
 				t.Fatalf("%s replay run %d: %v", pc.Name, i, err)
 			}
-			sr, err := slow.Run(w, i, seed)
+			sr, err := slow.ExecuteRun(context.Background(), w, i, seed)
 			if err != nil {
 				t.Fatalf("%s interpreted run %d: %v", pc.Name, i, err)
 			}
@@ -204,34 +205,68 @@ func TestReplayBitIdentical(t *testing.T) {
 	}
 }
 
-// TestReplayParanoia exercises the built-in cross-check mode: every
-// replayed run is re-executed through the interpreter and compared —
-// result, core counters and cache/TLB/FPU counter deltas — inside the
-// platform, which fails the run on any divergence. It covers a
-// run-invariant workload on one board and a keyed campaign (16-frame
-// TVCA, whose runs replay once their key recurs on their board) on two
-// paranoid boards, each of which must replay runs from two traces, so
-// that choosing the wrong recording of a board's set is cross-checked
-// too.
-func TestReplayParanoia(t *testing.T) {
-	w := kernels.MatMul{N: 8, Seed: 11}
-	p, err := platform.New(platform.RAND())
-	if err != nil {
-		t.Fatal(err)
-	}
-	p.SetReplayParanoia(true)
-	for i := 0; i < 20; i++ {
-		if _, err := p.Run(w, i, platform.DeriveRunSeed(7, i)); err != nil {
-			t.Fatalf("paranoia run %d: %v", i, err)
-		}
-	}
-
+// TestReplayTwinCampaign runs the same campaigns on replaying boards
+// and on boards that interpret every run, and requires equal results
+// and equal summed cache, TLB and FPU counters: per-run counter deltas
+// depend only on the run, so the sums match however the campaign
+// spread its runs over its boards. The campaigns are a run-invariant
+// workload and a keyed one (16-frame TVCA, whose runs replay once
+// their key recurs on their board) at Parallel 2; each replaying board
+// of the keyed campaign must replay runs of two keys, so that choosing
+// the wrong recording of a board's set is caught too.
+func TestReplayTwinCampaign(t *testing.T) {
 	cfg := tvca.DefaultConfig()
 	cfg.Frames = 16
 	app, err := tvca.New(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
+	for _, tc := range []struct {
+		w    platform.Workload
+		runs int
+	}{
+		{kernels.MatMul{N: 8, Seed: 11}, 20},
+		{app, 60},
+	} {
+		fast, fr := twinCampaign(t, tc.w, tc.runs, true)
+		slow, sr := twinCampaign(t, tc.w, tc.runs, false)
+		if len(fr.Results) != tc.runs || len(sr.Results) != tc.runs {
+			t.Fatalf("%s: %d and %d results, want %d", tc.w.Name(), len(fr.Results), len(sr.Results), tc.runs)
+		}
+		for i := range fr.Results {
+			if fr.Results[i] != sr.Results[i] {
+				t.Fatalf("%s run %d: replaying boards %+v, interpreting boards %+v",
+					tc.w.Name(), i, fr.Results[i], sr.Results[i])
+			}
+		}
+		fs, ss := substrate(fast), substrate(slow)
+		if fs.ReplayRuns == 0 || ss.ReplayRuns != 0 {
+			t.Errorf("%s: %d runs replayed on the replaying boards, %d on the interpreting ones",
+				tc.w.Name(), fs.ReplayRuns, ss.ReplayRuns)
+		}
+		fs.ReplayRuns, fs.InterpretRuns, fs.Recordings = 0, 0, 0
+		ss.ReplayRuns, ss.InterpretRuns, ss.Recordings = 0, 0, 0
+		if fs != ss {
+			t.Errorf("%s: summed counters %+v, interpreted %+v", tc.w.Name(), fs, ss)
+		}
+		if tc.w != platform.Workload(app) {
+			continue
+		}
+		for i, b := range fast {
+			st := b.BoardStats()
+			if len(b.keys) < 2 {
+				t.Errorf("board %d: replayed %d runs of %d keys (%d runs, %d recordings), want runs of two keys",
+					i, st.ReplayRuns, len(b.keys), st.ReplayRuns+st.InterpretRuns, st.Recordings)
+			}
+		}
+	}
+}
+
+// twinCampaign runs a campaign of w over boards that replay or, with
+// replay false, interpret every run, and returns the boards and the
+// result.
+func twinCampaign(t *testing.T, w platform.Workload, runs int, replay bool) ([]*replayKeys, *platform.CampaignResult) {
+	t.Helper()
 	var mu sync.Mutex
 	var boards []*replayKeys
 	newBoard := func() (platform.Board, error) {
@@ -239,22 +274,39 @@ func TestReplayParanoia(t *testing.T) {
 		if err != nil {
 			return nil, err
 		}
-		p.SetReplayParanoia(true)
-		b := &replayKeys{Platform: p, app: app, keys: make(map[string]int)}
+		p.SetReplay(replay)
+		b := &replayKeys{Platform: p, w: w, keys: make(map[string]int)}
 		mu.Lock()
 		boards = append(boards, b)
 		mu.Unlock()
 		return b, nil
 	}
-	if _, err := platform.StreamCampaign(context.Background(), platform.RAND(), app,
-		platform.StreamOptions{MaxRuns: 60, BatchSize: 20, Parallel: 2, BaseSeed: 7, NewBoard: newBoard}, nil); err != nil {
-		t.Fatalf("paranoid keyed campaign: %v", err)
+	res, err := platform.StreamCampaign(context.Background(), platform.RAND(), w,
+		platform.StreamOptions{MaxRuns: runs, BatchSize: 20, Parallel: 2, BaseSeed: 7, NewBoard: newBoard}, nil)
+	if err != nil {
+		t.Fatalf("%s campaign (replay %v): %v", w.Name(), replay, err)
 	}
-	for i, b := range boards {
+	return boards, res
+}
+
+// substrate sums the boards' counters.
+func substrate(boards []*replayKeys) platform.BoardStats {
+	var sum platform.BoardStats
+	for _, b := range boards {
 		st := b.BoardStats()
-		if len(b.keys) < 2 {
-			t.Errorf("board %d: replayed %d runs of %d keys (%d runs, %d recordings), want runs of two keys",
-				i, st.ReplayRuns, len(b.keys), st.ReplayRuns+st.InterpretRuns, st.Recordings)
+		addCounters(reflect.ValueOf(&sum).Elem(), reflect.ValueOf(st))
+	}
+	return sum
+}
+
+// addCounters adds every counter of src, a struct of uint64 counters
+// and such structs, to dst of the same type.
+func addCounters(dst, src reflect.Value) {
+	for i := 0; i < dst.NumField(); i++ {
+		if d, s := dst.Field(i), src.Field(i); d.Kind() == reflect.Struct {
+			addCounters(d, s)
+		} else {
+			d.SetUint(d.Uint() + s.Uint())
 		}
 	}
 }
@@ -262,7 +314,7 @@ func TestReplayParanoia(t *testing.T) {
 // replayKeys is a board that counts the runs it replays by trace key.
 type replayKeys struct {
 	*platform.Platform
-	app  *tvca.App
+	w    platform.Workload
 	keys map[string]int
 }
 
@@ -270,7 +322,7 @@ func (b *replayKeys) ExecuteRun(ctx context.Context, w platform.Workload, run in
 	before := b.BoardStats().ReplayRuns
 	res, err := b.Platform.ExecuteRun(ctx, w, run, seed)
 	if err == nil && b.BoardStats().ReplayRuns != before {
-		key, _ := b.app.TraceKey(nil, run)
+		key, _ := b.w.(platform.TraceKeyer).TraceKey(nil, run)
 		b.keys[string(key)]++
 	}
 	return res, err
