@@ -3,7 +3,7 @@
 GO ?= go
 STATICCHECK := $(shell command -v staticcheck 2>/dev/null)
 
-.PHONY: test check staticcheck bench-all experiments race cover fuzz resume-check service-check matrix-check leak-check performability-check contention-check clean
+.PHONY: test check staticcheck bench-all experiments race cover fuzz resume-check service-check matrix-check leak-check performability-check contention-check schedulability-check clean
 
 test:
 	$(GO) test ./...
@@ -24,6 +24,7 @@ check: staticcheck
 	$(MAKE) leak-check
 	$(MAKE) performability-check
 	$(MAKE) contention-check
+	$(MAKE) schedulability-check
 
 # Service-layer gate: the campaign fabric's bit-identity proofs
 # (single-process == N-executor fabric, including a killed-and-
@@ -88,6 +89,12 @@ performability-check:
 # any other error exits non-zero.
 contention-check:
 	$(GO) run ./examples/multicore_contention
+
+# Per-task schedulability example: an 800-run Frames-8 per-task
+# campaign, per-task pWCETs and response-time analysis; its stdout must
+# equal the committed expected output byte for byte.
+schedulability-check:
+	$(GO) run ./examples/schedulability | diff -u examples/schedulability/expected_output.txt -
 
 # staticcheck is optional tooling: run it when present, skip with a
 # notice otherwise (the sandbox image carries only the go toolchain).

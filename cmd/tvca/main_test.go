@@ -6,6 +6,8 @@ import (
 	"path/filepath"
 	"strings"
 	"testing"
+
+	"repro/internal/experiments"
 )
 
 func TestRunUsageErrorsToStderrOnly(t *testing.T) {
@@ -80,5 +82,30 @@ func TestRunJournalAndResumeFlow(t *testing.T) {
 	code = run([]string{"-runs", "600", "-journal", journal, "-resume"}, &stdout, &stderr)
 	if code != 0 && code != exitIIDGate {
 		t.Fatalf("resumed run: exit %d, stderr: %s", code, stderr.String())
+	}
+}
+
+// TestPerTaskReportPinned pins the per-task report (-per-task) of the
+// default case study at its 500-run floor, byte for byte.
+func TestPerTaskReportPinned(t *testing.T) {
+	if testing.Short() {
+		t.Skip("runs a measurement campaign")
+	}
+	env, err := experiments.NewEnv(experiments.DefaultParams())
+	if err != nil {
+		t.Fatal(err)
+	}
+	var out bytes.Buffer
+	if err := perTaskReport(&out, env, 500); err != nil {
+		t.Fatal(err)
+	}
+	const want = `
+per-task pWCET (worst job per run, 500 runs):
+  actuator-x   jitterless: exact WCET 1670 cycles
+  actuator-y   jitterless: exact WCET 1939 cycles
+  sensor-acq   HWM 44213, pWCET(1e-12) 46788 cycles
+`
+	if out.String() != want {
+		t.Errorf("per-task report changed:\n%s\nwant:\n%s", out.String(), want)
 	}
 }

@@ -282,6 +282,9 @@ type Span struct {
 	Start, End uint64
 }
 
+// Contains reports whether pc lies in s.
+func (s Span) Contains(pc uint64) bool { return pc >= s.Start && pc < s.End }
+
 // PCOf returns the memory address of instruction index i.
 func (p *Program) PCOf(i int) uint64 {
 	return p.CodeBase + uint64(i)*InstrBytes

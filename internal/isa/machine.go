@@ -3,6 +3,7 @@ package isa
 import (
 	"fmt"
 	"math"
+	"slices"
 )
 
 // BlockSink consumes the retired instruction stream one fetch block at
@@ -214,16 +215,17 @@ type Machine struct {
 	// switch for every retired instruction.
 	classes []Class
 
-	// Block tables for the fetch granule blockBytes (see blockTables):
-	// lineEnd[i] reports that instruction i+1 starts a new granule, and
-	// ops holds one block's dynamic operands. sink is the BlockSink of
-	// the run in flight.
+	// Block tables for the fetch granule blockBytes and the span edges
+	// of spansFor (see blockTables): lineEnd[i] reports that
+	// instruction i+1 starts a new block, and ops holds one block's
+	// dynamic operands. sink is the BlockSink of the run in flight.
 	sink       BlockSink
 	base       uint64 // Prog.CodeBase
 	lineEnd    []bool
 	ops        []uint64
 	blockBytes int
 	tablesFor  *Program
+	spansFor   []Span
 
 	// StepLimit guards against runaway loops in workload code; 0 means
 	// the default of 100M instructions.
@@ -233,6 +235,9 @@ type Machine struct {
 	// co-simulation uses it to stop every core once the measured core
 	// finishes, a core fails or the run's context is done.
 	Cancel func() bool
+	// Spans, when set, also end a block at every span edge, so no block
+	// mixes two spans or a span and other code (per-task attribution).
+	Spans []Span
 }
 
 // NewMachine binds a program to a memory.
@@ -270,17 +275,17 @@ func (m *Machine) SetFReg(f FReg, v float64) { m.fregs[f] = v }
 func (m *Machine) Steps() uint64 { return m.steps }
 
 // blockTables returns the line-end bits and the operand buffer for
-// fetch granule bytes (below InstrBytes: one instruction per block),
-// rebuilding them only when the granule or the program changes. A
-// block never holds more instructions than one granule spans, and no
-// instruction has more than two operand words, so the buffer is sized
-// to one granule.
+// fetch granule bytes (below InstrBytes: one instruction per block)
+// and the edges of m.Spans, rebuilding them only when the granule, the
+// spans or the program changes. A block never holds more instructions
+// than one granule spans, and no instruction has more than two operand
+// words, so the buffer is sized to one granule.
 func (m *Machine) blockTables(bytes int) ([]bool, []uint64) {
 	code := m.Prog.Code
 	if bytes < InstrBytes {
 		bytes = 0
 	}
-	if m.tablesFor == m.Prog && m.blockBytes == bytes && len(m.lineEnd) == len(code) {
+	if m.tablesFor == m.Prog && m.blockBytes == bytes && len(m.lineEnd) == len(code) && slices.Equal(m.spansFor, m.Spans) {
 		return m.lineEnd, m.ops
 	}
 	if cap(m.lineEnd) < len(code) {
@@ -291,6 +296,9 @@ func (m *Machine) blockTables(bytes int) ([]bool, []uint64) {
 	for i := range code {
 		pc := m.Prog.PCOf(i)
 		m.lineEnd[i] = bytes == 0 || pc/uint64(bytes) != (pc+InstrBytes)/uint64(bytes)
+		for _, sp := range m.Spans {
+			m.lineEnd[i] = m.lineEnd[i] || sp.Contains(pc) != sp.Contains(pc+InstrBytes)
+		}
 		run++
 		longest = max(longest, run)
 		if m.lineEnd[i] {
@@ -301,7 +309,7 @@ func (m *Machine) blockTables(bytes int) ([]bool, []uint64) {
 		m.ops = make([]uint64, 2*longest)
 	}
 	m.ops = m.ops[:2*longest]
-	m.blockBytes, m.tablesFor = bytes, m.Prog
+	m.blockBytes, m.tablesFor, m.spansFor = bytes, m.Prog, append(m.spansFor[:0], m.Spans...)
 	return m.lineEnd, m.ops
 }
 

@@ -3,6 +3,7 @@ package platform
 import (
 	"context"
 	"errors"
+	"slices"
 
 	"repro/internal/bus"
 	"repro/internal/cache"
@@ -85,4 +86,27 @@ func (mc *Multicore) RunOnCoreForTest(m *isa.Machine, runSeed uint64, perInstr b
 	mc.prepareRun(runSeed)
 	err := runOn(mc.cores[0], m, perInstr)
 	return counters(mc.cores[0], mc.bus, mc.dram), err
+}
+
+// RunTasksForTest runs run of w under the per-run protocol for seed,
+// through ExecuteRun or, with perInstr, through the reference
+// attribution one instruction at a time (runPerTask), and returns the
+// board's counters, the run's worst job per span and the run error.
+func (p *Platform) RunTasksForTest(w TaskAware, run int, seed uint64, perInstr bool) (BoardCounters, []uint64, error) {
+	if !perInstr {
+		_, err := p.ExecuteRun(context.Background(), w, run, seed)
+		return counters(p.meas.core, p.bus, p.dram), slices.Clone(p.meas.tasks.worst), err
+	}
+	_, jobs, err := runPerTask(p, w, run, seed)
+	return counters(p.meas.core, p.bus, p.dram), worstJobs(jobs, w.TaskSpans()), err
+}
+
+// RunTasksForTest is Platform.RunTasksForTest on mc's measured core.
+func (mc *Multicore) RunTasksForTest(w TaskAware, run int, seed uint64, perInstr bool) (BoardCounters, []uint64, error) {
+	if !perInstr {
+		_, err := mc.ExecuteRun(context.Background(), w, run, seed)
+		return counters(mc.cores[0], mc.bus, mc.dram), slices.Clone(mc.meas.tasks.worst), err
+	}
+	_, jobs, err := mc.runPerTask(w, run, seed)
+	return counters(mc.cores[0], mc.bus, mc.dram), worstJobs(jobs, w.TaskSpans()), err
 }

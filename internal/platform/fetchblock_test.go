@@ -3,6 +3,7 @@ package platform_test
 import (
 	"encoding/binary"
 	"fmt"
+	"slices"
 	"testing"
 
 	"repro/internal/fabric"
@@ -11,10 +12,12 @@ import (
 	"repro/internal/platform"
 )
 
-// coreRunner is a board that runs a prepared machine on its measured
-// core in fetch blocks or one instruction per block.
+// coreRunner is a board that runs a prepared machine, or a TaskAware
+// workload's run attributed to its tasks, on its measured core in fetch
+// blocks or one instruction per block.
 type coreRunner interface {
 	RunOnCoreForTest(m *isa.Machine, runSeed uint64, perInstr bool) (platform.BoardCounters, error)
+	RunTasksForTest(w platform.TaskAware, run int, seed uint64, perInstr bool) (platform.BoardCounters, []uint64, error)
 }
 
 // boardPair is two identical boards: one driven in fetch blocks, one
@@ -97,6 +100,104 @@ func TestFetchBlocksDifferential(t *testing.T) {
 			for run := 0; run < 2; run++ {
 				compareRun(t, bp, fmt.Sprintf("%s run %d", kind, run), platform.DeriveRunSeed(7, run),
 					func() (*isa.Machine, error) { return w.Prepare(run) })
+			}
+		}
+	}
+}
+
+// spanLoop is a TaskAware loop of six iterations whose two task spans
+// start and end inside fetch lines and are entered and left by falling
+// through: the only case where the span edges cut blocks that the
+// fetch granule alone would not. Its stream is the same on every run;
+// keyed declares that with the empty trace key, so a board records its
+// first run and replays the rest.
+type spanLoop struct {
+	prog  *isa.Program
+	keyed bool
+}
+
+func newSpanLoop(t *testing.T, keyed bool) spanLoop {
+	t.Helper()
+	prog, err := isa.NewBuilder("span-loop", 0x1000).
+		Li(1, 6).      // 0: iterations
+		Li(5, 0x4000). // 1: data pointer
+		Label("loop").
+		Addi(2, 2, 1).   // 2: dispatcher
+		Ld(3, 5, 0).     // 3
+		Label("a").      // 4: mid-line
+		Ld(4, 5, 64).    // 4
+		St(5, 512, 4).   // 5
+		Fcvt(1, 4).      // 6
+		Fdiv(2, 1, 1).   // 7
+		Fsqrt(3, 2).     // 8: the next line
+		Addi(5, 5, 160). // 9
+		Label("a_end").  // 10: mid-line
+		Nop().           // 10: dispatcher
+		Label("b").      // 11
+		Ld(6, 5, 128).   // 11
+		St(5, 256, 6).   // 12
+		Mul(7, 6, 6).    // 13
+		Label("b_end").  // 14: mid-line
+		Subi(1, 1, 1).   // 14: dispatcher
+		Bne(1, 0, "loop").
+		Halt().
+		Build()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return spanLoop{prog: prog, keyed: keyed}
+}
+
+func (w spanLoop) Name() string { return "span-loop" }
+
+func (w spanLoop) Prepare(int) (*isa.Machine, error) {
+	return isa.NewMachine(w.prog, isa.NewMemory()), nil
+}
+
+func (w spanLoop) PathOf(*isa.Machine) string { return "" }
+
+func (w spanLoop) TraceKey(dst []byte, _ int) ([]byte, bool) { return dst[:0], w.keyed }
+
+func (w spanLoop) TaskSpans() []isa.Span {
+	pc := func(sym string) uint64 {
+		v, _ := w.prog.SymbolPC(sym)
+		return v
+	}
+	return []isa.Span{
+		{Name: "a", Start: pc("a"), End: pc("a_end")},
+		{Name: "b", Start: pc("b"), End: pc("b_end")},
+	}
+}
+
+// TestFetchBlocksCutAtSpanEdges: the blocks a TaskAware workload's run
+// is cut into at its span edges, interpreted, recorded and replayed,
+// give the DET, RAND and multicore boards the same cycles and counters
+// as one-instruction blocks, and the measured core's worst job per
+// span equals the reference attribution's.
+func TestFetchBlocksCutAtSpanEdges(t *testing.T) {
+	for _, keyed := range []bool{false, true} {
+		w := newSpanLoop(t, keyed)
+		for _, bp := range differentialBoards(t) {
+			for run := 0; run < 3; run++ {
+				seed := platform.DeriveRunSeed(9, run)
+				got, gotWorst, err := bp.blocks.RunTasksForTest(w, run, seed, false)
+				if err != nil {
+					t.Fatal(err)
+				}
+				want, wantWorst, err := bp.single.RunTasksForTest(w, run, seed, true)
+				if err != nil {
+					t.Fatal(err)
+				}
+				label := fmt.Sprintf("%s keyed=%v run %d", bp.name, keyed, run)
+				if got != want {
+					t.Fatalf("%s: cut blocks diverge from one-instruction blocks:\nblocks %+v\nsingle %+v", label, got, want)
+				}
+				if len(wantWorst) != 2 || wantWorst[0] == 0 || wantWorst[1] == 0 {
+					t.Fatalf("%s: reference worst jobs %v, want one per span", label, wantWorst)
+				}
+				if !slices.Equal(gotWorst, wantWorst) {
+					t.Fatalf("%s: worst jobs %v, reference %v", label, gotWorst, wantWorst)
+				}
 			}
 		}
 	}

@@ -33,6 +33,10 @@ type measured struct {
 	blind     bool
 	replayOff bool
 
+	tasks taskClock   // attributes a TaskAware workload's runs to its tasks
+	rec   *blockTrace // the run's recording while it fits in room bytes
+	room  int
+
 	stop        bool // a co-runner failed: the measured core's poll ends the run
 	interpreted bool // a machine ran this run, the measured one or a co-runner's
 	recorded    bool // the measured run recorded its stream
@@ -99,8 +103,11 @@ func (c *measured) canceled() bool {
 // instructions, and a poll that fires fails the run with
 // isa.ErrCancelled; the poll does not touch the timing model.
 func (c *measured) exec(ctx context.Context, w Workload, run int) (RunResult, error) {
-	c.stop, c.interpreted, c.recorded = false, false, false
+	c.stop, c.interpreted, c.recorded, c.rec = false, false, false, nil
 	c.runCtx = nil // never one a PollContext caller left armed
+	if err := c.tasks.arm(w); err != nil {
+		return RunResult{}, err
+	}
 	if ctx != nil && ctx.Done() != nil {
 		c.runCtx = ctx
 	}
@@ -111,7 +118,7 @@ func (c *measured) exec(ctx context.Context, w Workload, run int) (RunResult, er
 	var res RunResult
 	var err error
 	if hit != nil {
-		if !hit.trace.replay(c.core, c.cancelFn) {
+		if !hit.trace.replay(c.core, &c.tasks, c.cancelFn) {
 			err = isa.ErrCancelled
 		}
 		res.Path = hit.path
@@ -119,12 +126,11 @@ func (c *measured) exec(ctx context.Context, w Workload, run int) (RunResult, er
 		c.interpreted = true
 		var m *isa.Machine
 		if m, err = c.machine.get(w, run); err == nil {
-			m.Cancel = c.cancelFn
+			m.Cancel, m.Spans = c.cancelFn, c.tasks.spans
 			if c.recorded {
-				err = c.slot.record(c.core, m)
-			} else {
-				_, err = c.core.RunProgram(m)
+				c.rec, c.room = c.slot.start(m.Prog)
 			}
+			_, err = m.RunBlocks(c)
 		}
 		if err == nil {
 			res.Path = w.PathOf(m)
@@ -135,12 +141,34 @@ func (c *measured) exec(ctx context.Context, w Workload, run int) (RunResult, er
 		return RunResult{}, err
 	}
 	res.Cycles, res.Instructions = c.core.Cycle(), c.core.Stats().Instructions
+	c.tasks.close(res.Cycles)
 	return res, nil
 }
 
-// tally counts the run exec just performed; the board calls it once
-// the whole run has succeeded, so a failed run counts nothing.
-func (c *measured) tally() {
+// FetchBytes and ConsumeBlock make the measured core the isa.BlockSink
+// of its interpreted runs: each block is attributed to the tasks, fed
+// to the core and, while the run records, added to rec until rec would
+// take more than room bytes (rec is then dropped: nil). Recording
+// leaves the timing untouched.
+func (c *measured) FetchBytes() int { return min(c.core.FetchBytes(), maxBlockBytes) }
+
+func (c *measured) ConsumeBlock(pc uint64, classes []isa.Class, taken bool, ops []uint64) {
+	c.tasks.step(pc, c.core.Cycle())
+	c.core.ConsumeBlock(pc, classes, taken, ops)
+	if c.rec == nil {
+		return
+	}
+	k := len(c.rec.chunks)
+	c.rec.add(pc, classes, taken, ops)
+	if len(c.rec.chunks) != k && c.rec.bytes() > c.room {
+		c.rec = nil
+	}
+}
+
+// tally counts the run exec just performed and commits its recording
+// under path; the board calls it once the whole run has succeeded, so a
+// failed run counts and keeps nothing.
+func (c *measured) tally(path string) {
 	if c.interpreted {
 		c.interpretRuns++
 	} else {
@@ -148,6 +176,7 @@ func (c *measured) tally() {
 	}
 	if c.recorded {
 		c.recordings++
+		c.slot.commit(c.rec, c.room, path)
 	}
 }
 

@@ -159,7 +159,7 @@ func runKindsOf(t *testing.T, b statsBoard, w Workload, n int) []runKind {
 // co-runners, and records as often. Next to a keyless co-runner, whose
 // machine runs on every run, every run counts as interpreted and the
 // measured core records the same runs. A run whose co-runner fails
-// after the measured core finished counts nothing.
+// after the measured core finished counts nothing and keeps nothing.
 func TestRunKindTalliesAgree(t *testing.T) {
 	w := &keyedLoop{keys: []byte{1, 2, 1, 2, 1, 3, 2, 3}, scale: 40}
 	n := len(w.keys)
@@ -200,6 +200,11 @@ func TestRunKindTalliesAgree(t *testing.T) {
 	}
 	if st := mc.BoardStats(); st.ReplayRuns+st.InterpretRuns+st.Recordings != 0 {
 		t.Errorf("failed run counted: %+v", st)
+	}
+	// The measured run recorded its stream (the empty key records on
+	// its first run), but a failed run keeps no recording.
+	if n := len(mc.meas.slot.set); n != 0 {
+		t.Errorf("failed run left %d recordings in the trace set", n)
 	}
 }
 

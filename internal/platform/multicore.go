@@ -241,7 +241,7 @@ func (mc *Multicore) ExecuteRun(ctx context.Context, w Workload, run int, seed u
 	if err := mc.runError(); err != nil {
 		return RunResult{}, err
 	}
-	mc.meas.tally()
+	mc.meas.tally(res.Path)
 	return res, nil
 }
 

@@ -1,10 +1,10 @@
 package platform
 
 import (
+	"context"
 	"fmt"
-	"sort"
+	"math"
 
-	"repro/internal/cpu"
 	"repro/internal/isa"
 )
 
@@ -12,107 +12,101 @@ import (
 // enabling per-job execution-time measurement — the input to per-task
 // MBPTA and probabilistic response-time analysis. PCs outside every
 // span (the dispatcher / cyclic executive glue) belong to no task.
+// Every board attributes its runs to the tasks (see taskClock).
 type TaskAware interface {
 	Workload
 	TaskSpans() []isa.Span
 }
 
-// ValidateSpans checks that spans are well-formed and disjoint.
+// ValidateSpans checks that spans are well-formed, disjoint and
+// uniquely named.
 func ValidateSpans(spans []isa.Span) error {
 	if len(spans) == 0 {
 		return fmt.Errorf("platform: no task spans")
 	}
-	s := append([]isa.Span(nil), spans...)
-	sort.Slice(s, func(i, j int) bool { return s[i].Start < s[j].Start })
-	for i, sp := range s {
-		if sp.End <= sp.Start {
-			return fmt.Errorf("platform: span %q empty [%#x,%#x)", sp.Name, sp.Start, sp.End)
+	for i, a := range spans {
+		if a.End <= a.Start {
+			return fmt.Errorf("platform: span %q empty [%#x,%#x)", a.Name, a.Start, a.End)
 		}
-		if i > 0 && sp.Start < s[i-1].End {
-			return fmt.Errorf("platform: spans %q and %q overlap", s[i-1].Name, sp.Name)
+		for _, b := range spans[:i] {
+			if a.Name == b.Name {
+				return fmt.Errorf("platform: two spans named %q", a.Name)
+			}
+			if a.Start < b.End && b.Start < a.End {
+				return fmt.Errorf("platform: spans %q and %q overlap", b.Name, a.Name)
+			}
 		}
 	}
 	return nil
 }
 
-// JobTimes maps task name to the per-job execution times (cycles) in
-// activation order. Cycles spent outside every span are reported under
-// the pseudo-task "(dispatcher)" as a single figure per run.
-type JobTimes map[string][]uint64
-
-// RunPerTask performs one protocol-compliant measurement of w,
-// additionally attributing cycles to task jobs by PC span. A job starts
-// when execution enters a task's span and ends when it leaves it; the
-// cyclic executive of the case study calls each task body once per
-// activation, so jobs are contiguous (the measurement does not support
-// preemption inside a span).
-func (p *Platform) RunPerTask(w TaskAware, run int, runSeed uint64) (RunResult, JobTimes, error) {
-	spans := w.TaskSpans()
-	if err := ValidateSpans(spans); err != nil {
-		return RunResult{}, nil, err
-	}
-	m, err := w.Prepare(run)
-	if err != nil {
-		return RunResult{}, nil, fmt.Errorf("platform %s: prepare run %d: %w", p.cfg.Name, run, err)
-	}
-	p.PrepareRun(runSeed)
-
-	ts := taskSink{core: p.meas.core, spans: spans, jobs: make(JobTimes), current: -1, prev: p.meas.core.Cycle()}
-	if _, err := m.RunBlocks(&ts); err != nil {
-		return RunResult{}, nil, fmt.Errorf("platform %s: run %d: %w", p.cfg.Name, run, err)
-	}
-	jobs, current, jobCycles := ts.jobs, ts.current, ts.jobCycles
-	if current >= 0 {
-		jobs[spans[current].Name] = append(jobs[spans[current].Name], jobCycles)
-	}
-	jobs["(dispatcher)"] = []uint64{ts.dispatchCycles}
-	return RunResult{
-		Cycles:       p.meas.core.Cycle(),
-		Instructions: p.meas.core.Stats().Instructions,
-		Path:         w.PathOf(m),
-	}, jobs, nil
+// taskClock is the measured core's per-task attribution: the spans of
+// the TaskAware workload it runs (none for any other) and each span's
+// worst job of the run in flight. A job runs from entering a span to
+// leaving it. No block crosses a span edge (isa.Machine.Spans), so
+// step, run before every block on every path, charges a whole block to
+// the span of its first instruction.
+type taskClock struct {
+	w     TaskAware
+	spans []isa.Span
+	lo, n uint64 // [lo, lo+n) holds the last block: span cur's code, or code outside every span (cur -1)
+	cur   int
+	start uint64 // the cycle job cur started at
+	worst []uint64
 }
 
-// taskSink charges a run to the core one instruction at a time and
-// attributes each instruction's cycles to the task span holding its PC
-// (or to the dispatcher outside every span).
-type taskSink struct {
-	core                      *cpu.Core
-	spans                     []isa.Span
-	jobs                      JobTimes
-	current                   int // span index of the running job, -1 for none
-	prev                      uint64
-	jobCycles, dispatchCycles uint64
-}
-
-// FetchBytes asks for one-instruction blocks: a task span may start or
-// end inside a fetch line.
-func (s *taskSink) FetchBytes() int { return 0 }
-
-func (s *taskSink) ConsumeBlock(pc uint64, classes []isa.Class, taken bool, ops []uint64) {
-	s.core.ConsumeBlock(pc, classes, taken, ops)
-	now := s.core.Cycle()
-	delta := now - s.prev
-	s.prev = now
-	sp := -1
-	for i := range s.spans {
-		if pc >= s.spans[i].Start && pc < s.spans[i].End {
-			sp = i
-			break
+// arm prepares the attribution of a run of w: no job open, none kept.
+func (t *taskClock) arm(w Workload) error {
+	if ta, ok := w.(TaskAware); !ok {
+		*t = taskClock{n: math.MaxUint64} // all code lies outside the spans
+	} else if ta != t.w {
+		spans := ta.TaskSpans()
+		if err := ValidateSpans(spans); err != nil {
+			return err
 		}
-	}
-	if sp != s.current {
-		if s.current >= 0 {
-			name := s.spans[s.current].Name
-			s.jobs[name] = append(s.jobs[name], s.jobCycles)
-		}
-		s.current = sp
-		s.jobCycles = 0
-	}
-	if sp >= 0 {
-		s.jobCycles += delta
+		*t = taskClock{w: ta, spans: spans, worst: make([]uint64, len(spans))}
 	} else {
-		s.dispatchCycles += delta
+		t.lo, t.n = 0, 0
+		clear(t.worst)
+	}
+	t.cur = -1
+	return nil
+}
+
+// step attributes the block at pc, which the core is about to consume
+// at cycle now.
+func (t *taskClock) step(pc, now uint64) {
+	if pc-t.lo >= t.n {
+		t.enter(pc, now)
+	}
+}
+
+// enter finds the code around pc; if it is another span's than the
+// open job's, the job closes and one opens in pc's span.
+func (t *taskClock) enter(pc, now uint64) {
+	sp, lo, hi := -1, uint64(0), uint64(math.MaxUint64)
+	for i, s := range t.spans {
+		switch {
+		case s.Contains(pc):
+			sp, lo, hi = i, s.Start, s.End
+		case s.End <= pc:
+			lo = max(lo, s.End)
+		default:
+			hi = min(hi, s.Start)
+		}
+	}
+	t.lo, t.n = lo, hi-lo
+	if sp != t.cur {
+		t.close(now)
+		t.cur, t.start = sp, now
+	}
+}
+
+// close ends the open job at cycle now, keeping it if it is its span's
+// worst of the run.
+func (t *taskClock) close(now uint64) {
+	if t.cur >= 0 {
+		t.worst[t.cur] = max(t.worst[t.cur], now-t.start)
 	}
 }
 
@@ -122,33 +116,43 @@ func (s *taskSink) ConsumeBlock(pc uint64, classes []isa.Class, taken bool, ops 
 // warmed cache state and are therefore correlated (the i.i.d. gate
 // rightly rejects concatenated job series); per-run maxima are i.i.d.
 // across protocol-compliant runs and upper-bound every activation, so
-// the fitted pWCET conservatively covers all jobs.
+// the fitted pWCET conservatively covers all jobs. It is a plain
+// StreamCampaign whose boards copy each run's worst jobs into a
+// run-indexed table, so the series do not depend on placement; a task
+// with no job in a run has no sample for it.
 func PerTaskWorstCampaign(cfg Config, w TaskAware, runs int, baseSeed uint64) (map[string][]float64, error) {
-	if runs < 1 {
-		return nil, fmt.Errorf("platform: campaign needs >= 1 run, got %d", runs)
+	if runs < 1 || runs > MaxCampaignRuns {
+		return nil, fmt.Errorf("platform: campaign run budget %d not in [1,%d]", runs, MaxCampaignRuns)
 	}
-	p, err := New(cfg)
-	if err != nil {
+	spans := w.TaskSpans()
+	worst := make([]uint64, runs*len(spans))
+	opts := StreamOptions{MaxRuns: runs, BaseSeed: baseSeed, NewBoard: func() (Board, error) {
+		p, err := New(cfg)
+		return taskBoard{p, worst}, err
+	}}
+	if _, err := StreamCampaign(context.Background(), cfg, w, opts, nil); err != nil {
 		return nil, err
 	}
 	out := make(map[string][]float64)
-	for run := 0; run < runs; run++ {
-		_, jobs, err := p.RunPerTask(w, run, DeriveRunSeed(baseSeed, run))
-		if err != nil {
-			return nil, err
-		}
-		for task, times := range jobs {
-			if task == "(dispatcher)" {
-				continue
-			}
-			worst := uint64(0)
-			for _, t := range times {
-				if t > worst {
-					worst = t
-				}
-			}
-			out[task] = append(out[task], float64(worst))
+	for i, t := range worst {
+		if sp := spans[i%len(spans)]; t > 0 {
+			out[sp.Name] = append(out[sp.Name], float64(t))
 		}
 	}
 	return out, nil
+}
+
+// taskBoard is a Platform that copies each successful run's worst jobs
+// into its campaign's table, at row run.
+type taskBoard struct {
+	*Platform
+	worst []uint64
+}
+
+func (b taskBoard) ExecuteRun(ctx context.Context, w Workload, run int, seed uint64) (RunResult, error) {
+	res, err := b.Platform.ExecuteRun(ctx, w, run, seed)
+	if n := len(b.meas.tasks.worst); err == nil {
+		copy(b.worst[run*n:(run+1)*n], b.meas.tasks.worst)
+	}
+	return res, err
 }

@@ -276,7 +276,7 @@ func (p *Platform) ExecuteRun(ctx context.Context, w Workload, run int, seed uin
 	if err != nil {
 		return RunResult{}, fmt.Errorf("platform %s: run %d: %w", p.cfg.Name, run, err)
 	}
-	p.meas.tally()
+	p.meas.tally(res.Path)
 	return res, nil
 }
 

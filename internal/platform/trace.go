@@ -153,50 +153,26 @@ func (s *traceSlot) recurs(key []byte) bool {
 	return false
 }
 
-// record runs m to completion on core while recording its block stream,
-// and adds the trace to the set under the current run's key unless it
-// outgrew the set's room. The recording run's timing is untouched: the
-// core consumes exactly the blocks it would have consumed.
-func (s *traceSlot) record(core *cpu.Core, m *isa.Machine) error {
-	rs := coreSink{core: core, trace: newBlockTrace(m.Prog), room: s.room}
+// start returns an empty recording of a run of prog and the bytes it
+// may take (the first trace is not bounded).
+func (s *traceSlot) start(prog *isa.Program) (*blockTrace, int) {
 	if len(s.set) == 0 {
-		rs.room = math.MaxInt // the first trace is not bounded
+		return newBlockTrace(prog), math.MaxInt
 	}
-	if _, err := m.RunBlocks(&rs); err != nil {
-		return err // a partial trace must never be replayed
-	}
-	if rs.trace == nil || rs.trace.bytes() > rs.room {
+	return newBlockTrace(prog), s.room
+}
+
+// commit adds rec, the recording of a run that succeeded, to the set
+// under the run's key and path, unless it outgrew room (or was dropped
+// for it: nil). A failed run's recording is never committed.
+func (s *traceSlot) commit(rec *blockTrace, room int, path string) {
+	if rec == nil || rec.bytes() > room {
 		s.room = 0 // over budget: record no more
-		return nil
-	}
-	s.room -= rs.trace.bytes()
-	s.set = append(s.set, recording{trace: rs.trace, key: s.cur, path: s.w.PathOf(m)})
-	s.cur = nil // the recording keeps the key's storage
-	return nil
-}
-
-// coreSink feeds a core's timing model the blocks a machine retires,
-// recording them into trace until it would take more than room bytes;
-// it then drops the trace (nil) and only feeds the core.
-type coreSink struct {
-	core  *cpu.Core
-	trace *blockTrace
-	room  int
-}
-
-// FetchBytes asks for the core's blocks, at most maxBlockBytes long.
-func (s *coreSink) FetchBytes() int { return min(s.core.FetchBytes(), maxBlockBytes) }
-
-func (s *coreSink) ConsumeBlock(pc uint64, classes []isa.Class, taken bool, ops []uint64) {
-	s.core.ConsumeBlock(pc, classes, taken, ops)
-	if s.trace == nil {
 		return
 	}
-	k := len(s.trace.chunks)
-	s.trace.add(pc, classes, taken, ops)
-	if len(s.trace.chunks) != k && s.trace.bytes() > s.room {
-		s.trace = nil
-	}
+	s.room -= rec.bytes()
+	s.set = append(s.set, recording{trace: rec, key: s.cur, path: path})
+	s.cur = nil // the recording keeps the key's storage
 }
 
 // blockTrace is a recorded fetch-block stream (see isa.BlockSink) in
@@ -223,7 +199,7 @@ type blockTrace struct {
 // A block's header word holds its instruction count (bits 0-15), its
 // operand word count (bits 16-29), fpWord when it holds an FDIV or
 // FSQRT, and takenWord when its last instruction transferred control.
-// maxBlockBytes bounds the blocks a trace records (coreSink), so both
+// maxBlockBytes bounds the blocks a trace records (measured), so both
 // counts fit: at most 1,024 instructions and 4,096 operand words.
 const (
 	takenWord     = 1 << 31
@@ -374,11 +350,11 @@ func (t *blockTrace) next(cur *traceCursor) (pc uint64, classes []isa.Class, tak
 	return t.base + uint64(i)*isa.InstrBytes, classes, taken, t.wide[:k], true
 }
 
-// replay feeds the trace to core block by block. It polls canceled, if
-// non-nil, before the first block and after every 1,024 replayed
-// instructions, as the interpreter polls Cancel, and reports false as
-// soon as it fires.
-func (t *blockTrace) replay(core *cpu.Core, canceled func() bool) bool {
+// replay feeds the trace to core block by block, attributing each to
+// tasks (clk). It polls canceled, if non-nil, before the first block
+// and after every 1,024 replayed instructions, as the interpreter polls
+// Cancel, and reports false as soon as it fires.
+func (t *blockTrace) replay(core *cpu.Core, clk *taskClock, canceled func() bool) bool {
 	var cur traceCursor
 	done, poll := 0, 0
 	for {
@@ -392,6 +368,7 @@ func (t *blockTrace) replay(core *cpu.Core, canceled func() bool) bool {
 		if !ok {
 			return true
 		}
+		clk.step(pc, core.Cycle())
 		core.ConsumeBlock(pc, classes, taken, ops)
 		done += len(classes)
 	}

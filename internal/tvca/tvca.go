@@ -525,10 +525,12 @@ func (a *App) CheckOutput(m *isa.Machine, run int) error {
 	return nil
 }
 
-// TaskSpans exposes the PC ranges of the three task bodies, enabling
-// per-job execution-time attribution (platform.RunPerTask). The
-// generator emits the dispatcher first, then the tasks in fixed order,
-// so each task's span runs from its entry label to the next one.
+// TaskSpans exposes the PC ranges of the three task bodies, making the
+// App a platform.TaskAware workload: a board's measured core attributes
+// every run's cycles to task jobs (platform.PerTaskWorstCampaign reads
+// them). The generator emits the dispatcher first, then the tasks in
+// fixed order, so each task's span runs from its entry label to the
+// next one.
 func (a *App) TaskSpans() []isa.Span {
 	syms := []string{"task_sensor", "task_actx", "task_acty"}
 	taskNames := []string{"sensor-acq", "actuator-x", "actuator-y"}

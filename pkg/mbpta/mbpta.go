@@ -155,12 +155,12 @@ type (
 )
 
 // PerTaskWorstCampaign maps each task to its per-run worst job time
-// over runs serial runs seeded from seed — i.i.d. samples that
-// conservatively cover every activation, the per-task MBPTA input.
-// Per-task measurement is an instrumentation-heavy mode outside the
-// streaming engine, so it takes no campaign options. (The jobs of one
-// run share warm cache state and are correlated, which is why only the
-// per-run worst job enters the analysis.)
+// over runs runs seeded from seed — i.i.d. samples that conservatively
+// cover every activation, the per-task MBPTA input. It is a campaign
+// on the streaming engine, one board per CPU, and its series do not
+// depend on which board ran which run. (The jobs of one run share warm
+// cache state and are correlated, which is why only the per-run worst
+// job enters the analysis.)
 func PerTaskWorstCampaign(cfg PlatformConfig, w TaskAware, runs int, seed uint64) (map[string][]float64, error) {
 	return platform.PerTaskWorstCampaign(cfg, w, runs, seed)
 }

@@ -256,26 +256,28 @@ func TestPerTaskWrappers(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// 1 worst sample per run.
-	if len(worst["sensor-acq"]) != 10 {
-		t.Errorf("worst campaign has %d sensor samples, want 10", len(worst["sensor-acq"]))
-	}
-	// The worst sample of a run upper-bounds each of that run's 4
-	// sensor jobs.
+	// 1 worst sample per run and task, and a run's worst jobs of the
+	// three tasks together take less than the whole run: the 4 sensor
+	// jobs, the 2 actuator-x jobs, the actuator-y job and the
+	// dispatcher share it.
 	p, err := mbpta.NewPlatform(mbpta.RANDPlatform())
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, jobs, err := p.RunPerTask(app, 0, platform.DeriveRunSeed(2, 0))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(jobs["sensor-acq"]) != 4 {
-		t.Errorf("run 0 has %d sensor jobs, want 4", len(jobs["sensor-acq"]))
-	}
-	for i, j := range jobs["sensor-acq"] {
-		if float64(j) > worst["sensor-acq"][0] {
-			t.Errorf("sensor job %d (%d cycles) exceeds the run's worst sample %v", i, j, worst["sensor-acq"][0])
+	for run := 0; run < 10; run++ {
+		res, err := p.ExecuteRun(context.Background(), app, run, platform.DeriveRunSeed(2, run))
+		if err != nil {
+			t.Fatal(err)
+		}
+		var sum float64
+		for _, task := range []string{"sensor-acq", "actuator-x", "actuator-y"} {
+			if len(worst[task]) != 10 {
+				t.Fatalf("worst campaign has %d %s samples, want 10", len(worst[task]), task)
+			}
+			sum += worst[task][run]
+		}
+		if sum >= float64(res.Cycles) {
+			t.Errorf("run %d: worst jobs sum to %v cycles, the run took %d", run, sum, res.Cycles)
 		}
 	}
 }
