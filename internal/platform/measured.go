@@ -34,8 +34,7 @@ type measured struct {
 	replayOff bool
 
 	tasks taskClock   // attributes a TaskAware workload's runs to its tasks
-	rec   *blockTrace // the run's recording while it fits in room bytes
-	room  int
+	rec   *blockTrace // the run's recording while it fits in the slot's room
 
 	stop        bool // a co-runner failed: the measured core's poll ends the run
 	interpreted bool // a machine ran this run, the measured one or a co-runner's
@@ -105,9 +104,7 @@ func (c *measured) canceled() bool {
 func (c *measured) exec(ctx context.Context, w Workload, run int) (RunResult, error) {
 	c.stop, c.interpreted, c.recorded, c.rec = false, false, false, nil
 	c.runCtx = nil // never one a PollContext caller left armed
-	if err := c.tasks.arm(w); err != nil {
-		return RunResult{}, err
-	}
+	c.tasks.arm(w)
 	if ctx != nil && ctx.Done() != nil {
 		c.runCtx = ctx
 	}
@@ -128,7 +125,7 @@ func (c *measured) exec(ctx context.Context, w Workload, run int) (RunResult, er
 		if m, err = c.machine.get(w, run); err == nil {
 			m.Cancel, m.Spans = c.cancelFn, c.tasks.spans
 			if c.recorded {
-				c.rec, c.room = c.slot.start(m.Prog)
+				c.rec = newBlockTrace(m.Prog)
 			}
 			_, err = m.RunBlocks(c)
 		}
@@ -148,7 +145,7 @@ func (c *measured) exec(ctx context.Context, w Workload, run int) (RunResult, er
 // FetchBytes and ConsumeBlock make the measured core the isa.BlockSink
 // of its interpreted runs: each block is attributed to the tasks, fed
 // to the core and, while the run records, added to rec until rec would
-// take more than room bytes (rec is then dropped: nil). Recording
+// outgrow the trace set's room (rec is then dropped: nil). Recording
 // leaves the timing untouched.
 func (c *measured) FetchBytes() int { return min(c.core.FetchBytes(), maxBlockBytes) }
 
@@ -160,7 +157,7 @@ func (c *measured) ConsumeBlock(pc uint64, classes []isa.Class, taken bool, ops 
 	}
 	k := len(c.rec.chunks)
 	c.rec.add(pc, classes, taken, ops)
-	if len(c.rec.chunks) != k && c.rec.bytes() > c.room {
+	if len(c.rec.chunks) != k && c.rec.bytes() > c.slot.room {
 		c.rec = nil
 	}
 }
@@ -176,7 +173,7 @@ func (c *measured) tally(path string) {
 	}
 	if c.recorded {
 		c.recordings++
-		c.slot.commit(c.rec, c.room, path)
+		c.slot.commit(c.rec, path)
 	}
 }
 

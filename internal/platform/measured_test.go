@@ -215,16 +215,38 @@ type uncomparable struct {
 	tags map[string]int
 }
 
+// uncomparableTasks is a TaskAware workload whose type Go cannot
+// compare (it holds its spans in a slice).
+type uncomparableTasks struct {
+	Workload
+	spans []isa.Span
+}
+
+func (w uncomparableTasks) TaskSpans() []isa.Span { return w.spans }
+
+// heldTasks is a TaskAware type Go can compare; its values holding an
+// uncomparableTasks still cannot be compared.
+type heldTasks struct{ TaskAware }
+
 // TestUncomparableKeylessWorkload: on every board, a keyless workload
 // of an uncomparable type runs repeatedly, after a keyed one and before
 // one, called directly rather than under supervision, without a panic,
-// and measures what an interpreting board measures.
+// and measures what an interpreting board measures; so does a TaskAware
+// one, whose runs are attributed to its task.
 func TestUncomparableKeylessWorkload(t *testing.T) {
 	keyed := &keyedLoop{keys: []byte{4, 4, 4, 4, 4, 4}, scale: 40}
 	keyless := uncomparable{Workload: keyed, tags: map[string]int{"k": 1}}
-	seq := []Workload{keyed, keyed, keyless, keyless, keyless, keyed}
+	tasks := uncomparableTasks{Workload: keyed, spans: []isa.Span{{Name: "loop", Start: 0x8004, End: 0x8014}}}
+	seq := []Workload{keyed, keyed, keyless, keyless, keyless, tasks, tasks, heldTasks{tasks}, heldTasks{tasks}, keyed}
 	for _, bc := range boardCases {
 		b, ref := bc.boards(t)
+		var meas *measured
+		switch b := b.(type) {
+		case *Platform:
+			meas = &b.meas
+		case *Multicore:
+			meas = &b.meas
+		}
 		for i, w := range seq {
 			got, err := b.ExecuteRun(context.Background(), w, i, uint64(i+1))
 			if err != nil {
@@ -236,6 +258,9 @@ func TestUncomparableKeylessWorkload(t *testing.T) {
 			}
 			if got != want {
 				t.Errorf("%s run %d: measured %+v, interpreting board %+v", bc.name, i, got, want)
+			}
+			if _, ok := w.(TaskAware); ok && (len(meas.tasks.worst) != 1 || meas.tasks.worst[0] == 0) {
+				t.Errorf("%s run %d: worst jobs %v, want one job", bc.name, i, meas.tasks.worst)
 			}
 		}
 	}

@@ -238,18 +238,32 @@ type spanlessWorkload struct{ *tvca.App }
 func (s spanlessWorkload) TaskSpans() []isa.Span { return nil }
 
 // TestRunPerTaskRejectsBadSpans: a TaskAware workload with invalid
-// spans fails its runs on both boards, and its per-task campaign.
+// spans runs on both boards, attributed to no task, as the plain
+// workload runs; its per-task campaign is rejected.
 func TestRunPerTaskRejectsBadSpans(t *testing.T) {
-	w := spanlessWorkload{tinyTVCA(t)}
+	app := tinyTVCA(t)
+	w := spanlessWorkload{app}
+	ref, _ := New(RAND())
+	want, err := ref.ExecuteRun(context.Background(), opaqueWorkload{app}, 0, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
 	p, _ := New(RAND())
 	mc, _ := NewMulticore(RAND(), nil)
-	for _, b := range []Board{p, mc} {
-		if _, err := b.ExecuteRun(context.Background(), w, 0, 1); err == nil || !strings.Contains(err.Error(), "no task spans") {
-			t.Errorf("%T: spanless workload ran: %v", b, err)
+	for _, b := range []struct {
+		b    Board
+		meas *measured
+	}{{p, &p.meas}, {mc, &mc.meas}} {
+		got, err := b.b.ExecuteRun(context.Background(), w, 0, 1)
+		if err != nil || got != want {
+			t.Errorf("%T: spanless workload ran %+v, %v; plain run %+v", b.b, got, err, want)
+		}
+		if n := len(b.meas.tasks.worst); n != 0 {
+			t.Errorf("%T: %d tasks attributed", b.b, n)
 		}
 	}
-	if _, err := PerTaskWorstCampaign(RAND(), w, 2, 1); err == nil {
-		t.Error("spanless campaign accepted")
+	if _, err := PerTaskWorstCampaign(RAND(), w, 2, 1); err == nil || !strings.Contains(err.Error(), "no task spans") {
+		t.Errorf("spanless campaign: %v", err)
 	}
 }
 

@@ -65,9 +65,30 @@ func (b BoardStats) Sub(prev BoardStats) BoardStats {
 	}
 }
 
-// add returns the counter sum b + d, accumulating per-run deltas. The
-// counters are uint64 and wrap, so b - (0 - d) is b + d.
-func (b BoardStats) add(d BoardStats) BoardStats { return b.Sub(BoardStats{}.Sub(d)) }
+// add returns the counter sum b + d, accumulating per-run deltas.
+func (b BoardStats) add(d BoardStats) BoardStats {
+	return BoardStats{
+		IL1:           addCache(b.IL1, d.IL1),
+		DL1:           addCache(b.DL1, d.DL1),
+		ITLB:          tlb.Stats{Hits: b.ITLB.Hits + d.ITLB.Hits, Misses: b.ITLB.Misses + d.ITLB.Misses, MRUHits: b.ITLB.MRUHits + d.ITLB.MRUHits},
+		DTLB:          tlb.Stats{Hits: b.DTLB.Hits + d.DTLB.Hits, Misses: b.DTLB.Misses + d.DTLB.Misses, MRUHits: b.DTLB.MRUHits + d.DTLB.MRUHits},
+		FPU:           fpu.Stats{DivWorstCase: b.FPU.DivWorstCase + d.FPU.DivWorstCase, SqrtWorstCase: b.FPU.SqrtWorstCase + d.FPU.SqrtWorstCase},
+		ReplayRuns:    b.ReplayRuns + d.ReplayRuns,
+		InterpretRuns: b.InterpretRuns + d.InterpretRuns,
+		Recordings:    b.Recordings + d.Recordings,
+	}
+}
+
+func addCache(a, b cache.Stats) cache.Stats {
+	return cache.Stats{
+		Hits:        a.Hits + b.Hits,
+		Misses:      a.Misses + b.Misses,
+		Evictions:   a.Evictions + b.Evictions,
+		WriteHits:   a.WriteHits + b.WriteHits,
+		WriteMisses: a.WriteMisses + b.WriteMisses,
+		MRUHits:     a.MRUHits + b.MRUHits,
+	}
+}
 
 func subCache(a, b cache.Stats) cache.Stats {
 	return cache.Stats{

@@ -80,7 +80,7 @@ type traceSlot struct {
 	w     Workload   // the workload the slot serves
 	keyer TraceKeyer // w's keys; nil once they cannot replay on this board
 	set   []recording
-	room  int // bytes the set may still grow by (the first trace may overdraw it)
+	room  int // bytes the set may still grow by (unbounded for the first trace, which may overdraw it)
 	seen  [seenSlots]uint64
 	cur   []byte // the key of the run in flight
 }
@@ -115,7 +115,7 @@ func (s *traceSlot) next(w Workload, run int, blind bool) (hit *recording, recor
 		return nil, false
 	}
 	if w != s.w {
-		s.w, s.keyer, s.set, s.room = w, keyer, nil, traceBudget
+		s.w, s.keyer, s.set, s.room = w, keyer, nil, math.MaxInt
 		clear(s.seen[:])
 	}
 	if s.keyer == nil {
@@ -153,22 +153,16 @@ func (s *traceSlot) recurs(key []byte) bool {
 	return false
 }
 
-// start returns an empty recording of a run of prog and the bytes it
-// may take (the first trace is not bounded).
-func (s *traceSlot) start(prog *isa.Program) (*blockTrace, int) {
-	if len(s.set) == 0 {
-		return newBlockTrace(prog), math.MaxInt
-	}
-	return newBlockTrace(prog), s.room
-}
-
 // commit adds rec, the recording of a run that succeeded, to the set
 // under the run's key and path, unless it outgrew room (or was dropped
 // for it: nil). A failed run's recording is never committed.
-func (s *traceSlot) commit(rec *blockTrace, room int, path string) {
-	if rec == nil || rec.bytes() > room {
+func (s *traceSlot) commit(rec *blockTrace, path string) {
+	if rec == nil || rec.bytes() > s.room {
 		s.room = 0 // over budget: record no more
 		return
+	}
+	if len(s.set) == 0 {
+		s.room = traceBudget // the first trace overdraws it
 	}
 	s.room -= rec.bytes()
 	s.set = append(s.set, recording{trace: rec, key: s.cur, path: path})
